@@ -15,9 +15,8 @@ from .driver import (
     report_of,
     suppress,
 )
+from .report import TOOL_VERSION as __version__
 from .report import Report, corpus_stats, format_report
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ALL_RULES",

@@ -54,7 +54,7 @@ class PipelineResult:
 
 
 def analyze_pipeline(source: str, path: str, config: Config | None = None) -> PipelineResult:
-    """Run parse -> constants -> unroll -> cfg -> extract -> flow -> rules."""
+    """Run parse -> unroll (with constants) -> cfg -> extract -> flow -> rules."""
     cfg_options = config or Config()
     tree = parse_file(source, path)
     tree = unroll_loops(tree, cfg_options.max_unroll)

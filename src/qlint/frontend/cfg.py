@@ -27,20 +27,16 @@ class Cfg:
     entry: dict[str, int] = field(default_factory=dict)
     exit: dict[str, int] = field(default_factory=dict)
     block_of_stmt: dict[int, int] = field(default_factory=dict)
-
-    def scope_of_block(self, block_id: int) -> str:
-        return self.blocks[block_id].scope
+    _reach_cache: dict[int, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def successors(self, block_id: int) -> list[int]:
         return sorted(b for (a, b) in self.edges if a == block_id)
 
     def reachable(self, block_id: int) -> frozenset[int]:
         """Blocks reachable from `block_id` through one or more edges."""
-        cache = getattr(self, "_reach_cache", None)
-        if cache is None:
-            cache = {}
-            self._reach_cache = cache
-        got = cache.get(block_id)
+        got = self._reach_cache.get(block_id)
         if got is not None:
             return got
         seen: set[int] = set()
@@ -52,7 +48,7 @@ class Cfg:
             seen.add(nxt)
             frontier.extend(self.successors(nxt))
         result = frozenset(seen)
-        cache[block_id] = result
+        self._reach_cache[block_id] = result
         return result
 
     def in_cycle(self, block_id: int) -> bool:

@@ -1,7 +1,9 @@
-"""Flow-sensitive integer constant propagation.
+"""Integer constants: the value domain and its transfer functions.
 
 Values are either exactly known integers or Unknown; any operation with an
-Unknown operand stays Unknown, so a Known answer is always trustworthy.
+Unknown operand stays Unknown, so a Known answer is always trustworthy. The
+flow-sensitive walk that applies these rules is the loop unroller's, which
+records every expression's value into a ConstEnv as it expands the file.
 """
 
 from __future__ import annotations
@@ -14,16 +16,13 @@ from .nodes import (
     BinOp,
     Call,
     Expr,
-    ExprStmt,
     ForRange,
-    FunctionDef,
     If,
     IntLit,
     ListExpr,
     ModuleAst,
     Name,
     Opaque,
-    Return,
     Stmt,
     Subscript,
     TupleExpr,
@@ -58,15 +57,14 @@ def known(value: int) -> ConstValue:
 _Env = dict[str, ConstValue]
 
 
-def eval_expr(expr: Expr, env: _Env, record: "ConstEnv | None" = None) -> ConstValue:
-    """Evaluate an expression to a ConstValue under the given variable bindings."""
+def eval_expr(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
+    """Evaluate an expression under the given bindings, recording every subterm."""
     result = _eval(expr, env, record)
-    if record is not None:
-        record._values[expr.uid] = result
+    record._values[expr.uid] = result
     return result
 
 
-def _eval(expr: Expr, env: _Env, record: "ConstEnv | None") -> ConstValue:
+def _eval(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
     if isinstance(expr, IntLit):
         return known(expr.value)
     if isinstance(expr, Name):
@@ -117,13 +115,12 @@ def _eval(expr: Expr, env: _Env, record: "ConstEnv | None") -> ConstValue:
     return UNKNOWN
 
 
-def range_values(args: list[Expr], env: _Env, limit: int) -> list[int] | None:
-    """Concrete iteration values of range(*args), or None when not resolvable.
+def range_values(vals: list[ConstValue], limit: int) -> list[int] | None:
+    """Concrete iteration values of range(*vals), or None when not resolvable.
 
     Loops longer than `limit` iterations return None as well, so callers never
     materialize huge ranges.
     """
-    vals = [eval_expr(a, env) for a in args]
     if not all(v.is_known for v in vals):
         return None
     ints = [v.value for v in vals if v.value is not None]
@@ -165,7 +162,7 @@ def collect_assigned_names(stmts: list[Stmt]) -> set[str]:
             for target in stmt.targets:
                 if isinstance(target, Name):
                     out.add(target.ident)
-                elif isinstance(target, TupleExpr):
+                elif isinstance(target, (ListExpr, TupleExpr)):
                     out.update(expr_names(target))
         elif isinstance(stmt, ForRange):
             out.add(stmt.var)
@@ -193,18 +190,18 @@ def join_envs(a: _Env, b: _Env) -> _Env:
 
 
 class ConstEnv:
-    """Resolved integer values per expression node plus per-statement snapshots."""
+    """Resolved integer values per expression node of an unrolled tree."""
 
     def __init__(self) -> None:
         self._values: dict[int, ConstValue] = {}
-        self._snapshots: dict[tuple[str, int], _Env] = {}
 
     def resolve(self, expr: Expr) -> ConstValue:
         """ConstValue of an expression occurrence in the analyzed tree."""
         got = self._values.get(expr.uid)
         if got is not None:
             return got
-        # Context-free fallback for nodes outside any visited statement.
+        # Context-free fallback for expressions the walk does not evaluate,
+        # such as assignment targets.
         if isinstance(expr, IntLit):
             return known(expr.value)
         if (
@@ -215,61 +212,13 @@ class ConstEnv:
             return known(-expr.operand.value)
         return UNKNOWN
 
-    def lookup(self, scope: str, name: str, stmt_uid: int) -> ConstValue:
-        """Value of a variable just before the given statement executes."""
-        return self._snapshots.get((scope, stmt_uid), {}).get(name, UNKNOWN)
-
 
 def propagate_constants(tree: ModuleAst) -> ConstEnv:
-    """Compute Known/Unknown integer facts for every expression in the tree."""
-    record = ConstEnv()
-    _walk(tree.statements, MODULE_SCOPE, {}, record)
-    return record
+    """Known/Unknown integer facts for every expression of an unrolled tree.
 
-
-def _walk(stmts: list[Stmt], scope: str, env: _Env, record: ConstEnv) -> _Env:
-    for stmt in stmts:
-        record._snapshots[(scope, stmt.uid)] = dict(env)
-        if isinstance(stmt, Assign):
-            pairs = tuple_assign_pairs(stmt)
-            if pairs is not None:
-                values = [eval_expr(v, env, record) for _, v in pairs]
-                for (name, _), value in zip(pairs, values):
-                    env[name] = value
-                continue
-            value = eval_expr(stmt.value, env, record)
-            for target in stmt.targets:
-                if isinstance(target, Name):
-                    env[target.ident] = value
-                elif isinstance(target, TupleExpr):
-                    for name in expr_names(target):
-                        env[name] = UNKNOWN
-        elif isinstance(stmt, ExprStmt):
-            eval_expr(stmt.value, env, record)
-        elif isinstance(stmt, Return):
-            if stmt.value is not None:
-                eval_expr(stmt.value, env, record)
-        elif isinstance(stmt, If):
-            eval_expr(stmt.test, env, record)
-            env_then = _walk(stmt.body, scope, dict(env), record)
-            env_else = _walk(stmt.orelse, scope, dict(env), record)
-            env = join_envs(env_then, env_else)
-        elif isinstance(stmt, ForRange):
-            for arg in stmt.range_args:
-                eval_expr(arg, env, record)
-            killed = collect_assigned_names(stmt.body) | {stmt.var}
-            env_body = dict(env)
-            for name in killed:
-                env_body[name] = UNKNOWN
-            _walk(stmt.body, scope, env_body, record)
-            for name in killed:
-                env[name] = UNKNOWN
-        elif isinstance(stmt, FunctionDef):
-            inner_scope = f"{scope}.{stmt.name}#{stmt.uid}"
-            inner_env: _Env = {p: UNKNOWN for p in stmt.params}
-            _walk(stmt.body, inner_scope, inner_env, record)
-        elif isinstance(stmt, Opaque):
-            for name in stmt.names:
-                if name in env:
-                    env[name] = UNKNOWN
-    return env
+    `unroll_loops` records them while it walks the file; this only hands
+    them out.
+    """
+    if tree.constants is None:
+        raise ValueError("constants are recorded by unroll_loops; unroll the tree first")
+    return tree.constants

@@ -8,6 +8,10 @@ of silently dropping program behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .constprop import ConstEnv
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,13 @@ Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | NoOp | Opaque
 
 @dataclass
 class ModuleAst:
-    """Parsed file: top-level statements plus bookkeeping set by later passes."""
+    """Parsed file: top-level statements plus bookkeeping set by unrolling."""
 
     file: str
     statements: list[Stmt]
     span: SourceSpan
     non_unrollable: list[int] = field(default_factory=list)
+    constants: ConstEnv | None = None
 
 
 def expr_names(expr: Expr) -> set[str]:

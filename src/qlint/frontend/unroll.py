@@ -1,22 +1,27 @@
-"""Bounded unrolling of `for ... in range(...)` loops.
+"""Bounded unrolling of `for ... in range(...)` loops, with constant recording.
 
 A loop is expanded only when its trip count is statically known and small;
 every other loop is kept intact and flagged, so downstream stages treat its
-body conservatively.
+body conservatively. The same walk propagates integer constants: an unrolled
+iteration binds the loop variable to its value and walks a fresh copy of the
+body, and the value of every expression it emits is recorded in a ConstEnv.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import count
 
 from .constprop import (
+    ConstEnv,
     ConstValue,
     UNKNOWN,
-    tuple_assign_pairs,
     collect_assigned_names,
     eval_expr,
     join_envs,
+    known,
     range_values,
+    tuple_assign_pairs,
 )
 from .nodes import (
     Assign,
@@ -40,6 +45,7 @@ from .nodes import (
     Subscript,
     TupleExpr,
     UnaryOp,
+    expr_names,
 )
 
 DEFAULT_MAX_UNROLL = 10
@@ -50,212 +56,137 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
 
     Loops that cannot be expanded (unknown or too-large trip count, or a
     break/continue in the body) are preserved and listed in the result's
-    `non_unrollable` field.
+    `non_unrollable` field. The result's `constants` resolve every
+    expression of the new tree.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     unroller = _Unroller(max_iterations)
     statements = unroller.walk(tree.statements, {})
-    out = ModuleAst(tree.file, statements, tree.span)
-    out.non_unrollable = unroller.non_unrollable
-    return out
+    return ModuleAst(
+        tree.file,
+        statements,
+        tree.span,
+        non_unrollable=unroller.non_unrollable,
+        constants=unroller.constants,
+    )
 
 
 class _Unroller:
     def __init__(self, max_iterations: int) -> None:
         self.max_iterations = max_iterations
         self.non_unrollable: list[int] = []
-        self._uid = 0
-
-    def _next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
+        self.constants = ConstEnv()
+        self._uids = count(1)
 
     def walk(self, stmts: list[Stmt], env: dict[str, ConstValue]) -> list[Stmt]:
+        """Copies of `stmts` with loops expanded; `env` ends as the bindings after them."""
         out: list[Stmt] = []
         for stmt in stmts:
             if isinstance(stmt, ForRange):
                 out.extend(self._for_range(stmt, env))
-            elif isinstance(stmt, If):
-                test = self._copy_expr(stmt.test, None, 0)
-                env_then = dict(env)
-                env_else = dict(env)
-                body = self.walk(stmt.body, env_then)
-                orelse = self.walk(stmt.orelse, env_else)
-                node = If(test, body, orelse, span=stmt.span)
-                node.uid = self._next_uid()
-                out.append(node)
-                env.clear()
-                env.update(join_envs(env_then, env_else))
-            elif isinstance(stmt, FunctionDef):
-                inner_env = {p: UNKNOWN for p in stmt.params}
-                body = self.walk(stmt.body, inner_env)
-                node = FunctionDef(stmt.name, list(stmt.params), body, span=stmt.span)
-                node.uid = self._next_uid()
-                out.append(node)
             else:
-                node = self._copy_simple(stmt)
-                out.append(node)
-                self._apply_env(node, env)
+                out.append(self._stmt(stmt, env))
         return out
 
     def _for_range(self, stmt: ForRange, env: dict[str, ConstValue]) -> list[Stmt]:
-        values = range_values(stmt.range_args, env, self.max_iterations)
+        args = [self._value(a, env) for a in stmt.range_args]
+        values = range_values([self.constants.resolve(a) for a in args], self.max_iterations)
         if values is None or _has_loop_escape(stmt.body):
-            killed = collect_assigned_names(stmt.body) | {stmt.var}
-            env_body = dict(env)
-            for name in killed:
-                env_body[name] = UNKNOWN
-            body = self.walk(stmt.body, env_body)
-            args = [self._copy_expr(a, None, 0) for a in stmt.range_args]
-            node = ForRange(stmt.var, args, body, span=stmt.span)
-            node.uid = self._next_uid()
-            self.non_unrollable.append(node.uid)
-            for name in killed:
+            # The body may run any number of times: whatever it binds is
+            # unknown inside it and after it.
+            for name in collect_assigned_names(stmt.body) | {stmt.var}:
                 env[name] = UNKNOWN
+            node = ForRange(stmt.var, args, self.walk(stmt.body, dict(env)), span=stmt.span)
+            node.uid = next(self._uids)
+            self.non_unrollable.append(node.uid)
             return [node]
-
         out: list[Stmt] = []
-        substituted_everywhere = True
         for value in values:
-            body_copy, active = self._copy_stmts(stmt.body, stmt.var, value)
-            substituted_everywhere = substituted_everywhere and active
-            out.extend(self.walk(body_copy, env))
-        if values:
-            # After full substitution the loop variable keeps its final value.
-            if substituted_everywhere and stmt.var not in collect_assigned_names(stmt.body):
-                env[stmt.var] = ConstValue(values[-1])
+            env[stmt.var] = known(value)
+            out.extend(self.walk(stmt.body, env))
         return out
 
-    def _apply_env(self, stmt: Stmt, env: dict[str, ConstValue]) -> None:
-        if isinstance(stmt, Assign):
-            pairs = tuple_assign_pairs(stmt)
-            if pairs is not None:
-                values = [eval_expr(v, env) for _, v in pairs]
-                for (name, _), value in zip(pairs, values):
-                    env[name] = value
-                return
-            value = eval_expr(stmt.value, env)
-            for target in stmt.targets:
-                if isinstance(target, Name):
-                    env[target.ident] = value
-                elif isinstance(target, TupleExpr):
-                    for name in collect_assigned_names([stmt]):
-                        env[name] = UNKNOWN
-        elif isinstance(stmt, Opaque):
-            for name in stmt.names:
-                if name in env:
-                    env[name] = UNKNOWN
-
-    # --- node copying with optional loop-variable substitution ---
-
-    def _copy_stmts(
-        self, stmts: list[Stmt], var: str | None, value: int
-    ) -> tuple[list[Stmt], bool]:
-        """Deep-copy statements substituting `var` while the binding is intact.
-
-        Substitution stops once the body rebinds the variable; later uses are
-        left symbolic so ordinary constant propagation picks them up.
-        """
-        out: list[Stmt] = []
-        active = var is not None
-        for stmt in stmts:
-            copied, active = self._copy_stmt(stmt, var if active else None, value)
-            out.append(copied)
-        return out, active
-
-    def _copy_stmt(self, stmt: Stmt, var: str | None, value: int) -> tuple[Stmt, bool]:
-        active = var is not None
+    def _stmt(self, stmt: Stmt, env: dict[str, ConstValue]) -> Stmt:
         span = stmt.span
         node: Stmt
         if isinstance(stmt, Assign):
-            copied_value = self._copy_expr(stmt.value, var, value)
-            targets = [self._copy_expr(t, None, 0) for t in stmt.targets]
-            node = Assign(targets, copied_value, span=span)
-            rebinds = any(isinstance(t, Name) and t.ident == var for t in stmt.targets)
-            active = active and not rebinds
+            node = Assign([self._copy(t) for t in stmt.targets], self._copy(stmt.value), span=span)
+            self._assign(node, env)
         elif isinstance(stmt, ExprStmt):
-            node = ExprStmt(self._copy_expr(stmt.value, var, value), span=span)
+            node = ExprStmt(self._value(stmt.value, env), span=span)
         elif isinstance(stmt, Return):
-            v = self._copy_expr(stmt.value, var, value) if stmt.value else None
-            node = Return(v, span=span)
+            value = self._value(stmt.value, env) if stmt.value is not None else None
+            node = Return(value, span=span)
         elif isinstance(stmt, If):
-            test = self._copy_expr(stmt.test, var, value)
-            body, a1 = self._copy_stmts(stmt.body, var, value)
-            orelse, a2 = self._copy_stmts(stmt.orelse, var, value)
+            test = self._value(stmt.test, env)
+            env_else = dict(env)
+            body = self.walk(stmt.body, env)
+            orelse = self.walk(stmt.orelse, env_else)
+            joined = join_envs(env, env_else)
+            env.clear()
+            env.update(joined)
             node = If(test, body, orelse, span=span)
-            active = active and a1 and a2
-        elif isinstance(stmt, ForRange):
-            args = [self._copy_expr(a, var, value) for a in stmt.range_args]
-            if stmt.var == var:
-                # Inner loop shadows and then rebinds the variable.
-                body, _ = self._copy_stmts(stmt.body, None, 0)
-                active = False
-            else:
-                body, _ = self._copy_stmts(stmt.body, var, value)
-            node = ForRange(stmt.var, args, body, span=span)
         elif isinstance(stmt, FunctionDef):
-            body, _ = self._copy_stmts(stmt.body, None, 0)
+            body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params})
             node = FunctionDef(stmt.name, list(stmt.params), body, span=span)
-        elif isinstance(stmt, Opaque):
-            node = Opaque(stmt.names, stmt.label, span=span)
-            active = active and var not in stmt.names
-        elif isinstance(stmt, NoOp):
-            node = NoOp(stmt.kind, span=span)
         else:
-            node = replace(stmt)
-        node.uid = self._next_uid()
-        return node, active
+            node = replace(stmt)  # NoOp or Opaque: no expressions to evaluate
+            if isinstance(stmt, Opaque):
+                for name in stmt.names:
+                    if name in env:
+                        env[name] = UNKNOWN
+        node.uid = next(self._uids)
+        return node
 
-    def _copy_simple(self, stmt: Stmt) -> Stmt:
-        copied, _ = self._copy_stmt(stmt, None, 0)
-        return copied
+    def _assign(self, stmt: Assign, env: dict[str, ConstValue]) -> None:
+        pairs = tuple_assign_pairs(stmt)
+        if pairs is not None:
+            # The whole right side evaluates before any name is rebound.
+            values = [eval_expr(v, env, self.constants) for _, v in pairs]
+            env.update(zip([name for name, _ in pairs], values))
+            return
+        value = eval_expr(stmt.value, env, self.constants)
+        for target in stmt.targets:
+            if isinstance(target, Name):
+                env[target.ident] = value
+            elif isinstance(target, (ListExpr, TupleExpr)):
+                for name in expr_names(target):
+                    env[name] = UNKNOWN
 
-    def _copy_expr(self, expr: Expr, var: str | None, value: int) -> Expr:
+    def _value(self, expr: Expr, env: dict[str, ConstValue]) -> Expr:
+        """Copy of an evaluated expression, its values recorded."""
+        node = self._copy(expr)
+        eval_expr(node, env, self.constants)
+        return node
+
+    def _copy(self, expr: Expr) -> Expr:
         node: Expr
-        if isinstance(expr, Name) and var is not None and expr.ident == var:
-            node = IntLit(value, span=expr.span)
-        elif isinstance(expr, Name):
+        if isinstance(expr, Name):
             node = Name(expr.ident, span=expr.span)
         elif isinstance(expr, IntLit):
             node = IntLit(expr.value, span=expr.span)
         elif isinstance(expr, Attribute):
-            node = Attribute(self._copy_expr(expr.value, var, value), expr.attr, span=expr.span)
+            node = Attribute(self._copy(expr.value), expr.attr, span=expr.span)
         elif isinstance(expr, Subscript):
-            node = Subscript(
-                self._copy_expr(expr.value, var, value),
-                self._copy_expr(expr.index, var, value),
-                span=expr.span,
-            )
+            node = Subscript(self._copy(expr.value), self._copy(expr.index), span=expr.span)
         elif isinstance(expr, Call):
-            args = [self._copy_expr(a, var, value) for a in expr.args]
-            keywords = [
-                Keyword(k.name, self._copy_expr(k.value, var, value))
-                for k in expr.keywords
-            ]
             node = Call(
-                self._copy_expr(expr.func, var, value),
-                args,
-                keywords,
+                self._copy(expr.func),
+                [self._copy(a) for a in expr.args],
+                [Keyword(k.name, self._copy(k.value)) for k in expr.keywords],
                 expr.has_star_args,
                 span=expr.span,
             )
         elif isinstance(expr, (ListExpr, TupleExpr)):
-            elements = [self._copy_expr(e, var, value) for e in expr.elements]
-            cls = ListExpr if isinstance(expr, ListExpr) else TupleExpr
-            node = cls(elements, span=expr.span)
+            node = type(expr)([self._copy(e) for e in expr.elements], span=expr.span)
         elif isinstance(expr, BinOp):
-            node = BinOp(
-                self._copy_expr(expr.left, var, value),
-                expr.op,
-                self._copy_expr(expr.right, var, value),
-                span=expr.span,
-            )
+            node = BinOp(self._copy(expr.left), expr.op, self._copy(expr.right), span=expr.span)
         elif isinstance(expr, UnaryOp):
-            node = UnaryOp(expr.op, self._copy_expr(expr.operand, var, value), span=expr.span)
+            node = UnaryOp(expr.op, self._copy(expr.operand), span=expr.span)
         else:
             node = replace(expr)
-        node.uid = self._next_uid()
+        node.uid = next(self._uids)
         return node
 
 

@@ -62,6 +62,9 @@ class FlowRelation:
     unknown_blockers: dict[str, list[str]]
     unknown_taint: frozenset[str]
     _events: dict[str, OperatorEvent] = field(init=False)
+    _blocker_cache: dict[QubitKey, dict[int, list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._events = {e.id: e for e in self.ir.events}
@@ -140,11 +143,7 @@ class FlowRelation:
         Events of one circuit always live in a single scope (bindings never
         cross scopes), so the index needs no scope filtering.
         """
-        cache = getattr(self, "_blocker_cache", None)
-        if cache is None:
-            cache = {}
-            self._blocker_cache = cache
-        got = cache.get(key)
+        got = self._blocker_cache.get(key)
         if got is not None:
             return got
         blocker_ids = set(self.timelines.get(key, ())) | set(
@@ -156,7 +155,7 @@ class FlowRelation:
             by_block.setdefault(event.block, []).append(event.seq)
         for seqs in by_block.values():
             seqs.sort()
-        cache[key] = by_block
+        self._blocker_cache[key] = by_block
         return by_block
 
     def _directly(self, a: str, b: str, key: QubitKey) -> bool:

@@ -16,7 +16,6 @@ from .model import (
     UNRESOLVED_BIT,
     UnknownCause,
     absolute_index,
-    detect_composition,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "UNRESOLVED_BIT",
     "UnknownCause",
     "absolute_index",
-    "detect_composition",
     "extract",
     "load_gate_table",
     "parse_gate_table",

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..frontend.cfg import Cfg
-from ..frontend.constprop import MODULE_SCOPE, UNKNOWN, ConstEnv, ConstValue, known
+from ..frontend.constprop import (
+    MODULE_SCOPE,
+    UNKNOWN,
+    ConstEnv,
+    ConstValue,
+    known,
+    tuple_assign_pairs,
+)
 from ..frontend.nodes import (
     Assign,
     Attribute,
@@ -218,26 +225,16 @@ class _Extractor:
 
     def _tuple_assign(self, stmt: Assign, scope: _Scope) -> bool:
         """Bind `a, b = x, y` pairwise so circuits do not escape tracking."""
-        if len(stmt.targets) != 1:
-            return False
-        target = stmt.targets[0]
-        value = stmt.value
-        if not isinstance(target, (TupleExpr, ListExpr)):
-            return False
-        if not isinstance(value, (TupleExpr, ListExpr)):
-            return False
-        if len(target.elements) != len(value.elements):
-            return False
-        if not all(isinstance(e, Name) for e in target.elements):
+        pairs = tuple_assign_pairs(stmt)
+        if pairs is None:
             return False
         # The whole right side evaluates before any name is rebound.
-        bindings = [self._eval(v, scope) for v in value.elements]
-        for name_node, binding in zip(target.elements, bindings):
-            assert isinstance(name_node, Name)
-            scope.vars[name_node.ident] = binding
+        bindings = [self._eval(v, scope) for _, v in pairs]
+        for (name, _), binding in zip(pairs, bindings):
+            scope.vars[name] = binding
             for entity in self._named_decls(binding):
                 if entity.name is None:
-                    entity.name = name_node.ident
+                    entity.name = name
         return True
 
     def _named_decls(self, binding: _Binding) -> list[RegisterDecl | CircuitDecl]:
@@ -284,9 +281,15 @@ class _Extractor:
 
     # --- expression evaluation ---
 
+    def _lookup(self, name: Name, scope: _Scope) -> _Binding:
+        if self.env.resolve(name).is_known:
+            # An integer, such as a loop variable reusing a register's name.
+            return _OTHER
+        return scope.vars.get(name.ident, _OTHER)
+
     def _eval(self, expr: Expr, scope: _Scope, bare: bool = False) -> _Binding:
         if isinstance(expr, Name):
-            return scope.vars.get(expr.ident, _OTHER)
+            return self._lookup(expr, scope)
         if isinstance(expr, Call):
             return self._call(expr, scope, bare)
         if isinstance(expr, Attribute):
@@ -722,7 +725,7 @@ class _Extractor:
             ]
         if isinstance(expr, Name):
             # A whole register expands into one reference per slot.
-            reg = self._register_of_name(expr.ident, scope, classical)
+            reg = self._register_of_name(expr, scope, classical)
             if reg is not None:
                 if not reg.size.is_known:
                     return None
@@ -731,10 +734,10 @@ class _Extractor:
         return [self._resolve_single_bit(expr, circuit, scope, classical)]
 
     def _register_of_name(
-        self, ident: str, scope: _Scope, classical: bool
+        self, name: Name, scope: _Scope, classical: bool
     ) -> RegisterDecl | None:
-        binding = scope.vars.get(ident)
-        if binding is None or binding.kind != "register":
+        binding = self._lookup(name, scope)
+        if binding.kind != "register":
             return None
         reg = self.ir.registers[binding.ids[0]]
         wanted = "classical" if classical else "quantum"
@@ -744,7 +747,7 @@ class _Extractor:
         self, expr: Expr, circuit: CircuitDecl, scope: _Scope, classical: bool
     ) -> QubitRef:
         if isinstance(expr, Subscript) and isinstance(expr.value, Name):
-            reg = self._register_of_name(expr.value.ident, scope, classical)
+            reg = self._register_of_name(expr.value, scope, classical)
             if reg is None:
                 return UNRESOLVED_BIT
             index = self.env.resolve(expr.index)

@@ -182,8 +182,3 @@ def absolute_index(ir: QuantumIR, circuit_id: str, ref: QubitRef) -> ConstValue:
         assert size.value is not None
         offset += size.value
     raise AssertionError("unreachable")
-
-
-def detect_composition(ir: QuantumIR) -> list[CompositionEdge]:
-    """Composition edges of the file (likely-subcircuit marks live on the decls)."""
-    return list(ir.edges)

@@ -40,9 +40,6 @@ class Report:
             out[warning.rule] += 1
         return out
 
-    def warnings_for_file(self, file: str) -> list[Warning]:
-        return [w for w in self.warnings if w.span.file == file]
-
 
 def build_report(
     files_analyzed: list[str],

@@ -31,6 +31,10 @@ def _parse(source: str):
     return parse_file(source, "test.py")
 
 
+def _unrolled(source: str):
+    return unroll_loops(_parse(source))
+
+
 def _resolved_calls(tree, env):
     """(callee name, resolved args) for every top-level call statement."""
     out = []
@@ -94,13 +98,13 @@ class TestParse:
 
 class TestConstants:
     def test_register_size_through_variable(self):
-        tree = _parse("n = 3\ncreg = ClassicalRegister(n)\n")
+        tree = _unrolled("n = 3\ncreg = ClassicalRegister(n)\n")
         env = propagate_constants(tree)
         (args,) = _resolved_calls(tree, env)
         assert args == [known(3)]
 
     def test_dynamic_input_is_unknown(self):
-        tree = _parse("n = input()\nuse(n)\n")
+        tree = _unrolled("n = input()\nuse(n)\n")
         env = propagate_constants(tree)
         (args,) = _resolved_calls(tree, env)[-1:]
         assert args == [UNKNOWN]
@@ -109,7 +113,7 @@ class TestConstants:
         # Expected value computed by concretely executing the snippet.
         source = "a = 2\na = a + 1\nuse(a)\n"
         assert capture_values(source) == {3: 3}
-        tree = _parse(source)
+        tree = _unrolled(source)
         env = propagate_constants(tree)
         (args,) = _resolved_calls(tree, env)[-1:]
         assert args == [known(3)]
@@ -117,44 +121,36 @@ class TestConstants:
     def test_arithmetic_folding(self):
         source = "a = 2 * 3 + 4 - 1\nb = a // 2\nuse(b)\n"
         assert capture_values(source)[3] == 4
-        tree = _parse(source)
+        tree = _unrolled(source)
         env = propagate_constants(tree)
         assert _resolved_calls(tree, env)[-1] == [known(4)]
 
     def test_branch_join_agreeing_values(self):
         source = "a = 1\nif cond:\n    a = 1\nuse(a)\n"
-        tree = _parse(source)
+        tree = _unrolled(source)
         env = propagate_constants(tree)
         assert _resolved_calls(tree, env)[-1] == [known(1)]
 
     def test_branch_join_conflicting_values(self):
         source = "a = 1\nif cond:\n    a = 2\nuse(a)\n"
-        tree = _parse(source)
+        tree = _unrolled(source)
         env = propagate_constants(tree)
         assert _resolved_calls(tree, env)[-1] == [UNKNOWN]
 
     def test_variable_assigned_in_one_branch_only(self):
         source = "if cond:\n    a = 2\nuse(a)\n"
-        tree = _parse(source)
+        tree = _unrolled(source)
         env = propagate_constants(tree)
         assert _resolved_calls(tree, env)[-1] == [UNKNOWN]
 
     def test_function_scopes_are_independent(self):
         source = "n = 3\ndef f(n):\n    use(n)\nuse(n)\n"
-        tree = _parse(source)
+        tree = _unrolled(source)
         env = propagate_constants(tree)
         inner_use = tree.statements[1].body[0].value
         assert env.resolve(inner_use.args[0]) == UNKNOWN
         outer_use = tree.statements[2].value
         assert env.resolve(outer_use.args[0]) == known(3)
-
-    def test_lookup_by_scope_and_program_point(self):
-        tree = _parse("a = 5\nb = a\n")
-        env = propagate_constants(tree)
-        second = tree.statements[1]
-        assert env.lookup(MODULE_SCOPE, "a", second.uid) == known(5)
-        first = tree.statements[0]
-        assert env.lookup(MODULE_SCOPE, "a", first.uid) == UNKNOWN
 
     def test_soundness_against_concrete_execution(self):
         # Wherever the analysis claims Known(v), running the program must
@@ -165,6 +161,8 @@ class TestConstants:
             "a = -4\nb = 0 - a\nuse(b)\n",
             "x = 2\nfor i in range(3):\n    x = x + i\nuse(x)\n",
             "n = 10\nuse(n - 1)\n",
+            "x = 0\nfor k in range(20):\n    [x, y] = [k, 1]\nuse(x)\n",
+            "for i in range(2):\n    for k in range(20):\n        use(i)\n        i = 5\n",
         ]
         for source in snippets:
             observed = capture_values(source)
@@ -182,8 +180,14 @@ class TestConstants:
                     if isinstance(stmt, If):
                         check(stmt.body)
                         check(stmt.orelse)
+                    if isinstance(stmt, ForRange):
+                        check(stmt.body)
 
             check(tree.statements)
+
+    def test_tree_must_come_from_unroll_loops(self):
+        with pytest.raises(ValueError):
+            propagate_constants(_parse("a = 1\n"))
 
 
 class TestUnroll:
@@ -255,6 +259,13 @@ class TestUnroll:
         ]
         assert uses == [1, 2, 3]
         assert observed[3] == 3  # last concrete value matches the final copy
+
+    def test_loop_variable_keeps_its_last_value(self):
+        source = "for i in range(3):\n    x = i\nuse(i)\n"
+        assert capture_values(source) == {3: 2}
+        tree = unroll_loops(_parse(source))
+        env = propagate_constants(tree)
+        assert _resolved_calls(tree, env)[-1] == [known(2)]
 
     def test_zero_iterations(self):
         tree = unroll_loops(_parse("for i in range(0):\n    circ.h(i)\nuse(1)\n"))

@@ -13,7 +13,6 @@ from qlint.qir import (
     EventKind,
     UnknownCause,
     absolute_index,
-    detect_composition,
     load_gate_table,
     parse_gate_table,
 )
@@ -190,6 +189,29 @@ class TestQubitResolution:
         assert event.gate_name == "h"
         assert not _events(ir, EventKind.GATE)
 
+    def test_list_pattern_target_forgets_constant(self):
+        source = (
+            "q = QuantumRegister(2)\n"
+            "qc = QuantumCircuit(q)\n"
+            "a = 0\n"
+            "[a, b] = f()\n"
+            "qc.h(q[a])\n"
+        )
+        ir = _ir(source)
+        (event,) = _events(ir, EventKind.UNKNOWN)
+        assert event.unknown_cause is UnknownCause.UNRESOLVED_QUBIT
+        assert not _events(ir, EventKind.GATE)
+
+    def test_loop_variable_reusing_register_name_is_an_index(self):
+        source = (
+            "q = QuantumRegister(3)\n"
+            "qc = QuantumCircuit(q)\n"
+            "for q in range(2):\n"
+            "    qc.h(q)\n"
+        )
+        gates = _events(_ir(source), EventKind.GATE)
+        assert [[r.index for r in g.qubits] for g in gates] == [[0], [1]]
+
     def test_partially_unknown_multi_qubit_gate(self):
         ir = _ir("qc = QuantumCircuit(2, 2)\nqc.cx(0, i)\n")
         (event,) = _events(ir, EventKind.UNKNOWN)
@@ -319,7 +341,7 @@ class TestComposition:
             "qc.append(sub, [0, 1])\n"
         )
         ir = _ir(source)
-        (edge,) = detect_composition(ir)
+        (edge,) = ir.edges
         assert edge.mechanism == "append"
         assert ir.circuits[edge.parent].name == "qc"
         assert ir.circuits[edge.child].name == "sub"
@@ -327,7 +349,7 @@ class TestComposition:
     def test_compose_edge(self):
         source = "qc = QuantumCircuit(2)\nsub = QuantumCircuit(2)\nout = qc.compose(sub)\n"
         ir = _ir(source)
-        assert any(e.mechanism == "compose" for e in detect_composition(ir))
+        assert any(e.mechanism == "compose" for e in ir.edges)
 
     def test_returned_circuit_flag(self):
         source = "def f():\n    circ = QuantumCircuit(2)\n    return circ\n"
@@ -347,7 +369,7 @@ class TestComposition:
             "qc.append(sub.to_gate(), [0, 1])\n"
         )
         ir = _ir(source)
-        (edge,) = detect_composition(ir)
+        (edge,) = ir.edges
         assert ir.circuits[edge.child].name == "sub"
 
 
@@ -550,4 +572,4 @@ class TestDeterminism:
         assert sizes == [2, 3]
         main = [c for c in ir.circuits.values() if c.name == "circ"]
         assert len(main) == 1 and main[0].num_qubits == known(4)
-        assert len(detect_composition(ir)) == 1
+        assert len(ir.edges) == 1
