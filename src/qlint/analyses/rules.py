@@ -95,6 +95,10 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     # Circuits derived from others (copies, transpiled or externally built
     # ones) may already contain measurements we cannot see.
     visible_kinds = (CircuitKind.CONSTRUCTOR, CircuitKind.BUILTIN_PARAMETRIZED)
+    first_measurement: dict[str | None, int] = {}
+    for e in ir.events:
+        if e.kind in measure_kinds:
+            first_measurement.setdefault(e.circuit, e.seq)
     for event in ir.events:
         if event.kind is not EventKind.GATE or not event.is_conditional:
             continue
@@ -103,11 +107,7 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
             continue
         if ir.circuits[circuit_id].kind not in visible_kinds:
             continue
-        preceded = any(
-            e.circuit == circuit_id and e.kind in measure_kinds and e.seq < event.seq
-            for e in ir.events
-        )
-        if not preceded:
+        if first_measurement.get(circuit_id, event.seq) >= event.seq:
             out.append(
                 Warning(
                     "cond-wo-meas",
@@ -124,6 +124,12 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """A qubit is measured although no operation ever transformed it."""
     out = []
     transforming = (EventKind.GATE, EventKind.RESET, EventKind.INITIALIZE)
+    # Circuits we cannot fully see: an unknown operator, a composed child or
+    # an initialize with unresolved targets may touch any qubit.
+    opaque = flow.unknown_taint | {edge.parent for edge in ir.edges}
+    opaque |= {e.circuit for e in ir.events if e.kind is EventKind.INITIALIZE and not e.qubits}
+    # Per qubit key: first transforming seq per block, and the blocks it may reach.
+    transformed: dict[QubitKey, tuple[dict[int, int], frozenset[int]]] = {}
     for event in ir.events:
         if event.kind is not EventKind.MEASUREMENT or event.circuit is None:
             continue
@@ -131,25 +137,21 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if ir.circuits[circuit_id].kind is not CircuitKind.CONSTRUCTOR:
             # Derived or externally built circuits have content we cannot see.
             continue
-        if ir.has_unknown_operator(circuit_id) or ir.is_composition_parent(circuit_id):
-            continue
-        if any(
-            e.circuit == circuit_id
-            and e.kind is EventKind.INITIALIZE
-            and not e.qubits
-            for e in ir.events
-        ):
-            # An initialize with unresolved targets may touch any qubit.
+        if circuit_id in opaque:
             continue
         ref = event.qubits[0] if event.qubits else None
         if ref is None or not ref.is_resolved:
             continue
         assert ref.register is not None and ref.index is not None
         key = (circuit_id, ref.register, ref.index)
-        touched = any(
-            flow.event(other).kind in transforming and flow.before(other, event.id)
-            for other in flow.timelines.get(key, ())
-        )
+        if key not in transformed:
+            first: dict[int, int] = {}
+            for other in map(flow.event, flow.timelines.get(key, ())):
+                if other.kind in transforming:
+                    first.setdefault(other.block, other.seq)
+            transformed[key] = (first, flow.cfg.reachable_from(first))
+        first, reached = transformed[key]
+        touched = event.block in reached or first.get(event.block, event.seq) < event.seq
         if not touched:
             out.append(
                 Warning(

@@ -7,6 +7,8 @@ blocks. Kept loops contribute a back edge; unrolled ones are plain chains.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .constprop import MODULE_SCOPE
@@ -27,29 +29,33 @@ class Cfg:
     entry: dict[str, int] = field(default_factory=dict)
     exit: dict[str, int] = field(default_factory=dict)
     block_of_stmt: dict[int, int] = field(default_factory=dict)
+    adjacency: dict[int, list[int]] = field(default_factory=dict)
     _reach_cache: dict[int, frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def successors(self, block_id: int) -> list[int]:
-        return sorted(b for (a, b) in self.edges if a == block_id)
+        """Successor block ids in ascending order; callers must not mutate it."""
+        return self.adjacency.get(block_id, [])
 
     def reachable(self, block_id: int) -> frozenset[int]:
         """Blocks reachable from `block_id` through one or more edges."""
         got = self._reach_cache.get(block_id)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._reach_cache[block_id] = self.reachable_from((block_id,))
+        return got
+
+    def reachable_from(self, block_ids: Iterable[int]) -> frozenset[int]:
+        """Blocks reachable from any of `block_ids` through one or more edges."""
         seen: set[int] = set()
-        frontier = list(self.successors(block_id))
+        frontier = [succ for block_id in block_ids for succ in self.successors(block_id)]
         while frontier:
             nxt = frontier.pop()
             if nxt in seen:
                 continue
             seen.add(nxt)
             frontier.extend(self.successors(nxt))
-        result = frozenset(seen)
-        self._reach_cache[block_id] = result
-        return result
+        return frozenset(seen)
 
     def in_cycle(self, block_id: int) -> bool:
         return block_id in self.reachable(block_id)
@@ -66,6 +72,7 @@ class _Builder:
 
     def edge(self, src: Block, dst: Block) -> None:
         self.cfg.edges.add((src.id, dst.id))
+        insort(self.cfg.adjacency.setdefault(src.id, []), dst.id)
 
     def build_scope(self, scope: str, stmts: list[Stmt]) -> None:
         entry = self.new_block(scope)

@@ -23,6 +23,7 @@ from .nodes import (
     ModuleAst,
     Name,
     Opaque,
+    OpaqueExpr,
     Stmt,
     Subscript,
     TupleExpr,
@@ -99,6 +100,7 @@ def _eval(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
         for k in expr.keywords:
             eval_expr(k.value, env, record)
         eval_expr(expr.func, env, record)
+        record.forget_rebound(env)
         return UNKNOWN
     if isinstance(expr, Subscript):
         eval_expr(expr.value, env, record)
@@ -111,6 +113,8 @@ def _eval(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
         for e in expr.elements:
             eval_expr(e, env, record)
         return UNKNOWN
+    if isinstance(expr, OpaqueExpr):
+        record.forget_rebound(env)
     # Everything else (strings, floats, bools, opaque expressions) is not an int.
     return UNKNOWN
 
@@ -192,8 +196,14 @@ def join_envs(a: _Env, b: _Env) -> _Env:
 class ConstEnv:
     """Resolved integer values per expression node of an unrolled tree."""
 
-    def __init__(self) -> None:
+    def __init__(self, rebound_names: frozenset[str] = frozenset()) -> None:
         self._values: dict[int, ConstValue] = {}
+        self.rebound_names = rebound_names
+
+    def forget_rebound(self, env: _Env) -> None:
+        """Make Unknown the names a walrus or a function's `global` may rebind."""
+        for name in self.rebound_names & env.keys():
+            env[name] = UNKNOWN
 
     def resolve(self, expr: Expr) -> ConstValue:
         """ConstValue of an expression occurrence in the analyzed tree."""

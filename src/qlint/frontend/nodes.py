@@ -208,6 +208,8 @@ class ModuleAst:
     span: SourceSpan
     non_unrollable: list[int] = field(default_factory=list)
     constants: ConstEnv | None = None
+    # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
+    rebound_names: frozenset[str] = frozenset()
 
 
 def expr_names(expr: Expr) -> set[str]:

@@ -59,6 +59,7 @@ class _Builder:
     def __init__(self, file: str) -> None:
         self.file = file
         self._uid = 0
+        self.rebound_names: set[str] = set()
 
     def next_uid(self) -> int:
         self._uid += 1
@@ -115,6 +116,8 @@ class _Builder:
             params = [a.arg for a in node.args.args]
             params += [a.arg for a in node.args.posonlyargs]
             params += [a.arg for a in node.args.kwonlyargs]
+            for outer in [node.args, *node.decorator_list]:
+                self._names(outer)  # note walrus targets of defaults and decorators
             return FunctionDef(node.name, params, self.stmts(node.body), span=span)
         if isinstance(node, ast.Return):
             value = self.expr(node.value) if node.value is not None else None
@@ -145,10 +148,7 @@ class _Builder:
         return ForRange(node.target.id, args, self.stmts(node.body), span=span)
 
     def _opaque(self, node: ast.AST, span: SourceSpan, label: str) -> Opaque:
-        names = frozenset(
-            n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-        )
-        return Opaque(names, label, span=span)
+        return Opaque(self._names(node), label, span=span)
 
     # --- expressions ---
 
@@ -208,10 +208,19 @@ class _Builder:
         return self._opaque_expr(node, span)
 
     def _opaque_expr(self, node: ast.AST, span: SourceSpan) -> OpaqueExpr:
-        names = frozenset(
-            n.id for n in ast.walk(node) if isinstance(n, ast.Name)
-        )
-        return OpaqueExpr(names, span=span)
+        return OpaqueExpr(self._names(node), span=span)
+
+    def _names(self, node: ast.AST) -> frozenset[str]:
+        """Names an opaque node mentions; also notes the ones it may rebind."""
+        names = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.NamedExpr):
+                self.rebound_names.add(n.target.id)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                self.rebound_names.update(n.names)
+        return frozenset(names)
 
 
 def parse_file(source: str, file: str) -> ModuleAst:
@@ -228,4 +237,4 @@ def parse_file(source: str, file: str) -> ModuleAst:
     statements = builder.stmts(tree.body)
     lines = source.splitlines() or [""]
     span = SourceSpan(file, 1, 1, len(lines), len(lines[-1]) + 1)
-    return ModuleAst(file, statements, span)
+    return ModuleAst(file, statements, span, rebound_names=frozenset(builder.rebound_names))

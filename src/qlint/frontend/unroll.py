@@ -61,7 +61,7 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    unroller = _Unroller(max_iterations)
+    unroller = _Unroller(max_iterations, tree.rebound_names)
     statements = unroller.walk(tree.statements, {})
     return ModuleAst(
         tree.file,
@@ -69,14 +69,15 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
         tree.span,
         non_unrollable=unroller.non_unrollable,
         constants=unroller.constants,
+        rebound_names=tree.rebound_names,
     )
 
 
 class _Unroller:
-    def __init__(self, max_iterations: int) -> None:
+    def __init__(self, max_iterations: int, rebound_names: frozenset[str]) -> None:
         self.max_iterations = max_iterations
         self.non_unrollable: list[int] = []
-        self.constants = ConstEnv()
+        self.constants = ConstEnv(rebound_names)
         self._uids = count(1)
 
     def walk(self, stmts: list[Stmt], env: dict[str, ConstValue]) -> list[Stmt]:
@@ -97,6 +98,7 @@ class _Unroller:
             # unknown inside it and after it.
             for name in collect_assigned_names(stmt.body) | {stmt.var}:
                 env[name] = UNKNOWN
+            self.constants.forget_rebound(env)
             node = ForRange(stmt.var, args, self.walk(stmt.body, dict(env)), span=stmt.span)
             node.uid = next(self._uids)
             self.non_unrollable.append(node.uid)
@@ -113,6 +115,8 @@ class _Unroller:
         if isinstance(stmt, Assign):
             node = Assign([self._copy(t) for t in stmt.targets], self._copy(stmt.value), span=span)
             self._assign(node, env)
+            if not all(isinstance(t, Name) for t in stmt.targets):  # may hold a walrus
+                self.constants.forget_rebound(env)
         elif isinstance(stmt, ExprStmt):
             node = ExprStmt(self._value(stmt.value, env), span=span)
         elif isinstance(stmt, Return):
@@ -128,6 +132,7 @@ class _Unroller:
             env.update(joined)
             node = If(test, body, orelse, span=span)
         elif isinstance(stmt, FunctionDef):
+            self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
             body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params})
             node = FunctionDef(stmt.name, list(stmt.params), body, span=span)
         else:

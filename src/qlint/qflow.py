@@ -8,9 +8,9 @@ are related in both orders because the loop may iterate.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .frontend.cfg import Cfg
 from .qir.model import EventKind, OperatorEvent, QuantumIR
@@ -62,9 +62,6 @@ class FlowRelation:
     unknown_blockers: dict[str, list[str]]
     unknown_taint: frozenset[str]
     _events: dict[str, OperatorEvent] = field(init=False)
-    _blocker_cache: dict[QubitKey, dict[int, list[int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self._events = {e.id: e for e in self.ir.events}
@@ -85,15 +82,13 @@ class FlowRelation:
 
     def may_follow(self, a: str, b: str) -> QubitKey | None:
         """Shared qubit key on which b may follow a, if any."""
-        for key in self._shared_keys(a, b):
-            if self.before(a, b):
-                return key
-        return None
+        keys = self._shared_keys(a, b)
+        return keys[0] if keys and self.before(a, b) else None
 
     def may_follow_directly(self, a: str, b: str) -> QubitKey | None:
         """Shared qubit key on which b may follow a with nothing in between."""
         for key in self._shared_keys(a, b):
-            if self._directly(a, b, key):
+            if (a, b, key) in self._directly_set:
                 return key
         return None
 
@@ -105,11 +100,7 @@ class FlowRelation:
         return self.may_follow(a, b) is not None and self.may_follow(b, c) is not None
 
     def _shared_keys(self, a: str, b: str) -> list[QubitKey]:
-        out = []
-        for key, events in self.timelines.items():
-            if a in events and b in events:
-                out.append(key)
-        return out
+        return [key for key, events in self.timelines.items() if a in events and b in events]
 
     # --- materialized relations ---
 
@@ -119,6 +110,7 @@ class FlowRelation:
 
     @cached_property
     def may_follow_pairs(self) -> tuple[tuple[str, str, QubitKey], ...]:
+        """Every ordered pair on each timeline; quadratic, built only on demand."""
         pairs: set[tuple[str, str, QubitKey]] = set()
         for key, events in self.timelines.items():
             for i, a in enumerate(events):
@@ -131,82 +123,49 @@ class FlowRelation:
 
     @cached_property
     def directly_pairs(self) -> tuple[tuple[str, str, QubitKey], ...]:
-        return tuple(
-            pair for pair in self.may_follow_pairs if self._directly(*pair)
-        )
+        """Pairs (a, b, key) where some path runs b right after a on the key.
 
-    # --- adjacency with path semantics ---
-
-    def _key_blockers(self, key: QubitKey) -> dict[int, list[int]]:
-        """Sorted event seqs per block that can sit between a pair on this key.
-
-        Events of one circuit always live in a single scope (bindings never
-        cross scopes), so the index needs no scope filtering.
+        One forward pass per key, as for reaching definitions. Blockers are
+        the key's events plus its circuit's unknown operators. A block's last
+        blocker kills every open event and stays open itself when it is on
+        the timeline; open events flow along edges through blocker-free
+        blocks. A block's first blocker follows every event open at its
+        entry, and each later blocker follows the one before it. An event
+        never pairs with itself.
         """
-        got = self._blocker_cache.get(key)
-        if got is not None:
-            return got
-        blocker_ids = set(self.timelines.get(key, ())) | set(
-            self.unknown_blockers.get(key[0], ())
-        )
-        by_block: dict[int, list[int]] = {}
-        for event_id in blocker_ids:
-            event = self._events[event_id]
-            by_block.setdefault(event.block, []).append(event.seq)
-        for seqs in by_block.values():
-            seqs.sort()
-        self._blocker_cache[key] = by_block
-        return by_block
+        pairs: set[tuple[str, str, QubitKey]] = set()
+        for key, timeline in self.timelines.items():
+            on_key = set(timeline)
+            by_block: dict[int, list[OperatorEvent]] = {}
+            for event_id in on_key.union(self.unknown_blockers.get(key[0], ())):
+                event = self._events[event_id]
+                by_block.setdefault(event.block, []).append(event)
+            work: list[tuple[int, str]] = []
+            for block, events in by_block.items():
+                events.sort(key=attrgetter("seq"))
+                for x, y in zip(events, events[1:]):
+                    if x.id in on_key and y.id in on_key:
+                        pairs.add((x.id, y.id, key))
+                last = events[-1].id
+                if last in on_key:
+                    work += [(succ, last) for succ in self.cfg.successors(block)]
+            reached: set[tuple[int, str]] = set()
+            while work:
+                block, a = item = work.pop()
+                if item in reached:
+                    continue
+                reached.add(item)
+                if block not in by_block:
+                    work += [(succ, a) for succ in self.cfg.successors(block)]
+                    continue
+                first = by_block[block][0].id
+                if first in on_key and first != a:
+                    pairs.add((a, first, key))
+        return tuple(sorted(pairs, key=self._pair_order))
 
-    def _directly(self, a: str, b: str, key: QubitKey) -> bool:
-        """True when some path runs a then b with no blocker in between.
-
-        Blockers are other events on the same qubit plus unknown operators of
-        the same circuit. The endpoints themselves never block, which the
-        seq arithmetic below accounts for without id filtering.
-        """
-        if not self.before(a, b):
-            return False
-        ea, eb = self._events[a], self._events[b]
-        index = self._key_blockers(key)
-
-        def seqs_of(block_id: int) -> list[int]:
-            return index.get(block_id, [])
-
-        if ea.block == eb.block and ea.seq < eb.seq:
-            inner = seqs_of(ea.block)
-            between = bisect_left(inner, eb.seq) - bisect_right(inner, ea.seq)
-            if between == 0:
-                return True
-
-        # Otherwise search for a block path that leaves a cleanly, avoids
-        # blocker-carrying blocks, and enters b's block before any blocker.
-        here = seqs_of(ea.block)
-        after_a = len(here) - bisect_right(here, ea.seq)
-        if eb.block == ea.block and eb.seq > ea.seq:
-            after_a -= 1
-        if after_a > 0:
-            return False
-        there = seqs_of(eb.block)
-        before_b = bisect_left(there, eb.seq)
-        if ea.block == eb.block and ea.seq < eb.seq:
-            before_b -= 1
-        if before_b > 0:
-            return False
-        frontier = list(self.cfg.successors(ea.block))
-        seen: set[int] = set()
-        while frontier:
-            block = frontier.pop()
-            if block in seen:
-                continue
-            seen.add(block)
-            if block == eb.block:
-                return True
-            occupied = len(seqs_of(block)) - (1 if block == ea.block else 0)
-            if occupied > 0:
-                continue
-            frontier.extend(self.cfg.successors(block))
-        return False
+    @cached_property
+    def _directly_set(self) -> frozenset[tuple[str, str, QubitKey]]:
+        return frozenset(self.directly_pairs)
 
     # --- debug dump ---
 

@@ -7,6 +7,7 @@ extended or overridden without touching code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -88,9 +89,14 @@ def parse_gate_table(text: str, origin: str = "<gate table>") -> GateTable:
 
 
 def load_gate_table(path: str | Path | None = None) -> GateTable:
-    """Load the bundled table, or an override file given its path."""
+    """Load the bundled table, parsed once per process, or reread an override file."""
     if path is None:
-        text = resources.files("qlint.qir").joinpath("gate_table.txt").read_text("utf-8")
-        return parse_gate_table(text, "bundled gate table")
+        return _bundled_gate_table()
     p = Path(path)
     return parse_gate_table(p.read_text("utf-8"), str(p))
+
+
+@cache
+def _bundled_gate_table() -> GateTable:
+    text = resources.files("qlint.qir").joinpath("gate_table.txt").read_text("utf-8")
+    return parse_gate_table(text, "bundled gate table")

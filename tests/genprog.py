@@ -8,7 +8,9 @@ executable.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from itertools import count
 
 # (method, leading params, qubit operands) - a subset of the bundled table
 # that the oracle also understands.
@@ -138,3 +140,87 @@ def loop_pair(seed: int) -> tuple[str, str]:
     looped = "\n".join(header + prefix + looped_lines + suffix) + "\n"
     expanded = "\n".join(header + prefix + expanded_lines + suffix) + "\n"
     return looped, expanded
+
+
+@dataclass(frozen=True)
+class BranchyProgram:
+    """A program with `if flagK:` branches, kept loops and unknown operators.
+
+    `flag0` .. `flag{flags - 1}` are unbound names, so the analyzer must take
+    both arms. Kept loops are `for kN in range(T):` with T above the default
+    unroll limit; `with_trip_count` rewrites T for concrete execution. Each
+    `helper(qc)` line is an operator the analyzer cannot see into.
+    """
+
+    source: str
+    flags: int
+
+
+_KEPT_LOOP_RE = re.compile(r"^(\s*for k\d+ in range\()\d+(\):)$", re.MULTILINE)
+
+
+def with_trip_count(source: str, trips: int) -> str:
+    """The same program with every kept loop running `trips` times."""
+    return _KEPT_LOOP_RE.sub(lambda m: f"{m.group(1)}{trips}{m.group(2)}", source)
+
+
+def branchy(seed: int) -> BranchyProgram:
+    """Nested if/else, kept loops and `helper(qc)` calls over one register."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 3)
+    pool = rng.randint(1, 6)
+    flags = 0
+    registers = [("qa", size)]
+    lines = [
+        f'qa = QuantumRegister({size}, "qa")',
+        f'ca = ClassicalRegister({size}, "ca")',
+        "qc = QuantumCircuit(qa, ca)",
+    ]
+    loops = count()
+
+    def block(indent: str, depth: int) -> None:
+        nonlocal flags
+        for _ in range(rng.randint(1, 4) if depth else rng.randint(3, 8)):
+            kind = rng.random()
+            if depth < 3 and kind < 0.25:
+                flag = rng.randrange(pool)
+                flags = max(flags, flag + 1)
+                lines.append(f"{indent}if flag{flag}:")
+                block(indent + "    ", depth + 1)
+                if rng.random() < 0.6:
+                    lines.append(f"{indent}else:")
+                    block(indent + "    ", depth + 1)
+            elif depth < 3 and kind < 0.4:
+                lines.append(f"{indent}for k{next(loops)} in range({rng.randint(11, 30)}):")
+                block(indent + "    ", depth + 1)
+            elif kind < 0.44:
+                lines.append(f"{indent}helper(qc)")
+            else:
+                lines.append(indent + _op_source(rng, registers, "indexed"))
+
+    block("", 0)
+    return BranchyProgram("\n".join(lines) + "\n", flags)
+
+
+def wide_branchy(seed: int, n_ops: int) -> str:
+    """n_ops operations on an 8-qubit register, about a fifth under if/else."""
+    rng = random.Random(seed)
+    registers = [("qa", 8)]
+    lines = [
+        'qa = QuantumRegister(8, "qa")',
+        'ca = ClassicalRegister(8, "ca")',
+        "qc = QuantumCircuit(qa, ca)",
+    ]
+    done = under = 0
+    while done < n_ops:
+        if under < 0.2 * done:
+            lines.append(f"if flag{rng.randrange(6)}:")
+            lines.append("    " + _op_source(rng, registers, "indexed"))
+            lines.append("else:")
+            lines.append("    " + _op_source(rng, registers, "indexed"))
+            done += 2
+            under += 2
+        else:
+            lines.append(_op_source(rng, registers, "indexed"))
+            done += 1
+    return "\n".join(lines) + "\n"

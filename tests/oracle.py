@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,13 @@ class StubQuantumCircuit:
         return self
 
 
-def trace_program(source: str, filename: str = "<oracle>") -> OracleTrace:
-    """Execute a program against the stubs and return its event trace."""
+def trace_program(
+    source: str, filename: str = "<oracle>", names: dict[str, object] | None = None
+) -> OracleTrace:
+    """Execute a program against the stubs and return its event trace.
+
+    `names` pre-binds extra globals, such as branch flags or helper functions.
+    """
     trace = OracleTrace()
 
     class TracedCircuit(StubQuantumCircuit):
@@ -212,9 +218,16 @@ def trace_program(source: str, filename: str = "<oracle>") -> OracleTrace:
         "QuantumRegister": StubQuantumRegister,
         "ClassicalRegister": StubClassicalRegister,
         "QuantumCircuit": TracedCircuit,
+        **(names or {}),
     }
-    exec(compile(source, filename, "exec"), namespace)
+    exec(_compiled(source, filename), namespace)
     return trace
+
+
+@lru_cache(maxsize=8)
+def _compiled(source: str, filename: str):
+    # Runs that only rebind `names` reuse the code object.
+    return compile(source, filename, "exec")
 
 
 def capture_values(source: str, filename: str = "<oracle>") -> dict[int, int]:

@@ -35,6 +35,13 @@ def _unrolled(source: str):
     return unroll_loops(_parse(source))
 
 
+def _all_stmts(stmts):
+    for stmt in stmts:
+        yield stmt
+        yield from _all_stmts(getattr(stmt, "body", ()))
+        yield from _all_stmts(getattr(stmt, "orelse", ()))
+
+
 def _resolved_calls(tree, env):
     """(callee name, resolved args) for every top-level call statement."""
     out = []
@@ -163,6 +170,10 @@ class TestConstants:
             "n = 10\nuse(n - 1)\n",
             "x = 0\nfor k in range(20):\n    [x, y] = [k, 1]\nuse(x)\n",
             "for i in range(2):\n    for k in range(20):\n        use(i)\n        i = 5\n",
+            "x = 0\nuse((x := 5))\nuse(x)\n",
+            "x = 0\ndef f():\n    global x\n    x = 5\nf()\nuse(x)\n",
+            "x = 0\ndef f(a=(x := 5)):\n    pass\nuse(x)\n",
+            "x = 0\nb = [0]\nb[(x := 5) - 5] = 1\nuse(x)\n",
         ]
         for source in snippets:
             observed = capture_values(source)
@@ -184,6 +195,27 @@ class TestConstants:
                         check(stmt.body)
 
             check(tree.statements)
+
+    def test_walrus_and_global_rebinding_forget_constant(self):
+        # Running each snippet, its `use(x)` observes 5 at least once.
+        snippets = [
+            "x = 0\nuse((x := 5))\nuse(x)\n",
+            "x = 0\ndef f():\n    global x\n    x = 5\nf()\nuse(x)\n",
+            "x = 0\nfor k in range(20):\n    use(x)\n    use((x := 5))\n",
+            "x = 0\ndef f():\n    global x\n    x = 5\nfor k in range(20):\n    use(x)\n    f()\n",
+        ]
+        for source in snippets:
+            assert 5 in capture_values(source).values(), source
+            tree = _unrolled(source)
+            env = propagate_constants(tree)
+            uses = [
+                s.value.args[0]
+                for s in _all_stmts(tree.statements)
+                if isinstance(s, ExprStmt)
+                and s.value.args
+                and isinstance(s.value.args[0], Name)
+            ]
+            assert [env.resolve(u) for u in uses] == [UNKNOWN], source
 
     def test_tree_must_come_from_unroll_loops(self):
         with pytest.raises(ValueError):

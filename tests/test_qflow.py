@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 from conftest import sample_source, pipeline
-from genprog import branch_free
+from flow_reference import reference_directly_pairs
+from genprog import branch_free, branchy, wide_branchy, with_trip_count
 from oracle import trace_program
 
 from qlint.qir import EventKind
@@ -310,6 +312,60 @@ class TestProperties:
                 for (a, b), (c, d) in itertools.product(pairs, pairs):
                     if b == c:
                         assert (a, d) in pairs
+
+
+def _touch_all(circuit) -> None:
+    """Oracle stand-in for `helper(qc)`: it may act on every qubit."""
+    line = sys._getframe(1).f_lineno
+    circuit._record("helper", "gate", [bit for reg in circuit.qregs for bit in reg], line)
+
+
+class TestBranchyPrograms:
+    """If/else on unknown flags, kept loops and unknown operators."""
+
+    PROGRAMS = 300
+
+    def test_directly_pairs_match_pairwise_path_search(self):
+        for seed in range(self.PROGRAMS):
+            flow = pipeline(branchy(seed).source).flow
+            assert flow.directly_pairs == reference_directly_pairs(flow), seed
+
+    def test_oracle_pairs_are_included(self):
+        # May semantics: the union over every flag assignment and trip counts
+        # 0, 1 and 2. Pairs touching a helper line have no analyzer event, and
+        # an event following itself in a kept loop is a known gap.
+        for seed in range(self.PROGRAMS):
+            program = branchy(seed)
+            got_follow, got_direct = _named_relations(pipeline(program.source))
+            helper_lines = {
+                number
+                for number, line in enumerate(program.source.splitlines(), start=1)
+                if "helper(" in line
+            }
+            union_follow: set = set()
+            union_direct: set = set()
+            for trips in (0, 1, 2):
+                source = with_trip_count(program.source, trips)
+                for values in itertools.product((False, True), repeat=program.flags):
+                    names = {f"flag{i}": value for i, value in enumerate(values)}
+                    trace = trace_program(source, names={**names, "helper": _touch_all})
+                    union_follow |= trace.may_follow()
+                    union_direct |= trace.may_follow_directly()
+            for ours, traced in ((got_follow, union_follow), (got_direct, union_direct)):
+                missed = {
+                    (qubit, a, b)
+                    for qubit, a, b in traced - ours
+                    if a != b and not {a, b} & helper_lines
+                }
+                assert not missed, (seed, sorted(missed))
+
+
+class TestComplexityGuard:
+    def test_pairs_stay_linear_in_events_on_the_analysis_path(self):
+        result = pipeline(wide_branchy(seed=7, n_ops=3200))
+        flow = result.flow
+        assert "may_follow_pairs" not in flow.__dict__
+        assert len(flow.directly_pairs) <= 4 * len(result.ir.events)
 
 
 class TestDump:

@@ -539,6 +539,18 @@ class TestGateTable:
         gates = _events(result.ir, EventKind.GATE)
         assert gates and gates[0].gate_name == "zap"
 
+    def test_bundled_table_parsed_once_per_process(self):
+        assert load_gate_table() is load_gate_table()
+
+    def test_override_file_is_reread(self, tmp_path):
+        path = tmp_path / "gates.txt"
+        path.write_text("zap reversible_gate 0 - -\n", "utf-8")
+        first = load_gate_table(path)
+        path.write_text("zip reversible_gate 0 - -\n", "utf-8")
+        second = load_gate_table(path)
+        assert first.spec("zap") is not None and first.spec("zip") is None
+        assert second.spec("zip") is not None and second.spec("zap") is None
+
     def test_malformed_table_rejected(self):
         from qlint.qir import GateTableError
 
