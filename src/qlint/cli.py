@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .analyses import ALL_RULES, DEFAULT_PROFILE, RULES
-from .driver import Config, analyze_paths, expand_paths, report_of, suppress
+from .driver import Config, FileOutcome, analyze_paths, expand_paths, report_of, suppress
 from .frontend import DEFAULT_MAX_UNROLL
 from .qir import GateTableError, load_gate_table
 from .report import STYLES, corpus_stats, format_report
@@ -128,7 +128,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = report_of(outcomes)
     sys.stdout.buffer.write(format_report(report, args.format))
     sys.stdout.buffer.flush()
-    return EXIT_WARNINGS if report.warnings else EXIT_CLEAN
+    return _exit_code(outcomes, bool(report.warnings))
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -148,7 +148,17 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         f"qlint: analyzed {sum(len(r.files_analyzed) for r in analyzed)} files, "
         f"{total} warnings\n"
     )
-    return EXIT_WARNINGS if total else EXIT_CLEAN
+    return _exit_code(outcomes, total > 0)
+
+
+def _exit_code(outcomes: list[FileOutcome], warned: bool) -> int:
+    """EXIT_ERROR, naming each unreadable file on stderr, if any; else by warnings."""
+    unreadable = [o.unreadable for o in outcomes if o.unreadable is not None]
+    for message in unreadable:
+        sys.stderr.write(f"qlint: error: {message}\n")
+    if unreadable:
+        return EXIT_ERROR
+    return EXIT_WARNINGS if warned else EXIT_CLEAN
 
 
 def _cmd_rules() -> int:

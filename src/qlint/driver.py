@@ -42,6 +42,7 @@ class FileOutcome:
     warnings: list[Warning] = field(default_factory=list)
     skipped: SkippedFile | None = None
     timeline_dump: str | None = None
+    unreadable: str | None = None  # why the file could not be read; not in reports
 
 
 @dataclass
@@ -102,7 +103,7 @@ def _analyze_path(path: str, config: Config) -> FileOutcome:
     try:
         source = Path(path).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
+        return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
     return analyze_source(source, path, config)
 
 
@@ -133,7 +134,7 @@ def analyze_paths(paths: list[str], config: Config | None = None) -> list[FileOu
 
 def report_of(outcomes: list[FileOutcome]) -> Report:
     """Merge per-file outcomes into one deterministic report."""
-    analyzed = [o.path for o in outcomes if o.skipped is None]
+    analyzed = [o.path for o in outcomes if o.skipped is None and o.unreadable is None]
     skipped = [o.skipped for o in outcomes if o.skipped is not None]
     warnings: list[Warning] = []
     for outcome in outcomes:

@@ -8,15 +8,14 @@ of silently dropping program behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .constprop import ConstEnv
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Location in the analyzed file; 1-based line/column, end column exclusive."""
+class SourceSpan(NamedTuple):
+    """Immutable location in a file; 1-based line/column, end column exclusive."""
 
     file: str
     line: int
@@ -206,6 +205,7 @@ class ModuleAst:
     file: str
     statements: list[Stmt]
     span: SourceSpan
+    last_uid: int = 0  # largest node uid; unrolling numbers its copies after it
     non_unrollable: list[int] = field(default_factory=list)
     constants: ConstEnv | None = None
     # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.

@@ -58,20 +58,14 @@ class ParseError(Exception):
 class _Builder:
     def __init__(self, file: str) -> None:
         self.file = file
-        self._uid = 0
+        self.last_uid = 0
         self.rebound_names: set[str] = set()
 
-    def next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
-
-    def span(self, node: ast.AST) -> SourceSpan:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
-        end_line = getattr(node, "end_lineno", None) or line
-        end_col = getattr(node, "end_col_offset", None)
-        end_col = (end_col + 1) if end_col is not None else col
-        return SourceSpan(self.file, line, col, end_line, end_col)
+    def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
+        # ast.parse sets all four positions on every statement and expression.
+        return SourceSpan(
+            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
+        )
 
     # --- statements ---
 
@@ -80,7 +74,7 @@ class _Builder:
 
     def stmt(self, node: ast.stmt) -> Stmt:
         span = self.span(node)
-        uid = self.next_uid()
+        uid = self.last_uid = self.last_uid + 1
         out = self._stmt(node, span)
         out.uid = uid
         return out
@@ -98,7 +92,7 @@ class _Builder:
             op = _BIN_OPS.get(type(node.op))
             if isinstance(target, Name) and op is not None:
                 value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
-                value.uid = self.next_uid()
+                value.uid = self.last_uid = self.last_uid + 1
                 return Assign([target], value, span=span)
             return self._opaque(node, span, "augassign")
         if isinstance(node, ast.Expr):
@@ -154,7 +148,7 @@ class _Builder:
 
     def expr(self, node: ast.expr) -> Expr:
         span = self.span(node)
-        uid = self.next_uid()
+        uid = self.last_uid = self.last_uid + 1
         out = self._expr(node, span)
         out.uid = uid
         return out
@@ -237,4 +231,5 @@ def parse_file(source: str, file: str) -> ModuleAst:
     statements = builder.stmts(tree.body)
     lines = source.splitlines() or [""]
     span = SourceSpan(file, 1, 1, len(lines), len(lines[-1]) + 1)
-    return ModuleAst(file, statements, span, rebound_names=frozenset(builder.rebound_names))
+    rebound = frozenset(builder.rebound_names)
+    return ModuleAst(file, statements, span, last_uid=builder.last_uid, rebound_names=rebound)

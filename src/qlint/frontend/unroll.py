@@ -4,13 +4,15 @@ A loop is expanded only when its trip count is statically known and small;
 every other loop is kept intact and flagged, so downstream stages treat its
 body conservatively. The same walk propagates integer constants: an unrolled
 iteration binds the loop variable to its value and walks a fresh copy of the
-body, and the value of every expression it emits is recorded in a ConstEnv.
+body, every other node is walked once as parsed, and the value of every
+expression in the result is recorded in a ConstEnv.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from itertools import count
+from operator import is_
 
 from .constprop import (
     ConstEnv,
@@ -52,21 +54,23 @@ DEFAULT_MAX_UNROLL = 10
 
 
 def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> ModuleAst:
-    """Return a new tree with small constant-bound loops expanded.
+    """Return the tree with small constant-bound loops expanded, sharing other nodes.
 
-    Loops that cannot be expanded (unknown or too-large trip count, or a
-    break/continue in the body) are preserved and listed in the result's
-    `non_unrollable` field. The result's `constants` resolve every
-    expression of the new tree.
+    Only an expanded loop body is copied, once per iteration, with uids after
+    the input's `last_uid`; the input is never mutated. Loops that cannot be
+    expanded (unknown or too-large trip count, or a break/continue in the
+    body) are kept and listed in `non_unrollable`. The result's `constants`
+    resolve every expression of the result.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    unroller = _Unroller(max_iterations, tree.rebound_names)
-    statements = unroller.walk(tree.statements, {})
+    unroller = _Unroller(max_iterations, tree.rebound_names, tree.last_uid)
+    statements = unroller.walk(tree.statements, {}, fresh=False)
     return ModuleAst(
         tree.file,
         statements,
         tree.span,
+        last_uid=next(unroller.uids) - 1,
         non_unrollable=unroller.non_unrollable,
         constants=unroller.constants,
         rebound_names=tree.rebound_names,
@@ -74,24 +78,24 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
 
 
 class _Unroller:
-    def __init__(self, max_iterations: int, rebound_names: frozenset[str]) -> None:
+    def __init__(self, max_iterations: int, rebound_names: frozenset[str], last_uid: int) -> None:
         self.max_iterations = max_iterations
         self.non_unrollable: list[int] = []
         self.constants = ConstEnv(rebound_names)
-        self._uids = count(1)
+        self.uids = count(last_uid + 1)
 
-    def walk(self, stmts: list[Stmt], env: dict[str, ConstValue]) -> list[Stmt]:
-        """Copies of `stmts` with loops expanded; `env` ends as the bindings after them."""
+    def walk(self, stmts: list[Stmt], env: dict[str, ConstValue], fresh: bool) -> list[Stmt]:
+        """`stmts`, loops expanded, copied if `fresh`; `env` ends as the bindings after them."""
         out: list[Stmt] = []
         for stmt in stmts:
             if isinstance(stmt, ForRange):
-                out.extend(self._for_range(stmt, env))
+                out.extend(self._for_range(stmt, env, fresh))
             else:
-                out.append(self._stmt(stmt, env))
-        return out
+                out.append(self._stmt(stmt, env, fresh))
+        return stmts if not fresh and len(out) == len(stmts) and all(map(is_, out, stmts)) else out
 
-    def _for_range(self, stmt: ForRange, env: dict[str, ConstValue]) -> list[Stmt]:
-        args = [self._value(a, env) for a in stmt.range_args]
+    def _for_range(self, stmt: ForRange, env: dict[str, ConstValue], fresh: bool) -> list[Stmt]:
+        args = [self._value(a, env, fresh) for a in stmt.range_args]
         values = range_values([self.constants.resolve(a) for a in args], self.max_iterations)
         if values is None or _has_loop_escape(stmt.body):
             # The body may run any number of times: whatever it binds is
@@ -99,49 +103,58 @@ class _Unroller:
             for name in collect_assigned_names(stmt.body) | {stmt.var}:
                 env[name] = UNKNOWN
             self.constants.forget_rebound(env)
-            node = ForRange(stmt.var, args, self.walk(stmt.body, dict(env)), span=stmt.span)
-            node.uid = next(self._uids)
+            body = self.walk(stmt.body, dict(env), fresh)
+            node: Stmt = stmt
+            if fresh or body is not stmt.body:
+                node = ForRange(stmt.var, args, body, span=stmt.span)
+                node.uid = next(self.uids) if fresh else stmt.uid
             self.non_unrollable.append(node.uid)
             return [node]
         out: list[Stmt] = []
         for value in values:
             env[stmt.var] = known(value)
-            out.extend(self.walk(stmt.body, env))
+            out.extend(self.walk(stmt.body, env, fresh=True))
         return out
 
-    def _stmt(self, stmt: Stmt, env: dict[str, ConstValue]) -> Stmt:
+    def _stmt(self, stmt: Stmt, env: dict[str, ConstValue], fresh: bool) -> Stmt:
+        """`stmt` walked; a copy if `fresh`, a new shell if a loop inside it expanded."""
         span = stmt.span
-        node: Stmt
+        node: Stmt = stmt
         if isinstance(stmt, Assign):
-            node = Assign([self._copy(t) for t in stmt.targets], self._copy(stmt.value), span=span)
+            if fresh:
+                targets = [self._copy(t) for t in stmt.targets]
+                node = Assign(targets, self._copy(stmt.value), span=span)
             self._assign(node, env)
             if not all(isinstance(t, Name) for t in stmt.targets):  # may hold a walrus
                 self.constants.forget_rebound(env)
-        elif isinstance(stmt, ExprStmt):
-            node = ExprStmt(self._value(stmt.value, env), span=span)
-        elif isinstance(stmt, Return):
-            value = self._value(stmt.value, env) if stmt.value is not None else None
-            node = Return(value, span=span)
+        elif isinstance(stmt, (ExprStmt, Return)):
+            value = self._value(stmt.value, env, fresh) if stmt.value is not None else None
+            if fresh:
+                node = type(stmt)(value, span=span)
         elif isinstance(stmt, If):
-            test = self._value(stmt.test, env)
+            test = self._value(stmt.test, env, fresh)
             env_else = dict(env)
-            body = self.walk(stmt.body, env)
-            orelse = self.walk(stmt.orelse, env_else)
+            body = self.walk(stmt.body, env, fresh)
+            orelse = self.walk(stmt.orelse, env_else, fresh)
             joined = join_envs(env, env_else)
             env.clear()
             env.update(joined)
-            node = If(test, body, orelse, span=span)
+            if fresh or body is not stmt.body or orelse is not stmt.orelse:
+                node = If(test, body, orelse, span=span)
         elif isinstance(stmt, FunctionDef):
             self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
-            body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params})
-            node = FunctionDef(stmt.name, list(stmt.params), body, span=span)
+            body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params}, fresh)
+            if fresh or body is not stmt.body:
+                node = FunctionDef(stmt.name, list(stmt.params), body, span=span)
         else:
-            node = replace(stmt)  # NoOp or Opaque: no expressions to evaluate
+            if fresh:
+                node = replace(stmt)  # NoOp or Opaque: no expressions to evaluate
             if isinstance(stmt, Opaque):
                 for name in stmt.names:
                     if name in env:
                         env[name] = UNKNOWN
-        node.uid = next(self._uids)
+        if node is not stmt:  # a rebuilt shell keeps the uid of the node it replaces
+            node.uid = next(self.uids) if fresh else stmt.uid
         return node
 
     def _assign(self, stmt: Assign, env: dict[str, ConstValue]) -> None:
@@ -159,9 +172,9 @@ class _Unroller:
                 for name in expr_names(target):
                     env[name] = UNKNOWN
 
-    def _value(self, expr: Expr, env: dict[str, ConstValue]) -> Expr:
-        """Copy of an evaluated expression, its values recorded."""
-        node = self._copy(expr)
+    def _value(self, expr: Expr, env: dict[str, ConstValue], fresh: bool) -> Expr:
+        """`expr`, or its copy if `fresh`, evaluated with its values recorded."""
+        node = self._copy(expr) if fresh else expr
         eval_expr(node, env, self.constants)
         return node
 
@@ -191,7 +204,7 @@ class _Unroller:
             node = UnaryOp(expr.op, self._copy(expr.operand), span=expr.span)
         else:
             node = replace(expr)
-        node.uid = next(self._uids)
+        node.uid = next(self.uids)
         return node
 
 

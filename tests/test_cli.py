@@ -80,6 +80,46 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestUnreadableFile:
+    """A file that cannot be decoded is named on stderr; the others still report."""
+
+    def _mixed(self, tmp_path):
+        (tmp_path / "latin.py").write_bytes('name = "caf\u00e9"\n'.encode("latin-1"))
+        (tmp_path / "two_bugs.py").write_text(sample_source("two_bugs"), "utf-8")
+        return tmp_path
+
+    def test_check_reports_the_readable_file(self, capsys, tmp_path):
+        mixed = self._mixed(tmp_path)
+        bug = str(mixed / "two_bugs.py")
+        _, alone, _ = _run(capsys, "check", bug, "--profile", "all")
+        assert [line.split()[1] for line in alone.splitlines()] == [
+            "oversized-circuit",
+            "op-after-meas",
+        ]
+        code, out, err = _run(capsys, "check", str(mixed), "--profile", "all")
+        assert code == 2
+        assert out == alone
+        assert err.startswith(f"qlint: error: cannot read {mixed / 'latin.py'}: ")
+
+    def test_serial_and_parallel_agree(self, capsys, tmp_path):
+        mixed = str(self._mixed(tmp_path))
+        serial = _run(capsys, "check", mixed, "--format", "json")
+        parallel = _run(capsys, "check", mixed, "--format", "json", "--jobs", "2")
+        assert serial == parallel
+        code, out, _ = serial
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["files_analyzed"] == [str(tmp_path / "two_bugs.py")]
+        assert doc["summary"]["op-after-meas"] == 1
+
+    def test_corpus_reports_the_readable_file(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "corpus", str(self._mixed(tmp_path)))
+        assert code == 2
+        assert "op-after-meas,1,100.0" in out
+        assert "latin.py" in err
+        assert "analyzed 1 files" in err
+
+
 class TestRuleSelection:
     def test_select_adds_to_default_profile(self, capsys):
         code, out, _ = _run(

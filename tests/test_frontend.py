@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from conftest import sample_source
+from genprog import wide_branchy
 from oracle import capture_values
 
 from qlint.frontend import (
@@ -22,7 +25,9 @@ from qlint.frontend.nodes import (
     ForRange,
     If,
     IntLit,
+    Keyword,
     Name,
+    Node,
     Opaque,
 )
 
@@ -40,6 +45,20 @@ def _all_stmts(stmts):
         yield stmt
         yield from _all_stmts(getattr(stmt, "body", ()))
         yield from _all_stmts(getattr(stmt, "orelse", ()))
+
+
+def _all_nodes(value):
+    """Every statement and expression node below a node or a list of them."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _all_nodes(item)
+    elif isinstance(value, Keyword):
+        yield from _all_nodes(value.value)
+    elif isinstance(value, Node):
+        yield value
+        for f in fields(value):
+            if f.name != "span":
+                yield from _all_nodes(getattr(value, f.name))
 
 
 def _resolved_calls(tree, env):
@@ -77,6 +96,15 @@ class TestParse:
         assert len(tree.statements) == 9
         loops = [s for s in tree.statements if isinstance(s, ForRange)]
         assert len(loops) == 1
+
+    def test_span_is_an_immutable_value(self):
+        span = _parse("x = 1\n").statements[0].span
+        assert repr(span) == (
+            "SourceSpan(file='test.py', line=1, column=1, end_line=1, end_column=6)"
+        )
+        assert hash(span) == hash(("test.py", 1, 1, 1, 6))
+        with pytest.raises(AttributeError):
+            span.line = 2
 
     def test_syntax_error_raises_parse_error(self):
         with pytest.raises(ParseError) as info:
@@ -334,6 +362,58 @@ class TestUnroll:
             analyzed_looped = stream(pipeline(looped))
             assert analyzed_looped == stream(pipeline(expanded))
             assert analyzed_looped == oracle_looped
+
+
+class TestUnrollSharing:
+    """Unrolling keeps parsed nodes and copies only expanded loop bodies."""
+
+    # A loop that always expands sits inside an `if`, a `def` and a kept loop.
+    NESTED = (
+        "qa = QuantumRegister(4)\n"
+        "qc = QuantumCircuit(qa)\n"
+        "if flag:\n"
+        "    for i in range(3):\n"
+        "        qc.h(qa[i])\n"
+        "def f():\n"
+        "    for i in range(3):\n"
+        "        qc.h(qa[i])\n"
+        "for j in range(n):\n"
+        "    for i in range(2):\n"
+        "        qc.h(qa[i + j])\n"
+    )
+
+    def test_unrolling_never_mutates_its_input(self):
+        parsed = _parse(self.NESTED)
+        before = repr(parsed)
+        kept = unroll_loops(parsed, max_iterations=2)
+        expanded = unroll_loops(parsed, max_iterations=10)
+        assert repr(parsed) == before
+        assert len(kept.non_unrollable) == 3
+        assert len(expanded.non_unrollable) == 1
+
+    def test_every_uid_is_unique(self):
+        parsed = _parse(self.NESTED)
+        tree = unroll_loops(parsed)
+        uids = [node.uid for node in _all_nodes(tree.statements)]
+        assert len(uids) == len(set(uids))
+        assert min(uids) >= 1 and max(uids) == tree.last_uid
+        assert any(uid > parsed.last_uid for uid in uids)  # the copies
+
+    def test_unrolled_index_resolves_inside_if_and_def(self):
+        tree = _unrolled(self.NESTED)
+        env = propagate_constants(tree)
+        branch, function = tree.statements[2], tree.statements[3]
+        assert isinstance(branch, If)
+        for body in (branch.body, function.body):
+            indices = [env.resolve(s.value.args[0].index) for s in body]
+            assert indices == [known(0), known(1), known(2)]
+
+    def test_loop_free_file_is_not_copied(self):
+        """Complexity guard: no whole-tree copy on a 3,200-op file without loops."""
+        parsed = _parse(wide_branchy(seed=7, n_ops=3200))
+        tree = unroll_loops(parsed)
+        pairs = zip(_all_stmts(tree.statements), _all_stmts(parsed.statements), strict=True)
+        assert all(out is parsed_stmt for out, parsed_stmt in pairs)
 
 
 class TestCfg:
