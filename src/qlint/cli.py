@@ -63,7 +63,11 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--gate-spec", metavar="FILE", help="override the bundled gate signature table"
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="analyze files concurrently"
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="accepted for compatibility; files are analyzed serially",
     )
 
 
@@ -196,6 +200,10 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()
 
 
 __all__ = ["main", "run", "suppress", "EXIT_CLEAN", "EXIT_WARNINGS", "EXIT_ERROR"]

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
+# Unused; kept because bench/tracing.py subclasses qlint.driver.ThreadPoolExecutor.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from .frontend import (
     build_cfg,
     parse_file,
     propagate_constants,
+    source_lines,
     unroll_loops,
 )
 from .qflow import FlowRelation, build_flow
@@ -30,7 +32,7 @@ class Config:
     rules: frozenset[str] = ALL_RULES
     max_unroll: int = DEFAULT_MAX_UNROLL
     gate_table: GateTable | None = None
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; files are analyzed serially
     dump_timelines: bool = False
 
 
@@ -70,7 +72,7 @@ def analyze_pipeline(source: str, path: str, config: Config | None = None) -> Pi
 
 def suppress(warnings: list[Warning], source: str) -> list[Warning]:
     """Drop warnings whose line carries a matching trailing ignore comment."""
-    lines = source.splitlines()
+    lines = source_lines(source)
     kept = []
     for warning in warnings:
         if 1 <= warning.span.line <= len(lines):
@@ -101,7 +103,7 @@ def analyze_source(source: str, path: str, config: Config | None = None) -> File
 
 def _analyze_path(path: str, config: Config) -> FileOutcome:
     try:
-        source = Path(path).read_text("utf-8")
+        source = Path(path).read_text("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
     return analyze_source(source, path, config)
@@ -122,14 +124,13 @@ def expand_paths(paths: list[str]) -> list[str]:
 
 
 def analyze_paths(paths: list[str], config: Config | None = None) -> list[FileOutcome]:
-    """Analyze files (in sorted path order), optionally concurrently."""
+    """Analyze files serially, in sorted path order.
+
+    `Config.jobs` is accepted and ignored: every stage is pure Python that
+    holds the interpreter lock, so threads cannot overlap the work.
+    """
     cfg_options = config or Config()
-    ordered = sorted(paths)
-    if cfg_options.jobs > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=cfg_options.jobs) as pool:
-            outcomes = list(pool.map(lambda p: _analyze_path(p, cfg_options), ordered))
-        return outcomes
-    return [_analyze_path(p, cfg_options) for p in ordered]
+    return [_analyze_path(p, cfg_options) for p in sorted(paths)]
 
 
 def report_of(outcomes: list[FileOutcome]) -> Report:

@@ -10,7 +10,7 @@ from .constprop import (
     propagate_constants,
 )
 from .nodes import ModuleAst, SourceSpan
-from .parser import ParseError, parse_file
+from .parser import ParseError, parse_file, source_lines
 from .unroll import DEFAULT_MAX_UNROLL, unroll_loops
 
 __all__ = [
@@ -28,5 +28,6 @@ __all__ = [
     "known",
     "parse_file",
     "propagate_constants",
+    "source_lines",
     "unroll_loops",
 ]

@@ -217,6 +217,18 @@ class _Builder:
         return frozenset(names)
 
 
+def source_lines(source: str) -> list[str]:
+    """Split source text into lines numbered as `ast` numbers them.
+
+    Only \\n, \\r\\n and \\r end a line. `str.splitlines` also splits at form
+    feeds and other separators, which would shift every later line.
+    """
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def parse_file(source: str, file: str) -> ModuleAst:
     """Parse source text into the restricted AST.
 
@@ -229,7 +241,7 @@ def parse_file(source: str, file: str) -> ModuleAst:
         raise ParseError(file, exc.lineno or 1, exc.msg or "invalid syntax") from exc
     builder = _Builder(file)
     statements = builder.stmts(tree.body)
-    lines = source.splitlines() or [""]
+    lines = source_lines(source) or [""]
     span = SourceSpan(file, 1, 1, len(lines), len(lines[-1]) + 1)
     rebound = frozenset(builder.rebound_names)
     return ModuleAst(file, statements, span, last_uid=builder.last_uid, rebound_names=rebound)

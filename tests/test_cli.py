@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
-from conftest import sample_path, sample_source
+import pytest
+from conftest import SAMPLE_NAMES, sample_path, sample_source
 
+import qlint
+from qlint import Config, analyze_paths
 from qlint.cli import run
 from qlint.analyses import DEFAULT_PROFILE, RULE_IDS
 
@@ -78,6 +86,34 @@ class TestExitCodes:
     def test_bad_flag_value_is_a_usage_error(self, capsys):
         code, _, _ = _run(capsys, "check", sample_path("two_bugs"), "--format", "yaml")
         assert code == 2
+
+    def test_byte_order_mark_is_decoded(self, capsys, tmp_path):
+        plain = sample_path("two_bugs")
+        bom = tmp_path / "two_bugs.py"
+        bom.write_text(sample_source("two_bugs"), "utf-8-sig")
+        expected = _run(capsys, "check", plain, "--profile", "all")
+        code, out, err = _run(capsys, "check", str(bom), "--profile", "all")
+        assert (code, out.replace(str(bom), plain), err) == expected
+        assert expected[0] == 1
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["qlint", "qlint.cli"])
+    def test_python_m_checks_files(self, module):
+        paths = [str(Path(qlint.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", module, "check", sample_path("two_bugs"), "--profile", "all"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert [line.split()[1] for line in done.stdout.splitlines()] == [
+            "oversized-circuit",
+            "op-after-meas",
+        ]
 
 
 class TestUnreadableFile:
@@ -181,6 +217,15 @@ class TestSuppression:
         code, out, _ = _run(capsys, "check", str(target))
         assert code == 1
         assert "double-meas" in out
+
+    def test_form_feed_line_keeps_comments_on_their_lines(self, capsys, tmp_path):
+        source = "# page\x0c\n" + sample_source("two_bugs").replace(
+            "  # Bug 1: Oversized circuit", "  # qlint: ignore"
+        ).replace("  # Bug 2: Operation after measurement", "  # qlint: ignore[op-after-meas]")
+        target = tmp_path / "paged.py"
+        target.write_text(source, "utf-8")
+        code, out, _ = _run(capsys, "check", str(target), "--profile", "all")
+        assert (code, out) == (0, "")
 
 
 class TestFormats:
@@ -294,3 +339,13 @@ class TestDeterminismAndOrdering:
         _, seq, _ = _run(capsys, "check", str(tmp_path), "--format", "json")
         _, par, _ = _run(capsys, "check", str(tmp_path), "--format", "json", "--jobs", "4")
         assert seq == par
+
+    def test_jobs_starts_no_thread(self, monkeypatch):
+        paths = [sample_path(name) for name in SAMPLE_NAMES]
+        serial = analyze_paths(paths, Config(jobs=1))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("analysis started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert analyze_paths(paths, Config(jobs=4)) == serial

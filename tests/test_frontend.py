@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from dataclasses import fields
 
 import pytest
@@ -15,6 +16,7 @@ from qlint.frontend import (
     build_cfg,
     parse_file,
     propagate_constants,
+    source_lines,
     unroll_loops,
 )
 from qlint.frontend.constprop import UNKNOWN, known
@@ -105,6 +107,16 @@ class TestParse:
         assert hash(span) == hash(("test.py", 1, 1, 1, 6))
         with pytest.raises(AttributeError):
             span.line = 2
+
+    def test_source_lines_number_lines_like_ast(self):
+        # Form feed, vertical tab, \x1c, \x85 and \u2028 end a line for
+        # `str.splitlines` but not for `ast`; \r\n and a lone \r end one for both.
+        source = "a = 1\r\nb = 2\rc = 3  # \x0c\x0b\x1c\x85\u2028 \nd = 4\n"
+        lines = source_lines(source)
+        assert len(lines) == 4
+        for stmt in ast.parse(source).body:
+            assert lines[stmt.lineno - 1].startswith(ast.unparse(stmt))
+        assert _parse(source).span.end_line == 4
 
     def test_syntax_error_raises_parse_error(self):
         with pytest.raises(ParseError) as info:
