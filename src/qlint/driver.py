@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import re
 # Unused; kept because bench/tracing.py subclasses qlint.driver.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -89,14 +90,31 @@ def suppress(warnings: list[Warning], source: str) -> list[Warning]:
 
 
 def analyze_source(source: str, path: str, config: Config | None = None) -> FileOutcome:
-    """Analyze one file's text, honoring suppression comments."""
-    cfg_options = config or Config()
+    """Analyze one file's text, honoring suppression comments.
+
+    The cyclic garbage collector is paused while the file is analyzed: its
+    trees and IR hold no reference cycles, so reference counting frees them
+    (tests/test_gc.py checks this). The collector's enabled state is restored
+    on every exit, exceptions included.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        result = analyze_pipeline(source, path, cfg_options)
+        # The file's trees are freed when the helper returns, before the
+        # collector runs again and would have to scan them.
+        return _analyze_source(source, path, config or Config())
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _analyze_source(source: str, path: str, config: Config) -> FileOutcome:
+    try:
+        result = analyze_pipeline(source, path, config)
     except ParseError as exc:
         return FileOutcome(path, skipped=SkippedFile(path, exc.line, exc.message))
     outcome = FileOutcome(path, suppress(result.warnings, source))
-    if cfg_options.dump_timelines:
+    if config.dump_timelines:
         outcome.timeline_dump = result.flow.dump_timelines()
     return outcome
 

@@ -55,17 +55,17 @@ class ParseError(Exception):
         self.message = message
 
 
+# Deeper expression subtrees become OpaqueExpr, so no later recursive walker
+# of an expression can exhaust the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 200
+
+
 class _Builder:
     def __init__(self, file: str) -> None:
         self.file = file
         self.last_uid = 0
+        self.depth = 0
         self.rebound_names: set[str] = set()
-
-    def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
-        # ast.parse sets all four positions on every statement and expression.
-        return SourceSpan(
-            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
-        )
 
     # --- statements ---
 
@@ -73,59 +73,35 @@ class _Builder:
         return [self.stmt(s) for s in body]
 
     def stmt(self, node: ast.stmt) -> Stmt:
-        span = self.span(node)
+        # ast.parse sets all four positions on every statement and expression.
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        span = tuple.__new__(SourceSpan, (
+            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
+        ))
         uid = self.last_uid = self.last_uid + 1
-        out = self._stmt(node, span)
+        out = _STMT.get(type(node), _Builder._other_stmt)(self, node, span)
         out.uid = uid
         return out
 
-    def _stmt(self, node: ast.stmt, span: SourceSpan) -> Stmt:
-        if isinstance(node, ast.Assign):
-            targets = [self.expr(t) for t in node.targets]
-            return Assign(targets, self.expr(node.value), span=span)
-        if isinstance(node, ast.AnnAssign):
-            if node.value is None:
-                return NoOp("annotation", span=span)
-            return Assign([self.expr(node.target)], self.expr(node.value), span=span)
-        if isinstance(node, ast.AugAssign):
-            target = self.expr(node.target)
-            op = _BIN_OPS.get(type(node.op))
-            if isinstance(target, Name) and op is not None:
-                value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
-                value.uid = self.last_uid = self.last_uid + 1
-                return Assign([target], value, span=span)
-            return self._opaque(node, span, "augassign")
-        if isinstance(node, ast.Expr):
-            return ExprStmt(self.expr(node.value), span=span)
-        if isinstance(node, ast.For):
-            return self._for(node, span)
-        if isinstance(node, ast.If):
-            return If(
-                self.expr(node.test),
-                self.stmts(node.body),
-                self.stmts(node.orelse),
-                span=span,
-            )
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            params = [a.arg for a in node.args.args]
-            params += [a.arg for a in node.args.posonlyargs]
-            params += [a.arg for a in node.args.kwonlyargs]
-            for outer in [node.args, *node.decorator_list]:
-                self._names(outer)  # note walrus targets of defaults and decorators
-            return FunctionDef(node.name, params, self.stmts(node.body), span=span)
-        if isinstance(node, ast.Return):
-            value = self.expr(node.value) if node.value is not None else None
-            return Return(value, span=span)
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            return NoOp("import", span=span)
-        if isinstance(node, ast.Pass):
-            return NoOp("pass", span=span)
-        if isinstance(node, ast.Break):
-            return NoOp("break", span=span)
-        if isinstance(node, ast.Continue):
-            return NoOp("continue", span=span)
-        label = type(node).__name__.lower()
-        return self._opaque(node, span, label)
+    def _assign(self, node: ast.Assign, span: SourceSpan) -> Stmt:
+        return Assign([self.expr(t) for t in node.targets], self.expr(node.value), span=span)
+
+    def _ann_assign(self, node: ast.AnnAssign, span: SourceSpan) -> Stmt:
+        if node.value is None:
+            return NoOp("annotation", span=span)
+        return Assign([self.expr(node.target)], self.expr(node.value), span=span)
+
+    def _aug_assign(self, node: ast.AugAssign, span: SourceSpan) -> Stmt:
+        target = self.expr(node.target)
+        op = _BIN_OPS.get(type(node.op))
+        if isinstance(target, Name) and op is not None:
+            value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
+            value.uid = self.last_uid = self.last_uid + 1
+            return Assign([target], value, span=span)
+        return self._opaque(node, span, "augassign")
+
+    def _expr_stmt(self, node: ast.Expr, span: SourceSpan) -> Stmt:
+        return ExprStmt(self.expr(node.value), span=span)
 
     def _for(self, node: ast.For, span: SourceSpan) -> Stmt:
         it = node.iter
@@ -141,65 +117,90 @@ class _Builder:
         args = [self.expr(a) for a in it.args]
         return ForRange(node.target.id, args, self.stmts(node.body), span=span)
 
+    def _if(self, node: ast.If, span: SourceSpan) -> Stmt:
+        return If(self.expr(node.test), self.stmts(node.body), self.stmts(node.orelse), span=span)
+
+    def _function_def(self, node: ast.FunctionDef, span: SourceSpan) -> Stmt:
+        a = node.args
+        params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+        for outer in [a, *node.decorator_list]:
+            self._names(outer)  # note walrus targets of defaults and decorators
+        return FunctionDef(node.name, params, self.stmts(node.body), span=span)
+
+    def _return(self, node: ast.Return, span: SourceSpan) -> Stmt:
+        value = self.expr(node.value) if node.value is not None else None
+        return Return(value, span=span)
+
+    def _no_op(self, node: ast.stmt, span: SourceSpan) -> Stmt:
+        kind = type(node).__name__.lower()  # import, importfrom, pass, break, continue
+        return NoOp("import" if kind == "importfrom" else kind, span=span)
+
+    def _other_stmt(self, node: ast.stmt, span: SourceSpan) -> Stmt:
+        return self._opaque(node, span, type(node).__name__.lower())
+
     def _opaque(self, node: ast.AST, span: SourceSpan, label: str) -> Opaque:
         return Opaque(self._names(node), label, span=span)
 
     # --- expressions ---
 
     def expr(self, node: ast.expr) -> Expr:
-        span = self.span(node)
+        span = tuple.__new__(SourceSpan, (
+            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
+        ))
         uid = self.last_uid = self.last_uid + 1
-        out = self._expr(node, span)
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            out: Expr = self._opaque_expr(node, span)
+        else:
+            out = _EXPR.get(type(node), _Builder._opaque_expr)(self, node, span)
+        self.depth -= 1
         out.uid = uid
         return out
 
-    def _expr(self, node: ast.expr, span: SourceSpan) -> Expr:
-        if isinstance(node, ast.Constant):
-            v = node.value
-            if isinstance(v, bool):
-                return BoolLit(v, span=span)
-            if isinstance(v, int):
-                return IntLit(v, span=span)
-            if isinstance(v, float):
-                return FloatLit(v, span=span)
-            if isinstance(v, str):
-                return StrLit(v, span=span)
-            if v is None:
-                return NoneLit(span=span)
+    def _constant(self, node: ast.Constant, span: SourceSpan) -> Expr:
+        v = node.value
+        if v is None:
+            return NoneLit(span=span)
+        literal = _LITERALS.get(type(v))
+        return literal(v, span=span) if literal else self._opaque_expr(node, span)
+
+    def _name(self, node: ast.Name, span: SourceSpan) -> Expr:
+        return Name(node.id, span=span)
+
+    def _attribute(self, node: ast.Attribute, span: SourceSpan) -> Expr:
+        return Attribute(self.expr(node.value), node.attr, span=span)
+
+    def _subscript(self, node: ast.Subscript, span: SourceSpan) -> Expr:
+        if isinstance(node.slice, ast.Slice):
             return self._opaque_expr(node, span)
-        if isinstance(node, ast.Name):
-            return Name(node.id, span=span)
-        if isinstance(node, ast.Attribute):
-            return Attribute(self.expr(node.value), node.attr, span=span)
-        if isinstance(node, ast.Subscript):
-            if isinstance(node.slice, ast.Slice):
-                return self._opaque_expr(node, span)
-            return Subscript(self.expr(node.value), self.expr(node.slice), span=span)
-        if isinstance(node, ast.Call):
-            star = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                k.arg is None for k in node.keywords
-            )
-            args = [
-                self.expr(a) for a in node.args if not isinstance(a, ast.Starred)
-            ]
-            keywords = [
-                Keyword(k.arg, self.expr(k.value))
-                for k in node.keywords
-                if k.arg is not None
-            ]
-            return Call(self.expr(node.func), args, keywords, star, span=span)
-        if isinstance(node, (ast.List, ast.Tuple)):
-            elements = [self.expr(e) for e in node.elts]
-            cls = ListExpr if isinstance(node, ast.List) else TupleExpr
-            return cls(elements, span=span)
-        if isinstance(node, ast.BinOp):
-            op = _BIN_OPS.get(type(node.op))
-            if op is None:
-                return self._opaque_expr(node, span)
-            return BinOp(self.expr(node.left), op, self.expr(node.right), span=span)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return UnaryOp("-", self.expr(node.operand), span=span)
-        return self._opaque_expr(node, span)
+        return Subscript(self.expr(node.value), self.expr(node.slice), span=span)
+
+    def _call(self, node: ast.Call, span: SourceSpan) -> Expr:
+        star = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        )
+        args = [self.expr(a) for a in node.args if not isinstance(a, ast.Starred)]
+        keywords = [
+            Keyword(k.arg, self.expr(k.value)) for k in node.keywords if k.arg is not None
+        ]
+        return Call(self.expr(node.func), args, keywords, star, span=span)
+
+    def _list(self, node: ast.List, span: SourceSpan) -> Expr:
+        return ListExpr([self.expr(e) for e in node.elts], span=span)
+
+    def _tuple(self, node: ast.Tuple, span: SourceSpan) -> Expr:
+        return TupleExpr([self.expr(e) for e in node.elts], span=span)
+
+    def _bin_op(self, node: ast.BinOp, span: SourceSpan) -> Expr:
+        op = _BIN_OPS.get(type(node.op))
+        if op is None:
+            return self._opaque_expr(node, span)
+        return BinOp(self.expr(node.left), op, self.expr(node.right), span=span)
+
+    def _unary_op(self, node: ast.UnaryOp, span: SourceSpan) -> Expr:
+        if not isinstance(node.op, ast.USub):
+            return self._opaque_expr(node, span)
+        return UnaryOp("-", self.expr(node.operand), span=span)
 
     def _opaque_expr(self, node: ast.AST, span: SourceSpan) -> OpaqueExpr:
         return OpaqueExpr(self._names(node), span=span)
@@ -215,6 +216,34 @@ class _Builder:
             elif isinstance(n, (ast.Global, ast.Nonlocal)):
                 self.rebound_names.update(n.names)
         return frozenset(names)
+
+
+_STMT = {
+    ast.Assign: _Builder._assign,
+    ast.AnnAssign: _Builder._ann_assign,
+    ast.AugAssign: _Builder._aug_assign,
+    ast.Expr: _Builder._expr_stmt,
+    ast.For: _Builder._for,
+    ast.If: _Builder._if,
+    ast.FunctionDef: _Builder._function_def,
+    ast.AsyncFunctionDef: _Builder._function_def,
+    ast.Return: _Builder._return,
+    **dict.fromkeys(
+        [ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue], _Builder._no_op
+    ),
+}
+_LITERALS = {bool: BoolLit, int: IntLit, float: FloatLit, str: StrLit}
+_EXPR = {
+    ast.Constant: _Builder._constant,
+    ast.Name: _Builder._name,
+    ast.Attribute: _Builder._attribute,
+    ast.Subscript: _Builder._subscript,
+    ast.Call: _Builder._call,
+    ast.List: _Builder._list,
+    ast.Tuple: _Builder._tuple,
+    ast.BinOp: _Builder._bin_op,
+    ast.UnaryOp: _Builder._unary_op,
+}
 
 
 def source_lines(source: str) -> list[str]:

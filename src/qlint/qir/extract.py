@@ -498,20 +498,12 @@ class _Extractor:
     def _circuit_args(self, call: Call, scope: _Scope) -> list[str]:
         """Circuits flowing into a call as direct or one-level-container args."""
         found: set[str] = set()
-
-        def visit(expr: Expr, top_level: bool) -> None:
-            if isinstance(expr, (ListExpr, TupleExpr)) and top_level:
-                for element in expr.elements:
-                    visit(element, False)
-                return
-            binding = self._eval(expr, scope)
-            if binding.kind == "circuit":
-                found.update(binding.ids)
-
-        for arg in call.args:
-            visit(arg, True)
-        for kw in call.keywords:
-            visit(kw.value, True)
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            elements = arg.elements if isinstance(arg, (ListExpr, TupleExpr)) else [arg]
+            for element in elements:
+                binding = self._eval(element, scope)
+                if binding.kind == "circuit":
+                    found.update(binding.ids)
         return sorted(found)
 
     # --- circuit methods ---
@@ -854,43 +846,28 @@ def _join_vars(a: dict[str, _Binding], b: dict[str, _Binding]) -> dict[str, _Bin
 def _scan_circuit_method_users(stmts: list[Stmt]) -> frozenset[str]:
     """Names that receive circuit-specific method calls somewhere in this scope."""
     found: set[str] = set()
-
-    def visit_expr(expr: Expr) -> None:
-        if isinstance(expr, Call):
-            f = expr.func
+    pending: list[Stmt | Expr] = list(stmts)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (Assign, ExprStmt, Return)) and node.value is not None:
+            pending.append(node.value)
+        elif isinstance(node, If):
+            pending += node.body + node.orelse
+        elif isinstance(node, ForRange):
+            pending += node.body
+        elif isinstance(node, Call):
+            f = node.func
             if (
                 isinstance(f, Attribute)
                 and isinstance(f.value, Name)
                 and f.attr in _CIRCUIT_METHOD_MARKERS
             ):
                 found.add(f.value.ident)
-            visit_expr(expr.func)
-            for a in expr.args:
-                visit_expr(a)
-            for k in expr.keywords:
-                visit_expr(k.value)
-        elif isinstance(expr, Attribute):
-            visit_expr(expr.value)
-        elif isinstance(expr, Subscript):
-            visit_expr(expr.value)
-            visit_expr(expr.index)
-        elif isinstance(expr, (ListExpr, TupleExpr)):
-            for e in expr.elements:
-                visit_expr(e)
-
-    def visit(stmts_: list[Stmt]) -> None:
-        for stmt in stmts_:
-            if isinstance(stmt, Assign):
-                visit_expr(stmt.value)
-            elif isinstance(stmt, ExprStmt):
-                visit_expr(stmt.value)
-            elif isinstance(stmt, Return) and stmt.value is not None:
-                visit_expr(stmt.value)
-            elif isinstance(stmt, If):
-                visit(stmt.body)
-                visit(stmt.orelse)
-            elif isinstance(stmt, ForRange):
-                visit(stmt.body)
-
-    visit(stmts)
+            pending += [f, *node.args, *(k.value for k in node.keywords)]
+        elif isinstance(node, Attribute):
+            pending.append(node.value)
+        elif isinstance(node, Subscript):
+            pending += (node.value, node.index)
+        elif isinstance(node, (ListExpr, TupleExpr)):
+            pending += node.elements
     return frozenset(found)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from conftest import sample_source, warnings_for
 
 from qlint.analyses import ALL_RULES, DEFAULT_PROFILE, RULE_IDS, run_all
@@ -169,6 +170,20 @@ class TestOversizedCircuit:
     def test_initialize_excluded(self):
         source = "qc = QuantumCircuit(4)\nqc.initialize(vec)\nqc.h(0)\n"
         assert _lines_of(source, "oversized-circuit") == []
+
+    @pytest.mark.parametrize("params", ["qc", "*qc", "**qc", "*, qc"])
+    def test_parameter_shadows_module_circuit(self, params):
+        # Every parameter kind binds `qc` locally, so helper() does not touch
+        # the module's circuit and cannot hide its unused qubits.
+        source = (
+            f"def helper({params}):\n"
+            "    qc.draw()\n"
+            "qc = QuantumCircuit(3, 3)\n"
+            "qc.h(0)\n"
+            "qc.measure(0, 0)\n"
+            "helper()\n"
+        )
+        assert _lines_of(source, "oversized-circuit") == [3]
 
 
 class TestGhostCompose:
