@@ -92,31 +92,25 @@ def suppress(warnings: list[Warning], source: str) -> list[Warning]:
 def analyze_source(source: str, path: str, config: Config | None = None) -> FileOutcome:
     """Analyze one file's text, honoring suppression comments.
 
-    The cyclic garbage collector is paused while the file is analyzed: its
-    trees and IR hold no reference cycles, so reference counting frees them
-    (tests/test_gc.py checks this). The collector's enabled state is restored
-    on every exit, exceptions included.
+    The cyclic garbage collector is paused during the analysis, since a file's
+    trees hold no reference cycles (tests/test_gc.py checks this); its enabled
+    state is restored on every exit, exceptions included.
     """
+    cfg_options = config or Config()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        # The file's trees are freed when the helper returns, before the
-        # collector runs again and would have to scan them.
-        return _analyze_source(source, path, config or Config())
+        result = analyze_pipeline(source, path, cfg_options)
+        outcome = FileOutcome(path, suppress(result.warnings, source))
+        if cfg_options.dump_timelines:
+            outcome.timeline_dump = result.flow.dump_timelines()
+        del result  # free the file's trees before the collector could scan them
+        return outcome
+    except ParseError as exc:
+        return FileOutcome(path, skipped=SkippedFile(path, exc.line, exc.message))
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-def _analyze_source(source: str, path: str, config: Config) -> FileOutcome:
-    try:
-        result = analyze_pipeline(source, path, config)
-    except ParseError as exc:
-        return FileOutcome(path, skipped=SkippedFile(path, exc.line, exc.message))
-    outcome = FileOutcome(path, suppress(result.warnings, source))
-    if config.dump_timelines:
-        outcome.timeline_dump = result.flow.dump_timelines()
-    return outcome
 
 
 def _analyze_path(path: str, config: Config) -> FileOutcome:

@@ -846,28 +846,32 @@ def _join_vars(a: dict[str, _Binding], b: dict[str, _Binding]) -> dict[str, _Bin
 def _scan_circuit_method_users(stmts: list[Stmt]) -> frozenset[str]:
     """Names that receive circuit-specific method calls somewhere in this scope."""
     found: set[str] = set()
-    pending: list[Stmt | Expr] = list(stmts)
+    pending = list(stmts)
+    exprs: list[Expr] = []
     while pending:
-        node = pending.pop()
-        if isinstance(node, (Assign, ExprStmt, Return)) and node.value is not None:
-            pending.append(node.value)
-        elif isinstance(node, If):
-            pending += node.body + node.orelse
-        elif isinstance(node, ForRange):
-            pending += node.body
-        elif isinstance(node, Call):
-            f = node.func
-            if (
-                isinstance(f, Attribute)
-                and isinstance(f.value, Name)
-                and f.attr in _CIRCUIT_METHOD_MARKERS
-            ):
-                found.add(f.value.ident)
-            pending += [f, *node.args, *(k.value for k in node.keywords)]
-        elif isinstance(node, Attribute):
-            pending.append(node.value)
-        elif isinstance(node, Subscript):
-            pending += (node.value, node.index)
-        elif isinstance(node, (ListExpr, TupleExpr)):
-            pending += node.elements
+        stmt = pending.pop()
+        if isinstance(stmt, (Assign, ExprStmt, Return)) and stmt.value is not None:
+            exprs.append(stmt.value)
+        elif isinstance(stmt, If):
+            pending += stmt.body
+            pending += stmt.orelse
+        elif isinstance(stmt, ForRange):
+            pending += stmt.body
+    while exprs:
+        expr = exprs.pop()
+        if isinstance(expr, Call):
+            f = expr.func
+            if isinstance(f, Attribute) and f.attr in _CIRCUIT_METHOD_MARKERS:
+                if isinstance(f.value, Name):
+                    found.add(f.value.ident)
+            exprs.append(f)
+            exprs += expr.args
+            for k in expr.keywords:
+                exprs.append(k.value)
+        elif isinstance(expr, Attribute):
+            exprs.append(expr.value)
+        elif isinstance(expr, Subscript):
+            exprs += (expr.value, expr.index)
+        elif isinstance(expr, (ListExpr, TupleExpr)):
+            exprs += expr.elements
     return frozenset(found)
