@@ -94,7 +94,10 @@ def analyze_source(source: str, path: str, config: Config | None = None) -> File
 
     The cyclic garbage collector is paused during the analysis, since a file's
     trees hold no reference cycles (tests/test_gc.py checks this); its enabled
-    state is restored on every exit, exceptions included.
+    state is restored on every exit, exceptions included. The pause is
+    process-wide: cyclic garbage of the host program and of its other threads
+    is not collected meanwhile, and concurrent callers share the one state,
+    so one call may re-enable the collector while another is still running.
     """
     cfg_options = config or Config()
     gc_was_enabled = gc.isenabled()

@@ -55,17 +55,17 @@ class ParseError(Exception):
         self.message = message
 
 
-# Deeper expression subtrees become OpaqueExpr, so no later recursive walker
-# of an expression can exhaust the interpreter's recursion limit.
-MAX_EXPR_DEPTH = 200
-
-
 class _Builder:
     def __init__(self, file: str) -> None:
         self.file = file
         self.last_uid = 0
-        self.depth = 0
         self.rebound_names: set[str] = set()
+
+    def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
+        # ast.parse sets all four positions on every statement and expression.
+        return SourceSpan(
+            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
+        )
 
     # --- statements ---
 
@@ -73,11 +73,7 @@ class _Builder:
         return [self.stmt(s) for s in body]
 
     def stmt(self, node: ast.stmt) -> Stmt:
-        # ast.parse sets all four positions on every statement and expression.
-        # tuple.__new__ skips the NamedTuple's Python-level __new__.
-        span = tuple.__new__(SourceSpan, (
-            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
-        ))
+        span = self.span(node)
         uid = self.last_uid = self.last_uid + 1
         out = _STMT.get(type(node), _Builder._other_stmt)(self, node, span)
         out.uid = uid
@@ -144,16 +140,9 @@ class _Builder:
     # --- expressions ---
 
     def expr(self, node: ast.expr) -> Expr:
-        span = tuple.__new__(SourceSpan, (
-            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
-        ))
+        span = self.span(node)
         uid = self.last_uid = self.last_uid + 1
-        self.depth += 1
-        if self.depth > MAX_EXPR_DEPTH:
-            out: Expr = self._opaque_expr(node, span)
-        else:
-            out = _EXPR.get(type(node), _Builder._opaque_expr)(self, node, span)
-        self.depth -= 1
+        out = _EXPR.get(type(node), _Builder._opaque_expr)(self, node, span)
         out.uid = uid
         return out
 

@@ -79,16 +79,6 @@ class TestExitCodes:
         assert "skipped" in err
         assert out == ""
 
-    def test_deep_expression_file_does_not_hide_other_reports(self, capsys, tmp_path):
-        # 700 terms nest deeper than the recursion limit allows a naive lowering.
-        (tmp_path / "deep.py").write_text("n = " + "+".join(["1"] * 700) + "\n", "utf-8")
-        two_bugs = tmp_path / "two_bugs.py"
-        two_bugs.write_text(sample_source("two_bugs"), "utf-8")
-        alone = _run(capsys, "check", str(two_bugs), "--profile", "all")
-        code, out, err = _run(capsys, "check", str(tmp_path), "--profile", "all")
-        assert (code, out, err) == alone
-        assert code == 1 and len(out.splitlines()) == 2
-
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         code, _, _ = _run(capsys)
         assert code == 2

@@ -10,8 +10,6 @@ from conftest import sample_source
 from genprog import wide_branchy
 from oracle import capture_values
 
-from qlint import Config, analyze_source
-from qlint.analyses import ALL_RULES
 from qlint.frontend import (
     MODULE_SCOPE,
     ParseError,
@@ -22,7 +20,6 @@ from qlint.frontend import (
     unroll_loops,
 )
 from qlint.frontend.constprop import UNKNOWN, known
-from qlint.frontend.parser import MAX_EXPR_DEPTH
 from qlint.frontend.nodes import (
     Assign,
     Call,
@@ -34,7 +31,6 @@ from qlint.frontend.nodes import (
     Name,
     Node,
     Opaque,
-    OpaqueExpr,
 )
 
 
@@ -145,60 +141,6 @@ class TestParse:
                     spans(s.orelse)
 
         spans(tree.statements)
-
-
-# Four expression shapes that each nest one level per repetition.
-DEEP_SHAPES = {
-    "sum": lambda n: "x = " + "+".join(["1"] * n),
-    "attribute": lambda n: "y = z" + ".a" * n,
-    "subscript": lambda n: "y = z" + "[0]" * n,
-    "negation": lambda n: "y = " + "-" * n + "1",
-}
-
-
-def _expr_nodes(expr):
-    """(node, depth) for every node below a lowered expression, without recursion."""
-    pending = [(expr, 1)]
-    while pending:
-        node, depth = pending.pop()
-        yield node, depth
-        for f in fields(node):
-            child = getattr(node, f.name)
-            for item in child if isinstance(child, list) else [child]:
-                item = item.value if isinstance(item, Keyword) else item
-                if isinstance(item, Node):
-                    pending.append((item, depth + 1))
-
-
-class TestDeepExpressions:
-    @pytest.mark.parametrize("size", [50, 199, 200, 201, 700, 1500, 3000])
-    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
-    def test_deep_expression_is_analyzed_not_crashed(self, shape, size):
-        circuit = "qc = QuantumCircuit(2, 2)\nqc.h(0)\nqc.measure(0, 0)\n"
-        source = DEEP_SHAPES[shape](size) + "\n" + circuit
-        try:
-            ast.parse(source)
-        except (RecursionError, MemoryError, SyntaxError):
-            pytest.skip("ast.parse itself rejects this input")
-        config = Config(rules=ALL_RULES)
-        outcome = analyze_source(source, "deep.py", config)
-        shallow = analyze_source("x = 1\n" + circuit, "deep.py", config)
-        assert outcome.skipped is None
-        assert outcome.warnings == shallow.warnings != []
-
-    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
-    def test_subtree_past_the_limit_becomes_opaque_with_its_names(self, shape):
-        source = DEEP_SHAPES[shape](2 * MAX_EXPR_DEPTH) + "\n"
-        nodes = list(_expr_nodes(_parse(source).statements[0].value))
-        assert max(depth for _, depth in nodes) == MAX_EXPR_DEPTH + 1
-        opaque = [node for node, _ in nodes if isinstance(node, OpaqueExpr)]
-        assert opaque == [node for node, depth in nodes if depth > MAX_EXPR_DEPTH]
-        names = frozenset().union(*(node.names for node in opaque))
-        assert names == (frozenset({"z"}) if "z" in source else frozenset())
-
-    def test_walrus_inside_a_deep_subtree_is_still_rebound(self):
-        source = "y = " + "-" * (2 * MAX_EXPR_DEPTH) + "(w := 1)\n"
-        assert _parse(source).rebound_names == frozenset({"w"})
 
 
 class TestConstants:
