@@ -9,6 +9,7 @@ records every expression's value into a ConstEnv as it expands the file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .nodes import (
     Assign,
@@ -180,18 +181,23 @@ def collect_assigned_names(stmts: list[Stmt]) -> set[str]:
     return out
 
 
-def join_envs(a: _Env, b: _Env) -> _Env:
-    """Join of two branch environments: keep a binding only if both agree."""
-    out: _Env = {}
-    for name, val in a.items():
-        if b.get(name, UNKNOWN) == val:
-            out[name] = val
-        else:
-            out[name] = UNKNOWN
-    for name in b:
-        if name not in a:
-            out[name] = UNKNOWN
-    return out
+def _agree(a: ConstValue, b: ConstValue) -> ConstValue:
+    return a if a == b else UNKNOWN
+
+
+def join_envs(
+    a: dict[str, Any],
+    b: dict[str, Any],
+    join: Callable[[Any, Any], Any] = _agree,
+    missing: Any = UNKNOWN,
+) -> dict[str, Any]:
+    """Join of two branch environments, name by name over both.
+
+    A name bound on one side only meets `missing` from the other. The
+    default keeps an integer only where both branches agree; the extractor
+    passes its own binding join.
+    """
+    return {name: join(a.get(name, missing), b.get(name, missing)) for name in {**a, **b}}
 
 
 class ConstEnv:

@@ -173,6 +173,8 @@ class FunctionDef(Node):
     name: str
     params: list[str]
     body: list[Stmt]
+    # Names the body calls `to_gate`, `to_instruction` or `assign_parameters` on.
+    method_receivers: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -204,12 +206,13 @@ class ModuleAst:
 
     file: str
     statements: list[Stmt]
-    span: SourceSpan
     last_uid: int = 0  # largest node uid; unrolling numbers its copies after it
     non_unrollable: list[int] = field(default_factory=list)
     constants: ConstEnv | None = None
     # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
     rebound_names: frozenset[str] = frozenset()
+    # Like FunctionDef.method_receivers, for the module's own statements.
+    method_receivers: frozenset[str] = frozenset()
 
 
 def expr_names(expr: Expr) -> set[str]:

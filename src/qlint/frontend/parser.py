@@ -43,6 +43,12 @@ _BIN_OPS: dict[type[ast.operator], str] = {
     ast.Mod: "%",
     ast.Pow: "**",
 }
+# Methods that only a circuit has: a call result later used as the receiver
+# of one of them is taken to be a circuit.
+_CIRCUIT_METHOD_MARKERS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
+# `if` statements nested deeper than this (an `elif` counts as one more level)
+# are kept opaque, so a long `elif` chain cannot exhaust the Python stack.
+MAX_IF_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -60,6 +66,8 @@ class _Builder:
         self.file = file
         self.last_uid = 0
         self.rebound_names: set[str] = set()
+        self.method_receivers: set[str] = set()  # of the scope being lowered
+        self.if_depth = 0
 
     def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
         # ast.parse sets all four positions on every statement and expression.
@@ -88,13 +96,13 @@ class _Builder:
         return Assign([self.expr(node.target)], self.expr(node.value), span=span)
 
     def _aug_assign(self, node: ast.AugAssign, span: SourceSpan) -> Stmt:
-        target = self.expr(node.target)
         op = _BIN_OPS.get(type(node.op))
-        if isinstance(target, Name) and op is not None:
-            value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
-            value.uid = self.last_uid = self.last_uid + 1
-            return Assign([target], value, span=span)
-        return self._opaque(node, span, "augassign")
+        if not isinstance(node.target, ast.Name) or op is None:
+            return self._opaque(node, span, "augassign")
+        target = self.expr(node.target)
+        value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
+        value.uid = self.last_uid = self.last_uid + 1
+        return Assign([target], value, span=span)
 
     def _expr_stmt(self, node: ast.Expr, span: SourceSpan) -> Stmt:
         return ExprStmt(self.expr(node.value), span=span)
@@ -114,14 +122,22 @@ class _Builder:
         return ForRange(node.target.id, args, self.stmts(node.body), span=span)
 
     def _if(self, node: ast.If, span: SourceSpan) -> Stmt:
-        return If(self.expr(node.test), self.stmts(node.body), self.stmts(node.orelse), span=span)
+        if self.if_depth >= MAX_IF_DEPTH:
+            return self._opaque(node, span, "if")
+        self.if_depth += 1
+        out = If(self.expr(node.test), self.stmts(node.body), self.stmts(node.orelse), span=span)
+        self.if_depth -= 1
+        return out
 
     def _function_def(self, node: ast.FunctionDef, span: SourceSpan) -> Stmt:
         a = node.args
         params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
         for outer in [a, *node.decorator_list]:
             self._names(outer)  # note walrus targets of defaults and decorators
-        return FunctionDef(node.name, params, self.stmts(node.body), span=span)
+        outer_receivers, self.method_receivers = self.method_receivers, set()
+        body = self.stmts(node.body)
+        receivers, self.method_receivers = frozenset(self.method_receivers), outer_receivers
+        return FunctionDef(node.name, params, body, receivers, span=span)
 
     def _return(self, node: ast.Return, span: SourceSpan) -> Stmt:
         value = self.expr(node.value) if node.value is not None else None
@@ -172,6 +188,10 @@ class _Builder:
         keywords = [
             Keyword(k.arg, self.expr(k.value)) for k in node.keywords if k.arg is not None
         ]
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in _CIRCUIT_METHOD_MARKERS:
+            if isinstance(f.value, ast.Name):
+                self.method_receivers.add(f.value.id)
         return Call(self.expr(node.func), args, keywords, star, span=span)
 
     def _list(self, node: ast.List, span: SourceSpan) -> Expr:
@@ -259,7 +279,10 @@ def parse_file(source: str, file: str) -> ModuleAst:
         raise ParseError(file, exc.lineno or 1, exc.msg or "invalid syntax") from exc
     builder = _Builder(file)
     statements = builder.stmts(tree.body)
-    lines = source_lines(source) or [""]
-    span = SourceSpan(file, 1, 1, len(lines), len(lines[-1]) + 1)
-    rebound = frozenset(builder.rebound_names)
-    return ModuleAst(file, statements, span, last_uid=builder.last_uid, rebound_names=rebound)
+    return ModuleAst(
+        file,
+        statements,
+        last_uid=builder.last_uid,
+        rebound_names=frozenset(builder.rebound_names),
+        method_receivers=frozenset(builder.method_receivers),
+    )

@@ -66,14 +66,12 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
         raise ValueError("max_iterations must be >= 1")
     unroller = _Unroller(max_iterations, tree.rebound_names, tree.last_uid)
     statements = unroller.walk(tree.statements, {}, fresh=False)
-    return ModuleAst(
-        tree.file,
-        statements,
-        tree.span,
+    return replace(
+        tree,
+        statements=statements,
         last_uid=next(unroller.uids) - 1,
         non_unrollable=unroller.non_unrollable,
         constants=unroller.constants,
-        rebound_names=tree.rebound_names,
     )
 
 
@@ -145,7 +143,7 @@ class _Unroller:
             self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
             body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params}, fresh)
             if fresh or body is not stmt.body:
-                node = FunctionDef(stmt.name, list(stmt.params), body, span=span)
+                node = replace(stmt, params=list(stmt.params), body=body)
         else:
             if fresh:
                 node = replace(stmt)  # NoOp or Opaque: no expressions to evaluate

@@ -16,6 +16,7 @@ from ..frontend.constprop import (
     UNKNOWN,
     ConstEnv,
     ConstValue,
+    join_envs,
     known,
     tuple_assign_pairs,
 )
@@ -58,7 +59,6 @@ from .model import (
 )
 
 _REGISTER_CONSTRUCTORS = {"QuantumRegister": "quantum", "ClassicalRegister": "classical"}
-_CIRCUIT_METHOD_MARKERS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
 
 
 @dataclass
@@ -69,6 +69,17 @@ class _Binding:
 
 
 _OTHER = _Binding("other")
+
+
+def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
+    """What a name holds after a branch: either side's circuits, else nothing known."""
+    if left is right or (left.kind == right.kind and left.ids == right.ids):
+        return left
+    if left.kind == "circuit" or right.kind == "circuit":
+        ids = set(left.ids if left.kind == "circuit" else ())
+        ids.update(right.ids if right.kind == "circuit" else ())
+        return _Binding("circuit", tuple(sorted(ids)))
+    return _OTHER
 
 
 @dataclass
@@ -83,7 +94,7 @@ class _Scope:
     name: str
     vars: dict[str, _Binding] = field(default_factory=dict)
     funcs: dict[str, _FuncInfo] = field(default_factory=dict)
-    circuit_method_users: frozenset[str] = frozenset()
+    method_receivers: frozenset[str] = frozenset()
     func_info: _FuncInfo | None = None
 
 
@@ -111,8 +122,7 @@ class _Extractor:
         self._scope_name = MODULE_SCOPE
 
     def run(self) -> QuantumIR:
-        scope = _Scope(MODULE_SCOPE)
-        scope.circuit_method_users = _scan_circuit_method_users(self.tree.statements)
+        scope = _Scope(MODULE_SCOPE, method_receivers=self.tree.method_receivers)
         self._walk(self.tree.statements, scope)
         return self.ir
 
@@ -180,11 +190,9 @@ class _Extractor:
                 self._eval(stmt.test, scope)
                 saved = dict(scope.vars)
                 self._walk(stmt.body, scope)
-                then_vars = scope.vars
-                scope.vars = dict(saved)
+                then_vars, scope.vars = scope.vars, saved
                 self._walk(stmt.orelse, scope)
-                else_vars = scope.vars
-                scope.vars = _join_vars(then_vars, else_vars)
+                scope.vars = join_envs(then_vars, scope.vars, _join_bindings, _OTHER)
             elif isinstance(stmt, ForRange):
                 for arg in stmt.range_args:
                     self._eval(arg, scope)
@@ -208,7 +216,7 @@ class _Extractor:
                 if (
                     bound.kind == "other"
                     and isinstance(stmt.value, Call)
-                    and target.ident in scope.circuit_method_users
+                    and target.ident in scope.method_receivers
                 ):
                     # An opaque call result later used with circuit-specific
                     # methods is modeled as a circuit of unknown shape.
@@ -251,7 +259,7 @@ class _Extractor:
             name=f"{scope.name}.{stmt.name}#{stmt.uid}",
             vars={p: _OTHER for p in stmt.params},
             funcs=dict(scope.funcs),
-            circuit_method_users=_scan_circuit_method_users(stmt.body),
+            method_receivers=stmt.method_receivers,
             func_info=info,
         )
         outer_scope_name = self._scope_name
@@ -362,10 +370,7 @@ class _Extractor:
         if name == "transpile":
             return self._transpile(call, scope)
         decl = self._new_circuit(CircuitKind.BUILTIN_PARAMETRIZED, call.span, name=name)
-        for arg in call.args:
-            self._eval(arg, scope)
-        for kw in call.keywords:
-            self._eval(kw.value, scope)
+        self._eval_args(call, scope)
         return _Binding("circuit", (decl.id,))
 
     def _register_constructor(self, kind: str, call: Call, scope: _Scope) -> _Binding:
@@ -451,20 +456,14 @@ class _Extractor:
         target.num_clbits = source.num_clbits
 
     def _transpile(self, call: Call, scope: _Scope) -> _Binding:
-        source: CircuitDecl | None = None
-        for arg in call.args:
-            binding = self._eval(arg, scope)
-            if binding.kind == "circuit" and source is None and len(binding.ids) == 1:
-                source = self.ir.circuits[binding.ids[0]]
-        opt_level = UNKNOWN
-        for kw in call.keywords:
-            self._eval(kw.value, scope)
-            if kw.name == "optimization_level":
-                opt_level = self.env.resolve(kw.value)
+        bindings = self._eval_args(call, scope)
+        sources = [b.ids[0] for b in bindings if b.kind == "circuit" and len(b.ids) == 1]
         decl = self._new_circuit(CircuitKind.TRANSPILED, call.span)
-        decl.transpile_opt_level = opt_level
-        if source is not None:
-            self._inherit_layout(decl, source)
+        for kw in call.keywords:
+            if kw.name == "optimization_level":
+                decl.transpile_opt_level = self.env.resolve(kw.value)
+        if sources:
+            self._inherit_layout(decl, self.ir.circuits[sources[0]])
         return _Binding("circuit", (decl.id,))
 
     def _local_function_call(self, info: _FuncInfo, call: Call, scope: _Scope) -> _Binding:
@@ -495,6 +494,13 @@ class _Extractor:
             )
         return _OTHER
 
+    def _eval_args(self, call: Call, scope: _Scope) -> list[_Binding]:
+        """Evaluate positional, then keyword arguments; return the positional bindings."""
+        bindings = [self._eval(arg, scope) for arg in call.args]
+        for kw in call.keywords:
+            self._eval(kw.value, scope)
+        return bindings
+
     def _circuit_args(self, call: Call, scope: _Scope) -> list[str]:
         """Circuits flowing into a call as direct or one-level-container args."""
         found: set[str] = set()
@@ -513,10 +519,7 @@ class _Extractor:
     ) -> _Binding:
         if len(receiver.ids) != 1:
             # Receiver may be one of several circuits; taint them all.
-            for arg in call.args:
-                self._eval(arg, scope)
-            for kw in call.keywords:
-                self._eval(kw.value, scope)
+            self._eval_args(call, scope)
             self._emit_unknown(
                 receiver.ids, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, call.span
             )
@@ -543,10 +546,7 @@ class _Extractor:
             self._inherit_layout(decl, circuit)
             return _Binding("circuit", (decl.id,))
         if method == "assign_parameters":
-            for arg in call.args:
-                self._eval(arg, scope)
-            for kw in call.keywords:
-                self._eval(kw.value, scope)
+            self._eval_args(call, scope)
             return _Binding("circuit", (circuit.id,))
         # Unrecognized circuit method: the circuit may change in any way.
         others = [c for c in self._circuit_args(call, scope) if c != circuit.id]
@@ -561,18 +561,13 @@ class _Extractor:
     def _table_method(
         self, circuit: CircuitDecl, spec: GateSpec, call: Call, scope: _Scope
     ) -> _Binding:
-        for arg in call.args:
-            self._eval(arg, scope)
-        for kw in call.keywords:
-            self._eval(kw.value, scope)
-        if spec.category == "reversible_gate":
+        self._eval_args(call, scope)
+        if spec.category in ("reversible_gate", "reset"):
             return self._gate_event(circuit, spec, call, scope)
         if spec.category == "measurement":
             return self._measure_event(circuit, call, scope)
         if spec.category == "measure_all":
             return self._measure_all_event(circuit, call)
-        if spec.category == "reset":
-            return self._reset_event(circuit, call, scope)
         if spec.category == "initialize":
             return self._initialize_event(circuit, call, scope)
         if spec.category == "barrier":
@@ -613,7 +608,7 @@ class _Extractor:
                 return self._unresolved_event(circuit, call.span, spec.method_name)
             refs.append(ref)
         event = self._emit(
-            EventKind.GATE,
+            EventKind.RESET if spec.category == "reset" else EventKind.GATE,
             circuit.id,
             call.span,
             gate_name=spec.method_name,
@@ -676,17 +671,6 @@ class _Extractor:
             assert size.value is not None
             operands.extend(QubitRef(reg_id, i) for i in range(size.value))
         return operands
-
-    def _reset_event(self, circuit: CircuitDecl, call: Call, scope: _Scope) -> _Binding:
-        if call.has_star_args or not call.args:
-            return self._unresolved_event(circuit, call.span, "reset")
-        ref = self._resolve_single_bit(call.args[0], circuit, scope, classical=False)
-        if not ref.is_resolved:
-            return self._unresolved_event(circuit, call.span, "reset")
-        event = self._emit(
-            EventKind.RESET, circuit.id, call.span, gate_name="reset", qubits=[ref]
-        )
-        return _Binding("instruction", (circuit.id,), event)
 
     def _initialize_event(self, circuit: CircuitDecl, call: Call, scope: _Scope) -> _Binding:
         operands: list[QubitRef] = []
@@ -783,38 +767,17 @@ class _Extractor:
     # --- composition ---
 
     def _append(self, circuit: CircuitDecl, call: Call, scope: _Scope) -> _Binding:
-        children: list[str] = []
-        for i, arg in enumerate(call.args):
-            binding = self._eval(arg, scope)
-            if i == 0 and binding.kind in ("circuit", "circuit_gate"):
-                children.extend(binding.ids)
-        for kw in call.keywords:
-            self._eval(kw.value, scope)
-        for child in children:
-            if child != circuit.id:
-                self.ir.edges.append(
-                    CompositionEdge(circuit.id, child, "append", call.span)
-                )
+        self._composition_edges(circuit, call, scope, "append")
         return _OTHER
 
     def _compose(
         self, circuit: CircuitDecl, call: Call, scope: _Scope, bare: bool
     ) -> _Binding:
-        children: list[str] = []
-        for i, arg in enumerate(call.args):
-            binding = self._eval(arg, scope)
-            if i == 0 and binding.kind in ("circuit", "circuit_gate"):
-                children.extend(binding.ids)
+        self._composition_edges(circuit, call, scope, "compose")
         inplace_true = False
         for kw in call.keywords:
-            self._eval(kw.value, scope)
             if kw.name == "inplace" and isinstance(kw.value, BoolLit) and kw.value.value:
                 inplace_true = True
-        for child in children:
-            if child != circuit.id:
-                self.ir.edges.append(
-                    CompositionEdge(circuit.id, child, "compose", call.span)
-                )
         self.ir.compose_calls.append(
             ComposeCall(circuit.id, call.span, bare, inplace_true)
         )
@@ -822,56 +785,12 @@ class _Extractor:
         self._inherit_layout(decl, circuit)
         return _Binding("circuit", (decl.id,))
 
-
-def _join_vars(a: dict[str, _Binding], b: dict[str, _Binding]) -> dict[str, _Binding]:
-    out: dict[str, _Binding] = {}
-    for name in set(a) | set(b):
-        left = a.get(name, _OTHER)
-        right = b.get(name, _OTHER)
-        if left is right or (left.kind == right.kind and left.ids == right.ids):
-            out[name] = left
-        elif left.kind == "circuit" or right.kind == "circuit":
-            ids = tuple(
-                sorted(
-                    set(left.ids if left.kind == "circuit" else ())
-                    | set(right.ids if right.kind == "circuit" else ())
-                )
-            )
-            out[name] = _Binding("circuit", ids)
-        else:
-            out[name] = _OTHER
-    return out
-
-
-def _scan_circuit_method_users(stmts: list[Stmt]) -> frozenset[str]:
-    """Names that receive circuit-specific method calls somewhere in this scope."""
-    found: set[str] = set()
-    pending = list(stmts)
-    exprs: list[Expr] = []
-    while pending:
-        stmt = pending.pop()
-        if isinstance(stmt, (Assign, ExprStmt, Return)) and stmt.value is not None:
-            exprs.append(stmt.value)
-        elif isinstance(stmt, If):
-            pending += stmt.body
-            pending += stmt.orelse
-        elif isinstance(stmt, ForRange):
-            pending += stmt.body
-    while exprs:
-        expr = exprs.pop()
-        if isinstance(expr, Call):
-            f = expr.func
-            if isinstance(f, Attribute) and f.attr in _CIRCUIT_METHOD_MARKERS:
-                if isinstance(f.value, Name):
-                    found.add(f.value.ident)
-            exprs.append(f)
-            exprs += expr.args
-            for k in expr.keywords:
-                exprs.append(k.value)
-        elif isinstance(expr, Attribute):
-            exprs.append(expr.value)
-        elif isinstance(expr, Subscript):
-            exprs += (expr.value, expr.index)
-        elif isinstance(expr, (ListExpr, TupleExpr)):
-            exprs += expr.elements
-    return frozenset(found)
+    def _composition_edges(
+        self, circuit: CircuitDecl, call: Call, scope: _Scope, how: str
+    ) -> None:
+        """Evaluate the arguments; link the circuits the first one holds as children."""
+        bindings = self._eval_args(call, scope)
+        if bindings and bindings[0].kind in ("circuit", "circuit_gate"):
+            for child in bindings[0].ids:
+                if child != circuit.id:
+                    self.ir.edges.append(CompositionEdge(circuit.id, child, how, call.span))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
@@ -33,6 +34,21 @@ def sample_source(name: str) -> str:
 
 def sample_path(name: str) -> str:
     return str(SAMPLES_DIR / f"{name}.py")
+
+
+def elif_chain(branches: int) -> str:
+    """`if x == 0:` followed by `elif` branches, `branches` arms in all."""
+    arms = "".join(f"elif x == {i}:\n    pass\n" for i in range(1, branches))
+    return "x = 0\nif x == 0:\n    pass\n" + arms
+
+
+def parses_in_this_python(source: str) -> bool:
+    """False where `ast.parse` itself runs out of stack on the source."""
+    try:
+        ast.parse(source)
+    except RecursionError:
+        return False
+    return True
 
 
 def warnings_for(source: str, path: str = "snippet.py", rules=ALL_RULES):

@@ -10,7 +10,13 @@ import threading
 from pathlib import Path
 
 import pytest
-from conftest import SAMPLE_NAMES, sample_path, sample_source
+from conftest import (
+    SAMPLE_NAMES,
+    elif_chain,
+    parses_in_this_python,
+    sample_path,
+    sample_source,
+)
 
 import qlint
 from qlint import Config, analyze_paths
@@ -95,6 +101,21 @@ class TestExitCodes:
         code, out, err = _run(capsys, "check", str(bom), "--profile", "all")
         assert (code, out.replace(str(bom), plain), err) == expected
         assert expected[0] == 1
+
+    def test_long_elif_chain_does_not_hide_other_files(self, capsys, tmp_path):
+        chain = elif_chain(1000)
+        if not parses_in_this_python(chain):
+            pytest.skip("ast.parse itself runs out of stack on this chain")
+        (tmp_path / "chain.py").write_text(chain, "utf-8")
+        bug = tmp_path / "two_bugs.py"
+        bug.write_text(sample_source("two_bugs"), "utf-8")
+        _, alone, _ = _run(capsys, "check", str(bug), "--profile", "all")
+        code, out, err = _run(capsys, "check", str(tmp_path), "--profile", "all")
+        assert (code, out, err) == (1, alone, "")
+        assert [line.split()[1] for line in out.splitlines()] == [
+            "oversized-circuit",
+            "op-after-meas",
+        ]
 
 
 class TestModuleEntryPoint:

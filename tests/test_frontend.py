@@ -6,7 +6,7 @@ import ast
 from dataclasses import fields
 
 import pytest
-from conftest import sample_source
+from conftest import elif_chain, parses_in_this_python, sample_source
 from genprog import wide_branchy
 from oracle import capture_values
 
@@ -20,11 +20,13 @@ from qlint.frontend import (
     unroll_loops,
 )
 from qlint.frontend.constprop import UNKNOWN, known
+from qlint.frontend.parser import MAX_IF_DEPTH
 from qlint.frontend.nodes import (
     Assign,
     Call,
     ExprStmt,
     ForRange,
+    FunctionDef,
     If,
     IntLit,
     Keyword,
@@ -116,7 +118,6 @@ class TestParse:
         assert len(lines) == 4
         for stmt in ast.parse(source).body:
             assert lines[stmt.lineno - 1].startswith(ast.unparse(stmt))
-        assert _parse(source).span.end_line == 4
 
     def test_syntax_error_raises_parse_error(self):
         with pytest.raises(ParseError) as info:
@@ -128,6 +129,50 @@ class TestParse:
         stmt = tree.statements[0]
         assert isinstance(stmt, Opaque)
         assert {"cond", "qc"} <= set(stmt.names)
+
+    @pytest.mark.parametrize("branches", [300, 1000])
+    def test_long_elif_chain_is_opaque_past_the_depth_cap(self, branches):
+        source = elif_chain(branches)
+        if not parses_in_this_python(source):
+            pytest.skip("ast.parse itself runs out of stack on this chain")
+        node, depth = _parse(source).statements[1], 0
+        while isinstance(node, If):
+            node, depth = node.orelse[0], depth + 1
+        assert depth == MAX_IF_DEPTH
+        assert isinstance(node, Opaque) and node.label == "if"
+        assert node.names == {"x"}
+
+    def test_method_receivers_are_recorded_per_scope(self):
+        source = (
+            "sub = make()\n"
+            "def f():\n"
+            "    sub.to_gate()\n"
+            "    def g():\n"
+            "        inner.to_instruction()\n"
+            "other.assign_parameters(p)\n"
+            "deep.attr.to_gate()\n"
+        )
+        tree = _parse(source)
+        f = tree.statements[1]
+        assert tree.method_receivers == {"other"}
+        assert f.method_receivers == {"sub"}
+        assert f.body[1].method_receivers == {"inner"}
+
+    def test_method_receivers_cover_every_lowered_expression(self):
+        # `if` tests, range arguments, assignment targets and operands.
+        source = (
+            "if a.to_gate():\n"
+            "    pass\n"
+            "for i in range(b.to_instruction()):\n"
+            "    pass\n"
+            "x[c.to_gate()] = -d.to_gate() + e.assign_parameters(p)\n"
+            "y += f.to_gate()\n"
+            "while g.to_gate():\n"
+            "    pass\n"
+            "z[h.to_gate()] += 1\n"
+        )
+        # Statements lowered to Opaque (the last two) record nothing.
+        assert _parse(source).method_receivers == set("abcdef")
 
     def test_every_statement_carries_a_span(self):
         tree = _parse("a = 1\nif a:\n    b = 2\nelse:\n    b = 3\n")
@@ -419,6 +464,13 @@ class TestUnrollSharing:
         for body in (branch.body, function.body):
             indices = [env.resolve(s.value.args[0].index) for s in body]
             assert indices == [known(0), known(1), known(2)]
+
+    def test_unrolled_function_copies_keep_method_receivers(self):
+        tree = _unrolled("mod.to_gate()\nfor i in range(2):\n    def f():\n        sub.to_gate()\n")
+        copies = [s for s in tree.statements if isinstance(s, FunctionDef)]
+        assert len(copies) == 2 and copies[0] is not copies[1]
+        assert [c.method_receivers for c in copies] == [{"sub"}, {"sub"}]
+        assert tree.method_receivers == {"mod"}
 
     def test_loop_free_file_is_not_copied(self):
         """Complexity guard: no whole-tree copy on a 3,200-op file without loops."""

@@ -539,6 +539,14 @@ class TestGateTable:
         gates = _events(result.ir, EventKind.GATE)
         assert gates and gates[0].gate_name == "zap"
 
+    def test_override_reset_row_follows_its_qubit_column(self):
+        # A reset row is read like a gate row: its name and qubit positions.
+        custom = parse_gate_table("wipe reset 1 - -\n")
+        result = pipeline("qc = QuantumCircuit(2)\nqc.wipe(t, 1)\n", gate_table=custom)
+        (event,) = _events(result.ir, EventKind.RESET)
+        assert event.gate_name == "wipe"
+        assert [q.index for q in event.qubits] == [1]
+
     def test_bundled_table_parsed_once_per_process(self):
         assert load_gate_table() is load_gate_table()
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import sample_source, warnings_for
+from conftest import elif_chain, parses_in_this_python, sample_source, warnings_for
 
 from qlint.analyses import ALL_RULES, DEFAULT_PROFILE, RULE_IDS, run_all
 from qlint import analyze_pipeline
@@ -44,6 +44,14 @@ class TestDoubleMeas:
             "qc.measure(0, 0)\n"
         )
         assert _lines_of(source, "double-meas") == []
+
+    @pytest.mark.parametrize("branches", [300, 1000, 2000])
+    def test_after_a_long_elif_chain(self, branches):
+        tail = "qc = QuantumCircuit(1, 1)\nqc.measure(0, 0)\nqc.measure(0, 0)\n"
+        source = elif_chain(branches) + tail
+        if not parses_in_this_python(source):
+            pytest.skip("ast.parse itself runs out of stack on this chain")
+        assert _lines_of(source, "double-meas") == [2 * branches + 4]
 
 
 class TestOpAfterMeas:
@@ -184,6 +192,30 @@ class TestOversizedCircuit:
             "helper()\n"
         )
         assert _lines_of(source, "oversized-circuit") == [3]
+
+    @pytest.mark.parametrize("use", ["if sub.to_gate():\n    pass\n", "gate = sub.to_gate()\n"])
+    def test_call_result_used_as_a_circuit_is_a_subcircuit(self, use):
+        # `sub` receives `to_gate`, so it is a circuit of unknown shape that
+        # may use both of qc's qubits once appended.
+        source = "sub = make_block()\n" + use + "qc = QuantumCircuit(2)\nqc.append(sub, [0, 1])\n"
+        assert _lines_of(source, "oversized-circuit") == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open in ROADMAP.md: a kept loop's body is walked once, without a loop join",
+    )
+    def test_circuit_rebound_in_kept_loop(self):
+        # From the second iteration on, `qc` is `b`, which is measured and gated.
+        source = (
+            "a = QuantumCircuit(1, 1)\n"
+            "b = QuantumCircuit(1, 1)\n"
+            "qc = a\n"
+            "for i in range(n):\n"
+            "    qc.measure(0, 0)\n"
+            "    qc.x(0)\n"
+            "    qc = b\n"
+        )
+        assert _lines_of(source, "oversized-circuit") == []
 
 
 class TestGhostCompose:
