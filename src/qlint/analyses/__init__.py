@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..qflow import FlowRelation
 from ..qir.model import QuantumIR
@@ -24,8 +24,7 @@ from .rules import (
 RuleFn = Callable[[QuantumIR, FlowRelation], list[Warning]]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: str
     summary: str
     run: RuleFn

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..frontend.nodes import SourceSpan
 from ..qflow import FlowRelation, QubitKey
 from ..qir.model import CircuitDecl, CircuitKind, EventKind, QuantumIR
 
 
-@dataclass(frozen=True)
-class Warning:
+class Warning(NamedTuple):
     rule: str
     span: SourceSpan
     message: str

@@ -6,8 +6,8 @@ import gc
 import re
 # Unused; kept because bench/tracing.py subclasses qlint.driver.ThreadPoolExecutor.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .analyses import ALL_RULES, Warning, run_all
 from .frontend import (
@@ -19,6 +19,7 @@ from .frontend import (
     source_lines,
     unroll_loops,
 )
+from .frontend.nodes import Record
 from .qflow import FlowRelation, build_flow
 from .qir import GateTable, QuantumIR, extract, load_gate_table
 from .report import Report, SkippedFile, build_report
@@ -26,8 +27,7 @@ from .report import Report, SkippedFile, build_report
 _SUPPRESS_RE = re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Per-run analysis settings; read-only once the run starts."""
 
     rules: frozenset[str] = ALL_RULES
@@ -37,19 +37,23 @@ class Config:
     dump_timelines: bool = False
 
 
-@dataclass
-class FileOutcome:
+class FileOutcome(Record):
     """Result of analyzing (or skipping) one file."""
 
-    path: str
-    warnings: list[Warning] = field(default_factory=list)
-    skipped: SkippedFile | None = None
-    timeline_dump: str | None = None
-    unreadable: str | None = None  # why the file could not be read; not in reports
+    __slots__ = ("path", "warnings", "skipped", "timeline_dump", "unreadable")
+
+    def __init__(
+        self, path: str, warnings: list[Warning] | None = None, skipped: SkippedFile | None = None,
+        unreadable: str | None = None,
+    ) -> None:
+        self.path = path
+        self.warnings = [] if warnings is None else warnings
+        self.skipped = skipped
+        self.timeline_dump: str | None = None
+        self.unreadable = unreadable  # why the file could not be read; not in reports
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Intermediate products of the per-file pipeline, for library callers."""
 
     ir: QuantumIR

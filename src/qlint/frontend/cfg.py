@@ -9,30 +9,32 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .constprop import MODULE_SCOPE
-from .nodes import ForRange, FunctionDef, If, ModuleAst, Stmt
+from .nodes import ForRange, FunctionDef, If, ModuleAst, Record, Stmt
 
 
-@dataclass
-class Block:
-    id: int
-    scope: str
-    stmts: list[int] = field(default_factory=list)
+class Block(Record):
+    __slots__ = ("id", "scope", "stmts")
+
+    def __init__(self, id: int, scope: str) -> None:
+        self.id, self.scope = id, scope
+        self.stmts: list[int] = []
 
 
-@dataclass
 class Cfg:
-    blocks: list[Block] = field(default_factory=list)
-    edges: set[tuple[int, int]] = field(default_factory=set)
-    entry: dict[str, int] = field(default_factory=dict)
-    exit: dict[str, int] = field(default_factory=dict)
-    block_of_stmt: dict[int, int] = field(default_factory=dict)
-    adjacency: dict[int, list[int]] = field(default_factory=dict)
-    _reach_cache: dict[int, frozenset[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    """Blocks of every scope, their edges, and each scope's entry and exit block."""
+
+    __slots__ = ("blocks", "edges", "entry", "exit", "block_of_stmt", "adjacency", "_reach_cache")
+
+    def __init__(self) -> None:
+        self.blocks: list[Block] = []
+        self.edges: set[tuple[int, int]] = set()
+        self.entry: dict[str, int] = {}
+        self.exit: dict[str, int] = {}
+        self.block_of_stmt: dict[int, int] = {}
+        self.adjacency: dict[int, list[int]] = {}
+        self._reach_cache: dict[int, frozenset[int]] = {}
 
     def successors(self, block_id: int) -> list[int]:
         """Successor block ids in ascending order; callers must not mutate it."""

@@ -8,8 +8,7 @@ records every expression's value into a ConstEnv as it expands the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .nodes import (
     Assign,
@@ -35,8 +34,7 @@ from .nodes import (
 MODULE_SCOPE = "<module>"
 
 
-@dataclass(frozen=True)
-class ConstValue:
+class ConstValue(NamedTuple):
     """A statically resolved integer, or Unknown when value is None."""
 
     value: int | None

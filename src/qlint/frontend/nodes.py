@@ -7,11 +7,12 @@ of silently dropping program behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, TypeVar
 
 if TYPE_CHECKING:
     from .constprop import ConstEnv
+
+_R = TypeVar("_R", bound="Record")
 
 
 class SourceSpan(NamedTuple):
@@ -27,99 +28,151 @@ class SourceSpan(NamedTuple):
         return (self.file, self.line, self.column)
 
 
-@dataclass(kw_only=True)
-class Node:
-    span: SourceSpan
-    uid: int = -1
+class Record:
+    """Base of qlint's mutable records: field-wise `repr`, `==` and `_replace`.
+
+    A subclass names its own fields in `__slots__` and sets them in a
+    hand-written `__init__`; `_fields` collects them, base classes first.
+    The records are written out rather than made by `@dataclass`, so
+    importing qlint generates and compiles no code.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def __repr__(self) -> str:
+        """`Class(field=value, ...)` over `_fields`: the text `@dataclass` printed."""
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        """Same class and equal fields; like a dataclass, a record is unhashable."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def _replace(self: _R, **changes: Any) -> _R:
+        """A shallow copy with `changes` applied, like `dataclasses.replace`."""
+        new = object.__new__(type(self))
+        for name in self._fields:
+            setattr(new, name, changes.pop(name) if name in changes else getattr(self, name))
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(changes)}")
+        return new
+
+
+class Node(Record):
+    """A statement or expression: its span, and a uid unique within its tree."""
+
+    __slots__ = ("span", "uid")
 
 
 # --- expressions ---
 
 
-@dataclass
 class IntLit(Node):
-    value: int
+    __slots__ = ("value",)
+    def __init__(self, value: int, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value = span, uid, value
 
 
-@dataclass
 class FloatLit(Node):
-    value: float
+    __slots__ = ("value",)
+    def __init__(self, value: float, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value = span, uid, value
 
 
-@dataclass
 class StrLit(Node):
-    value: str
+    __slots__ = ("value",)
+    def __init__(self, value: str, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value = span, uid, value
 
 
-@dataclass
 class BoolLit(Node):
-    value: bool
+    __slots__ = ("value",)
+    def __init__(self, value: bool, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value = span, uid, value
 
 
-@dataclass
 class NoneLit(Node):
-    pass
+    __slots__ = ()
+    def __init__(self, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid = span, uid
 
 
-@dataclass
 class Name(Node):
-    ident: str
+    __slots__ = ("ident",)
+    def __init__(self, ident: str, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.ident = span, uid, ident
 
 
-@dataclass
 class Attribute(Node):
-    value: Expr
-    attr: str
+    __slots__ = ("value", "attr")
+    def __init__(self, value: Expr, attr: str, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value, self.attr = span, uid, value, attr
 
 
-@dataclass
 class Subscript(Node):
-    value: Expr
-    index: Expr
+    __slots__ = ("value", "index")
+    def __init__(self, value: Expr, index: Expr, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value, self.index = span, uid, value, index
 
 
-@dataclass
-class Keyword:
-    name: str | None  # None for **kwargs
-    value: Expr
+class Keyword(Record):
+    __slots__ = ("name", "value")
+    def __init__(self, name: str | None, value: Expr) -> None:
+        self.name = name  # None for **kwargs
+        self.value = value
 
 
-@dataclass
 class Call(Node):
-    func: Expr
-    args: list[Expr]
-    keywords: list[Keyword]
-    has_star_args: bool = False
+    __slots__ = ("func", "args", "keywords", "has_star_args")
+    def __init__(
+        self, func: Expr, args: list[Expr], keywords: list[Keyword], has_star_args: bool = False,
+        *, span: SourceSpan, uid: int = -1,
+    ) -> None:
+        self.span, self.uid, self.func, self.args = span, uid, func, args
+        self.keywords, self.has_star_args = keywords, has_star_args
 
 
-@dataclass
 class ListExpr(Node):
-    elements: list[Expr]
+    __slots__ = ("elements",)
+    def __init__(self, elements: list[Expr], *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.elements = span, uid, elements
 
 
-@dataclass
 class TupleExpr(Node):
-    elements: list[Expr]
+    __slots__ = ("elements",)
+    def __init__(self, elements: list[Expr], *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.elements = span, uid, elements
 
 
-@dataclass
 class BinOp(Node):
-    left: Expr
-    op: str
-    right: Expr
+    __slots__ = ("left", "op", "right")
+    def __init__(
+        self, left: Expr, op: str, right: Expr, *, span: SourceSpan, uid: int = -1
+    ) -> None:
+        self.span, self.uid, self.left, self.op, self.right = span, uid, left, op, right
 
 
-@dataclass
 class UnaryOp(Node):
-    op: str
-    operand: Expr
+    __slots__ = ("op", "operand")
+    def __init__(self, op: str, operand: Expr, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.op, self.operand = span, uid, op, operand
 
 
-@dataclass
 class OpaqueExpr(Node):
     """Expression outside the subset; keeps the names it mentions."""
 
-    names: frozenset[str] = frozenset()
+    __slots__ = ("names",)
+    def __init__(
+        self, names: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int = -1
+    ) -> None:
+        self.span, self.uid, self.names = span, uid, names
 
 
 Expr = (
@@ -143,76 +196,100 @@ Expr = (
 # --- statements ---
 
 
-@dataclass
 class Assign(Node):
-    targets: list[Expr]
-    value: Expr
+    __slots__ = ("targets", "value")
+    def __init__(
+        self, targets: list[Expr], value: Expr, *, span: SourceSpan, uid: int = -1
+    ) -> None:
+        self.span, self.uid, self.targets, self.value = span, uid, targets, value
 
 
-@dataclass
 class ExprStmt(Node):
-    value: Expr
+    __slots__ = ("value",)
+    def __init__(self, value: Expr, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value = span, uid, value
 
 
-@dataclass
 class ForRange(Node):
-    var: str
-    range_args: list[Expr]
-    body: list[Stmt]
+    __slots__ = ("var", "range_args", "body")
+    def __init__(
+        self, var: str, range_args: list[Expr], body: list[Stmt],
+        *, span: SourceSpan, uid: int = -1,
+    ) -> None:
+        self.span, self.uid, self.var = span, uid, var
+        self.range_args, self.body = range_args, body
 
 
-@dataclass
 class If(Node):
-    test: Expr
-    body: list[Stmt]
-    orelse: list[Stmt]
+    __slots__ = ("test", "body", "orelse")
+    def __init__(
+        self, test: Expr, body: list[Stmt], orelse: list[Stmt],
+        *, span: SourceSpan, uid: int = -1,
+    ) -> None:
+        self.span, self.uid, self.test = span, uid, test
+        self.body, self.orelse = body, orelse
 
 
-@dataclass
 class FunctionDef(Node):
-    name: str
-    params: list[str]
-    body: list[Stmt]
-    # Names the body calls `to_gate`, `to_instruction` or `assign_parameters` on.
-    method_receivers: frozenset[str] = frozenset()
+    __slots__ = ("name", "params", "body", "method_receivers")
+    def __init__(
+        self, name: str, params: list[str], body: list[Stmt],
+        method_receivers: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int = -1,
+    ) -> None:
+        self.span, self.uid, self.name, self.params, self.body = span, uid, name, params, body
+        # Names the body calls `to_gate`, `to_instruction` or `assign_parameters` on.
+        self.method_receivers = method_receivers
 
 
-@dataclass
 class Return(Node):
-    value: Expr | None
+    __slots__ = ("value",)
+    def __init__(self, value: Expr | None, *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.value = span, uid, value
 
 
-@dataclass
 class NoOp(Node):
     """Statement with no analysis effect (pass, import, break, continue)."""
 
-    kind: str = "pass"
+    __slots__ = ("kind",)
+    def __init__(self, kind: str = "pass", *, span: SourceSpan, uid: int = -1) -> None:
+        self.span, self.uid, self.kind = span, uid, kind
 
 
-@dataclass
 class Opaque(Node):
     """Statement outside the subset; keeps the names it mentions."""
 
-    names: frozenset[str] = frozenset()
-    label: str = "stmt"
+    __slots__ = ("names", "label")
+    def __init__(
+        self, names: frozenset[str] = frozenset(), label: str = "stmt",
+        *, span: SourceSpan, uid: int = -1,
+    ) -> None:
+        self.span, self.uid, self.names, self.label = span, uid, names, label
 
 
 Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | NoOp | Opaque
 
 
-@dataclass
-class ModuleAst:
+class ModuleAst(Record):
     """Parsed file: top-level statements plus bookkeeping set by unrolling."""
 
-    file: str
-    statements: list[Stmt]
-    last_uid: int = 0  # largest node uid; unrolling numbers its copies after it
-    non_unrollable: list[int] = field(default_factory=list)
-    constants: ConstEnv | None = None
-    # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
-    rebound_names: frozenset[str] = frozenset()
-    # Like FunctionDef.method_receivers, for the module's own statements.
-    method_receivers: frozenset[str] = frozenset()
+    __slots__ = ("file", "statements", "last_uid", "non_unrollable", "constants",
+                 "rebound_names", "method_receivers")
+
+    def __init__(
+        self, file: str, statements: list[Stmt], last_uid: int = 0,
+        non_unrollable: list[int] | None = None, constants: ConstEnv | None = None,
+        rebound_names: frozenset[str] = frozenset(),
+        method_receivers: frozenset[str] = frozenset(),
+    ) -> None:
+        self.file = file
+        self.statements = statements
+        self.last_uid = last_uid  # largest node uid; unrolling numbers its copies after it
+        self.non_unrollable = [] if non_unrollable is None else non_unrollable
+        self.constants = constants
+        # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
+        self.rebound_names = rebound_names
+        # Like FunctionDef.method_receivers, for the module's own statements.
+        self.method_receivers = method_receivers
 
 
 def expr_names(expr: Expr) -> set[str]:

@@ -132,8 +132,8 @@ class _Builder:
     def _function_def(self, node: ast.FunctionDef, span: SourceSpan) -> Stmt:
         a = node.args
         params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
-        for outer in [a, *node.decorator_list]:
-            self._names(outer)  # note walrus targets of defaults and decorators
+        for outer in filter(None, [a, node.returns, *node.decorator_list]):
+            self._names(outer)  # note walrus targets of defaults, annotations and decorators
         outer_receivers, self.method_receivers = self.method_receivers, set()
         body = self.stmts(node.body)
         receivers, self.method_receivers = frozenset(self.method_receivers), outer_receivers
@@ -181,9 +181,10 @@ class _Builder:
         return Subscript(self.expr(node.value), self.expr(node.slice), span=span)
 
     def _call(self, node: ast.Call, span: SourceSpan) -> Expr:
-        star = any(isinstance(a, ast.Starred) for a in node.args) or any(
-            k.arg is None for k in node.keywords
-        )
+        unpacked = [a for a in node.args if isinstance(a, ast.Starred)]
+        unpacked += [k.value for k in node.keywords if k.arg is None]
+        for value in unpacked:
+            self._names(value)  # dropped from the call, but may hold a walrus
         args = [self.expr(a) for a in node.args if not isinstance(a, ast.Starred)]
         keywords = [
             Keyword(k.arg, self.expr(k.value)) for k in node.keywords if k.arg is not None
@@ -192,7 +193,7 @@ class _Builder:
         if isinstance(f, ast.Attribute) and f.attr in _CIRCUIT_METHOD_MARKERS:
             if isinstance(f.value, ast.Name):
                 self.method_receivers.add(f.value.id)
-        return Call(self.expr(node.func), args, keywords, star, span=span)
+        return Call(self.expr(node.func), args, keywords, bool(unpacked), span=span)
 
     def _list(self, node: ast.List, span: SourceSpan) -> Expr:
         return ListExpr([self.expr(e) for e in node.elts], span=span)
@@ -277,6 +278,8 @@ def parse_file(source: str, file: str) -> ModuleAst:
         tree = ast.parse(source, filename=file)
     except SyntaxError as exc:
         raise ParseError(file, exc.lineno or 1, exc.msg or "invalid syntax") from exc
+    except ValueError as exc:  # Python 3.10 rejects a NUL byte this way
+        raise ParseError(file, 1, str(exc)) from exc
     builder = _Builder(file)
     statements = builder.stmts(tree.body)
     return ModuleAst(

@@ -10,7 +10,6 @@ expression in the result is recorded in a ConstEnv.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import count
 from operator import is_
 
@@ -66,8 +65,7 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
         raise ValueError("max_iterations must be >= 1")
     unroller = _Unroller(max_iterations, tree.rebound_names, tree.last_uid)
     statements = unroller.walk(tree.statements, {}, fresh=False)
-    return replace(
-        tree,
+    return tree._replace(
         statements=statements,
         last_uid=next(unroller.uids) - 1,
         non_unrollable=unroller.non_unrollable,
@@ -143,10 +141,10 @@ class _Unroller:
             self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
             body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params}, fresh)
             if fresh or body is not stmt.body:
-                node = replace(stmt, params=list(stmt.params), body=body)
+                node = stmt._replace(params=list(stmt.params), body=body)
         else:
             if fresh:
-                node = replace(stmt)  # NoOp or Opaque: no expressions to evaluate
+                node = stmt._replace()  # NoOp or Opaque: no expressions to evaluate
             if isinstance(stmt, Opaque):
                 for name in stmt.names:
                     if name in env:
@@ -201,7 +199,7 @@ class _Unroller:
         elif isinstance(expr, UnaryOp):
             node = UnaryOp(expr.op, self._copy(expr.operand), span=expr.span)
         else:
-            node = replace(expr)
+            node = expr._replace()
         node.uid = next(self.uids)
         return node
 

@@ -8,7 +8,6 @@ are related in both orders because the loop may iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
@@ -52,19 +51,20 @@ def build_flow(ir: QuantumIR, cfg: Cfg) -> "FlowRelation":
     return FlowRelation(ir, cfg, timelines, blockers, frozenset(tainted))
 
 
-@dataclass
 class FlowRelation:
     """Ordering facts over one file's operator events."""
 
-    ir: QuantumIR
-    cfg: Cfg
-    timelines: dict[QubitKey, list[str]]
-    unknown_blockers: dict[str, list[str]]
-    unknown_taint: frozenset[str]
-    _events: dict[str, OperatorEvent] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._events = {e.id: e for e in self.ir.events}
+    def __init__(
+        self,
+        ir: QuantumIR,
+        cfg: Cfg,
+        timelines: dict[QubitKey, list[str]],
+        unknown_blockers: dict[str, list[str]],
+        unknown_taint: frozenset[str],
+    ) -> None:
+        self.ir, self.cfg, self.timelines = ir, cfg, timelines
+        self.unknown_blockers, self.unknown_taint = unknown_blockers, unknown_taint
+        self._events = {e.id: e for e in ir.events}
 
     def event(self, event_id: str) -> OperatorEvent:
         return self._events[event_id]

@@ -8,7 +8,7 @@ explicit unknown operator so later analyses can stay on the safe side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..frontend.cfg import Cfg
 from ..frontend.constprop import (
@@ -61,8 +61,7 @@ from .model import (
 _REGISTER_CONSTRUCTORS = {"QuantumRegister": "quantum", "ClassicalRegister": "classical"}
 
 
-@dataclass
-class _Binding:
+class _Binding(NamedTuple):
     kind: str  # "register" | "circuit" | "circuit_gate" | "instruction" | "other"
     ids: tuple[str, ...] = ()
     event: OperatorEvent | None = None
@@ -82,20 +81,30 @@ def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
     return _OTHER
 
 
-@dataclass
 class _FuncInfo:
-    name: str
-    returns_circuit: bool = False
-    global_method_receivers: set[str] = field(default_factory=set)
+    __slots__ = ("name", "returns_circuit", "global_method_receivers")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.returns_circuit = False
+        self.global_method_receivers: set[str] = set()
 
 
-@dataclass
 class _Scope:
-    name: str
-    vars: dict[str, _Binding] = field(default_factory=dict)
-    funcs: dict[str, _FuncInfo] = field(default_factory=dict)
-    method_receivers: frozenset[str] = frozenset()
-    func_info: _FuncInfo | None = None
+    __slots__ = ("name", "vars", "funcs", "method_receivers", "func_info")
+
+    def __init__(
+        self,
+        name: str,
+        vars: dict[str, _Binding] | None = None,
+        funcs: dict[str, _FuncInfo] | None = None,
+        method_receivers: frozenset[str] = frozenset(),
+        func_info: _FuncInfo | None = None,
+    ) -> None:
+        self.name = name
+        self.vars = {} if vars is None else vars
+        self.funcs = {} if funcs is None else funcs
+        self.method_receivers, self.func_info = method_receivers, func_info
 
 
 def extract(
@@ -330,8 +339,7 @@ class _Extractor:
             if receiver.kind == "circuit":
                 return self._circuit_method(receiver, method, call, scope, bare)
             if receiver.kind == "instruction" and method == "c_if":
-                for arg in call.args:
-                    self._eval(arg, scope)
+                self._eval_args(call, scope)
                 if receiver.event is not None:
                     receiver.event.is_conditional = True
                 return _OTHER

@@ -6,10 +6,10 @@ extended or overridden without touching code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 GATE_CATEGORIES = frozenset(
     {
@@ -24,8 +24,7 @@ GATE_CATEGORIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(NamedTuple):
     method_name: str
     category: str
     qubit_args: tuple[int, ...]
@@ -33,8 +32,7 @@ class GateSpec:
     param_args: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GateTable:
+class GateTable(NamedTuple):
     gates: dict[str, GateSpec]
     builtin_circuits: frozenset[str]
 

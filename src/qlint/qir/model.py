@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..frontend.constprop import UNKNOWN, ConstValue
-from ..frontend.nodes import SourceSpan
+from ..frontend.nodes import Record, SourceSpan
 
 
 class CircuitKind(enum.Enum):
@@ -34,8 +34,7 @@ class UnknownCause(enum.Enum):
     GLOBAL_CIRCUIT_MUTATION = "global_circuit_mutation"
 
 
-@dataclass(frozen=True)
-class QubitRef:
+class QubitRef(NamedTuple):
     """A qubit (or classical bit) operand: resolved (register, index) or unknown."""
 
     register: str | None
@@ -49,61 +48,61 @@ class QubitRef:
 UNRESOLVED_BIT = QubitRef(None, None)
 
 
-@dataclass
-class RegisterDecl:
-    id: str
-    kind: str  # "quantum" | "classical"
-    size: ConstValue
-    span: SourceSpan
-    name: str | None = None
-    owner_circuits: set[str] = field(default_factory=set)
+class RegisterDecl(Record):
+    __slots__ = ("id", "kind", "size", "span", "name", "owner_circuits")
+
+    def __init__(
+        self, id: str, kind: str, size: ConstValue, span: SourceSpan, name: str | None = None
+    ) -> None:
+        self.id, self.size, self.span, self.name = id, size, span, name
+        self.kind = kind  # "quantum" | "classical"
+        self.owner_circuits: set[str] = set()
 
     def display_name(self) -> str:
         return self.name if self.name is not None else self.id
 
 
-@dataclass
-class CircuitDecl:
-    id: str
-    kind: CircuitKind
-    span: SourceSpan
-    scope: str
-    name: str | None = None
-    num_qubits: ConstValue = UNKNOWN
-    num_clbits: ConstValue = UNKNOWN
-    quantum_registers: list[str] = field(default_factory=list)
-    classical_registers: list[str] = field(default_factory=list)
-    transpile_opt_level: ConstValue = UNKNOWN
-    subcircuit_flags: set[str] = field(default_factory=set)
+class CircuitDecl(Record):
+    __slots__ = ("id", "kind", "span", "scope", "name", "num_qubits", "num_clbits",
+                 "quantum_registers", "classical_registers", "transpile_opt_level",
+                 "subcircuit_flags")
+
+    def __init__(
+        self, id: str, kind: CircuitKind, span: SourceSpan, scope: str, name: str | None = None
+    ) -> None:
+        self.id, self.kind, self.span, self.scope, self.name = id, kind, span, scope, name
+        self.num_qubits = self.num_clbits = self.transpile_opt_level = UNKNOWN
+        self.quantum_registers: list[str] = []
+        self.classical_registers: list[str] = []
+        self.subcircuit_flags: set[str] = set()
 
 
-@dataclass
-class CompositionEdge:
+class CompositionEdge(NamedTuple):
     parent: str
     child: str
     mechanism: str  # "append" | "compose"
     span: SourceSpan
 
 
-@dataclass
-class OperatorEvent:
-    id: str
-    circuit: str | None
-    kind: EventKind
-    seq: int
-    block: int
-    scope: str
-    span: SourceSpan
-    gate_name: str | None = None
-    is_conditional: bool = False
-    creates_new_register: bool = False
-    unknown_cause: UnknownCause | None = None
-    qubits: list[QubitRef] = field(default_factory=list)
-    clbits: list[QubitRef] = field(default_factory=list)
+class OperatorEvent(Record):
+    __slots__ = ("id", "circuit", "kind", "seq", "block", "scope", "span", "gate_name",
+                 "is_conditional", "creates_new_register", "unknown_cause", "qubits", "clbits")
+
+    def __init__(
+        self, id: str, circuit: str | None, kind: EventKind, seq: int, block: int, scope: str,
+        span: SourceSpan, gate_name: str | None = None, creates_new_register: bool = False,
+        unknown_cause: UnknownCause | None = None, qubits: list[QubitRef] | None = None,
+        clbits: list[QubitRef] | None = None,
+    ) -> None:
+        self.id, self.circuit, self.kind, self.seq, self.block = id, circuit, kind, seq, block
+        self.scope, self.span, self.gate_name = scope, span, gate_name
+        self.is_conditional = False  # set when a `.c_if(...)` follows
+        self.creates_new_register, self.unknown_cause = creates_new_register, unknown_cause
+        self.qubits = [] if qubits is None else qubits
+        self.clbits = [] if clbits is None else clbits
 
 
-@dataclass
-class ComposeCall:
+class ComposeCall(NamedTuple):
     """One compose() call site, with how its result is consumed."""
 
     circuit: str
@@ -112,25 +111,27 @@ class ComposeCall:
     inplace_true: bool
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """Extraction-level oddity (for example an out-of-range register index)."""
 
     message: str
     span: SourceSpan
 
 
-@dataclass
-class QuantumIR:
+class QuantumIR(Record):
     """Everything extracted from one file."""
 
-    file: str
-    registers: dict[str, RegisterDecl] = field(default_factory=dict)
-    circuits: dict[str, CircuitDecl] = field(default_factory=dict)
-    events: list[OperatorEvent] = field(default_factory=list)
-    edges: list[CompositionEdge] = field(default_factory=list)
-    compose_calls: list[ComposeCall] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("file", "registers", "circuits", "events", "edges", "compose_calls",
+                 "diagnostics")
+
+    def __init__(self, file: str) -> None:
+        self.file = file
+        self.registers: dict[str, RegisterDecl] = {}
+        self.circuits: dict[str, CircuitDecl] = {}
+        self.events: list[OperatorEvent] = []
+        self.edges: list[CompositionEdge] = []
+        self.compose_calls: list[ComposeCall] = []
+        self.diagnostics: list[Diagnostic] = []
 
     def events_of(self, circuit_id: str) -> list[OperatorEvent]:
         return [e for e in self.events if e.circuit == circuit_id]

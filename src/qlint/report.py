@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analyses import RULE_IDS, RULES, Warning
+from .frontend.nodes import Record
 
 TOOL_NAME = "qlint"
 TOOL_VERSION = "0.1.0"
@@ -16,22 +17,23 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 STYLES = ("text", "json", "sarif")
 
 
-@dataclass(frozen=True)
-class SkippedFile:
+class SkippedFile(NamedTuple):
     file: str
     line: int
     message: str
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Merged result of analyzing a set of files."""
 
-    files_analyzed: list[str] = field(default_factory=list)
-    files_skipped: list[SkippedFile] = field(default_factory=list)
-    warnings: list[Warning] = field(default_factory=list)
-    tool_name: str = TOOL_NAME
-    tool_version: str = TOOL_VERSION
+    __slots__ = ("files_analyzed", "files_skipped", "warnings", "tool_name", "tool_version")
+
+    def __init__(
+        self, files_analyzed: list[str], files_skipped: list[SkippedFile], warnings: list[Warning]
+    ) -> None:
+        self.files_analyzed, self.files_skipped = files_analyzed, files_skipped
+        self.warnings = warnings
+        self.tool_name, self.tool_version = TOOL_NAME, TOOL_VERSION
 
     def counts(self) -> dict[str, int]:
         """Warnings per rule id, always covering every rule."""

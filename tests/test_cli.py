@@ -102,6 +102,21 @@ class TestExitCodes:
         assert (code, out.replace(str(bom), plain), err) == expected
         assert expected[0] == 1
 
+    def test_nul_byte_file_is_skipped_and_does_not_hide_other_files(self, capsys, tmp_path):
+        nul = tmp_path / "nul.py"
+        nul.write_bytes(b"x = 1\n\0\n")
+        bug = tmp_path / "two_bugs.py"
+        bug.write_text(sample_source("two_bugs"), "utf-8")
+        _, alone, _ = _run(capsys, "check", str(bug), "--profile", "all")
+        code, out, err = _run(capsys, "check", str(tmp_path), "--profile", "all")
+        assert (code, out) == (1, alone)
+        assert [line.split()[1] for line in out.splitlines()] == [
+            "oversized-circuit",
+            "op-after-meas",
+        ]
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"qlint: skipped {nul}: syntax error at line 1: ")
+
     def test_long_elif_chain_does_not_hide_other_files(self, capsys, tmp_path):
         chain = elif_chain(1000)
         if not parses_in_this_python(chain):

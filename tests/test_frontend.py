@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import fields
 
 import pytest
 from conftest import elif_chain, parses_in_this_python, sample_source
@@ -60,9 +59,9 @@ def _all_nodes(value):
         yield from _all_nodes(value.value)
     elif isinstance(value, Node):
         yield value
-        for f in fields(value):
-            if f.name != "span":
-                yield from _all_nodes(getattr(value, f.name))
+        for name in value._fields:
+            if name != "span":
+                yield from _all_nodes(getattr(value, name))
 
 
 def _resolved_calls(tree, env):

@@ -200,6 +200,29 @@ class TestOversizedCircuit:
         source = "sub = make_block()\n" + use + "qc = QuantumCircuit(2)\nqc.append(sub, [0, 1])\n"
         assert _lines_of(source, "oversized-circuit") == []
 
+    @pytest.mark.parametrize(
+        "rebind",
+        ["f((n := 5))\n", "f(*(n := [5]))\n", "f(**(n := {}))\n", "def g() -> (n := 5):\n    pass\n"],
+    )
+    def test_walrus_anywhere_in_a_call_or_def_forgets_the_size(self, rebind):
+        # `n` is no longer 2 once the line ran, so the circuit's size is unknown.
+        source = (
+            "n = 2\n" + rebind + "qr = QuantumRegister(n)\nqc = QuantumCircuit(qr)\nqc.h(qr[0])\n"
+        )
+        assert _rules_fired(source) == []
+
+    @pytest.mark.parametrize("condition", ["cr, fn(qc)", "cr, val=fn(qc)"])
+    def test_circuit_passed_into_c_if_is_an_unknown_operator(self, condition):
+        source = (
+            "cr = ClassicalRegister(1)\n"
+            "qr = QuantumRegister(2)\n"
+            "qc = QuantumCircuit(qr, cr)\n"
+            "qc.h(0)\n"
+            "qc.measure(0, 0)\n"
+            f"qc.x(0).c_if({condition})\n"
+        )
+        assert _lines_of(source, "oversized-circuit") == []
+
     @pytest.mark.xfail(
         strict=True,
         reason="open in ROADMAP.md: a kept loop's body is walked once, without a loop join",
