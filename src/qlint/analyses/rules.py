@@ -6,7 +6,8 @@ from typing import NamedTuple
 
 from ..frontend.nodes import SourceSpan
 from ..qflow import FlowRelation, QubitKey
-from ..qir.model import CircuitDecl, CircuitKind, EventKind, QuantumIR
+from ..qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QuantumIR
+from ..qir.model import QubitRef, register_offsets
 
 
 class Warning(NamedTuple):
@@ -23,6 +24,13 @@ class Warning(NamedTuple):
 def _qubit_label(ir: QuantumIR, key: QubitKey) -> str:
     register = ir.registers[key[1]]
     return f"{register.display_name()}[{key[2]}]"
+
+
+def _subcircuits(ir: QuantumIR) -> set[str]:
+    """Children of append/compose edges, and circuits flagged as likely subcircuits."""
+    out = {edge.child for edge in ir.edges}
+    out.update(c.id for c in ir.circuits.values() if c.subcircuit_flags)
+    return out
 
 
 def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
@@ -94,6 +102,7 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     # Circuits derived from others (copies, transpiled or externally built
     # ones) may already contain measurements we cannot see.
     visible_kinds = (CircuitKind.CONSTRUCTOR, CircuitKind.BUILTIN_PARAMETRIZED)
+    composed = _subcircuits(ir).union(edge.parent for edge in ir.edges)
     first_measurement: dict[str | None, int] = {}
     for e in ir.events:
         if e.kind in measure_kinds:
@@ -102,7 +111,7 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if event.kind is not EventKind.GATE or not event.is_conditional:
             continue
         circuit_id = event.circuit
-        if circuit_id is None or ir.in_any_composition(circuit_id):
+        if circuit_id is None or circuit_id in composed:
             continue
         if ir.circuits[circuit_id].kind not in visible_kinds:
             continue
@@ -164,35 +173,23 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     return out
 
 
-def _measured_qubit_demand(ir: QuantumIR, circuit: CircuitDecl) -> int | None:
-    """Distinct qubits the circuit measures, or None when nothing is measured."""
-    measured: set[tuple[str, int]] = set()
+def _measured_qubit_demand(circuit: CircuitDecl, events: list[OperatorEvent]) -> int | None:
+    """Distinct qubits the circuit's events measure, or None when nothing is measured."""
+    measured: set[QubitRef] = set()
     saw_measurement = False
-    for event in ir.events_of(circuit.id):
-        if event.kind is EventKind.MEASUREMENT:
+    for event in events:
+        if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.num_qubits.value:
+            return circuit.num_qubits.value  # every qubit of a layout it could not resolve
+        if event.kind is EventKind.MEASUREMENT or event.kind is EventKind.MEASURE_ALL:
             saw_measurement = True
-            for ref in event.qubits:
-                if ref.is_resolved:
-                    assert ref.register is not None and ref.index is not None
-                    measured.add((ref.register, ref.index))
-        elif event.kind is EventKind.MEASURE_ALL:
-            saw_measurement = True
-            if event.qubits:
-                measured.update(
-                    (r.register, r.index)
-                    for r in event.qubits
-                    if r.is_resolved and r.register is not None and r.index is not None
-                )
-            elif circuit.num_qubits.is_known and circuit.num_qubits.value:
-                return circuit.num_qubits.value
-    if not saw_measurement:
-        return None
-    return len(measured)
+            measured.update(ref for ref in event.qubits if ref.is_resolved)
+    return len(measured) if saw_measurement else None
 
 
 def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """The classical register cannot hold results for the qubits measured."""
     out = []
+    subcircuits = _subcircuits(ir)
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
@@ -202,9 +199,9 @@ def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         assert nq.value is not None and nc.value is not None
         if nq.value <= nc.value:
             continue
-        if ir.is_subcircuit(circuit.id):
+        if circuit.id in subcircuits:
             continue
-        demand = _measured_qubit_demand(ir, circuit)
+        demand = _measured_qubit_demand(circuit, flow.events_by_circuit.get(circuit.id, []))
         if demand is None:
             demand = nq.value
         if demand > nc.value:
@@ -222,35 +219,26 @@ def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Some qubit slot of the circuit is never used by any operator."""
-    from ..qir.model import absolute_index
-
     out = []
+    parents = {edge.parent for edge in ir.edges}
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
-        nq = circuit.num_qubits
-        if not nq.is_known or not nq.value:
+        nq = circuit.num_qubits  # known only when every register size is
+        if not nq.value:
             continue
-        if any(
-            not ir.registers[reg_id].size.is_known
-            for reg_id in circuit.quantum_registers
-        ):
+        events = flow.events_by_circuit.get(circuit.id, [])
+        if any(e.kind is EventKind.UNKNOWN or e.kind is EventKind.INITIALIZE for e in events):
             continue
-        events = ir.events_of(circuit.id)
-        if any(e.kind is EventKind.UNKNOWN for e in events):
+        if circuit.id in parents:
             continue
-        if any(e.kind is EventKind.INITIALIZE for e in events):
-            continue
-        if ir.is_composition_parent(circuit.id):
-            continue
+        offsets = register_offsets(ir, circuit)
         touched: set[int] = set()
         for event in events:
             for ref in event.qubits:
-                if not ref.is_resolved or ref.register not in circuit.quantum_registers:
-                    continue
-                position = absolute_index(ir, circuit.id, ref)
-                if position.is_known and position.value is not None:
-                    touched.add(position.value)
+                offset = offsets.get(ref.register)  # None: unresolved, or not this circuit's
+                if offset is not None and ref.index is not None:
+                    touched.add(offset + ref.index)
         unused = sorted(set(range(nq.value)) - touched)
         if unused:
             listing = ", ".join(str(i) for i in unused)

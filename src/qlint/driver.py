@@ -77,6 +77,8 @@ def analyze_pipeline(source: str, path: str, config: Config | None = None) -> Pi
 
 def suppress(warnings: list[Warning], source: str) -> list[Warning]:
     """Drop warnings whose line carries a matching trailing ignore comment."""
+    if not warnings or "qlint" not in source:
+        return warnings  # no line can carry the comment
     lines = source_lines(source)
     kept = []
     for warning in warnings:

@@ -88,27 +88,9 @@ def _eval(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
         return UNKNOWN
     if isinstance(expr, BinOp):
         left = eval_expr(expr.left, env, record)
-        right = eval_expr(expr.right, env, record)
-        if not (left.is_known and right.is_known):
-            return UNKNOWN
-        assert left.value is not None and right.value is not None
-        if expr.op == "+":
-            return known(left.value + right.value)
-        if expr.op == "-":
-            return known(left.value - right.value)
-        if expr.op == "*":
-            return known(left.value * right.value)
-        if expr.op == "//":
-            if right.value == 0:
-                return UNKNOWN
-            return known(left.value // right.value)
-        return UNKNOWN
+        return binop_value(expr.op, left, eval_expr(expr.right, env, record))
     if isinstance(expr, UnaryOp):
-        operand = eval_expr(expr.operand, env, record)
-        if expr.op == "-" and operand.is_known:
-            assert operand.value is not None
-            return known(-operand.value)
-        return UNKNOWN
+        return unary_value(expr.op, eval_expr(expr.operand, env, record))
     if isinstance(expr, (ListExpr, TupleExpr)):
         for e in expr.elements:
             eval_expr(e, env, record)
@@ -116,6 +98,29 @@ def _eval(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
     if isinstance(expr, OpaqueExpr):
         record.forget_rebound(env)
     # Everything else (strings, floats, bools, opaque expressions) is not an int.
+    return UNKNOWN
+
+
+def binop_value(op: str, left: ConstValue, right: ConstValue) -> ConstValue:
+    """`left op right` for +, -, * and //; Unknown for any other operator or operand."""
+    a, b = left.value, right.value
+    if a is None or b is None:
+        return UNKNOWN
+    if op == "+":
+        return known(a + b)
+    if op == "-":
+        return known(a - b)
+    if op == "*":
+        return known(a * b)
+    if op == "//" and b != 0:
+        return known(a // b)
+    return UNKNOWN
+
+
+def unary_value(op: str, operand: ConstValue) -> ConstValue:
+    """`op operand` for negation; Unknown otherwise."""
+    if op == "-" and operand.value is not None:
+        return known(-operand.value)
     return UNKNOWN
 
 
@@ -219,12 +224,8 @@ class ConstEnv:
         # such as assignment targets.
         if isinstance(expr, IntLit):
             return known(expr.value)
-        if (
-            isinstance(expr, UnaryOp)
-            and expr.op == "-"
-            and isinstance(expr.operand, IntLit)
-        ):
-            return known(-expr.operand.value)
+        if isinstance(expr, UnaryOp) and isinstance(expr.operand, IntLit):
+            return unary_value(expr.op, known(expr.operand.value))
         return UNKNOWN
 
 

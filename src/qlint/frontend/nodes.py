@@ -125,7 +125,7 @@ class Subscript(Node):
 class Keyword(Record):
     __slots__ = ("name", "value")
     def __init__(self, name: str | None, value: Expr) -> None:
-        self.name = name  # None for **kwargs
+        self.name = name  # None for an unpacked `*args` or `**kwargs` value
         self.value = value
 
 

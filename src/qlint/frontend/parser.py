@@ -181,19 +181,18 @@ class _Builder:
         return Subscript(self.expr(node.value), self.expr(node.slice), span=span)
 
     def _call(self, node: ast.Call, span: SourceSpan) -> Expr:
-        unpacked = [a for a in node.args if isinstance(a, ast.Starred)]
-        unpacked += [k.value for k in node.keywords if k.arg is None]
-        for value in unpacked:
-            self._names(value)  # dropped from the call, but may hold a walrus
         args = [self.expr(a) for a in node.args if not isinstance(a, ast.Starred)]
+        # An unpacked `*` or `**` value becomes a keyword without a name.
         keywords = [
-            Keyword(k.arg, self.expr(k.value)) for k in node.keywords if k.arg is not None
+            Keyword(None, self.expr(a.value)) for a in node.args if isinstance(a, ast.Starred)
         ]
+        has_star_args = bool(keywords) or any(k.arg is None for k in node.keywords)
+        keywords += [Keyword(k.arg, self.expr(k.value)) for k in node.keywords]
         f = node.func
         if isinstance(f, ast.Attribute) and f.attr in _CIRCUIT_METHOD_MARKERS:
             if isinstance(f.value, ast.Name):
                 self.method_receivers.add(f.value.id)
-        return Call(self.expr(node.func), args, keywords, bool(unpacked), span=span)
+        return Call(self.expr(node.func), args, keywords, has_star_args, span=span)
 
     def _list(self, node: ast.List, span: SourceSpan) -> Expr:
         return ListExpr([self.expr(e) for e in node.elts], span=span)

@@ -3,9 +3,10 @@
 A loop is expanded only when its trip count is statically known and small;
 every other loop is kept intact and flagged, so downstream stages treat its
 body conservatively. The same walk propagates integer constants: an unrolled
-iteration binds the loop variable to its value and walks a fresh copy of the
-body, every other node is walked once as parsed, and the value of every
-expression in the result is recorded in a ConstEnv.
+iteration binds the loop variable to its value and copies the body,
+evaluating each expression as its copy is built; every other node is walked
+once as parsed. The value of every expression in the result is recorded in a
+ConstEnv.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from .constprop import (
     ConstEnv,
     ConstValue,
     UNKNOWN,
+    binop_value,
     collect_assigned_names,
     eval_expr,
     join_envs,
     known,
     range_values,
     tuple_assign_pairs,
+    unary_value,
 )
 from .nodes import (
     Assign,
@@ -41,6 +44,7 @@ from .nodes import (
     Name,
     NoOp,
     Opaque,
+    OpaqueExpr,
     Return,
     Stmt,
     Subscript,
@@ -78,6 +82,7 @@ class _Unroller:
         self.max_iterations = max_iterations
         self.non_unrollable: list[int] = []
         self.constants = ConstEnv(rebound_names)
+        self.values = self.constants._values  # filled as copies are evaluated
         self.uids = count(last_uid + 1)
 
     def walk(self, stmts: list[Stmt], env: dict[str, ConstValue], fresh: bool) -> list[Stmt]:
@@ -117,9 +122,9 @@ class _Unroller:
         span = stmt.span
         node: Stmt = stmt
         if isinstance(stmt, Assign):
+            value = self._value(stmt.value, env, fresh)
             if fresh:
-                targets = [self._copy(t) for t in stmt.targets]
-                node = Assign(targets, self._copy(stmt.value), span=span)
+                node = Assign([self._copy(t, None) for t in stmt.targets], value, span=span)
             self._assign(node, env)
             if not all(isinstance(t, Name) for t in stmt.targets):  # may hold a walrus
                 self.constants.forget_rebound(env)
@@ -154,13 +159,14 @@ class _Unroller:
         return node
 
     def _assign(self, stmt: Assign, env: dict[str, ConstValue]) -> None:
+        """Bind the targets of `stmt`, whose value is already evaluated."""
+        resolve = self.constants.resolve
         pairs = tuple_assign_pairs(stmt)
         if pairs is not None:
             # The whole right side evaluates before any name is rebound.
-            values = [eval_expr(v, env, self.constants) for _, v in pairs]
-            env.update(zip([name for name, _ in pairs], values))
+            env.update([(name, resolve(v)) for name, v in pairs])
             return
-        value = eval_expr(stmt.value, env, self.constants)
+        value = resolve(stmt.value)
         for target in stmt.targets:
             if isinstance(target, Name):
                 env[target.ident] = value
@@ -170,37 +176,53 @@ class _Unroller:
 
     def _value(self, expr: Expr, env: dict[str, ConstValue], fresh: bool) -> Expr:
         """`expr`, or its copy if `fresh`, evaluated with its values recorded."""
-        node = self._copy(expr) if fresh else expr
-        eval_expr(node, env, self.constants)
-        return node
+        if fresh:
+            return self._copy(expr, env)
+        eval_expr(expr, env, self.constants)
+        return expr
 
-    def _copy(self, expr: Expr) -> Expr:
+    def _copy(self, expr: Expr, env: dict[str, ConstValue] | None) -> Expr:
+        """A copy of `expr` with new uids, evaluated as it is built unless `env` is None:
+        as by eval_expr and in its order, with every copied subterm's value recorded."""
         node: Expr
+        value = UNKNOWN
         if isinstance(expr, Name):
             node = Name(expr.ident, span=expr.span)
+            if env is not None:
+                value = env.get(expr.ident, UNKNOWN)
         elif isinstance(expr, IntLit):
             node = IntLit(expr.value, span=expr.span)
-        elif isinstance(expr, Attribute):
-            node = Attribute(self._copy(expr.value), expr.attr, span=expr.span)
-        elif isinstance(expr, Subscript):
-            node = Subscript(self._copy(expr.value), self._copy(expr.index), span=expr.span)
+            value = known(expr.value)
         elif isinstance(expr, Call):
-            node = Call(
-                self._copy(expr.func),
-                [self._copy(a) for a in expr.args],
-                [Keyword(k.name, self._copy(k.value)) for k in expr.keywords],
-                expr.has_star_args,
-                span=expr.span,
-            )
+            args = [self._copy(a, env) for a in expr.args]
+            keywords = [Keyword(k.name, self._copy(k.value, env)) for k in expr.keywords]
+            func = self._copy(expr.func, env)
+            node = Call(func, args, keywords, expr.has_star_args, span=expr.span)
+            if env is not None:
+                self.constants.forget_rebound(env)
+        elif isinstance(expr, Attribute):
+            node = Attribute(self._copy(expr.value, env), expr.attr, span=expr.span)
+        elif isinstance(expr, Subscript):
+            node = Subscript(self._copy(expr.value, env), self._copy(expr.index, env),
+                             span=expr.span)
         elif isinstance(expr, (ListExpr, TupleExpr)):
-            node = type(expr)([self._copy(e) for e in expr.elements], span=expr.span)
+            node = type(expr)([self._copy(e, env) for e in expr.elements], span=expr.span)
         elif isinstance(expr, BinOp):
-            node = BinOp(self._copy(expr.left), expr.op, self._copy(expr.right), span=expr.span)
+            left, right = self._copy(expr.left, env), self._copy(expr.right, env)
+            node = BinOp(left, expr.op, right, span=expr.span)
+            value = binop_value(expr.op, self.values.get(left.uid, UNKNOWN),
+                                self.values.get(right.uid, UNKNOWN))
         elif isinstance(expr, UnaryOp):
-            node = UnaryOp(expr.op, self._copy(expr.operand), span=expr.span)
+            operand = self._copy(expr.operand, env)
+            node = UnaryOp(expr.op, operand, span=expr.span)
+            value = unary_value(expr.op, self.values.get(operand.uid, UNKNOWN))
         else:
             node = expr._replace()
+            if env is not None and isinstance(expr, OpaqueExpr):
+                self.constants.forget_rebound(env)
         node.uid = next(self.uids)
+        if env is not None:
+            self.values[node.uid] = value
         return node
 
 

@@ -30,17 +30,20 @@ _TIMELINE_KINDS = frozenset(
 
 
 def build_flow(ir: QuantumIR, cfg: Cfg) -> "FlowRelation":
-    """Derive the flow relation for one file's IR."""
+    """Derive the flow relation for one file's IR, in one pass over its events."""
+    events: dict[str, OperatorEvent] = {}
+    by_circuit: dict[str, list[OperatorEvent]] = {}
     timelines: dict[QubitKey, list[str]] = {}
     blockers: dict[str, list[str]] = {}
-    tainted: set[str] = set()
     for event in ir.events:
-        if event.kind is EventKind.UNKNOWN:
-            if event.circuit is not None:
-                tainted.add(event.circuit)
-                blockers.setdefault(event.circuit, []).append(event.id)
+        events[event.id] = event
+        if event.circuit is None:
             continue
-        if event.kind not in _TIMELINE_KINDS or event.circuit is None:
+        by_circuit.setdefault(event.circuit, []).append(event)
+        if event.kind is EventKind.UNKNOWN:
+            blockers.setdefault(event.circuit, []).append(event.id)
+            continue
+        if event.kind not in _TIMELINE_KINDS:
             continue
         for ref in event.qubits:
             if not ref.is_resolved:
@@ -48,23 +51,25 @@ def build_flow(ir: QuantumIR, cfg: Cfg) -> "FlowRelation":
             assert ref.register is not None and ref.index is not None
             key = (event.circuit, ref.register, ref.index)
             timelines.setdefault(key, []).append(event.id)
-    return FlowRelation(ir, cfg, timelines, blockers, frozenset(tainted))
+    return FlowRelation(ir, cfg, events, by_circuit, timelines, blockers)
 
 
 class FlowRelation:
-    """Ordering facts over one file's operator events."""
+    """Ordering facts over one file's operator events, and each circuit's events."""
 
     def __init__(
         self,
         ir: QuantumIR,
         cfg: Cfg,
+        events: dict[str, OperatorEvent],
+        events_by_circuit: dict[str, list[OperatorEvent]],
         timelines: dict[QubitKey, list[str]],
         unknown_blockers: dict[str, list[str]],
-        unknown_taint: frozenset[str],
     ) -> None:
         self.ir, self.cfg, self.timelines = ir, cfg, timelines
-        self.unknown_blockers, self.unknown_taint = unknown_blockers, unknown_taint
-        self._events = {e.id: e for e in ir.events}
+        self._events, self.events_by_circuit = events, events_by_circuit  # in IR order
+        self.unknown_blockers = unknown_blockers
+        self.unknown_taint = frozenset(unknown_blockers)  # circuits with an unknown operator
 
     def event(self, event_id: str) -> OperatorEvent:
         return self._events[event_id]

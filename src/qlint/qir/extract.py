@@ -27,9 +27,11 @@ from ..frontend.nodes import (
     Call,
     Expr,
     ExprStmt,
+    FloatLit,
     ForRange,
     FunctionDef,
     If,
+    IntLit,
     ListExpr,
     ModuleAst,
     Name,
@@ -41,6 +43,7 @@ from ..frontend.nodes import (
     StrLit,
     Subscript,
     TupleExpr,
+    expr_names,
 )
 from .gates import GateSpec, GateTable, load_gate_table
 from .model import (
@@ -79,6 +82,16 @@ def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
         ids.update(right.ids if right.kind == "circuit" else ())
         return _Binding("circuit", tuple(sorted(ids)))
     return _OTHER
+
+
+_LEAVES = (Name, IntLit, FloatLit, StrLit, BoolLit)
+
+
+def _is_inert(expr: Expr) -> bool:
+    """A literal, a name or `name[literal or name]`: only calls and displays have effects."""
+    if isinstance(expr, Subscript):
+        return isinstance(expr.value, Name) and isinstance(expr.index, _LEAVES)
+    return isinstance(expr, _LEAVES)
 
 
 class _FuncInfo:
@@ -510,7 +523,7 @@ class _Extractor:
         return bindings
 
     def _circuit_args(self, call: Call, scope: _Scope) -> list[str]:
-        """Circuits flowing into a call as direct or one-level-container args."""
+        """Circuits a call receives: as args, in one-level containers, or named in `*`/`**`."""
         found: set[str] = set()
         for arg in [*call.args, *(kw.value for kw in call.keywords)]:
             elements = arg.elements if isinstance(arg, (ListExpr, TupleExpr)) else [arg]
@@ -518,6 +531,12 @@ class _Extractor:
                 binding = self._eval(element, scope)
                 if binding.kind == "circuit":
                     found.update(binding.ids)
+        for kw in call.keywords:
+            if kw.name is None:
+                for name in expr_names(kw.value):
+                    binding = scope.vars.get(name, _OTHER)
+                    if binding.kind == "circuit":
+                        found.update(binding.ids)
         return sorted(found)
 
     # --- circuit methods ---
@@ -569,7 +588,10 @@ class _Extractor:
     def _table_method(
         self, circuit: CircuitDecl, spec: GateSpec, call: Call, scope: _Scope
     ) -> _Binding:
-        self._eval_args(call, scope)
+        # Operands are resolved below; evaluate only arguments that may have effects.
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            if not _is_inert(arg):
+                self._eval(arg, scope)
         if spec.category in ("reversible_gate", "reset"):
             return self._gate_event(circuit, spec, call, scope)
         if spec.category == "measurement":
@@ -765,7 +787,7 @@ class _Extractor:
                 span,
             )
             return UNRESOLVED_BIT
-        if reg.id not in circuit.quantum_registers + circuit.classical_registers:
+        if reg.id not in circuit.quantum_registers and reg.id not in circuit.classical_registers:
             self._diagnostic(
                 f"register {reg.display_name()} is not associated with the circuit",
                 span,

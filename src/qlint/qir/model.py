@@ -133,29 +133,25 @@ class QuantumIR(Record):
         self.compose_calls: list[ComposeCall] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def events_of(self, circuit_id: str) -> list[OperatorEvent]:
-        return [e for e in self.events if e.circuit == circuit_id]
-
     def has_unknown_operator(self, circuit_id: str) -> bool:
         return any(
             e.kind is EventKind.UNKNOWN and e.circuit == circuit_id for e in self.events
         )
 
-    def is_composition_parent(self, circuit_id: str) -> bool:
-        return any(edge.parent == circuit_id for edge in self.edges)
 
-    def is_subcircuit(self, circuit_id: str) -> bool:
-        """Child of an append/compose edge, or flagged as a likely subcircuit."""
-        if any(edge.child == circuit_id for edge in self.edges):
-            return True
-        circuit = self.circuits.get(circuit_id)
-        return bool(circuit and circuit.subcircuit_flags)
 
-    def in_any_composition(self, circuit_id: str) -> bool:
-        return (
-            self.is_composition_parent(circuit_id)
-            or self.is_subcircuit(circuit_id)
-        )
+def register_offsets(ir: QuantumIR, circuit: CircuitDecl) -> dict[str, int]:
+    """Position in the circuit of each quantum register's first qubit: the sum of the
+    sizes of the registers before it. Registers after one of unknown size have none."""
+    offsets: dict[str, int] = {}
+    offset = 0
+    for reg_id in circuit.quantum_registers:
+        offsets[reg_id] = offset
+        size = ir.registers[reg_id].size.value
+        if size is None:
+            break
+        offset += size
+    return offsets
 
 
 def absolute_index(ir: QuantumIR, circuit_id: str, ref: QubitRef) -> ConstValue:
@@ -172,14 +168,5 @@ def absolute_index(ir: QuantumIR, circuit_id: str, ref: QubitRef) -> ConstValue:
         raise ValueError(
             f"register {ref.register} is not associated with circuit {circuit_id}"
         )
-    offset = 0
-    for reg_id in circuit.quantum_registers:
-        if reg_id == ref.register:
-            assert ref.index is not None
-            return ConstValue(offset + ref.index)
-        size = ir.registers[reg_id].size
-        if not size.is_known:
-            return UNKNOWN
-        assert size.value is not None
-        offset += size.value
-    raise AssertionError("unreachable")
+    offset = register_offsets(ir, circuit).get(ref.register)
+    return UNKNOWN if offset is None or ref.index is None else ConstValue(offset + ref.index)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .analyses import RULE_IDS, RULES, Warning
@@ -37,9 +38,9 @@ class Report(Record):
 
     def counts(self) -> dict[str, int]:
         """Warnings per rule id, always covering every rule."""
-        out = {rule_id: 0 for rule_id in RULE_IDS}
+        out = dict.fromkeys(RULE_IDS, 0)
         for warning in self.warnings:
-            out[warning.rule] += 1
+            out[warning.rule] = out.get(warning.rule, 0) + 1
         return out
 
 
@@ -72,33 +73,70 @@ def _format_text(report: Report) -> bytes:
     return text.encode("utf-8")
 
 
-def _warning_dict(w: Warning) -> dict:
-    return {
-        "file": w.span.file,
-        "line": w.span.line,
-        "column": w.span.column,
-        "end_line": w.span.end_line,
-        "end_column": w.span.end_column,
-        "rule": w.rule,
-        "message": w.message,
-        "severity": w.severity,
-        "circuit": w.circuit,
-    }
+# The JSON format's fixed shape, laid out as `json.dumps(doc, indent=2)` lays it
+# out; each `{}` takes an encoded value.
+_JSON_DOCUMENT = """{{
+  "schema_version": {},
+  "tool": {{
+    "name": {},
+    "version": {}
+  }},
+  "files_analyzed": {},
+  "files_skipped": {},
+  "summary": {{
+{}
+  }},
+  "warnings": {}
+}}
+"""
+_JSON_SKIPPED = """    {{
+      "file": {},
+      "line": {},
+      "message": {}
+    }}"""
+_JSON_WARNING = """    {{
+      "file": {},
+      "line": {},
+      "column": {},
+      "end_line": {},
+      "end_column": {},
+      "rule": {},
+      "message": {},
+      "severity": {},
+      "circuit": {}
+    }}"""
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level value's list of items, each already indented."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _format_json(report: Report) -> bytes:
-    doc = {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "tool": {"name": report.tool_name, "version": report.tool_version},
-        "files_analyzed": list(report.files_analyzed),
-        "files_skipped": [
-            {"file": s.file, "line": s.line, "message": s.message}
-            for s in report.files_skipped
-        ],
-        "summary": report.counts(),
-        "warnings": [_warning_dict(w) for w in report.warnings],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+    """The bytes of `json.dumps(doc, indent=2, ensure_ascii=True)` and a newline.
+
+    `json.dumps` drops to its pure-Python encoder whenever `indent` is set, so
+    the fixed shape is filled in directly, with strings escaped by the C
+    function `encode_basestring_ascii`.
+    """
+    files = ["    " + _quote(f) for f in report.files_analyzed]
+    skipped = [
+        _JSON_SKIPPED.format(_quote(s.file), s.line, _quote(s.message))
+        for s in report.files_skipped
+    ]
+    summary = ",\n".join(f"    {_quote(rule)}: {n}" for rule, n in report.counts().items())
+    warnings = [
+        _JSON_WARNING.format(
+            _quote(w.span.file), w.span.line, w.span.column, w.span.end_line, w.span.end_column,
+            _quote(w.rule), _quote(w.message), _quote(w.severity),
+            "null" if w.circuit is None else _quote(w.circuit),
+        )
+        for w in report.warnings
+    ]
+    return _JSON_DOCUMENT.format(
+        JSON_SCHEMA_VERSION, _quote(report.tool_name), _quote(report.tool_version),
+        _json_list(files), _json_list(skipped), summary, _json_list(warnings),
+    ).encode("utf-8")
 
 
 def _format_sarif(report: Report) -> bytes:

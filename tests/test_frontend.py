@@ -6,7 +6,7 @@ import ast
 
 import pytest
 from conftest import elif_chain, parses_in_this_python, sample_source
-from genprog import wide_branchy
+from genprog import loop_pair, wide_branchy
 from oracle import capture_values
 
 from qlint.frontend import (
@@ -477,6 +477,96 @@ class TestUnrollSharing:
         tree = unroll_loops(parsed)
         pairs = zip(_all_stmts(tree.statements), _all_stmts(parsed.statements), strict=True)
         assert all(out is parsed_stmt for out, parsed_stmt in pairs)
+
+
+class TestUnrolledCopiesResolve:
+    """Copies made by unrolling resolve like the same statements written out by hand."""
+
+    # Nested loops, `qa[j + 2]` indices, keyword arguments and nested calls.
+    NESTED_LOOPED = (
+        "qa = QuantumRegister(6)\n"
+        "qc = QuantumCircuit(qa)\n"
+        "for i in range(2):\n"
+        "    for j in range(i, 3):\n"
+        "        qc.cx(qa[j + 2], qa[i * 2 - j + 2])\n"
+        "        qc.rz(f(g(j), k=h(i + 1)), qubit=qa[-j + 3])\n"
+        "        a, b = j, j // 2\n"
+        "        qc.h(qa[a + b])\n"
+    )
+    NESTED_BY_HAND = (
+        "qa = QuantumRegister(6)\n"
+        "qc = QuantumCircuit(qa)\n"
+        "qc.cx(qa[0 + 2], qa[0 * 2 - 0 + 2])\n"
+        "qc.rz(f(g(0), k=h(0 + 1)), qubit=qa[-0 + 3])\n"
+        "a, b = 0, 0 // 2\n"
+        "qc.h(qa[a + b])\n"
+        "qc.cx(qa[1 + 2], qa[0 * 2 - 1 + 2])\n"
+        "qc.rz(f(g(1), k=h(0 + 1)), qubit=qa[-1 + 3])\n"
+        "a, b = 1, 1 // 2\n"
+        "qc.h(qa[a + b])\n"
+        "qc.cx(qa[2 + 2], qa[0 * 2 - 2 + 2])\n"
+        "qc.rz(f(g(2), k=h(0 + 1)), qubit=qa[-2 + 3])\n"
+        "a, b = 2, 2 // 2\n"
+        "qc.h(qa[a + b])\n"
+        "qc.cx(qa[1 + 2], qa[1 * 2 - 1 + 2])\n"
+        "qc.rz(f(g(1), k=h(1 + 1)), qubit=qa[-1 + 3])\n"
+        "a, b = 1, 1 // 2\n"
+        "qc.h(qa[a + b])\n"
+        "qc.cx(qa[2 + 2], qa[1 * 2 - 2 + 2])\n"
+        "qc.rz(f(g(2), k=h(1 + 1)), qubit=qa[-2 + 3])\n"
+        "a, b = 2, 2 // 2\n"
+        "qc.h(qa[a + b])\n"
+    )
+    # A walrus in the body rebinds `k`, and calling `bump` rebinds the global
+    # `m`: each is known until the expression that may rebind it, unknown after.
+    REBOUND_LOOPED = (
+        "def bump():\n"
+        "    global m\n"
+        "    m = 0\n"
+        "m = 2\n"
+        "for j in range(2):\n"
+        "    qc.h(qa[m + j])\n"
+        "    bump()\n"
+        "    qc.x(qa[m])\n"
+        "    k = 1\n"
+        "    qc.cx(qa[k + j], g((k := j)), qa[k])\n"
+    )
+    REBOUND_BY_HAND = (
+        "def bump():\n"
+        "    global m\n"
+        "    m = 0\n"
+        "m = 2\n"
+        "qc.h(qa[m + 0])\n"
+        "bump()\n"
+        "qc.x(qa[m])\n"
+        "k = 1\n"
+        "qc.cx(qa[k + 0], g((k := 0)), qa[k])\n"
+        "qc.h(qa[m + 1])\n"
+        "bump()\n"
+        "qc.x(qa[m])\n"
+        "k = 1\n"
+        "qc.cx(qa[k + 1], g((k := 1)), qa[k])\n"
+    )
+
+    @staticmethod
+    def _values(source: str) -> list:
+        tree = _unrolled(source)
+        return [tree.constants.resolve(node) for node in _all_nodes(tree.statements)]
+
+    @pytest.mark.parametrize(
+        "looped, by_hand",
+        [(NESTED_LOOPED, NESTED_BY_HAND), (REBOUND_LOOPED, REBOUND_BY_HAND)],
+        ids=["nested", "rebound"],
+    )
+    def test_hand_written_cases(self, looped, by_hand):
+        values = self._values(looped)
+        assert values == self._values(by_hand)
+        assert known(1) in values and UNKNOWN in values
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_loop_pairs(self, seed):
+        looped, expanded = loop_pair(seed)
+        assert self._values(looped) == self._values(expanded)
 
 
 class TestCfg:

@@ -403,6 +403,17 @@ class TestUnknownOperators:
         (event,) = _events(ir, EventKind.UNKNOWN)
         assert event.unknown_cause is UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
 
+    @pytest.mark.parametrize("call", ["helper(*[qc])", "helper(*(x, qc))", 'helper(**{"c": qc})'])
+    def test_circuit_in_unpacked_argument_is_passed(self, call):
+        ir = _ir(f"qc = QuantumCircuit(2)\n{call}\n")
+        unknowns = _events(ir, EventKind.UNKNOWN)
+        assert UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG in {e.unknown_cause for e in unknowns}
+
+    def test_gate_with_unpacked_operands_stays_unresolved(self):
+        ir = _ir("qc = QuantumCircuit(2)\nqc.h(*[0])\n")
+        (event,) = _events(ir, EventKind.UNKNOWN)
+        assert event.unknown_cause is UnknownCause.UNRESOLVED_QUBIT
+
     def test_nested_recognized_call_consumes_its_argument(self):
         source = (
             "qc = QuantumCircuit(2, 2)\n"

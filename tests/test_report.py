@@ -6,9 +6,12 @@ import json
 
 import pytest
 from conftest import sample_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlint import Config, analyze_source
-from qlint.analyses import ALL_RULES, RULE_IDS
+from qlint.analyses import ALL_RULES, RULE_IDS, Warning
+from qlint.frontend.nodes import SourceSpan
 from qlint.driver import report_of
 from qlint.report import (
     Report,
@@ -93,6 +96,75 @@ class TestJsonFormat:
         report = _report_for("two_bugs", "gate_after_measure")
         for style in ("text", "json", "sarif"):
             assert format_report(report, style) == format_report(report, style)
+
+
+# Text that JSON must escape: quotes, backslashes, control characters, lone
+# surrogates and non-ASCII characters inside and outside the BMP.
+_TEXT = st.text(
+    st.one_of(
+        st.characters(codec=None, exclude_categories=()),
+        st.sampled_from(
+            ['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u2028", "\U0001d11e"]
+        ),
+    ),
+    max_size=8,
+)
+_INT = st.integers(min_value=-(2**40), max_value=2**40)
+_WARNING = st.builds(
+    Warning,
+    rule=st.one_of(st.sampled_from(RULE_IDS), _TEXT),
+    span=st.builds(SourceSpan, _TEXT, _INT, _INT, _INT, _INT),
+    message=_TEXT,
+    circuit=st.one_of(st.none(), _TEXT),
+    severity=_TEXT,
+)
+_REPORT = st.builds(
+    Report,
+    st.lists(_TEXT, max_size=3),
+    st.lists(st.builds(SkippedFile, _TEXT, _INT, _TEXT), max_size=3),
+    st.lists(_WARNING, max_size=4),
+)
+
+
+def _dumps(report: Report) -> bytes:
+    """The JSON format as `json.dumps` writes the documented shape."""
+    doc = {
+        "schema_version": 1,
+        "tool": {"name": report.tool_name, "version": report.tool_version},
+        "files_analyzed": report.files_analyzed,
+        "files_skipped": [
+            {"file": s.file, "line": s.line, "message": s.message} for s in report.files_skipped
+        ],
+        "summary": report.counts(),
+        "warnings": [
+            {
+                "file": w.span.file,
+                "line": w.span.line,
+                "column": w.span.column,
+                "end_line": w.span.end_line,
+                "end_column": w.span.end_column,
+                "rule": w.rule,
+                "message": w.message,
+                "severity": w.severity,
+                "circuit": w.circuit,
+            }
+            for w in report.warnings
+        ],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+
+
+class TestJsonWriter:
+    """The hand-written JSON writer against `json.dumps(indent=2)`."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(_REPORT)
+    def test_bytes_equal_json_dumps(self, report):
+        assert format_report(report, "json") == _dumps(report)
+
+    def test_bytes_equal_json_dumps_on_samples(self):
+        report = _report_for("two_bugs", "redundant_measure", "dropped_compose")
+        assert format_report(report, "json") == _dumps(report)
 
 
 class TestSarifFormat:

@@ -7,6 +7,7 @@ from conftest import elif_chain, parses_in_this_python, sample_source, warnings_
 
 from qlint.analyses import ALL_RULES, DEFAULT_PROFILE, RULE_IDS, run_all
 from qlint import analyze_pipeline
+from qlint.qflow import build_flow
 
 
 def _rules_fired(source: str, rules=ALL_RULES):
@@ -179,6 +180,12 @@ class TestOversizedCircuit:
         source = "qc = QuantumCircuit(4)\nqc.initialize(vec)\nqc.h(0)\n"
         assert _lines_of(source, "oversized-circuit") == []
 
+    @pytest.mark.parametrize("call", ["helper(qc)", "helper(*[qc])", 'helper(**{"c": qc})'])
+    def test_circuit_passed_to_unknown_code_is_excluded(self, call):
+        # However qc is passed, helper() may use the qubits qc.h() leaves alone.
+        source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{call}\n"
+        assert _lines_of(source, "oversized-circuit") == []
+
     @pytest.mark.parametrize("params", ["qc", "*qc", "**qc", "*, qc"])
     def test_parameter_shadows_module_circuit(self, params):
         # Every parameter kind binds `qc` locally, so helper() does not touch
@@ -349,6 +356,35 @@ class TestRunAll:
         keys = [(w.span.file, w.span.line, w.span.column, w.rule, w.message) for w in warnings]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
+
+    @staticmethod
+    def _event_scans(circuits: int) -> int:
+        """Passes over `ir.events` that build_flow and run_all make on one file."""
+
+        class CountingList(list):
+            scans = 0
+
+            def __iter__(self):
+                CountingList.scans += 1
+                return super().__iter__()
+
+        ops = ["h(0)", "x(1)", "cx(0, 1)", "h(2)", "cx(1, 2)", "s(1)"]
+        ops += ["measure(0, 0)", "measure(1, 1)", "measure(2, 0)", "h(0)"]
+        lines = []
+        for c in range(circuits):
+            lines.append(f"qc{c} = QuantumCircuit(3, 2)")
+            lines += [f"qc{c}.{op}" for op in ops]
+        result = analyze_pipeline("\n".join(lines) + "\n", "many.py")
+        ir = result.ir
+        assert len(ir.circuits) == circuits and len(ir.events) == 10 * circuits
+        ir.events = CountingList(ir.events)
+        warnings = run_all(ir, build_flow(ir, result.flow.cfg))
+        assert len(warnings) == 2 * circuits  # insuff-clas-reg and op-after-meas each
+        return CountingList.scans
+
+    def test_event_scans_do_not_grow_with_circuits(self):
+        """Complexity guard: the rules stage reads a per-file index, not a scan per circuit."""
+        assert self._event_scans(1000) == self._event_scans(10)
 
     def test_purity_identical_runs(self):
         source = sample_source("repeated_not")
