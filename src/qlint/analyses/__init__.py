@@ -95,7 +95,6 @@ RULES: tuple[Rule, ...] = (
 )
 
 RULE_IDS: tuple[str, ...] = tuple(rule.id for rule in RULES)
-RULES_BY_ID: dict[str, Rule] = {rule.id: rule for rule in RULES}
 DEFAULT_PROFILE: frozenset[str] = frozenset(r.id for r in RULES if r.default)
 ALL_RULES: frozenset[str] = frozenset(RULE_IDS)
 
@@ -129,7 +128,6 @@ __all__ = [
     "ALL_RULES",
     "DEFAULT_PROFILE",
     "RULES",
-    "RULES_BY_ID",
     "RULE_IDS",
     "Rule",
     "Warning",

@@ -15,23 +15,20 @@ from .nodes import ForRange, FunctionDef, If, ModuleAst, Record, Stmt
 
 
 class Block(Record):
-    __slots__ = ("id", "scope", "stmts")
+    __slots__ = ("id", "scope")
 
     def __init__(self, id: int, scope: str) -> None:
         self.id, self.scope = id, scope
-        self.stmts: list[int] = []
 
 
 class Cfg:
-    """Blocks of every scope, their edges, and each scope's entry and exit block."""
+    """Blocks of every scope, their edges, and the block of each statement."""
 
-    __slots__ = ("blocks", "edges", "entry", "exit", "block_of_stmt", "adjacency", "_reach_cache")
+    __slots__ = ("blocks", "edges", "block_of_stmt", "adjacency", "_reach_cache")
 
     def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.edges: set[tuple[int, int]] = set()
-        self.entry: dict[str, int] = {}
-        self.exit: dict[str, int] = {}
         self.block_of_stmt: dict[int, int] = {}
         self.adjacency: dict[int, list[int]] = {}
         self._reach_cache: dict[int, frozenset[int]] = {}
@@ -77,14 +74,10 @@ class _Builder:
         insort(self.cfg.adjacency.setdefault(src.id, []), dst.id)
 
     def build_scope(self, scope: str, stmts: list[Stmt]) -> None:
-        entry = self.new_block(scope)
-        self.cfg.entry[scope] = entry.id
-        exit_block = self.chain(scope, stmts, entry)
-        self.cfg.exit[scope] = exit_block.id
+        self.chain(scope, stmts, self.new_block(scope))
 
     def chain(self, scope: str, stmts: list[Stmt], current: Block) -> Block:
         for stmt in stmts:
-            current.stmts.append(stmt.uid)
             self.cfg.block_of_stmt[stmt.uid] = current.id
             if isinstance(stmt, If):
                 then_entry = self.new_block(scope)

@@ -1,9 +1,10 @@
 """Integer constants: the value domain and its transfer functions.
 
 Values are either exactly known integers or Unknown; any operation with an
-Unknown operand stays Unknown, so a Known answer is always trustworthy. The
-flow-sensitive walk that applies these rules is the loop unroller's, which
-records every expression's value into a ConstEnv as it expands the file.
+Unknown operand stays Unknown, so a Known answer is always trustworthy. This
+module holds no evaluator: the one walk that applies these rules is the loop
+unroller's `_Unroller._value`, which records every expression's value into a
+ConstEnv as it expands the file.
 """
 
 from __future__ import annotations
@@ -12,22 +13,15 @@ from typing import Any, Callable, NamedTuple
 
 from .nodes import (
     Assign,
-    Attribute,
-    BinOp,
-    Call,
     Expr,
     ForRange,
     If,
-    IntLit,
     ListExpr,
     ModuleAst,
     Name,
     Opaque,
-    OpaqueExpr,
     Stmt,
-    Subscript,
     TupleExpr,
-    UnaryOp,
     expr_names,
 )
 
@@ -55,50 +49,6 @@ def known(value: int) -> ConstValue:
 
 
 _Env = dict[str, ConstValue]
-
-
-def eval_expr(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
-    """Evaluate an expression under the given bindings, recording every subterm."""
-    result = _eval(expr, env, record)
-    record._values[expr.uid] = result
-    return result
-
-
-def _eval(expr: Expr, env: _Env, record: ConstEnv) -> ConstValue:
-    # Type tests run in order of how often each node type occurs in Qiskit code.
-    if isinstance(expr, Name):
-        return env.get(expr.ident, UNKNOWN)
-    if isinstance(expr, IntLit):
-        return known(expr.value)
-    if isinstance(expr, Call):
-        # Visit arguments so their resolutions are recorded too.
-        for a in expr.args:
-            eval_expr(a, env, record)
-        for k in expr.keywords:
-            eval_expr(k.value, env, record)
-        eval_expr(expr.func, env, record)
-        record.forget_rebound(env)
-        return UNKNOWN
-    if isinstance(expr, Attribute):
-        eval_expr(expr.value, env, record)
-        return UNKNOWN
-    if isinstance(expr, Subscript):
-        eval_expr(expr.value, env, record)
-        eval_expr(expr.index, env, record)
-        return UNKNOWN
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, env, record)
-        return binop_value(expr.op, left, eval_expr(expr.right, env, record))
-    if isinstance(expr, UnaryOp):
-        return unary_value(expr.op, eval_expr(expr.operand, env, record))
-    if isinstance(expr, (ListExpr, TupleExpr)):
-        for e in expr.elements:
-            eval_expr(e, env, record)
-        return UNKNOWN
-    if isinstance(expr, OpaqueExpr):
-        record.forget_rebound(env)
-    # Everything else (strings, floats, bools, opaque expressions) is not an int.
-    return UNKNOWN
 
 
 def binop_value(op: str, left: ConstValue, right: ConstValue) -> ConstValue:
@@ -217,16 +167,7 @@ class ConstEnv:
 
     def resolve(self, expr: Expr) -> ConstValue:
         """ConstValue of an expression occurrence in the analyzed tree."""
-        got = self._values.get(expr.uid)
-        if got is not None:
-            return got
-        # Context-free fallback for expressions the walk does not evaluate,
-        # such as assignment targets.
-        if isinstance(expr, IntLit):
-            return known(expr.value)
-        if isinstance(expr, UnaryOp) and isinstance(expr.operand, IntLit):
-            return unary_value(expr.op, known(expr.operand.value))
-        return UNKNOWN
+        return self._values.get(expr.uid, UNKNOWN)
 
 
 def propagate_constants(tree: ModuleAst) -> ConstEnv:

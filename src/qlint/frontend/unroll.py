@@ -2,10 +2,11 @@
 
 A loop is expanded only when its trip count is statically known and small;
 every other loop is kept intact and flagged, so downstream stages treat its
-body conservatively. The same walk propagates integer constants: an unrolled
-iteration binds the loop variable to its value and copies the body,
-evaluating each expression as its copy is built; every other node is walked
-once as parsed. The value of every expression in the result is recorded in a
+body conservatively. The same walk propagates integer constants, and
+`_Unroller._value` is qlint's one constant evaluator: an unrolled iteration
+binds the loop variable to its value and copies the body, evaluating each
+expression as its copy is built; every other node is evaluated in place, as
+parsed. The value of every expression in the result is recorded in a
 ConstEnv.
 """
 
@@ -20,7 +21,6 @@ from .constprop import (
     UNKNOWN,
     binop_value,
     collect_assigned_names,
-    eval_expr,
     join_envs,
     known,
     range_values,
@@ -124,7 +124,7 @@ class _Unroller:
         if isinstance(stmt, Assign):
             value = self._value(stmt.value, env, fresh)
             if fresh:
-                node = Assign([self._copy(t, None) for t in stmt.targets], value, span=span)
+                node = Assign([self._value(t, None, True) for t in stmt.targets], value, span=span)
             self._assign(node, env)
             if not all(isinstance(t, Name) for t in stmt.targets):  # may hold a walrus
                 self.constants.forget_rebound(env)
@@ -174,53 +174,70 @@ class _Unroller:
                 for name in expr_names(target):
                     env[name] = UNKNOWN
 
-    def _value(self, expr: Expr, env: dict[str, ConstValue], fresh: bool) -> Expr:
-        """`expr`, or its copy if `fresh`, evaluated with its values recorded."""
-        if fresh:
-            return self._copy(expr, env)
-        eval_expr(expr, env, self.constants)
-        return expr
+    def _value(self, expr: Expr, env: dict[str, ConstValue] | None, fresh: bool) -> Expr:
+        """`expr` evaluated under `env`, each subterm's value recorded after its operands'.
 
-    def _copy(self, expr: Expr, env: dict[str, ConstValue] | None) -> Expr:
-        """A copy of `expr` with new uids, evaluated as it is built unless `env` is None:
-        as by eval_expr and in its order, with every copied subterm's value recorded."""
-        node: Expr
+        Call arguments go first, then keyword values, then the callee, then
+        `forget_rebound`. With `fresh` the result is a copy with new uids;
+        with `env` None (assignment targets) it is only copied. Operand lists
+        are built by loops: a comprehension is a function call on CPython 3.11.
+        """
+        node = expr
         value = UNKNOWN
         if isinstance(expr, Name):
-            node = Name(expr.ident, span=expr.span)
             if env is not None:
                 value = env.get(expr.ident, UNKNOWN)
+            if fresh:
+                node = Name(expr.ident, span=expr.span)
         elif isinstance(expr, IntLit):
-            node = IntLit(expr.value, span=expr.span)
             value = known(expr.value)
+            if fresh:
+                node = IntLit(expr.value, span=expr.span)
         elif isinstance(expr, Call):
-            args = [self._copy(a, env) for a in expr.args]
-            keywords = [Keyword(k.name, self._copy(k.value, env)) for k in expr.keywords]
-            func = self._copy(expr.func, env)
-            node = Call(func, args, keywords, expr.has_star_args, span=expr.span)
+            args, keywords = [], []
+            for a in expr.args:
+                args.append(self._value(a, env, fresh))
+            for k in expr.keywords:
+                keywords.append(self._value(k.value, env, fresh))
+            func = self._value(expr.func, env, fresh)
             if env is not None:
                 self.constants.forget_rebound(env)
+            if fresh:
+                keywords = [Keyword(k.name, v) for k, v in zip(expr.keywords, keywords)]
+                node = Call(func, args, keywords, expr.has_star_args, span=expr.span)
         elif isinstance(expr, Attribute):
-            node = Attribute(self._copy(expr.value, env), expr.attr, span=expr.span)
+            inner = self._value(expr.value, env, fresh)
+            if fresh:
+                node = Attribute(inner, expr.attr, span=expr.span)
         elif isinstance(expr, Subscript):
-            node = Subscript(self._copy(expr.value, env), self._copy(expr.index, env),
-                             span=expr.span)
-        elif isinstance(expr, (ListExpr, TupleExpr)):
-            node = type(expr)([self._copy(e, env) for e in expr.elements], span=expr.span)
+            inner, index = self._value(expr.value, env, fresh), self._value(expr.index, env, fresh)
+            if fresh:
+                node = Subscript(inner, index, span=expr.span)
         elif isinstance(expr, BinOp):
-            left, right = self._copy(expr.left, env), self._copy(expr.right, env)
-            node = BinOp(left, expr.op, right, span=expr.span)
-            value = binop_value(expr.op, self.values.get(left.uid, UNKNOWN),
-                                self.values.get(right.uid, UNKNOWN))
+            left, right = self._value(expr.left, env, fresh), self._value(expr.right, env, fresh)
+            if env is not None:
+                value = binop_value(expr.op, self.values[left.uid], self.values[right.uid])
+            if fresh:
+                node = BinOp(left, expr.op, right, span=expr.span)
         elif isinstance(expr, UnaryOp):
-            operand = self._copy(expr.operand, env)
-            node = UnaryOp(expr.op, operand, span=expr.span)
-            value = unary_value(expr.op, self.values.get(operand.uid, UNKNOWN))
-        else:
-            node = expr._replace()
+            operand = self._value(expr.operand, env, fresh)
+            if env is not None:
+                value = unary_value(expr.op, self.values[operand.uid])
+            if fresh:
+                node = UnaryOp(expr.op, operand, span=expr.span)
+        elif isinstance(expr, (ListExpr, TupleExpr)):
+            elements = []
+            for e in expr.elements:
+                elements.append(self._value(e, env, fresh))
+            if fresh:
+                node = type(expr)(elements, span=expr.span)
+        else:  # strings, floats, bools and opaque expressions are not ints
             if env is not None and isinstance(expr, OpaqueExpr):
                 self.constants.forget_rebound(env)
-        node.uid = next(self.uids)
+            if fresh:
+                node = expr._replace()
+        if fresh:
+            node.uid = next(self.uids)
         if env is not None:
             self.values[node.uid] = value
         return node

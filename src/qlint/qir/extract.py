@@ -431,7 +431,6 @@ class _Extractor:
         )
         if register.id not in target:
             target.append(register.id)
-        register.owner_circuits.add(circuit.id)
         self._recompute_counts(circuit)
 
     def _recompute_counts(self, circuit: CircuitDecl) -> None:

@@ -49,14 +49,13 @@ UNRESOLVED_BIT = QubitRef(None, None)
 
 
 class RegisterDecl(Record):
-    __slots__ = ("id", "kind", "size", "span", "name", "owner_circuits")
+    __slots__ = ("id", "kind", "size", "span", "name")
 
     def __init__(
         self, id: str, kind: str, size: ConstValue, span: SourceSpan, name: str | None = None
     ) -> None:
         self.id, self.size, self.span, self.name = id, size, span, name
         self.kind = kind  # "quantum" | "classical"
-        self.owner_circuits: set[str] = set()
 
     def display_name(self) -> str:
         return self.name if self.name is not None else self.id
@@ -133,12 +132,6 @@ class QuantumIR(Record):
         self.compose_calls: list[ComposeCall] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def has_unknown_operator(self, circuit_id: str) -> bool:
-        return any(
-            e.kind is EventKind.UNKNOWN and e.circuit == circuit_id for e in self.events
-        )
-
-
 
 def register_offsets(ir: QuantumIR, circuit: CircuitDecl) -> dict[str, int]:
     """Position in the circuit of each quantum register's first qubit: the sum of the
@@ -153,20 +146,3 @@ def register_offsets(ir: QuantumIR, circuit: CircuitDecl) -> dict[str, int]:
         offset += size
     return offsets
 
-
-def absolute_index(ir: QuantumIR, circuit_id: str, ref: QubitRef) -> ConstValue:
-    """Position of a resolved qubit in the whole circuit.
-
-    The register-local index is shifted by the sizes of quantum registers
-    associated with the circuit before the qubit's own register; any unknown
-    preceding size makes the result Unknown.
-    """
-    if not ref.is_resolved:
-        return UNKNOWN
-    circuit = ir.circuits[circuit_id]
-    if ref.register not in circuit.quantum_registers:
-        raise ValueError(
-            f"register {ref.register} is not associated with circuit {circuit_id}"
-        )
-    offset = register_offsets(ir, circuit).get(ref.register)
-    return UNKNOWN if offset is None or ref.index is None else ConstValue(offset + ref.index)

@@ -187,11 +187,6 @@ def _format_sarif(report: Report) -> bytes:
     return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
 
 
-def parse_json_report(data: bytes) -> dict:
-    """Parse the JSON format back into a plain dictionary."""
-    return json.loads(data.decode("utf-8"))
-
-
 def corpus_stats(reports: list[Report]) -> str:
     """Per-rule totals and the share of analyzed files with at least one hit.
 

@@ -597,10 +597,6 @@ class TestCfg:
             _parse("a = 1\nif a:\n    b = 2\nfor i in range(9):\n    use(i)\n")
         )
         cfg = build_cfg(tree)
-        seen: list[int] = []
-        for block in cfg.blocks:
-            seen.extend(block.stmts)
-        assert len(seen) == len(set(seen))
 
         def all_uids(stmts):
             for s in stmts:
@@ -611,7 +607,10 @@ class TestCfg:
                 if isinstance(s, ForRange):
                     yield from all_uids(s.body)
 
-        assert set(seen) == set(all_uids(tree.statements))
+        uids = list(all_uids(tree.statements))
+        assert len(uids) == len(set(uids))
+        assert set(cfg.block_of_stmt) == set(uids)
+        assert set(cfg.block_of_stmt.values()) <= {block.id for block in cfg.blocks}
 
     def test_function_bodies_get_their_own_scope(self):
         tree = unroll_loops(_parse("def f():\n    a = 1\nb = 2\n"))

@@ -10,8 +10,6 @@ from flow_reference import reference_directly_pairs
 from genprog import branch_free, branchy, wide_branchy, with_trip_count
 from oracle import trace_program
 
-from qlint.qir import EventKind
-
 
 def _flow(source: str):
     result = pipeline(source)
@@ -26,6 +24,16 @@ def _event_at(ir, line: int, name: str | None = None):
     ]
     assert len(matches) == 1, f"want one event at line {line}, got {matches}"
     return matches[0]
+
+
+def _follows(flow, a, b) -> list:
+    """Qubit keys on which event b may follow event a, from `may_follow_pairs`."""
+    return [key for x, y, key in flow.may_follow_pairs if x == a.id and y == b.id]
+
+
+def _directly(flow, a, b) -> list:
+    """Qubit keys on which b may follow a with nothing in between, from `directly_pairs`."""
+    return [key for x, y, key in flow.directly_pairs if x == a.id and y == b.id]
 
 
 def _named_relations(result):
@@ -53,8 +61,8 @@ class TestStraightLine:
             "qc = QuantumCircuit(1, 1)\nqc.measure(0, 0)\nqc.measure(0, 0)\n"
         )
         a, b = ir.events
-        assert flow.may_follow_directly(a.id, b.id) is not None
-        assert flow.may_follow_directly(b.id, a.id) is None
+        assert _directly(flow, a, b)
+        assert not _directly(flow, b, a)
 
     def test_intervening_gate_breaks_adjacency_not_order(self):
         source = (
@@ -71,8 +79,8 @@ class TestStraightLine:
         direct = trace.may_follow_directly()
         assert (("q", 0), 2, 4) not in direct
         assert (("q", 0), 2, 4) in trace.may_follow()
-        assert flow.may_follow(first.id, last.id) is not None
-        assert flow.may_follow_directly(first.id, last.id) is None
+        assert _follows(flow, first, last)
+        assert not _directly(flow, first, last)
 
     def test_equal_index_different_registers_are_unrelated(self):
         source = (
@@ -86,49 +94,14 @@ class TestStraightLine:
         ir, flow = _flow(source)
         a = _event_at(ir, 5)
         b = _event_at(ir, 6)
-        assert flow.may_follow(a.id, b.id) is None
-        assert flow.may_follow_directly(a.id, b.id) is None
+        assert not _follows(flow, a, b)
+        assert not _directly(flow, a, b)
 
     def test_two_bug_demo_measure_then_rotation(self):
         ir, flow = _flow(sample_source("two_bugs"))
         measure = _event_at(ir, 9)
         rotation = _event_at(ir, 10, "ry")
-        key = flow.may_follow_directly(measure.id, rotation.id)
-        assert key is not None and key[2] == 0
-
-
-class TestSortedInOrder:
-    SOURCE = (
-        "qc = QuantumCircuit(1, 1)\n"
-        "qc.h(0)\n"
-        "qc.measure(0, 0)\n"
-        "qc.z(0)\n"
-    )
-
-    def test_timeline_order_holds(self):
-        # Expected truth derived from the concrete event replay.
-        trace = trace_program(self.SOURCE)
-        lines = [e.line for e in trace.timelines()[("q", 0)]]
-        assert lines == [2, 3, 4]
-        ir, flow = _flow(self.SOURCE)
-        h, m, z = (_event_at(ir, n) for n in (2, 3, 4))
-        assert flow.sorted_in_order(h.id, m.id, z.id)
-
-    def test_permutations_fail(self):
-        ir, flow = _flow(self.SOURCE)
-        h, m, z = (_event_at(ir, n) for n in (2, 3, 4))
-        for a, b, c in itertools.permutations((h, m, z)):
-            if (a, b, c) != (h, m, z):
-                assert not flow.sorted_in_order(a.id, b.id, c.id)
-
-    def test_unknown_operand_event_never_sorts(self):
-        source = self.SOURCE + "qc.x(i)\n"
-        ir, flow = _flow(source)
-        h, m = _event_at(ir, 2), _event_at(ir, 3)
-        unknown = _event_at(ir, 5)
-        assert unknown.kind is EventKind.UNKNOWN
-        assert not flow.sorted_in_order(h.id, m.id, unknown.id)
-        assert not flow.sorted_in_order(unknown.id, h.id, m.id)
+        assert [key[2] for key in _directly(flow, measure, rotation)] == [0]
 
 
 class TestMultiRegisterSample:
@@ -136,8 +109,7 @@ class TestMultiRegisterSample:
         ir, flow = _flow(sample_source("multi_register"))
         cx = _event_at(ir, 12, "cx")
         measure_b0 = _event_at(ir, 15)
-        key = flow.may_follow(cx.id, measure_b0.id)
-        assert key is not None
+        [key] = _follows(flow, cx, measure_b0)
         register = ir.registers[key[1]]
         assert register.display_name() == "qregB"
         assert key[2] == 0
@@ -146,8 +118,8 @@ class TestMultiRegisterSample:
         ir, flow = _flow(sample_source("multi_register"))
         x_gate = _event_at(ir, 13, "x")
         z_gate = _event_at(ir, 14, "z")
-        assert flow.may_follow(x_gate.id, z_gate.id) is None
-        assert flow.may_follow(z_gate.id, x_gate.id) is None
+        assert not _follows(flow, x_gate, z_gate)
+        assert not _follows(flow, z_gate, x_gate)
 
 
 class TestBranches:
@@ -177,8 +149,8 @@ class TestBranches:
         ir, flow = _flow(self.DIAMOND)
         x_gate = _event_at(ir, 4)
         z_gate = _event_at(ir, 6)
-        assert flow.may_follow(x_gate.id, z_gate.id) is None
-        assert flow.may_follow(z_gate.id, x_gate.id) is None
+        assert not _follows(flow, x_gate, z_gate)
+        assert not _follows(flow, z_gate, x_gate)
 
     def test_two_direct_successors_implies_branching(self):
         ir, flow = _flow(self.DIAMOND)
@@ -223,17 +195,17 @@ class TestKeptLoops:
         h = _event_at(ir, 2)
         x = _event_at(ir, 4)
         measure = _event_at(ir, 6)
-        assert flow.may_follow(h.id, x.id) is not None
-        assert flow.may_follow(x.id, measure.id) is not None
-        assert flow.may_follow(x.id, h.id) is None
-        assert flow.may_follow(measure.id, x.id) is None
+        assert _follows(flow, h, x)
+        assert _follows(flow, x, measure)
+        assert not _follows(flow, x, h)
+        assert not _follows(flow, measure, x)
 
     def test_body_pairs_relate_both_ways(self):
         ir, flow = _flow(self.SOURCE)
         x = _event_at(ir, 4)
         z = _event_at(ir, 5)
-        assert flow.may_follow(x.id, z.id) is not None
-        assert flow.may_follow(z.id, x.id) is not None
+        assert _follows(flow, x, z)
+        assert _follows(flow, z, x)
 
 
 class TestUnknownTaint:
@@ -256,8 +228,8 @@ class TestUnknownTaint:
         ir, flow = _flow(source)
         first = _event_at(ir, 2)
         last = _event_at(ir, 4)
-        assert flow.may_follow(first.id, last.id) is not None
-        assert flow.may_follow_directly(first.id, last.id) is None
+        assert _follows(flow, first, last)
+        assert not _directly(flow, first, last)
 
     def test_barrier_is_not_an_event_for_adjacency(self):
         source = (
@@ -269,7 +241,7 @@ class TestUnknownTaint:
         ir, flow = _flow(source)
         first = _event_at(ir, 2)
         last = _event_at(ir, 4)
-        assert flow.may_follow_directly(first.id, last.id) is not None
+        assert _directly(flow, first, last)
 
 
 class TestScopeSeparation:
@@ -287,7 +259,7 @@ class TestScopeSeparation:
         ir, flow = _flow(source)
         outer = _event_at(ir, 4)
         inner = _event_at(ir, 7)
-        assert flow.may_follow(outer.id, inner.id) is None
+        assert not _follows(flow, outer, inner)
 
 
 class TestProperties:

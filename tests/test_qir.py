@@ -12,11 +12,10 @@ from qlint.qir import (
     CircuitKind,
     EventKind,
     UnknownCause,
-    absolute_index,
     load_gate_table,
     parse_gate_table,
 )
-from qlint.qir.model import QubitRef
+from qlint.qir.model import register_offsets
 
 
 def _ir(source: str):
@@ -58,8 +57,8 @@ class TestTwoBugDemo:
         assert unknowns[0].circuit == _the_circuit(ir, CircuitKind.TRANSPILED).id
 
     def test_constructor_circuit_has_no_unknown_operator(self):
-        ir = _ir(sample_source("two_bugs"))
-        assert not ir.has_unknown_operator(_the_circuit(ir).id)
+        result = pipeline(sample_source("two_bugs"))
+        assert _the_circuit(result.ir).id not in result.flow.unknown_taint
 
 
 class TestCircuitConstruction:
@@ -115,7 +114,7 @@ class TestCircuitConstruction:
         )
         ir = _ir(source)
         (register,) = ir.registers.values()
-        assert len(register.owner_circuits) == 2
+        assert [c.quantum_registers for c in ir.circuits.values()] == [[register.id]] * 2
 
     def test_builtin_parametrized_circuit(self):
         ir = _ir("ansatz = EfficientSU2(4)\nansatz.h(0)\n")
@@ -285,14 +284,14 @@ class TestAbsoluteIndex:
         reg_b = circuit.quantum_registers[1]
         expected = layout.index((reg_b, 0))
         assert expected == 2
-        assert absolute_index(ir, circuit.id, QubitRef(reg_b, 0)) == known(2)
+        assert register_offsets(ir, circuit)[reg_b] == 2
 
     def test_first_register_identity(self):
         source = "qa = QuantumRegister(2)\nqb = QuantumRegister(2)\nqc = QuantumCircuit(qa, qb)\n"
         ir = _ir(source)
         circuit = _the_circuit(ir)
         reg_a = circuit.quantum_registers[0]
-        assert absolute_index(ir, circuit.id, QubitRef(reg_a, 1)) == known(1)
+        assert register_offsets(ir, circuit)[reg_a] + 1 == 1
 
     def test_unknown_preceding_size_propagates(self):
         source = (
@@ -303,15 +302,7 @@ class TestAbsoluteIndex:
         ir = _ir(source)
         circuit = _the_circuit(ir)
         reg_b = circuit.quantum_registers[1]
-        assert absolute_index(ir, circuit.id, QubitRef(reg_b, 0)) == UNKNOWN
-
-    def test_foreign_register_is_an_error(self):
-        source = "qa = QuantumRegister(2)\nqc = QuantumCircuit(qa)\nother = QuantumRegister(2)\n"
-        ir = _ir(source)
-        circuit = _the_circuit(ir)
-        foreign = [r for r in ir.registers if r not in circuit.quantum_registers]
-        with pytest.raises(ValueError):
-            absolute_index(ir, circuit.id, QubitRef(foreign[0], 0))
+        assert reg_b not in register_offsets(ir, circuit)
 
     def test_injective_over_resolved_refs(self):
         rng = random.Random(7)
@@ -323,12 +314,13 @@ class TestAbsoluteIndex:
             args = ", ".join(f"r{i}" for i in range(len(sizes)))
             ir = _ir(f"{decls}\nqc = QuantumCircuit({args})\n")
             circuit = _the_circuit(ir)
+            offsets = register_offsets(ir, circuit)
             refs = [
-                QubitRef(reg_id, index)
+                (reg_id, index)
                 for reg_id in circuit.quantum_registers
                 for index in range(ir.registers[reg_id].size.value)
             ]
-            positions = [absolute_index(ir, circuit.id, r).value for r in refs]
+            positions = [offsets[reg_id] + index for reg_id, index in refs]
             assert len(set(positions)) == len(refs)
             assert sorted(positions) == list(range(sum(sizes)))
 
@@ -419,11 +411,11 @@ class TestUnknownOperators:
             "qc = QuantumCircuit(2, 2)\n"
             "backend.run(transpile(qc, backend))\n"
         )
-        ir = _ir(source)
-        constructor = _the_circuit(ir)
-        transpiled = _the_circuit(ir, CircuitKind.TRANSPILED)
-        assert not ir.has_unknown_operator(constructor.id)
-        assert ir.has_unknown_operator(transpiled.id)
+        result = pipeline(source)
+        constructor = _the_circuit(result.ir)
+        transpiled = _the_circuit(result.ir, CircuitKind.TRANSPILED)
+        assert constructor.id not in result.flow.unknown_taint
+        assert transpiled.id in result.flow.unknown_taint
 
     def test_global_mutation_through_function_call(self):
         source = (

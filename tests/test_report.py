@@ -19,7 +19,6 @@ from qlint.report import (
     build_report,
     corpus_stats,
     format_report,
-    parse_json_report,
 )
 
 _CONFIG = Config(rules=ALL_RULES)
@@ -58,7 +57,7 @@ class TestTextFormat:
 class TestJsonFormat:
     def test_round_trip_preserves_warning_fields(self):
         report = _report_for("two_bugs")
-        doc = parse_json_report(format_report(report, "json"))
+        doc = json.loads(format_report(report, "json"))
         assert doc["schema_version"] == 1
         assert doc["tool"]["name"] == "qlint"
         assert len(doc["warnings"]) == len(report.warnings)
@@ -75,19 +74,19 @@ class TestJsonFormat:
 
     def test_empty_report_zero_counts(self):
         report = build_report(["clean.py"], [], [])
-        doc = parse_json_report(format_report(report, "json"))
+        doc = json.loads(format_report(report, "json"))
         assert doc["warnings"] == []
         assert set(doc["summary"]) == set(RULE_IDS)
         assert all(v == 0 for v in doc["summary"].values())
 
     def test_summary_matches_listed_warnings(self):
         report = _report_for("two_bugs", "redundant_measure", "dropped_compose")
-        doc = parse_json_report(format_report(report, "json"))
+        doc = json.loads(format_report(report, "json"))
         assert sum(doc["summary"].values()) == len(doc["warnings"])
 
     def test_skipped_files_are_reported(self):
         report = build_report([], [SkippedFile("bad.py", 3, "invalid syntax")], [])
-        doc = parse_json_report(format_report(report, "json"))
+        doc = json.loads(format_report(report, "json"))
         assert doc["files_skipped"] == [
             {"file": "bad.py", "line": 3, "message": "invalid syntax"}
         ]
