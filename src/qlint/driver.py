@@ -25,6 +25,8 @@ from .qir import GateTable, QuantumIR, extract, load_gate_table
 from .report import Report, SkippedFile, build_report
 
 _SUPPRESS_RE = re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
+# PEP 263: a coding cookie on line 1, or on line 2 when line 1 is blank or a comment.
+_COOKIE_RE = re.compile(rb"(?:[ \t\f]*(?:#[^\r\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)")
 
 
 class Config(NamedTuple):
@@ -124,10 +126,13 @@ def analyze_source(source: str, path: str, config: Config | None = None) -> File
 
 def _analyze_path(path: str, config: Config) -> FileOutcome:
     try:
-        source = Path(path).read_text("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = Path(path).read_bytes()
+        cookie = None if data.startswith(b"\xef\xbb\xbf") else _COOKIE_RE.match(data)
+        source = data.decode(cookie.group(1).decode() if cookie else "utf-8-sig")
+    except (OSError, UnicodeDecodeError, LookupError) as exc:  # LookupError: unknown encoding
         return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
-    return analyze_source(source, path, config)
+    # Universal newlines, as reading in text mode gives them.
+    return analyze_source(source.replace("\r\n", "\n").replace("\r", "\n"), path, config)
 
 
 def expand_paths(paths: list[str]) -> list[str]:
