@@ -37,6 +37,7 @@ from ..frontend.nodes import (
     Name,
     NoOp,
     Opaque,
+    OpaqueExpr,
     Return,
     SourceSpan,
     Stmt,
@@ -522,20 +523,22 @@ class _Extractor:
         return bindings
 
     def _circuit_args(self, call: Call, scope: _Scope) -> list[str]:
-        """Circuits a call receives: as args, in one-level containers, or named in `*`/`**`."""
+        """Circuits a call receives: as args, in one-level containers, or named in an
+        opaque argument (a dict, lambda, comprehension, ...) or a `*`/`**` value."""
         found: set[str] = set()
+        names = [n for kw in call.keywords if kw.name is None for n in expr_names(kw.value)]
         for arg in [*call.args, *(kw.value for kw in call.keywords)]:
             elements = arg.elements if isinstance(arg, (ListExpr, TupleExpr)) else [arg]
             for element in elements:
+                if isinstance(element, OpaqueExpr):
+                    names += element.names
                 binding = self._eval(element, scope)
                 if binding.kind == "circuit":
                     found.update(binding.ids)
-        for kw in call.keywords:
-            if kw.name is None:
-                for name in expr_names(kw.value):
-                    binding = scope.vars.get(name, _OTHER)
-                    if binding.kind == "circuit":
-                        found.update(binding.ids)
+        for name in names:
+            binding = scope.vars.get(name, _OTHER)
+            if binding.kind == "circuit":
+                found.update(binding.ids)
         return sorted(found)
 
     # --- circuit methods ---
