@@ -152,6 +152,48 @@ class TestModuleEntryPoint:
         ]
 
 
+class TestSourceEncoding:
+    """Files are decoded as Python decodes them (PEP 263)."""
+
+    BODY = (
+        'name = "caf\u00e9"\n'
+        "qc = QuantumCircuit(1, 1)\n"
+        "qc.measure(0, 0)\n"
+        "qc.measure(0, 0)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "# -*- coding: latin-1 -*-\n",
+            "#!/usr/bin/env python\n# vim: set fileencoding=iso-8859-1 :\n",
+            "\n# coding=latin-1\n",
+        ],
+    )
+    def test_coding_cookie_is_honoured(self, capsys, tmp_path, header):
+        (tmp_path / "lat.py").write_bytes((header + self.BODY).encode("latin-1"))
+        (tmp_path / "two_bugs.py").write_text(sample_source("two_bugs"), "utf-8")
+        code, out, err = _run(capsys, "check", str(tmp_path))
+        bug_line = header.count("\n") + 4
+        assert (code, err) == (1, "")
+        assert f"{tmp_path / 'lat.py'}:{bug_line}:1 double-meas " in out
+        assert f"{tmp_path / 'two_bugs.py'}:10:1 op-after-meas " in out
+
+    def test_cookie_after_a_code_line_is_ignored(self, capsys, tmp_path):
+        lat = tmp_path / "lat.py"
+        lat.write_bytes(("x = 1\n# coding: latin-1\n" + self.BODY).encode("latin-1"))
+        code, out, err = _run(capsys, "check", str(lat))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qlint: error: cannot read {lat}: 'utf-8' codec")
+
+    def test_unknown_encoding_cannot_be_read(self, capsys, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b"#!/usr/bin/env python\n# coding: uft-8\nx = 1\n")
+        code, out, err = _run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"qlint: error: cannot read {bad}: unknown encoding: uft-8\n"
+
+
 class TestUnreadableFile:
     """A file that cannot be decoded is named on stderr; the others still report."""
 

@@ -186,7 +186,29 @@ class TestOversizedCircuit:
         source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{call}\n"
         assert _lines_of(source, "oversized-circuit") == []
 
-    @pytest.mark.parametrize("params", ["qc", "*qc", "**qc", "*, qc"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'helper({"c": qc})',
+            "helper(lambda: qc)",
+            "helper(qc if f else None)",
+            'helper(f"{qc}")',
+            "helper([c for c in [qc]])",
+            "helper((q := qc))",
+            "helper(flag and qc)",
+            'helper(k={"c": qc})',
+            'helper([{"c": qc}])',
+        ],
+    )
+    def test_circuit_named_in_opaque_argument_escapes(self, call):
+        # An argument outside the modelled subset still hands qc to helper():
+        # the same findings as `helper(qc)`, and no unused-qubit claim.
+        source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{call}\n"
+        baseline = _rules_fired("qc = QuantumCircuit(3)\nqc.h(0)\nhelper(qc)\n")
+        assert baseline == ["insuff-clas-reg"]
+        assert _rules_fired(source) == baseline
+
+    @pytest.mark.parametrize("params",["qc", "*qc", "**qc", "*, qc"])
     def test_parameter_shadows_module_circuit(self, params):
         # Every parameter kind binds `qc` locally, so helper() does not touch
         # the module's circuit and cannot hide its unused qubits.
