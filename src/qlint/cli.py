@@ -186,13 +186,7 @@ def run(argv: list[str]) -> int:
             return _cmd_corpus(args)
         if args.command == "rules":
             return _cmd_rules()
-    except _UsageError as exc:
-        sys.stderr.write(f"qlint: error: {exc}\n")
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"qlint: error: {exc}\n")
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"qlint: error: {exc}\n")
         return EXIT_ERROR
     return EXIT_ERROR
