@@ -1,0 +1,76 @@
+"""No module under src/qlint imports a name it never uses.
+
+A stdlib `ast` check in the spirit of pyflakes' F401. A name counts as used
+when the module reads it anywhere, names it in a string annotation, or lists
+it in `__all__` (how the package `__init__` files re-export). An import line
+that carries `# noqa: F401` is exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qlint"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    used: set[str] = set()
+    annotations: list[ast.expr | None] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    for annotation in annotations:
+        for node in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the module never uses."""
+    source = path.read_text("utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            line = getattr(alias, "lineno", node.lineno)
+            exempt = "# noqa: F401" in lines[line - 1] or "# noqa: F401" in lines[node.lineno - 1]
+            if bound not in used and not exempt:
+                found.append((line, bound))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path) == []
+
+
+def test_check_finds_an_unused_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import os\nimport re  # noqa: F401\nfrom typing import Any, List\n"
+        "__all__ = ['List']\nx: 'Any' = 1\n",
+        "utf-8",
+    )
+    assert unused_imports(module) == [(1, "os")]
