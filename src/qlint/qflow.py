@@ -74,7 +74,7 @@ class FlowRelation:
     def event(self, event_id: str) -> OperatorEvent:
         return self._events[event_id]
 
-    # --- queries only the benchmark's oracle check and the tests read ---
+    # --- ordering primitives ---
 
     def before(self, a: str, b: str) -> bool:
         """True when some control-flow path executes event a before event b."""
@@ -93,7 +93,9 @@ class FlowRelation:
 
     @cached_property
     def may_follow_pairs(self) -> tuple[tuple[str, str, QubitKey], ...]:
-        """Every ordered pair on each timeline; quadratic, built only on demand."""
+        """Every ordered pair on each timeline; quadratic, built only on demand.
+
+        No rule reads it: the benchmark's oracle check and the tests do."""
         pairs: set[tuple[str, str, QubitKey]] = set()
         for key, events in self.timelines.items():
             for i, a in enumerate(events):
