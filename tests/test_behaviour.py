@@ -123,12 +123,6 @@ def test_behaviour_matches_lock():
     assert not changed, f"{len(changed)} of {len(expected)} inputs changed:\n{detail}"
 
 
-def test_lock_file_is_rendered_form():
-    """The committed file is exactly what the regeneration command writes."""
-    text = GOLDEN.read_text("utf-8")
-    assert render(json.loads(text)) == text
-
-
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(render(compute()), "utf-8")

@@ -291,7 +291,7 @@ class TestAbsoluteIndex:
         ir = _ir(source)
         circuit = _the_circuit(ir)
         reg_a = circuit.quantum_registers[0]
-        assert register_offsets(ir, circuit)[reg_a] + 1 == 1
+        assert register_offsets(ir, circuit)[reg_a] == 0
 
     def test_unknown_preceding_size_propagates(self):
         source = (
