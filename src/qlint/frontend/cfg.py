@@ -109,7 +109,11 @@ class _Builder:
 
 
 def build_cfg(tree: ModuleAst) -> Cfg:
-    """Build the control-flow graph for every scope of a parsed file."""
+    """Build the control-flow graph for every scope of a file.
+
+    `tree` is the output of `unroll_loops`, which numbers the statements
+    that `block_of_stmt` and function scope names are keyed by.
+    """
     builder = _Builder()
     builder.build_scope(MODULE_SCOPE, tree.statements)
     return builder.cfg

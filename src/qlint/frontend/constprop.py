@@ -3,8 +3,8 @@
 Values are either exactly known integers or Unknown; any operation with an
 Unknown operand stays Unknown, so a Known answer is always trustworthy. This
 module holds no evaluator: the one walk that applies these rules is the loop
-unroller's `_Unroller._value`, which records every expression's value into a
-ConstEnv as it expands the file.
+unroller's `_Unroller._value`, which folds every expression of known value
+into an `IntLit` as it expands the file.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from .nodes import (
     Expr,
     ForRange,
     If,
-    ListExpr,
+    IntLit,
     ModuleAst,
     Name,
     Opaque,
+    SeqExpr,
     Stmt,
-    TupleExpr,
     expr_names,
 )
 
@@ -98,9 +98,9 @@ def tuple_assign_pairs(stmt: Assign) -> list[tuple[str, Expr]] | None:
         return None
     target = stmt.targets[0]
     value = stmt.value
-    if not isinstance(target, (ListExpr, TupleExpr)):
+    if not isinstance(target, SeqExpr):
         return None
-    if not isinstance(value, (ListExpr, TupleExpr)):
+    if not isinstance(value, SeqExpr):
         return None
     if len(target.elements) != len(value.elements):
         return None
@@ -121,7 +121,7 @@ def collect_assigned_names(stmts: list[Stmt]) -> set[str]:
             for target in stmt.targets:
                 if isinstance(target, Name):
                     out.add(target.ident)
-                elif isinstance(target, (ListExpr, TupleExpr)):
+                elif isinstance(target, SeqExpr):
                     out.update(expr_names(target))
         elif isinstance(stmt, ForRange):
             out.add(stmt.var)
@@ -154,10 +154,9 @@ def join_envs(
 
 
 class ConstEnv:
-    """Resolved integer values per expression node of an unrolled tree."""
+    """Integer facts of an unrolled tree, whose known integers are `IntLit`s."""
 
     def __init__(self, rebound_names: frozenset[str] = frozenset()) -> None:
-        self._values: dict[int, ConstValue] = {}
         self.rebound_names = rebound_names
 
     def forget_rebound(self, env: _Env) -> None:
@@ -165,17 +164,18 @@ class ConstEnv:
         for name in self.rebound_names & env.keys():
             env[name] = UNKNOWN
 
-    def resolve(self, expr: Expr) -> ConstValue:
-        """ConstValue of an expression occurrence in the analyzed tree."""
-        return self._values.get(expr.uid, UNKNOWN)
+    @staticmethod
+    def resolve(expr: Expr) -> ConstValue:
+        """Known for an `IntLit`, else Unknown: unrolling folds every known value."""
+        return known(expr.value) if type(expr) is IntLit else UNKNOWN
 
 
 def propagate_constants(tree: ModuleAst) -> ConstEnv:
     """Known/Unknown integer facts for every expression of an unrolled tree.
 
-    `unroll_loops` records them while it walks the file; this only hands
-    them out.
+    `unroll_loops` folds them into the tree while it walks the file; this
+    only hands out the environment it made.
     """
     if tree.constants is None:
-        raise ValueError("constants are recorded by unroll_loops; unroll the tree first")
+        raise ValueError("constants are folded by unroll_loops; unroll the tree first")
     return tree.constants

@@ -66,60 +66,52 @@ class Record:
 
 
 class Node(Record):
-    """A statement or expression: its span, and a uid unique within its tree."""
+    """An expression or a statement, with its span."""
 
-    __slots__ = ("span", "uid")
+    __slots__ = ("span",)
+
+
+class StmtNode(Node):
+    """A statement; `uid` is its number in an unrolled tree (-1 as parsed)."""
+
+    __slots__ = ("uid",)
 
 
 # --- expressions ---
 
 
 class IntLit(Node):
+    """An integer, written in the source or folded from a known expression."""
+
     __slots__ = ("value",)
-    def __init__(self, value: int, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.value = span, uid, value
+    def __init__(self, value: int, *, span: SourceSpan) -> None:
+        self.span, self.value = span, value
 
 
-class FloatLit(Node):
+class Literal(Node):
+    """A float, string, bool or None constant."""
+
     __slots__ = ("value",)
-    def __init__(self, value: float, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.value = span, uid, value
-
-
-class StrLit(Node):
-    __slots__ = ("value",)
-    def __init__(self, value: str, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.value = span, uid, value
-
-
-class BoolLit(Node):
-    __slots__ = ("value",)
-    def __init__(self, value: bool, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.value = span, uid, value
-
-
-class NoneLit(Node):
-    __slots__ = ()
-    def __init__(self, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid = span, uid
+    def __init__(self, value: float | str | bool | None, *, span: SourceSpan) -> None:
+        self.span, self.value = span, value
 
 
 class Name(Node):
     __slots__ = ("ident",)
-    def __init__(self, ident: str, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.ident = span, uid, ident
+    def __init__(self, ident: str, *, span: SourceSpan) -> None:
+        self.span, self.ident = span, ident
 
 
 class Attribute(Node):
     __slots__ = ("value", "attr")
-    def __init__(self, value: Expr, attr: str, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.value, self.attr = span, uid, value, attr
+    def __init__(self, value: Expr, attr: str, *, span: SourceSpan) -> None:
+        self.span, self.value, self.attr = span, value, attr
 
 
 class Subscript(Node):
     __slots__ = ("value", "index")
-    def __init__(self, value: Expr, index: Expr, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.value, self.index = span, uid, value, index
+    def __init__(self, value: Expr, index: Expr, *, span: SourceSpan) -> None:
+        self.span, self.value, self.index = span, value, index
 
 
 class Keyword(Record):
@@ -133,70 +125,49 @@ class Call(Node):
     __slots__ = ("func", "args", "keywords", "has_star_args")
     def __init__(
         self, func: Expr, args: list[Expr], keywords: list[Keyword], has_star_args: bool = False,
-        *, span: SourceSpan, uid: int = -1,
+        *, span: SourceSpan,
     ) -> None:
-        self.span, self.uid, self.func, self.args = span, uid, func, args
+        self.span, self.func, self.args = span, func, args
         self.keywords, self.has_star_args = keywords, has_star_args
 
 
-class ListExpr(Node):
-    __slots__ = ("elements",)
-    def __init__(self, elements: list[Expr], *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.elements = span, uid, elements
+class SeqExpr(Node):
+    """A list or tuple display."""
 
-
-class TupleExpr(Node):
     __slots__ = ("elements",)
-    def __init__(self, elements: list[Expr], *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.elements = span, uid, elements
+    def __init__(self, elements: list[Expr], *, span: SourceSpan) -> None:
+        self.span, self.elements = span, elements
 
 
 class BinOp(Node):
     __slots__ = ("left", "op", "right")
-    def __init__(
-        self, left: Expr, op: str, right: Expr, *, span: SourceSpan, uid: int = -1
-    ) -> None:
-        self.span, self.uid, self.left, self.op, self.right = span, uid, left, op, right
+    def __init__(self, left: Expr, op: str, right: Expr, *, span: SourceSpan) -> None:
+        self.span, self.left, self.op, self.right = span, left, op, right
 
 
 class UnaryOp(Node):
     __slots__ = ("op", "operand")
-    def __init__(self, op: str, operand: Expr, *, span: SourceSpan, uid: int = -1) -> None:
-        self.span, self.uid, self.op, self.operand = span, uid, op, operand
+    def __init__(self, op: str, operand: Expr, *, span: SourceSpan) -> None:
+        self.span, self.op, self.operand = span, op, operand
 
 
 class OpaqueExpr(Node):
     """Expression outside the subset; keeps the names it mentions."""
 
     __slots__ = ("names",)
-    def __init__(
-        self, names: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int = -1
-    ) -> None:
-        self.span, self.uid, self.names = span, uid, names
+    def __init__(self, names: frozenset[str] = frozenset(), *, span: SourceSpan) -> None:
+        self.span, self.names = span, names
 
 
 Expr = (
-    IntLit
-    | FloatLit
-    | StrLit
-    | BoolLit
-    | NoneLit
-    | Name
-    | Attribute
-    | Subscript
-    | Call
-    | ListExpr
-    | TupleExpr
-    | BinOp
-    | UnaryOp
-    | OpaqueExpr
+    IntLit | Literal | Name | Attribute | Subscript | Call | SeqExpr | BinOp | UnaryOp | OpaqueExpr
 )
 
 
 # --- statements ---
 
 
-class Assign(Node):
+class Assign(StmtNode):
     __slots__ = ("targets", "value")
     def __init__(
         self, targets: list[Expr], value: Expr, *, span: SourceSpan, uid: int = -1
@@ -204,13 +175,13 @@ class Assign(Node):
         self.span, self.uid, self.targets, self.value = span, uid, targets, value
 
 
-class ExprStmt(Node):
+class ExprStmt(StmtNode):
     __slots__ = ("value",)
     def __init__(self, value: Expr, *, span: SourceSpan, uid: int = -1) -> None:
         self.span, self.uid, self.value = span, uid, value
 
 
-class ForRange(Node):
+class ForRange(StmtNode):
     __slots__ = ("var", "range_args", "body")
     def __init__(
         self, var: str, range_args: list[Expr], body: list[Stmt],
@@ -220,7 +191,7 @@ class ForRange(Node):
         self.range_args, self.body = range_args, body
 
 
-class If(Node):
+class If(StmtNode):
     __slots__ = ("test", "body", "orelse")
     def __init__(
         self, test: Expr, body: list[Stmt], orelse: list[Stmt],
@@ -230,7 +201,7 @@ class If(Node):
         self.body, self.orelse = body, orelse
 
 
-class FunctionDef(Node):
+class FunctionDef(StmtNode):
     __slots__ = ("name", "params", "body", "method_receivers")
     def __init__(
         self, name: str, params: list[str], body: list[Stmt],
@@ -241,13 +212,13 @@ class FunctionDef(Node):
         self.method_receivers = method_receivers
 
 
-class Return(Node):
+class Return(StmtNode):
     __slots__ = ("value",)
     def __init__(self, value: Expr | None, *, span: SourceSpan, uid: int = -1) -> None:
         self.span, self.uid, self.value = span, uid, value
 
 
-class NoOp(Node):
+class NoOp(StmtNode):
     """Statement with no analysis effect (pass, import, break, continue)."""
 
     __slots__ = ("kind",)
@@ -255,7 +226,7 @@ class NoOp(Node):
         self.span, self.uid, self.kind = span, uid, kind
 
 
-class Opaque(Node):
+class Opaque(StmtNode):
     """Statement outside the subset; keeps the names it mentions."""
 
     __slots__ = ("names", "label")
@@ -272,18 +243,16 @@ Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | NoOp | Opaque
 class ModuleAst(Record):
     """Parsed file: top-level statements plus bookkeeping set by unrolling."""
 
-    __slots__ = ("file", "statements", "last_uid", "non_unrollable", "constants",
-                 "rebound_names", "method_receivers")
+    __slots__ = ("file", "statements", "non_unrollable", "constants", "rebound_names",
+                 "method_receivers")
 
     def __init__(
-        self, file: str, statements: list[Stmt], last_uid: int = 0,
-        non_unrollable: list[int] | None = None, constants: ConstEnv | None = None,
-        rebound_names: frozenset[str] = frozenset(),
+        self, file: str, statements: list[Stmt], non_unrollable: list[int] | None = None,
+        constants: ConstEnv | None = None, rebound_names: frozenset[str] = frozenset(),
         method_receivers: frozenset[str] = frozenset(),
     ) -> None:
         self.file = file
         self.statements = statements
-        self.last_uid = last_uid  # largest node uid; unrolling numbers its copies after it
         self.non_unrollable = [] if non_unrollable is None else non_unrollable
         self.constants = constants
         # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
@@ -315,7 +284,7 @@ def _collect_names(expr: Expr, out: set[str]) -> None:
             _collect_names(a, out)
         for k in expr.keywords:
             _collect_names(k.value, out)
-    elif isinstance(expr, (ListExpr, TupleExpr)):
+    elif isinstance(expr, SeqExpr):
         for e in expr.elements:
             _collect_names(e, out)
     elif isinstance(expr, BinOp):

@@ -8,29 +8,25 @@ from .nodes import (
     Assign,
     Attribute,
     BinOp,
-    BoolLit,
     Call,
     Expr,
     ExprStmt,
-    FloatLit,
     ForRange,
     FunctionDef,
     If,
     IntLit,
     Keyword,
-    ListExpr,
+    Literal,
     ModuleAst,
     Name,
-    NoneLit,
     NoOp,
     Opaque,
     OpaqueExpr,
     Return,
+    SeqExpr,
     SourceSpan,
     Stmt,
-    StrLit,
     Subscript,
-    TupleExpr,
     UnaryOp,
 )
 
@@ -64,7 +60,6 @@ class ParseError(Exception):
 class _Builder:
     def __init__(self, file: str) -> None:
         self.file = file
-        self.last_uid = 0
         self.rebound_names: set[str] = set()
         self.method_receivers: set[str] = set()  # of the scope being lowered
         self.if_depth = 0
@@ -81,11 +76,7 @@ class _Builder:
         return [self.stmt(s) for s in body]
 
     def stmt(self, node: ast.stmt) -> Stmt:
-        span = self.span(node)
-        uid = self.last_uid = self.last_uid + 1
-        out = _STMT.get(type(node), _Builder._other_stmt)(self, node, span)
-        out.uid = uid
-        return out
+        return _STMT.get(type(node), _Builder._other_stmt)(self, node, self.span(node))
 
     def _assign(self, node: ast.Assign, span: SourceSpan) -> Stmt:
         return Assign([self.expr(t) for t in node.targets], self.expr(node.value), span=span)
@@ -101,7 +92,6 @@ class _Builder:
             return self._opaque(node, span, "augassign")
         target = self.expr(node.target)
         value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
-        value.uid = self.last_uid = self.last_uid + 1
         return Assign([target], value, span=span)
 
     def _expr_stmt(self, node: ast.Expr, span: SourceSpan) -> Stmt:
@@ -156,18 +146,15 @@ class _Builder:
     # --- expressions ---
 
     def expr(self, node: ast.expr) -> Expr:
-        span = self.span(node)
-        uid = self.last_uid = self.last_uid + 1
-        out = _EXPR.get(type(node), _Builder._opaque_expr)(self, node, span)
-        out.uid = uid
-        return out
+        return _EXPR.get(type(node), _Builder._opaque_expr)(self, node, self.span(node))
 
     def _constant(self, node: ast.Constant, span: SourceSpan) -> Expr:
         v = node.value
-        if v is None:
-            return NoneLit(span=span)
-        literal = _LITERALS.get(type(v))
-        return literal(v, span=span) if literal else self._opaque_expr(node, span)
+        if type(v) is int:
+            return IntLit(v, span=span)
+        if type(v) in _LITERAL_TYPES:
+            return Literal(v, span=span)
+        return self._opaque_expr(node, span)  # complex, bytes, Ellipsis
 
     def _name(self, node: ast.Name, span: SourceSpan) -> Expr:
         return Name(node.id, span=span)
@@ -194,11 +181,8 @@ class _Builder:
                 self.method_receivers.add(f.value.id)
         return Call(self.expr(node.func), args, keywords, has_star_args, span=span)
 
-    def _list(self, node: ast.List, span: SourceSpan) -> Expr:
-        return ListExpr([self.expr(e) for e in node.elts], span=span)
-
-    def _tuple(self, node: ast.Tuple, span: SourceSpan) -> Expr:
-        return TupleExpr([self.expr(e) for e in node.elts], span=span)
+    def _seq(self, node: ast.List | ast.Tuple, span: SourceSpan) -> Expr:
+        return SeqExpr([self.expr(e) for e in node.elts], span=span)
 
     def _bin_op(self, node: ast.BinOp, span: SourceSpan) -> Expr:
         op = _BIN_OPS.get(type(node.op))
@@ -241,15 +225,15 @@ _STMT = {
         [ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue], _Builder._no_op
     ),
 }
-_LITERALS = {bool: BoolLit, int: IntLit, float: FloatLit, str: StrLit}
+_LITERAL_TYPES = frozenset({float, str, bool, type(None)})
 _EXPR = {
     ast.Constant: _Builder._constant,
     ast.Name: _Builder._name,
     ast.Attribute: _Builder._attribute,
     ast.Subscript: _Builder._subscript,
     ast.Call: _Builder._call,
-    ast.List: _Builder._list,
-    ast.Tuple: _Builder._tuple,
+    ast.List: _Builder._seq,
+    ast.Tuple: _Builder._seq,
     ast.BinOp: _Builder._bin_op,
     ast.UnaryOp: _Builder._unary_op,
 }
@@ -284,7 +268,6 @@ def parse_file(source: str, file: str) -> ModuleAst:
     return ModuleAst(
         file,
         statements,
-        last_uid=builder.last_uid,
         rebound_names=frozenset(builder.rebound_names),
         method_receivers=frozenset(builder.method_receivers),
     )

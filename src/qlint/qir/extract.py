@@ -23,27 +23,24 @@ from ..frontend.constprop import (
 from ..frontend.nodes import (
     Assign,
     Attribute,
-    BoolLit,
     Call,
     Expr,
     ExprStmt,
-    FloatLit,
     ForRange,
     FunctionDef,
     If,
     IntLit,
-    ListExpr,
+    Literal,
     ModuleAst,
     Name,
     NoOp,
     Opaque,
     OpaqueExpr,
     Return,
+    SeqExpr,
     SourceSpan,
     Stmt,
-    StrLit,
     Subscript,
-    TupleExpr,
     expr_names,
 )
 from .gates import GateSpec, GateTable, load_gate_table
@@ -85,7 +82,7 @@ def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
     return _OTHER
 
 
-_LEAVES = (Name, IntLit, FloatLit, StrLit, BoolLit)
+_LEAVES = (Name, IntLit, Literal)
 
 
 def _is_inert(expr: Expr) -> bool:
@@ -127,7 +124,12 @@ def extract(
     cfg: Cfg,
     gate_table: GateTable | None = None,
 ) -> QuantumIR:
-    """Extract the quantum IR of one file from its post-unroll AST."""
+    """Extract the quantum IR of one file from the output of `unroll_loops`.
+
+    Known integers must already be folded into `IntLit`s and statements
+    numbered, as `unroll_loops` leaves them; `cfg` is `build_cfg` of the
+    same tree.
+    """
     table = gate_table if gate_table is not None else load_gate_table()
     return _Extractor(tree, env, cfg, table).run()
 
@@ -204,7 +206,7 @@ class _Extractor:
 
     def _walk(self, stmts: list[Stmt], scope: _Scope) -> None:
         for stmt in stmts:
-            self._block = self.cfg.block_of_stmt.get(stmt.uid, self._block)
+            self._block = self.cfg.block_of_stmt[stmt.uid]
             if isinstance(stmt, Assign):
                 self._assign(stmt, scope)
             elif isinstance(stmt, ExprStmt):
@@ -312,15 +314,9 @@ class _Extractor:
 
     # --- expression evaluation ---
 
-    def _lookup(self, name: Name, scope: _Scope) -> _Binding:
-        if self.env.resolve(name).is_known:
-            # An integer, such as a loop variable reusing a register's name.
-            return _OTHER
-        return scope.vars.get(name.ident, _OTHER)
-
     def _eval(self, expr: Expr, scope: _Scope, bare: bool = False) -> _Binding:
         if isinstance(expr, Name):
-            return self._lookup(expr, scope)
+            return scope.vars.get(expr.ident, _OTHER)
         if isinstance(expr, Call):
             return self._call(expr, scope, bare)
         if isinstance(expr, Attribute):
@@ -330,7 +326,7 @@ class _Extractor:
             self._eval(expr.value, scope)
             self._eval(expr.index, scope)
             return _OTHER
-        if isinstance(expr, (ListExpr, TupleExpr)):
+        if isinstance(expr, SeqExpr):
             escaped: set[str] = set()
             for element in expr.elements:
                 binding = self._eval(element, scope)
@@ -403,8 +399,9 @@ class _Extractor:
             self._diagnostic("register declared with negative size", call.span)
             size = UNKNOWN
         name = None
-        if len(call.args) >= 2 and isinstance(call.args[1], StrLit):
-            name = call.args[1].value
+        label = call.args[1] if len(call.args) >= 2 else None
+        if isinstance(label, Literal) and isinstance(label.value, str):
+            name = label.value
         decl = RegisterDecl(self._new_id("r"), kind, size, call.span, name=name)
         self.ir.registers[decl.id] = decl
         return _Binding("register", (decl.id,))
@@ -528,7 +525,7 @@ class _Extractor:
         found: set[str] = set()
         names = [n for kw in call.keywords if kw.name is None for n in expr_names(kw.value)]
         for arg in [*call.args, *(kw.value for kw in call.keywords)]:
-            elements = arg.elements if isinstance(arg, (ListExpr, TupleExpr)) else [arg]
+            elements = arg.elements if isinstance(arg, SeqExpr) else [arg]
             for element in elements:
                 if isinstance(element, OpaqueExpr):
                     names += element.names
@@ -682,7 +679,7 @@ class _Extractor:
     def _measure_all_event(self, circuit: CircuitDecl, call: Call) -> _Binding:
         creates = True
         for kw in call.keywords:
-            if kw.name == "add_bits" and isinstance(kw.value, BoolLit) and not kw.value.value:
+            if kw.name == "add_bits" and isinstance(kw.value, Literal) and kw.value.value is False:
                 creates = False
         event = self._emit(
             EventKind.MEASURE_ALL,
@@ -726,7 +723,7 @@ class _Extractor:
     def _resolve_bit_group(
         self, expr: Expr, circuit: CircuitDecl, scope: _Scope, classical: bool
     ) -> list[QubitRef] | None:
-        if isinstance(expr, (ListExpr, TupleExpr)):
+        if isinstance(expr, SeqExpr):
             return [
                 self._resolve_single_bit(e, circuit, scope, classical)
                 for e in expr.elements
@@ -744,7 +741,7 @@ class _Extractor:
     def _register_of_name(
         self, name: Name, scope: _Scope, classical: bool
     ) -> RegisterDecl | None:
-        binding = self._lookup(name, scope)
+        binding = scope.vars.get(name.ident, _OTHER)
         if binding.kind != "register":
             return None
         reg = self.ir.registers[binding.ids[0]]
@@ -808,7 +805,7 @@ class _Extractor:
         self._composition_edges(circuit, call, scope, "compose")
         inplace_true = False
         for kw in call.keywords:
-            if kw.name == "inplace" and isinstance(kw.value, BoolLit) and kw.value.value:
+            if kw.name == "inplace" and isinstance(kw.value, Literal) and kw.value.value is True:
                 inplace_true = True
         self.ir.compose_calls.append(
             ComposeCall(circuit.id, call.span, bare, inplace_true)

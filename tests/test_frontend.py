@@ -6,6 +6,8 @@ import ast
 
 import pytest
 from conftest import elif_chain, parses_in_this_python, sample_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from genprog import loop_pair, wide_branchy
 from oracle import capture_values
 
@@ -62,6 +64,56 @@ def _all_nodes(value):
         for name in value._fields:
             if name != "span":
                 yield from _all_nodes(getattr(value, name))
+
+
+# Leaves of the fold property's programs. Only `w` is bound by a walrus, so
+# `a` and `b` stay known where they can; names are listed twice to draw them
+# more often.
+_NAMES = ("a", "b", "w")
+_LEAVES = ("0", "1", "2", "3", "(-1)", "(-2)", "(-3)", *_NAMES, *_NAMES, "True", "False", "None")
+
+
+@st.composite
+def _fold_programs(draw) -> str:
+    """Straight-line or if/else code over a, b and w that ends in `use(expr)`."""
+
+    def expr(depth: int) -> str:
+        kind = draw(st.integers(0, 9)) if depth else 9
+        if kind < 5:
+            op = draw(st.sampled_from(["+", "-", "*", "//"]))
+            return f"({expr(depth - 1)} {op} {expr(depth - 1)})"
+        if kind == 5:
+            return f"(-{expr(depth - 1)})"
+        if kind == 6:
+            return f"(w := {expr(depth - 1)})"
+        return draw(st.sampled_from(_LEAVES))
+
+    def simple(indent: str) -> str:
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return f"{indent}{draw(st.sampled_from(_NAMES))} = {expr(2)}\n"
+        return f"{indent}use({expr(kind - 1)})\n"
+
+    lines = ["flag = True\n", "a = 1\n", "b = 2\n", "w = 3\n"]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)):
+            lines.append(simple(""))
+            continue
+        lines.append("if flag:\n")
+        lines += [simple("    ") for _ in range(draw(st.integers(1, 3)))]
+        orelse = [simple("    ") for _ in range(draw(st.integers(0, 3)))]
+        lines += ["else:\n", *orelse] if orelse else []
+    return "".join(lines) + f"use({expr(2)})\n"
+
+
+def _cannot_fold(expr: ast.expr) -> bool:
+    """A bool or None operand, or a literal 0 divisor, inside `expr`."""
+    return any(
+        isinstance(node, ast.Constant) and type(node.value) is not int
+        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+        and isinstance(node.right, ast.Constant) and node.right.value == 0
+        for node in ast.walk(expr)
+    )
 
 
 def _resolved_calls(tree, env):
@@ -301,6 +353,34 @@ class TestConstants:
             ]
             assert [env.resolve(u) for u in uses] == [UNKNOWN], source
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_fold_programs())
+    def test_fold_agrees_with_execution(self, source):
+        """A folded `use` argument is the value the program passes, whichever
+        branches run; an operand that cannot fold keeps its expression from
+        folding."""
+        uses = [
+            (stmt, parsed.value.args[0])
+            for stmt, parsed in zip(
+                _all_stmts(_unrolled(source).statements),
+                _all_stmts(ast.parse(source).body),
+            )
+            if isinstance(stmt, ExprStmt)
+        ]
+        for stmt, parsed_arg in uses:
+            if _cannot_fold(parsed_arg):
+                assert not isinstance(stmt.value.args[0], IntLit)
+        for run in (source, source.replace("flag = True", "flag = False", 1)):
+            try:
+                observed = capture_values(run)
+            except (TypeError, ZeroDivisionError):
+                continue  # `None + 1` or `// 0` stopped the run
+            for stmt, _ in uses:
+                arg = stmt.value.args[0]
+                if isinstance(arg, IntLit) and stmt.span.line in observed:  # else not run
+                    seen = observed[stmt.span.line]
+                    assert type(seen) is int and seen == arg.value
+
     def test_tree_must_come_from_unroll_loops(self):
         with pytest.raises(ValueError):
             propagate_constants(_parse("a = 1\n"))
@@ -448,12 +528,12 @@ class TestUnrollSharing:
         assert len(expanded.non_unrollable) == 1
 
     def test_every_uid_is_unique(self):
+        """The result's statements are numbered 1..n, each once, copies included."""
         parsed = _parse(self.NESTED)
         tree = unroll_loops(parsed)
-        uids = [node.uid for node in _all_nodes(tree.statements)]
-        assert len(uids) == len(set(uids))
-        assert min(uids) >= 1 and max(uids) == tree.last_uid
-        assert any(uid > parsed.last_uid for uid in uids)  # the copies
+        uids = [stmt.uid for stmt in _all_stmts(tree.statements)]
+        assert sorted(uids) == list(range(1, len(uids) + 1))
+        assert len(uids) > len(list(_all_stmts(parsed.statements)))  # the copies
 
     def test_unrolled_index_resolves_inside_if_and_def(self):
         tree = _unrolled(self.NESTED)
@@ -471,12 +551,17 @@ class TestUnrollSharing:
         assert [c.method_receivers for c in copies] == [{"sub"}, {"sub"}]
         assert tree.method_receivers == {"mod"}
 
-    def test_loop_free_file_is_not_copied(self):
-        """Complexity guard: no whole-tree copy on a 3,200-op file without loops."""
+    def test_loop_free_file_shares_parsed_expressions(self):
+        """Complexity guard: on a 3,200-op file with nothing to fold, statements
+        are new but every expression is the parsed object itself."""
         parsed = _parse(wide_branchy(seed=7, n_ops=3200))
         tree = unroll_loops(parsed)
         pairs = zip(_all_stmts(tree.statements), _all_stmts(parsed.statements), strict=True)
-        assert all(out is parsed_stmt for out, parsed_stmt in pairs)
+        for out, parsed_stmt in pairs:
+            assert out is not parsed_stmt
+            for name in out._fields:
+                if name not in ("span", "uid", "body", "orelse"):
+                    assert getattr(out, name) is getattr(parsed_stmt, name)
 
 
 class TestUnrolledCopiesResolve:

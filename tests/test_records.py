@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qlint import Config
-from qlint.frontend.nodes import Call, IntLit, Keyword, ModuleAst, Name, NoneLit, SourceSpan
+from qlint.frontend.nodes import Call, ExprStmt, IntLit, Keyword, Literal, ModuleAst, Name, SourceSpan
 from qlint.qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QubitRef
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -41,16 +41,16 @@ class TestRepr:
     def test_node(self):
         call = Call(
             Name("h", span=SPAN),
-            [IntLit(0, span=SPAN, uid=3)],
-            [Keyword("k", NoneLit(span=SPAN))],
+            [IntLit(0, span=SPAN)],
+            [Keyword("k", Literal(None, span=SPAN))],
             span=SPAN,
-            uid=2,
         )
-        assert repr(call) == (
-            f"Call(span={SPAN_TEXT}, uid=2, func=Name(span={SPAN_TEXT}, uid=-1, ident='h'), "
-            f"args=[IntLit(span={SPAN_TEXT}, uid=3, value=0)], "
-            f"keywords=[Keyword(name='k', value=NoneLit(span={SPAN_TEXT}, uid=-1))], "
-            "has_star_args=False)"
+        assert repr(ExprStmt(call, span=SPAN, uid=2)) == (
+            f"ExprStmt(span={SPAN_TEXT}, uid=2, value=Call(span={SPAN_TEXT}, "
+            f"func=Name(span={SPAN_TEXT}, ident='h'), "
+            f"args=[IntLit(span={SPAN_TEXT}, value=0)], "
+            f"keywords=[Keyword(name='k', value=Literal(span={SPAN_TEXT}, value=None))], "
+            "has_star_args=False))"
         )
 
     def test_operator_event(self):
@@ -77,8 +77,8 @@ class TestRepr:
 
 class TestMutableRecords:
     def test_equality_is_field_wise_and_per_class(self):
-        assert Name("x", span=SPAN, uid=1) == Name("x", span=SPAN, uid=1)
-        assert Name("x", span=SPAN, uid=1) != Name("x", span=SPAN, uid=2)
+        assert Name("x", span=SPAN) == Name("x", span=SPAN)
+        assert Name("x", span=SPAN) != Name("y", span=SPAN)
         assert IntLit(1, span=SPAN) != Name("x", span=SPAN)
 
     def test_records_are_unhashable(self):
@@ -92,9 +92,9 @@ class TestMutableRecords:
         assert ModuleAst("a.py", []).non_unrollable is not ModuleAst("b.py", []).non_unrollable
 
     def test_replace_copies_and_changes_fields(self):
-        tree = ModuleAst("a.py", [], last_uid=3)
-        copy = tree._replace(last_uid=7)
-        assert (copy.file, copy.last_uid, tree.last_uid) == ("a.py", 7, 3)
+        tree = ModuleAst("a.py", [], non_unrollable=[3])
+        copy = tree._replace(non_unrollable=[7])
+        assert (copy.file, copy.non_unrollable, tree.non_unrollable) == ("a.py", [7], [3])
         with pytest.raises(TypeError):
             tree._replace(no_such_field=1)
 
