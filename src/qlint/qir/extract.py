@@ -255,6 +255,11 @@ class _Extractor:
                         entity.name = target.ident
             else:
                 self._eval(target, scope)
+                if binding.kind == "circuit" and isinstance(target, (Attribute, Subscript)):
+                    # Stored into an object or container the analysis does not track.
+                    self._emit_unknown(
+                        binding.ids, UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span
+                    )
 
     def _tuple_assign(self, stmt: Assign, scope: _Scope) -> bool:
         """Bind `a, b = x, y` pairwise so circuits do not escape tracking."""
@@ -301,7 +306,8 @@ class _Extractor:
             for cid in binding.ids:
                 self.ir.circuits[cid].subcircuit_flags.add("returned_from_function")
 
-    def _opaque(self, stmt: Opaque, scope: _Scope) -> None:
+    def _opaque(self, stmt: Opaque | OpaqueExpr, scope: _Scope) -> None:
+        """Circuits that `stmt` names may change in any way it does."""
         touched: set[str] = set()
         for name in stmt.names:
             binding = scope.vars.get(name)
@@ -338,7 +344,8 @@ class _Extractor:
                 self._emit_unknown(
                     sorted(escaped), UnknownCause.GLOBAL_CIRCUIT_MUTATION, expr.span
                 )
-            return _OTHER
+        elif isinstance(expr, OpaqueExpr):
+            self._opaque(expr, scope)
         return _OTHER
 
     def _call(self, call: Call, scope: _Scope, bare: bool = False) -> _Binding:
@@ -529,6 +536,7 @@ class _Extractor:
             for element in elements:
                 if isinstance(element, OpaqueExpr):
                     names += element.names
+                    continue
                 binding = self._eval(element, scope)
                 if binding.kind == "circuit":
                     found.update(binding.ids)

@@ -138,6 +138,17 @@ class TestConstClasBit:
         source = "qc = QuantumCircuit(1, 1)\nhelper(qc)\nqc.measure(0, 0)\n"
         assert _lines_of(source, "const-clas-bit") == []
 
+    def test_circuit_stored_in_an_attribute_suppresses(self):
+        # Whatever holds `obj` may change qubit 1 before the measurement runs.
+        source = (
+            "qc = QuantumCircuit(2, 2)\n"
+            "qc.h(0)\n"
+            "qc.measure(0, 0)\n"
+            "qc.measure(1, 1)\n"
+            "obj.c = qc\n"
+        )
+        assert _lines_of(source, "const-clas-bit") == []
+
 
 class TestInsuffClasReg:
     def test_bare_constructor(self):
@@ -207,6 +218,24 @@ class TestOversizedCircuit:
         baseline = _rules_fired("qc = QuantumCircuit(3)\nqc.h(0)\nhelper(qc)\n")
         assert baseline == ["insuff-clas-reg"]
         assert _rules_fired(source) == baseline
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "obj.c = qc",
+            'd["k"] = qc',
+            'x = {"c": qc}',
+            "x = lambda: qc",
+            "x = qc if f else None",
+            "await run(qc)",
+            "yield qc",
+        ],
+    )
+    def test_circuit_stored_or_named_outside_a_call_escapes(self, statement):
+        # Stored into an object or container, or named by an expression
+        # outside the subset, qc reaches code that may use its other qubits.
+        source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{statement}\n"
+        assert _rules_fired(source) == ["insuff-clas-reg"]
 
     @pytest.mark.parametrize("params",["qc", "*qc", "**qc", "*, qc"])
     def test_parameter_shadows_module_circuit(self, params):
