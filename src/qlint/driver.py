@@ -27,6 +27,7 @@ from .report import Report, SkippedFile, build_report
 _SUPPRESS_RE = re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
 # PEP 263: a coding cookie on line 1, or on line 2 when line 1 is blank or a comment.
 _COOKIE_RE = re.compile(rb"(?:[ \t\f]*(?:#[^\r\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)")
+_LINE_END_RE = re.compile(rb"\r\n?|\n")
 
 
 class Config(NamedTuple):
@@ -127,12 +128,21 @@ def analyze_source(source: str, path: str, config: Config | None = None) -> File
 def _analyze_path(path: str, config: Config) -> FileOutcome:
     try:
         data = Path(path).read_bytes()
-        cookie = None if data.startswith(b"\xef\xbb\xbf") else _COOKIE_RE.match(data)
-        source = data.decode(cookie.group(1).decode() if cookie else "utf-8-sig")
-    except (OSError, UnicodeDecodeError, LookupError) as exc:  # LookupError: unknown encoding
+    except OSError as exc:
         return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
-    # Universal newlines, as reading in text mode gives them.
-    return analyze_source(source.replace("\r\n", "\n").replace("\r", "\n"), path, config)
+    cookie = None if data.startswith(b"\xef\xbb\xbf") else _COOKIE_RE.match(data)
+    try:
+        source = data.decode(cookie.group(1).decode() if cookie else "utf-8-sig")
+    except UnicodeDecodeError as exc:
+        before, message = exc.object[: exc.start], str(exc)
+    except LookupError as exc:  # an unknown encoding, which only a cookie can name
+        before, message = data[: cookie.start(1)], str(exc)
+    else:
+        # Universal newlines, as reading in text mode gives them.
+        return analyze_source(source.replace("\r\n", "\n").replace("\r", "\n"), path, config)
+    # Python rejects such bytes with a SyntaxError, so the file is skipped like one.
+    line = len(_LINE_END_RE.findall(before)) + 1
+    return FileOutcome(path, skipped=SkippedFile(path, line, message))
 
 
 def expand_paths(paths: list[str]) -> list[str]:
@@ -141,7 +151,8 @@ def expand_paths(paths: list[str]) -> list[str]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            out.update(str(f) for f in p.rglob("*.py"))
+            # A directory named `*.py` is not a file; a dangling link still is.
+            out.update(str(f) for f in p.rglob("*.py") if not f.is_dir())
         elif p.exists():
             out.add(str(p))
         else:

@@ -180,25 +180,42 @@ class TestSourceEncoding:
         assert f"{tmp_path / 'two_bugs.py'}:10:1 op-after-meas " in out
 
     def test_cookie_after_a_code_line_is_ignored(self, capsys, tmp_path):
+        # Python rejects the Latin-1 byte on line 3 with a SyntaxError, so
+        # the file is skipped like any file that does not parse.
         lat = tmp_path / "lat.py"
         lat.write_bytes(("x = 1\n# coding: latin-1\n" + self.BODY).encode("latin-1"))
         code, out, err = _run(capsys, "check", str(lat))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"qlint: error: cannot read {lat}: 'utf-8' codec")
+        assert (code, out) == (0, "")
+        assert err.startswith(
+            f"qlint: skipped {lat}: syntax error at line 3: 'utf-8' codec can't decode byte 0xe9"
+        )
 
-    def test_unknown_encoding_cannot_be_read(self, capsys, tmp_path):
+    def test_unknown_encoding_is_skipped(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_bytes(b"#!/usr/bin/env python\n# coding: uft-8\nx = 1\n")
-        code, out, err = _run(capsys, "check", str(bad))
-        assert (code, out) == (2, "")
-        assert err == f"qlint: error: cannot read {bad}: unknown encoding: uft-8\n"
+        bad.write_bytes(b"#!/usr/bin/env python\r\n# coding: uft-8\r\nx = 1\r\n")
+        code, out, err = _run(capsys, "check", str(bad), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["files_skipped"] == [
+            {"file": str(bad), "line": 2, "message": "unknown encoding: uft-8"}
+        ]
+        assert err == f"qlint: skipped {bad}: syntax error at line 2: unknown encoding: uft-8\n"
+
+    def test_undecodable_file_after_a_bom_is_skipped_at_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b"\xef\xbb\xbfa = 1\n\xe9\n")
+        (tmp_path / "two_bugs.py").write_text(sample_source("two_bugs"), "utf-8")
+        code, out, err = _run(capsys, "check", str(tmp_path))
+        assert code == 1  # the warning in two_bugs.py
+        assert f"{tmp_path / 'two_bugs.py'}:10:1 op-after-meas " in out
+        assert err.startswith(f"qlint: skipped {bad}: syntax error at line 2: 'utf-8' codec")
 
 
 class TestUnreadableFile:
-    """A file that cannot be decoded is named on stderr; the others still report."""
+    """A file that cannot be read is named on stderr; the others still report."""
 
     def _mixed(self, tmp_path):
-        (tmp_path / "latin.py").write_bytes('name = "caf\u00e9"\n'.encode("latin-1"))
+        # A dangling link: reading it fails even as root, unlike `chmod 000`.
+        (tmp_path / "broken.py").symlink_to(tmp_path / "missing.py")
         (tmp_path / "two_bugs.py").write_text(sample_source("two_bugs"), "utf-8")
         return tmp_path
 
@@ -213,7 +230,7 @@ class TestUnreadableFile:
         code, out, err = _run(capsys, "check", str(mixed), "--profile", "all")
         assert code == 2
         assert out == alone
-        assert err.startswith(f"qlint: error: cannot read {mixed / 'latin.py'}: ")
+        assert err.startswith(f"qlint: error: cannot read {mixed / 'broken.py'}: [Errno 2]")
 
     def test_serial_and_parallel_agree(self, capsys, tmp_path):
         mixed = str(self._mixed(tmp_path))
@@ -230,8 +247,15 @@ class TestUnreadableFile:
         code, out, err = _run(capsys, "corpus", str(self._mixed(tmp_path)))
         assert code == 2
         assert "op-after-meas,1,100.0" in out
-        assert "latin.py" in err
+        assert "broken.py" in err
         assert "analyzed 1 files" in err
+
+    def test_directory_named_like_a_source_file_is_not_read(self, capsys, tmp_path):
+        (tmp_path / "pkg.py").mkdir()
+        (tmp_path / "pkg.py" / "two_bugs.py").write_text(sample_source("two_bugs"), "utf-8")
+        code, out, err = _run(capsys, "check", str(tmp_path))
+        assert (code, err) == (1, "")
+        assert f"{tmp_path / 'pkg.py' / 'two_bugs.py'}:10:1 op-after-meas " in out
 
 
 class TestRuleSelection:
