@@ -4,26 +4,16 @@ Values are either exactly known integers or Unknown; any operation with an
 Unknown operand stays Unknown, so a Known answer is always trustworthy. This
 module holds no evaluator: the one walk that applies these rules is the loop
 unroller's `_Unroller._value`, which folds every expression of known value
-into an `IntLit` as it expands the file.
+into an integer `ast.Constant` as it expands the file. Operators and
+expressions are `ast` classes and nodes, read through `nodes.form`.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import Any, Callable, NamedTuple
 
-from .nodes import (
-    Assign,
-    Expr,
-    ForRange,
-    If,
-    IntLit,
-    ModuleAst,
-    Name,
-    Opaque,
-    SeqExpr,
-    Stmt,
-    expr_names,
-)
+from .nodes import Assign, ForRange, If, ModuleAst, Opaque, Stmt, form, names
 
 MODULE_SCOPE = "<module>"
 
@@ -51,27 +41,25 @@ def known(value: int) -> ConstValue:
 _Env = dict[str, ConstValue]
 
 
-def binop_value(op: str, left: ConstValue, right: ConstValue) -> ConstValue:
+def binop_value(op: type[ast.operator], left: ConstValue, right: ConstValue) -> ConstValue:
     """`left op right` for +, -, * and //; Unknown for any other operator or operand."""
     a, b = left.value, right.value
     if a is None or b is None:
         return UNKNOWN
-    if op == "+":
+    if op is ast.Add:
         return known(a + b)
-    if op == "-":
+    if op is ast.Sub:
         return known(a - b)
-    if op == "*":
+    if op is ast.Mult:
         return known(a * b)
-    if op == "//" and b != 0:
+    if op is ast.FloorDiv and b != 0:
         return known(a // b)
     return UNKNOWN
 
 
-def unary_value(op: str, operand: ConstValue) -> ConstValue:
-    """`op operand` for negation; Unknown otherwise."""
-    if op == "-" and operand.value is not None:
-        return known(-operand.value)
-    return UNKNOWN
+def negated(operand: ConstValue) -> ConstValue:
+    """`-operand`; Unknown for an Unknown operand."""
+    return UNKNOWN if operand.value is None else known(-operand.value)
 
 
 def range_values(vals: list[ConstValue], limit: int) -> list[int] | None:
@@ -92,25 +80,19 @@ def range_values(vals: list[ConstValue], limit: int) -> list[int] | None:
     return list(rng)
 
 
-def tuple_assign_pairs(stmt: Assign) -> list[tuple[str, Expr]] | None:
+def tuple_assign_pairs(stmt: Assign) -> list[tuple[str, ast.expr]] | None:
     """(name, value expr) pairs of `a, b = x, y`, or None for other shapes."""
     if len(stmt.targets) != 1:
         return None
     target = stmt.targets[0]
     value = stmt.value
-    if not isinstance(target, SeqExpr):
+    if form(target) is not ast.Tuple or form(value) is not ast.Tuple:
         return None
-    if not isinstance(value, SeqExpr):
+    if len(target.elts) != len(value.elts):
         return None
-    if len(target.elements) != len(value.elements):
+    if not all(type(e) is ast.Name for e in target.elts):
         return None
-    if not all(isinstance(e, Name) for e in target.elements):
-        return None
-    return [
-        (t.ident, v)
-        for t, v in zip(target.elements, value.elements)
-        if isinstance(t, Name)
-    ]
+    return [(t.id, v) for t, v in zip(target.elts, value.elts)]
 
 
 def collect_assigned_names(stmts: list[Stmt]) -> set[str]:
@@ -119,10 +101,10 @@ def collect_assigned_names(stmts: list[Stmt]) -> set[str]:
     for stmt in stmts:
         if isinstance(stmt, Assign):
             for target in stmt.targets:
-                if isinstance(target, Name):
-                    out.add(target.ident)
-                elif isinstance(target, SeqExpr):
-                    out.update(expr_names(target))
+                if type(target) is ast.Name:
+                    out.add(target.id)
+                elif form(target) is ast.Tuple:
+                    out.update(names(target))
         elif isinstance(stmt, ForRange):
             out.add(stmt.var)
             out.update(collect_assigned_names(stmt.body))
@@ -154,20 +136,24 @@ def join_envs(
 
 
 class ConstEnv:
-    """Integer facts of an unrolled tree, whose known integers are `IntLit`s."""
+    """Integer facts of an unrolled tree, whose known integers are `ast.Constant`s."""
 
     def __init__(self, rebound_names: frozenset[str] = frozenset()) -> None:
         self.rebound_names = rebound_names
 
     def forget_rebound(self, env: _Env) -> None:
         """Make Unknown the names a walrus or a function's `global` may rebind."""
-        for name in self.rebound_names & env.keys():
-            env[name] = UNKNOWN
+        if self.rebound_names:
+            for name in self.rebound_names & env.keys():
+                env[name] = UNKNOWN
 
     @staticmethod
-    def resolve(expr: Expr) -> ConstValue:
-        """Known for an `IntLit`, else Unknown: unrolling folds every known value."""
-        return known(expr.value) if type(expr) is IntLit else UNKNOWN
+    def resolve(expr: ast.expr) -> ConstValue:
+        """Known for an integer constant (not a bool), else Unknown: unrolling
+        folds every known value."""
+        if type(expr) is ast.Constant and type(expr.value) is int:
+            return known(expr.value)
+        return UNKNOWN
 
 
 def propagate_constants(tree: ModuleAst) -> ConstEnv:

@@ -1,12 +1,15 @@
 """Restricted AST over the supported Python/Qiskit subset.
 
-Constructs outside the subset are preserved as opaque nodes that remember
-the identifiers they mention, so later stages can stay conservative instead
-of silently dropping program behavior.
+Statements are qlint's own records. Expressions are the `ast.expr` objects
+that `ast.parse` returned; `form` decides which of them the subset models,
+and every stage reads them through it. Statements and expressions outside
+the subset stay opaque: later stages take the names they mention as
+possibly used in any way, instead of silently dropping program behavior.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import TYPE_CHECKING, Any, NamedTuple, TypeVar
 
 if TYPE_CHECKING:
@@ -26,6 +29,9 @@ class SourceSpan(NamedTuple):
 
     def anchor(self) -> tuple[str, int, int]:
         return (self.file, self.line, self.column)
+
+
+_new_span = tuple.__new__  # `SourceSpan(...)` without its Python-level `__new__`
 
 
 class Record:
@@ -65,143 +71,151 @@ class Record:
         return new
 
 
-class Node(Record):
-    """An expression or a statement, with its span."""
-
-    __slots__ = ("span",)
-
-
-class StmtNode(Node):
-    """A statement; `uid` is its number in an unrolled tree (-1 as parsed)."""
-
-    __slots__ = ("uid",)
-
-
 # --- expressions ---
 
-
-class IntLit(Node):
-    """An integer, written in the source or folded from a known expression."""
-
-    __slots__ = ("value",)
-    def __init__(self, value: int, *, span: SourceSpan) -> None:
-        self.span, self.value = span, value
-
-
-class Literal(Node):
-    """A float, string, bool or None constant."""
-
-    __slots__ = ("value",)
-    def __init__(self, value: float | str | bool | None, *, span: SourceSpan) -> None:
-        self.span, self.value = span, value
+_BIN_OPS = frozenset({ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Div, ast.Mod, ast.Pow})
+_LITERAL_TYPES = frozenset({int, float, str, bool, type(None)})
+# Classes modelled whatever they hold, and their forms.
+_ALWAYS = {
+    ast.Name: ast.Name,
+    ast.Attribute: ast.Attribute,
+    ast.Call: ast.Call,
+    ast.List: ast.Tuple,
+    ast.Tuple: ast.Tuple,
+}
 
 
-class Name(Node):
-    __slots__ = ("ident",)
-    def __init__(self, ident: str, *, span: SourceSpan) -> None:
-        self.span, self.ident = span, ident
+def form(node: ast.expr) -> type[ast.expr] | None:
+    """The subset form of `node`: its `ast` class, or None when it is opaque.
+
+    A list display answers `ast.Tuple`, like a tuple. Opaque are: a
+    subscript by a slice; a binary operator other than `+ - * // / % **`; a
+    unary operator other than `-`; a constant other than an int, float,
+    str, bool or None (complex, bytes, `...`); and every other class. In a
+    call, a `*` value is read as an argument of its own (see
+    `keyword_values`); anywhere else an `ast.Starred` is opaque.
+    """
+    cls = type(node)
+    got = _ALWAYS.get(cls)
+    if got is not None:
+        return got
+    if cls is ast.Constant:
+        return cls if type(node.value) in _LITERAL_TYPES else None
+    if cls is ast.Subscript:
+        return None if type(node.slice) is ast.Slice else cls
+    if cls is ast.BinOp:
+        return cls if type(node.op) in _BIN_OPS else None
+    if cls is ast.UnaryOp:
+        return cls if type(node.op) is ast.USub else None
+    return None
 
 
-class Attribute(Node):
-    __slots__ = ("value", "attr")
-    def __init__(self, value: Expr, attr: str, *, span: SourceSpan) -> None:
-        self.span, self.value, self.attr = span, value, attr
+def positional_args(call: ast.Call) -> list[ast.expr]:
+    """The positional arguments of `call`, without its `*` values."""
+    args = call.args
+    if ast.Starred in map(type, args):
+        return [a for a in args if type(a) is not ast.Starred]
+    return args
 
 
-class Subscript(Node):
-    __slots__ = ("value", "index")
-    def __init__(self, value: Expr, index: Expr, *, span: SourceSpan) -> None:
-        self.span, self.value, self.index = span, value, index
+def keyword_values(call: ast.Call) -> list[ast.expr]:
+    """The `*` values of `call`, then its keyword and `**` values.
+
+    Stages evaluate them in this order, after `positional_args`.
+    """
+    values = [a.value for a in call.args if type(a) is ast.Starred]
+    values += [k.value for k in call.keywords]
+    return values
 
 
-class Keyword(Record):
-    __slots__ = ("name", "value")
-    def __init__(self, name: str | None, value: Expr) -> None:
-        self.name = name  # None for an unpacked `*args` or `**kwargs` value
-        self.value = value
+def arguments(call: ast.Call) -> list[ast.expr]:
+    """`positional_args`, then `keyword_values`: every argument value, in evaluation order."""
+    if call.keywords or ast.Starred in map(type, call.args):
+        return [*positional_args(call), *keyword_values(call)]
+    return call.args
 
 
-class Call(Node):
-    __slots__ = ("func", "args", "keywords", "has_star_args")
-    def __init__(
-        self, func: Expr, args: list[Expr], keywords: list[Keyword], has_star_args: bool = False,
-        *, span: SourceSpan,
-    ) -> None:
-        self.span, self.func, self.args = span, func, args
-        self.keywords, self.has_star_args = keywords, has_star_args
+def has_star_args(call: ast.Call) -> bool:
+    """True when `call` unpacks a `*` or `**` value."""
+    if ast.Starred in map(type, call.args):
+        return True
+    return bool(call.keywords) and any(k.arg is None for k in call.keywords)
 
 
-class SeqExpr(Node):
-    """A list or tuple display."""
-
-    __slots__ = ("elements",)
-    def __init__(self, elements: list[Expr], *, span: SourceSpan) -> None:
-        self.span, self.elements = span, elements
-
-
-class BinOp(Node):
-    __slots__ = ("left", "op", "right")
-    def __init__(self, left: Expr, op: str, right: Expr, *, span: SourceSpan) -> None:
-        self.span, self.left, self.op, self.right = span, left, op, right
-
-
-class UnaryOp(Node):
-    __slots__ = ("op", "operand")
-    def __init__(self, op: str, operand: Expr, *, span: SourceSpan) -> None:
-        self.span, self.op, self.operand = span, op, operand
+def children(node: ast.expr) -> list[ast.expr]:
+    """The sub-expressions the subset models `node` by; none for a leaf or opaque node."""
+    f = form(node)
+    if f is ast.Call:
+        return [node.func, *arguments(node)]
+    if f is ast.Attribute:
+        return [node.value]
+    if f is ast.Subscript:
+        return [node.value, node.slice]
+    if f is ast.Tuple:
+        return node.elts
+    if f is ast.BinOp:
+        return [node.left, node.right]
+    if f is ast.UnaryOp:
+        return [node.operand]
+    return []
 
 
-class OpaqueExpr(Node):
-    """Expression outside the subset; keeps the names it mentions."""
+def replacing(old: ast.AST, new: ast.AST) -> ast.AST:
+    """`new`, given the source position of `old`, which it stands in for."""
+    new.lineno, new.col_offset = old.lineno, old.col_offset
+    new.end_lineno, new.end_col_offset = old.end_lineno, old.end_col_offset
+    return new
 
-    __slots__ = ("names",)
-    def __init__(self, names: frozenset[str] = frozenset(), *, span: SourceSpan) -> None:
-        self.span, self.names = span, names
 
-
-Expr = (
-    IntLit | Literal | Name | Attribute | Subscript | Call | SeqExpr | BinOp | UnaryOp | OpaqueExpr
-)
+def names(node: ast.AST) -> frozenset[str]:
+    """Every variable name mentioned anywhere inside `node`."""
+    return frozenset(n.id for n in ast.walk(node) if type(n) is ast.Name)
 
 
 # --- statements ---
 
 
-class Assign(StmtNode):
+class Node(Record):
+    """A statement and its span; `uid` is its number in an unrolled tree (-1 as parsed)."""
+
+    __slots__ = ("span", "uid")
+
+
+class Assign(Node):
     __slots__ = ("targets", "value")
     def __init__(
-        self, targets: list[Expr], value: Expr, *, span: SourceSpan, uid: int = -1
+        self, targets: list[ast.expr], value: ast.expr, *, span: SourceSpan, uid: int = -1
     ) -> None:
         self.span, self.uid, self.targets, self.value = span, uid, targets, value
 
 
-class ExprStmt(StmtNode):
+class ExprStmt(Node):
     __slots__ = ("value",)
-    def __init__(self, value: Expr, *, span: SourceSpan, uid: int = -1) -> None:
+    def __init__(self, value: ast.expr, *, span: SourceSpan, uid: int = -1) -> None:
         self.span, self.uid, self.value = span, uid, value
 
 
-class ForRange(StmtNode):
+class ForRange(Node):
     __slots__ = ("var", "range_args", "body")
     def __init__(
-        self, var: str, range_args: list[Expr], body: list[Stmt],
+        self, var: str, range_args: list[ast.expr], body: list[Stmt],
         *, span: SourceSpan, uid: int = -1,
     ) -> None:
         self.span, self.uid, self.var = span, uid, var
         self.range_args, self.body = range_args, body
 
 
-class If(StmtNode):
+class If(Node):
     __slots__ = ("test", "body", "orelse")
     def __init__(
-        self, test: Expr, body: list[Stmt], orelse: list[Stmt],
+        self, test: ast.expr, body: list[Stmt], orelse: list[Stmt],
         *, span: SourceSpan, uid: int = -1,
     ) -> None:
         self.span, self.uid, self.test = span, uid, test
         self.body, self.orelse = body, orelse
 
 
-class FunctionDef(StmtNode):
+class FunctionDef(Node):
     __slots__ = ("name", "params", "body", "method_receivers")
     def __init__(
         self, name: str, params: list[str], body: list[Stmt],
@@ -212,13 +226,13 @@ class FunctionDef(StmtNode):
         self.method_receivers = method_receivers
 
 
-class Return(StmtNode):
+class Return(Node):
     __slots__ = ("value",)
-    def __init__(self, value: Expr | None, *, span: SourceSpan, uid: int = -1) -> None:
+    def __init__(self, value: ast.expr | None, *, span: SourceSpan, uid: int = -1) -> None:
         self.span, self.uid, self.value = span, uid, value
 
 
-class NoOp(StmtNode):
+class NoOp(Node):
     """Statement with no analysis effect (pass, import, break, continue)."""
 
     __slots__ = ("kind",)
@@ -226,7 +240,7 @@ class NoOp(StmtNode):
         self.span, self.uid, self.kind = span, uid, kind
 
 
-class Opaque(StmtNode):
+class Opaque(Node):
     """Statement outside the subset; keeps the names it mentions."""
 
     __slots__ = ("names", "label")
@@ -244,12 +258,12 @@ class ModuleAst(Record):
     """Parsed file: top-level statements plus bookkeeping set by unrolling."""
 
     __slots__ = ("file", "statements", "non_unrollable", "constants", "rebound_names",
-                 "method_receivers")
+                 "method_receivers", "wide_lines")
 
     def __init__(
         self, file: str, statements: list[Stmt], non_unrollable: list[int] | None = None,
         constants: ConstEnv | None = None, rebound_names: frozenset[str] = frozenset(),
-        method_receivers: frozenset[str] = frozenset(),
+        method_receivers: frozenset[str] = frozenset(), wide_lines: dict[int, bytes] | None = None,
     ) -> None:
         self.file = file
         self.statements = statements
@@ -259,36 +273,21 @@ class ModuleAst(Record):
         self.rebound_names = rebound_names
         # Like FunctionDef.method_receivers, for the module's own statements.
         self.method_receivers = method_receivers
+        # The UTF-8 text of each line that is not ASCII, by line number.
+        self.wide_lines = {} if wide_lines is None else wide_lines
 
+    def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
+        """Where `node` is in the file, its columns counted in characters.
 
-def expr_names(expr: Expr) -> set[str]:
-    """All variable names mentioned anywhere inside an expression."""
-    out: set[str] = set()
-    _collect_names(expr, out)
-    return out
-
-
-def _collect_names(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, Name):
-        out.add(expr.ident)
-    elif isinstance(expr, OpaqueExpr):
-        out.update(expr.names)
-    elif isinstance(expr, Attribute):
-        _collect_names(expr.value, out)
-    elif isinstance(expr, Subscript):
-        _collect_names(expr.value, out)
-        _collect_names(expr.index, out)
-    elif isinstance(expr, Call):
-        _collect_names(expr.func, out)
-        for a in expr.args:
-            _collect_names(a, out)
-        for k in expr.keywords:
-            _collect_names(k.value, out)
-    elif isinstance(expr, SeqExpr):
-        for e in expr.elements:
-            _collect_names(e, out)
-    elif isinstance(expr, BinOp):
-        _collect_names(expr.left, out)
-        _collect_names(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        _collect_names(expr.operand, out)
+        `ast` counts columns in UTF-8 bytes, which differ only on lines
+        that are not ASCII.
+        """
+        line, column = node.lineno, node.col_offset
+        end_line, end_column = node.end_lineno, node.end_col_offset
+        wide = self.wide_lines
+        if wide:
+            if line in wide:
+                column = len(wide[line][:column].decode())
+            if end_line in wide:
+                end_column = len(wide[end_line][:end_column].decode())
+        return _new_span(SourceSpan, (self.file, line, column + 1, end_line, end_column + 1))

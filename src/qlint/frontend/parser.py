@@ -1,4 +1,4 @@
-"""Lowering of Python source into the restricted AST."""
+"""Lowering of Python source into the restricted AST: statements only."""
 
 from __future__ import annotations
 
@@ -6,39 +6,21 @@ import ast
 
 from .nodes import (
     Assign,
-    Attribute,
-    BinOp,
-    Call,
-    Expr,
     ExprStmt,
     ForRange,
     FunctionDef,
     If,
-    IntLit,
-    Keyword,
-    Literal,
     ModuleAst,
-    Name,
     NoOp,
     Opaque,
-    OpaqueExpr,
     Return,
-    SeqExpr,
     SourceSpan,
     Stmt,
-    Subscript,
-    UnaryOp,
+    children,
+    form,
+    replacing,
 )
 
-_BIN_OPS: dict[type[ast.operator], str] = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.FloorDiv: "//",
-    ast.Div: "/",
-    ast.Mod: "%",
-    ast.Pow: "**",
-}
 # Methods that only a circuit has: a call result later used as the receiver
 # of one of them is taken to be a circuit.
 _CIRCUIT_METHOD_MARKERS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
@@ -58,17 +40,38 @@ class ParseError(Exception):
 
 
 class _Builder:
-    def __init__(self, file: str) -> None:
-        self.file = file
+    """Lowers statements; expressions stay the parsed `ast` objects.
+
+    Walrus targets and circuit-method receivers are read from expressions,
+    which are scanned only when the source text can hold them.
+    """
+
+    def __init__(self, tree: ModuleAst, source: str) -> None:
+        self.span = tree.span
         self.rebound_names: set[str] = set()
         self.method_receivers: set[str] = set()  # of the scope being lowered
         self.if_depth = 0
+        self.scan_walrus = ":=" in source
+        self.scan_receivers = any(m in source for m in _CIRCUIT_METHOD_MARKERS)
 
-    def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
-        # ast.parse sets all four positions on every statement and expression.
-        return SourceSpan(
-            self.file, node.lineno, node.col_offset + 1, node.end_lineno, node.end_col_offset + 1
-        )
+    def held(self, *exprs: ast.expr) -> None:
+        """Note the walrus targets and circuit-method receivers of a statement's expressions."""
+        if self.scan_walrus:
+            for e in exprs:
+                self._names(e)
+        if self.scan_receivers:
+            for e in exprs:
+                self._receivers(e)
+
+    def _receivers(self, node: ast.expr) -> None:
+        """Note `name.to_gate()` and the like, in the positions the subset models."""
+        if type(node) is ast.Call:
+            f = node.func
+            if type(f) is ast.Attribute and f.attr in _CIRCUIT_METHOD_MARKERS:
+                if type(f.value) is ast.Name:
+                    self.method_receivers.add(f.value.id)
+        for child in children(node):
+            self._receivers(child)
 
     # --- statements ---
 
@@ -79,23 +82,26 @@ class _Builder:
         return _STMT.get(type(node), _Builder._other_stmt)(self, node, self.span(node))
 
     def _assign(self, node: ast.Assign, span: SourceSpan) -> Stmt:
-        return Assign([self.expr(t) for t in node.targets], self.expr(node.value), span=span)
+        self.held(*node.targets, node.value)
+        return Assign(node.targets, node.value, span=span)
 
     def _ann_assign(self, node: ast.AnnAssign, span: SourceSpan) -> Stmt:
         if node.value is None:
             return NoOp("annotation", span=span)
-        return Assign([self.expr(node.target)], self.expr(node.value), span=span)
+        self.held(node.target, node.value)
+        return Assign([node.target], node.value, span=span)
 
     def _aug_assign(self, node: ast.AugAssign, span: SourceSpan) -> Stmt:
-        op = _BIN_OPS.get(type(node.op))
-        if not isinstance(node.target, ast.Name) or op is None:
+        # `x += e` is `x = x + e`, the sum placed at the statement.
+        value = replacing(node, ast.BinOp(node.target, node.op, node.value))
+        if type(node.target) is not ast.Name or form(value) is None:
             return self._opaque(node, span, "augassign")
-        target = self.expr(node.target)
-        value = BinOp(self.expr(node.target), op, self.expr(node.value), span=span)
-        return Assign([target], value, span=span)
+        self.held(value)
+        return Assign([node.target], value, span=span)
 
     def _expr_stmt(self, node: ast.Expr, span: SourceSpan) -> Stmt:
-        return ExprStmt(self.expr(node.value), span=span)
+        self.held(node.value)
+        return ExprStmt(node.value, span=span)
 
     def _for(self, node: ast.For, span: SourceSpan) -> Stmt:
         it = node.iter
@@ -108,30 +114,33 @@ class _Builder:
         )
         if not is_range or not isinstance(node.target, ast.Name) or node.orelse:
             return self._opaque(node, span, "for")
-        args = [self.expr(a) for a in it.args]
-        return ForRange(node.target.id, args, self.stmts(node.body), span=span)
+        self.held(*it.args)
+        return ForRange(node.target.id, it.args, self.stmts(node.body), span=span)
 
     def _if(self, node: ast.If, span: SourceSpan) -> Stmt:
         if self.if_depth >= MAX_IF_DEPTH:
             return self._opaque(node, span, "if")
         self.if_depth += 1
-        out = If(self.expr(node.test), self.stmts(node.body), self.stmts(node.orelse), span=span)
+        self.held(node.test)
+        out = If(node.test, self.stmts(node.body), self.stmts(node.orelse), span=span)
         self.if_depth -= 1
         return out
 
     def _function_def(self, node: ast.FunctionDef, span: SourceSpan) -> Stmt:
         a = node.args
         params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
-        for outer in filter(None, [a, node.returns, *node.decorator_list]):
-            self._names(outer)  # note walrus targets of defaults, annotations and decorators
+        if self.scan_walrus:
+            for outer in filter(None, [a, node.returns, *node.decorator_list]):
+                self._names(outer)  # note walrus targets of defaults, annotations and decorators
         outer_receivers, self.method_receivers = self.method_receivers, set()
         body = self.stmts(node.body)
         receivers, self.method_receivers = frozenset(self.method_receivers), outer_receivers
         return FunctionDef(node.name, params, body, receivers, span=span)
 
     def _return(self, node: ast.Return, span: SourceSpan) -> Stmt:
-        value = self.expr(node.value) if node.value is not None else None
-        return Return(value, span=span)
+        if node.value is not None:
+            self.held(node.value)
+        return Return(node.value, span=span)
 
     def _no_op(self, node: ast.stmt, span: SourceSpan) -> Stmt:
         kind = type(node).__name__.lower()  # import, importfrom, pass, break, continue
@@ -143,63 +152,8 @@ class _Builder:
     def _opaque(self, node: ast.AST, span: SourceSpan, label: str) -> Opaque:
         return Opaque(self._names(node), label, span=span)
 
-    # --- expressions ---
-
-    def expr(self, node: ast.expr) -> Expr:
-        return _EXPR.get(type(node), _Builder._opaque_expr)(self, node, self.span(node))
-
-    def _constant(self, node: ast.Constant, span: SourceSpan) -> Expr:
-        v = node.value
-        if type(v) is int:
-            return IntLit(v, span=span)
-        if type(v) in _LITERAL_TYPES:
-            return Literal(v, span=span)
-        return self._opaque_expr(node, span)  # complex, bytes, Ellipsis
-
-    def _name(self, node: ast.Name, span: SourceSpan) -> Expr:
-        return Name(node.id, span=span)
-
-    def _attribute(self, node: ast.Attribute, span: SourceSpan) -> Expr:
-        return Attribute(self.expr(node.value), node.attr, span=span)
-
-    def _subscript(self, node: ast.Subscript, span: SourceSpan) -> Expr:
-        if isinstance(node.slice, ast.Slice):
-            return self._opaque_expr(node, span)
-        return Subscript(self.expr(node.value), self.expr(node.slice), span=span)
-
-    def _call(self, node: ast.Call, span: SourceSpan) -> Expr:
-        args = [self.expr(a) for a in node.args if not isinstance(a, ast.Starred)]
-        # An unpacked `*` or `**` value becomes a keyword without a name.
-        keywords = [
-            Keyword(None, self.expr(a.value)) for a in node.args if isinstance(a, ast.Starred)
-        ]
-        has_star_args = bool(keywords) or any(k.arg is None for k in node.keywords)
-        keywords += [Keyword(k.arg, self.expr(k.value)) for k in node.keywords]
-        f = node.func
-        if isinstance(f, ast.Attribute) and f.attr in _CIRCUIT_METHOD_MARKERS:
-            if isinstance(f.value, ast.Name):
-                self.method_receivers.add(f.value.id)
-        return Call(self.expr(node.func), args, keywords, has_star_args, span=span)
-
-    def _seq(self, node: ast.List | ast.Tuple, span: SourceSpan) -> Expr:
-        return SeqExpr([self.expr(e) for e in node.elts], span=span)
-
-    def _bin_op(self, node: ast.BinOp, span: SourceSpan) -> Expr:
-        op = _BIN_OPS.get(type(node.op))
-        if op is None:
-            return self._opaque_expr(node, span)
-        return BinOp(self.expr(node.left), op, self.expr(node.right), span=span)
-
-    def _unary_op(self, node: ast.UnaryOp, span: SourceSpan) -> Expr:
-        if not isinstance(node.op, ast.USub):
-            return self._opaque_expr(node, span)
-        return UnaryOp("-", self.expr(node.operand), span=span)
-
-    def _opaque_expr(self, node: ast.AST, span: SourceSpan) -> OpaqueExpr:
-        return OpaqueExpr(self._names(node), span=span)
-
     def _names(self, node: ast.AST) -> frozenset[str]:
-        """Names an opaque node mentions; also notes the ones it may rebind."""
+        """Names `node` mentions; also notes the ones it may rebind."""
         names = set()
         for n in ast.walk(node):
             if isinstance(n, ast.Name):
@@ -224,18 +178,6 @@ _STMT = {
     **dict.fromkeys(
         [ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue], _Builder._no_op
     ),
-}
-_LITERAL_TYPES = frozenset({float, str, bool, type(None)})
-_EXPR = {
-    ast.Constant: _Builder._constant,
-    ast.Name: _Builder._name,
-    ast.Attribute: _Builder._attribute,
-    ast.Subscript: _Builder._subscript,
-    ast.Call: _Builder._call,
-    ast.List: _Builder._seq,
-    ast.Tuple: _Builder._seq,
-    ast.BinOp: _Builder._bin_op,
-    ast.UnaryOp: _Builder._unary_op,
 }
 
 
@@ -263,11 +205,13 @@ def parse_file(source: str, file: str) -> ModuleAst:
         raise ParseError(file, exc.lineno or 1, exc.msg or "invalid syntax") from exc
     except ValueError as exc:  # Python 3.10 rejects a NUL byte this way
         raise ParseError(file, 1, str(exc)) from exc
-    builder = _Builder(file)
-    statements = builder.stmts(tree.body)
-    return ModuleAst(
-        file,
-        statements,
-        rebound_names=frozenset(builder.rebound_names),
-        method_receivers=frozenset(builder.method_receivers),
-    )
+    wide_lines = None
+    if not source.isascii():
+        lines = enumerate(source_lines(source), 1)
+        wide_lines = {n: line.encode() for n, line in lines if not line.isascii()}
+    out = ModuleAst(file, [], wide_lines=wide_lines)
+    builder = _Builder(out, source)
+    out.statements = builder.stmts(tree.body)
+    out.rebound_names = frozenset(builder.rebound_names)
+    out.method_receivers = frozenset(builder.method_receivers)
+    return out

@@ -5,11 +5,15 @@ every other loop is kept intact and flagged, so downstream stages treat its
 body conservatively. The same walk propagates integer constants, and
 `_Unroller._value` is qlint's one constant evaluator: an expanded loop body
 is walked again for each iteration with the loop variable bound, and every
-expression whose integer value is known is folded into an `IntLit`.
+expression whose integer value is known is folded into a new `ast.Constant`
+at the same source position. Expressions are read as `ast` nodes through
+`nodes.form`, and the parsed nodes are never mutated: loop copies share
+every subtree that has nothing to fold.
 """
 
 from __future__ import annotations
 
+import ast
 from itertools import count
 from operator import is_
 
@@ -21,33 +25,25 @@ from .constprop import (
     collect_assigned_names,
     join_envs,
     known,
+    negated,
     range_values,
     tuple_assign_pairs,
-    unary_value,
 )
 from .nodes import (
     Assign,
-    Attribute,
-    BinOp,
-    Call,
-    Expr,
     ExprStmt,
     ForRange,
     FunctionDef,
     If,
-    IntLit,
-    Keyword,
     ModuleAst,
-    Name,
     NoOp,
     Opaque,
-    OpaqueExpr,
     Return,
-    SeqExpr,
     Stmt,
-    Subscript,
-    UnaryOp,
-    expr_names,
+    arguments,
+    form,
+    names,
+    replacing,
 )
 
 DEFAULT_MAX_UNROLL = 10
@@ -58,10 +54,10 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
 
     Every statement of the result is new, with a `uid` from 1 up in walk
     order. Expressions are the parsed objects, except that one of known
-    integer value becomes an `IntLit` with its span, and the nodes above it
-    are rebuilt; the input is never mutated. Loops that cannot be expanded
-    (unknown or too-large trip count, or a break/continue in the body) are
-    kept and their uids listed in `non_unrollable`.
+    integer value becomes an `ast.Constant` at its position, and the nodes
+    above it are rebuilt; the input is never mutated. Loops that cannot be
+    expanded (unknown or too-large trip count, or a break/continue in the
+    body) are kept and their uids listed in `non_unrollable`.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -115,7 +111,7 @@ class _Unroller:
         if isinstance(stmt, Assign):
             node = Assign(stmt.targets, self._value(stmt.value, env), span=span, uid=uid)
             self._assign(node, env)
-            if not all(isinstance(t, Name) for t in stmt.targets):  # may hold a walrus
+            if not all(type(t) is ast.Name for t in stmt.targets):  # may hold a walrus
                 self.constants.forget_rebound(env)
             return node
         if isinstance(stmt, (ExprStmt, Return)):
@@ -153,73 +149,89 @@ class _Unroller:
             return
         value = resolve(stmt.value)
         for target in stmt.targets:
-            if isinstance(target, Name):
-                env[target.ident] = value
-            elif isinstance(target, SeqExpr):
-                for name in expr_names(target):
+            if type(target) is ast.Name:
+                env[target.id] = value
+            elif form(target) is ast.Tuple:
+                for name in names(target):
                     env[name] = UNKNOWN
 
-    def _value(self, expr: Expr, env: dict[str, ConstValue]) -> Expr:
+    def _value(self, expr: ast.expr, env: dict[str, ConstValue]) -> ast.expr:
         """`expr` evaluated under `env`, each subterm after its operands.
 
-        A subterm of known integer value becomes an `IntLit` with its span,
-        and only the nodes above one are rebuilt: an expression with nothing
-        to fold comes back as itself. Call arguments go first, then keyword
-        values, then the callee, then `forget_rebound`. Operand lists are
-        built by loops: a comprehension is a function call on CPython 3.11.
+        A subterm of known integer value becomes an `ast.Constant` at its
+        position, and only the nodes above one are rebuilt: an expression
+        with nothing to fold comes back as itself. Call arguments go first,
+        then `*` values, then keyword values, then the callee, then
+        `forget_rebound`. Operand lists are built by loops: a comprehension
+        is a function call on CPython 3.11.
         """
-        if isinstance(expr, Name):
-            value = env.get(expr.ident, UNKNOWN).value
-            return expr if value is None else IntLit(value, span=expr.span)
-        if isinstance(expr, Call):
-            args, keywords = [], []
-            for a in expr.args:
-                args.append(self._value(a, env))
-            for k in expr.keywords:
-                value = self._value(k.value, env)
-                keywords.append(k if value is k.value else Keyword(k.name, value))
-            func = self._value(expr.func, env)
-            self.constants.forget_rebound(env)
-            if (
-                func is expr.func
-                and all(map(is_, args, expr.args))
-                and all(map(is_, keywords, expr.keywords))
-            ):
+        f = form(expr)
+        if f is ast.Name:
+            value = env.get(expr.id, UNKNOWN).value
+            return expr if value is None else replacing(expr, ast.Constant(value))
+        if f is ast.Call:
+            return self._call(expr, env)
+        if f is ast.Constant:
+            return expr
+        if f is ast.Attribute:
+            value = expr.value
+            inner = self._value(value, env)
+            if inner is value:
                 return expr
-            return Call(func, args, keywords, expr.has_star_args, span=expr.span)
-        if isinstance(expr, Attribute):
-            inner = self._value(expr.value, env)
-            return expr if inner is expr.value else Attribute(inner, expr.attr, span=expr.span)
-        if isinstance(expr, Subscript):
-            inner, index = self._value(expr.value, env), self._value(expr.index, env)
-            if inner is expr.value and index is expr.index:
+            return replacing(expr, ast.Attribute(inner, expr.attr, expr.ctx))
+        if f is ast.Subscript:
+            value, index = expr.value, expr.slice
+            inner, folded = self._value(value, env), self._value(index, env)
+            if inner is value and folded is index:
                 return expr
-            return Subscript(inner, index, span=expr.span)
+            return replacing(expr, ast.Subscript(inner, folded, expr.ctx))
         resolve = self.constants.resolve
-        if isinstance(expr, BinOp):
+        if f is ast.BinOp:
             left, right = self._value(expr.left, env), self._value(expr.right, env)
-            value = binop_value(expr.op, resolve(left), resolve(right)).value
+            value = binop_value(type(expr.op), resolve(left), resolve(right)).value
             if value is not None:
-                return IntLit(value, span=expr.span)
+                return replacing(expr, ast.Constant(value))
             if left is expr.left and right is expr.right:
                 return expr
-            return BinOp(left, expr.op, right, span=expr.span)
-        if isinstance(expr, UnaryOp):
+            return replacing(expr, ast.BinOp(left, expr.op, right))
+        if f is ast.UnaryOp:
             operand = self._value(expr.operand, env)
-            value = unary_value(expr.op, resolve(operand)).value
+            value = negated(resolve(operand)).value
             if value is not None:
-                return IntLit(value, span=expr.span)
-            return expr if operand is expr.operand else UnaryOp(expr.op, operand, span=expr.span)
-        if isinstance(expr, SeqExpr):
-            elements = []
-            for e in expr.elements:
-                elements.append(self._value(e, env))
-            if all(map(is_, elements, expr.elements)):
+                return replacing(expr, ast.Constant(value))
+            if operand is expr.operand:
                 return expr
-            return SeqExpr(elements, span=expr.span)
-        if isinstance(expr, OpaqueExpr):
-            self.constants.forget_rebound(env)
-        return expr  # literals and opaque expressions fold no further
+            return replacing(expr, ast.UnaryOp(expr.op, operand))
+        if f is ast.Tuple:
+            elements = []
+            for e in expr.elts:
+                elements.append(self._value(e, env))
+            if all(map(is_, elements, expr.elts)):
+                return expr
+            return replacing(expr, type(expr)(elements, expr.ctx))
+        self.constants.forget_rebound(env)  # an opaque expression may hold a walrus
+        return expr
+
+    def _call(self, call: ast.Call, env: dict[str, ConstValue]) -> ast.expr:
+        folded = {}
+        for arg in arguments(call):
+            value = self._value(arg, env)
+            if value is not arg:
+                folded[arg] = value
+        func = self._value(call.func, env)
+        self.constants.forget_rebound(env)
+        if func is call.func and not folded:
+            return call
+        args, keywords = [], []
+        for a in call.args:
+            if type(a) is ast.Starred and a.value in folded:
+                a = replacing(a, ast.Starred(folded[a.value], a.ctx))
+            args.append(folded.get(a, a))
+        for k in call.keywords:
+            if k.value in folded:
+                k = replacing(k, ast.keyword(k.arg, folded[k.value]))
+            keywords.append(k)
+        return replacing(call, ast.Call(func, args, keywords))
 
 
 def _has_loop_escape(stmts: list[Stmt]) -> bool:

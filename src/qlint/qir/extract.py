@@ -4,10 +4,13 @@ The extractor walks each scope once, tracking what every variable holds
 (register, circuit, instruction, anything else). Recognized constructors and
 circuit methods produce IR entities; everything it cannot resolve becomes an
 explicit unknown operator so later analyses can stay on the safe side.
+Expressions are `ast` nodes, read through `nodes.form`; a source span is
+made only for what the IR keeps.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import NamedTuple
 
 from ..frontend.cfg import Cfg
@@ -22,26 +25,22 @@ from ..frontend.constprop import (
 )
 from ..frontend.nodes import (
     Assign,
-    Attribute,
-    Call,
-    Expr,
     ExprStmt,
     ForRange,
     FunctionDef,
     If,
-    IntLit,
-    Literal,
     ModuleAst,
-    Name,
     NoOp,
     Opaque,
-    OpaqueExpr,
     Return,
-    SeqExpr,
     SourceSpan,
     Stmt,
-    Subscript,
-    expr_names,
+    arguments,
+    form,
+    has_star_args,
+    keyword_values,
+    names,
+    positional_args,
 )
 from .gates import GateSpec, GateTable, load_gate_table
 from .model import (
@@ -82,14 +81,15 @@ def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
     return _OTHER
 
 
-_LEAVES = (Name, IntLit, Literal)
+_LEAVES = (ast.Name, ast.Constant)
 
 
-def _is_inert(expr: Expr) -> bool:
+def _is_inert(expr: ast.expr) -> bool:
     """A literal, a name or `name[literal or name]`: only calls and displays have effects."""
-    if isinstance(expr, Subscript):
-        return isinstance(expr.value, Name) and isinstance(expr.index, _LEAVES)
-    return isinstance(expr, _LEAVES)
+    f = form(expr)
+    if f is ast.Subscript:
+        return type(expr.value) is ast.Name and form(expr.slice) in _LEAVES
+    return f in _LEAVES
 
 
 class _FuncInfo:
@@ -126,7 +126,7 @@ def extract(
 ) -> QuantumIR:
     """Extract the quantum IR of one file from the output of `unroll_loops`.
 
-    Known integers must already be folded into `IntLit`s and statements
+    Known integers must already be folded into `ast.Constant`s and statements
     numbered, as `unroll_loops` leaves them; `cfg` is `build_cfg` of the
     same tree.
     """
@@ -141,6 +141,7 @@ class _Extractor:
         self.cfg = cfg
         self.table = table
         self.ir = QuantumIR(tree.file)
+        self.span = tree.span
         self._seq = 0
         self._ids = {"r": 0, "c": 0, "e": 0}
         self._block = 0
@@ -199,8 +200,8 @@ class _Extractor:
                 EventKind.UNKNOWN, cid, span, unknown_cause=cause, gate_name=gate_name
             )
 
-    def _diagnostic(self, message: str, span: SourceSpan) -> None:
-        self.ir.diagnostics.append(Diagnostic(message, span))
+    def _diagnostic(self, message: str, node: ast.expr) -> None:
+        self.ir.diagnostics.append(Diagnostic(message, self.span(node)))
 
     # --- scope walking ---
 
@@ -227,7 +228,9 @@ class _Extractor:
             elif isinstance(stmt, Return):
                 self._return(stmt, scope)
             elif isinstance(stmt, Opaque):
-                self._opaque(stmt, scope)
+                touched = self._touched(stmt.names, scope)
+                if touched:
+                    self._emit_unknown(touched, UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span)
             elif isinstance(stmt, NoOp):
                 pass
 
@@ -236,26 +239,26 @@ class _Extractor:
             return
         binding = self._eval(stmt.value, scope)
         for target in stmt.targets:
-            if isinstance(target, Name):
+            if type(target) is ast.Name:
                 bound = binding
                 if (
                     bound.kind == "other"
-                    and isinstance(stmt.value, Call)
-                    and target.ident in scope.method_receivers
+                    and type(stmt.value) is ast.Call
+                    and target.id in scope.method_receivers
                 ):
                     # An opaque call result later used with circuit-specific
                     # methods is modeled as a circuit of unknown shape.
                     decl = self._new_circuit(
-                        CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS, stmt.value.span
+                        CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS, self.span(stmt.value)
                     )
                     bound = _Binding("circuit", (decl.id,))
-                scope.vars[target.ident] = bound
+                scope.vars[target.id] = bound
                 for entity in self._named_decls(bound):
                     if entity.name is None:
-                        entity.name = target.ident
+                        entity.name = target.id
             else:
                 self._eval(target, scope)
-                if binding.kind == "circuit" and isinstance(target, (Attribute, Subscript)):
+                if binding.kind == "circuit" and form(target) in (ast.Attribute, ast.Subscript):
                     # Stored into an object or container the analysis does not track.
                     self._emit_unknown(
                         binding.ids, UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span
@@ -306,35 +309,33 @@ class _Extractor:
             for cid in binding.ids:
                 self.ir.circuits[cid].subcircuit_flags.add("returned_from_function")
 
-    def _opaque(self, stmt: Opaque | OpaqueExpr, scope: _Scope) -> None:
-        """Circuits that `stmt` names may change in any way it does."""
+    def _touched(self, names: frozenset[str], scope: _Scope) -> list[str]:
+        """Circuits that opaque code naming `names` may change in any way."""
         touched: set[str] = set()
-        for name in stmt.names:
+        for name in names:
             binding = scope.vars.get(name)
             if binding is not None and binding.kind == "circuit":
                 touched.update(binding.ids)
-        if touched:
-            self._emit_unknown(
-                sorted(touched), UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span
-            )
+        return sorted(touched)
 
     # --- expression evaluation ---
 
-    def _eval(self, expr: Expr, scope: _Scope, bare: bool = False) -> _Binding:
-        if isinstance(expr, Name):
-            return scope.vars.get(expr.ident, _OTHER)
-        if isinstance(expr, Call):
+    def _eval(self, expr: ast.expr, scope: _Scope, bare: bool = False) -> _Binding:
+        f = form(expr)
+        if f is ast.Name:
+            return scope.vars.get(expr.id, _OTHER)
+        if f is ast.Call:
             return self._call(expr, scope, bare)
-        if isinstance(expr, Attribute):
+        if f is ast.Attribute:
             self._eval(expr.value, scope)
             return _OTHER
-        if isinstance(expr, Subscript):
+        if f is ast.Subscript:
             self._eval(expr.value, scope)
-            self._eval(expr.index, scope)
+            self._eval(expr.slice, scope)
             return _OTHER
-        if isinstance(expr, SeqExpr):
+        if f is ast.Tuple:
             escaped: set[str] = set()
-            for element in expr.elements:
+            for element in expr.elts:
                 binding = self._eval(element, scope)
                 if binding.kind == "circuit":
                     escaped.update(binding.ids)
@@ -342,17 +343,19 @@ class _Extractor:
                 # A circuit stored in a container can be mutated through
                 # aliases this analysis does not track.
                 self._emit_unknown(
-                    sorted(escaped), UnknownCause.GLOBAL_CIRCUIT_MUTATION, expr.span
+                    sorted(escaped), UnknownCause.GLOBAL_CIRCUIT_MUTATION, self.span(expr)
                 )
-        elif isinstance(expr, OpaqueExpr):
-            self._opaque(expr, scope)
+        elif f is None:
+            touched = self._touched(names(expr), scope)
+            if touched:
+                self._emit_unknown(touched, UnknownCause.GLOBAL_CIRCUIT_MUTATION, self.span(expr))
         return _OTHER
 
-    def _call(self, call: Call, scope: _Scope, bare: bool = False) -> _Binding:
+    def _call(self, call: ast.Call, scope: _Scope, bare: bool = False) -> _Binding:
         callee = call.func
-        if isinstance(callee, Attribute):
-            receiver = self._eval(callee.value, scope)
-            method = callee.attr
+        if type(callee) is ast.Attribute:
+            value, method = callee.value, callee.attr
+            receiver = self._eval(value, scope)
             if receiver.kind == "circuit":
                 return self._circuit_method(receiver, method, call, scope, bare)
             if receiver.kind == "instruction" and method == "c_if":
@@ -362,15 +365,15 @@ class _Extractor:
                 return _OTHER
             if (
                 scope.func_info is not None
-                and isinstance(callee.value, Name)
-                and callee.value.ident not in scope.vars
+                and type(value) is ast.Name
+                and value.id not in scope.vars
             ):
-                scope.func_info.global_method_receivers.add(callee.value.ident)
+                scope.func_info.global_method_receivers.add(value.id)
             if self._is_constructor_name(method):
                 return self._constructor(method, call, scope)
             return self._unknown_call(call, scope)
-        if isinstance(callee, Name):
-            name = callee.ident
+        if type(callee) is ast.Name:
+            name = callee.id
             if self._is_constructor_name(name):
                 return self._constructor(name, call, scope)
             if name in scope.funcs:
@@ -387,29 +390,30 @@ class _Extractor:
             or name in self.table.builtin_circuits
         )
 
-    def _constructor(self, name: str, call: Call, scope: _Scope) -> _Binding:
+    def _constructor(self, name: str, call: ast.Call, scope: _Scope) -> _Binding:
         if name in _REGISTER_CONSTRUCTORS:
             return self._register_constructor(_REGISTER_CONSTRUCTORS[name], call, scope)
         if name == "QuantumCircuit":
             return self._circuit_constructor(call, scope)
         if name == "transpile":
             return self._transpile(call, scope)
-        decl = self._new_circuit(CircuitKind.BUILTIN_PARAMETRIZED, call.span, name=name)
+        decl = self._new_circuit(CircuitKind.BUILTIN_PARAMETRIZED, self.span(call), name=name)
         self._eval_args(call, scope)
         return _Binding("circuit", (decl.id,))
 
-    def _register_constructor(self, kind: str, call: Call, scope: _Scope) -> _Binding:
-        for arg in call.args:
+    def _register_constructor(self, kind: str, call: ast.Call, scope: _Scope) -> _Binding:
+        args = positional_args(call)
+        for arg in args:
             self._eval(arg, scope)
-        size = self.env.resolve(call.args[0]) if call.args else UNKNOWN
+        size = self.env.resolve(args[0]) if args else UNKNOWN
         if size.is_known and size.value is not None and size.value < 0:
-            self._diagnostic("register declared with negative size", call.span)
+            self._diagnostic("register declared with negative size", call)
             size = UNKNOWN
         name = None
-        label = call.args[1] if len(call.args) >= 2 else None
-        if isinstance(label, Literal) and isinstance(label.value, str):
+        label = args[1] if len(args) >= 2 else None
+        if type(label) is ast.Constant and type(label.value) is str:
             name = label.value
-        decl = RegisterDecl(self._new_id("r"), kind, size, call.span, name=name)
+        decl = RegisterDecl(self._new_id("r"), kind, size, self.span(call), name=name)
         self.ir.registers[decl.id] = decl
         return _Binding("register", (decl.id,))
 
@@ -452,10 +456,11 @@ class _Extractor:
             total += size.value
         return known(total)
 
-    def _circuit_constructor(self, call: Call, scope: _Scope) -> _Binding:
-        decl = self._new_circuit(CircuitKind.CONSTRUCTOR, call.span)
+    def _circuit_constructor(self, call: ast.Call, scope: _Scope) -> _Binding:
+        span = self.span(call)
+        decl = self._new_circuit(CircuitKind.CONSTRUCTOR, span)
         implicit_seen = 0
-        for arg in call.args:
+        for arg in positional_args(call):
             binding = self._eval(arg, scope)
             if binding.kind == "register":
                 self._associate(decl, self.ir.registers[binding.ids[0]])
@@ -464,13 +469,13 @@ class _Extractor:
             if size.is_known:
                 kind = "quantum" if implicit_seen == 0 else "classical"
                 implicit_seen += 1
-                reg = self._implicit_register(kind, size, call.span)
+                reg = self._implicit_register(kind, size, span)
             else:
                 # Could be a register object we cannot see or a dynamic size.
-                reg = self._implicit_register("quantum", UNKNOWN, call.span)
+                reg = self._implicit_register("quantum", UNKNOWN, span)
             self._associate(decl, reg)
-        for kw in call.keywords:
-            self._eval(kw.value, scope)
+        for value in keyword_values(call):
+            self._eval(value, scope)
         self._recompute_counts(decl)
         return _Binding("circuit", (decl.id,))
 
@@ -480,22 +485,22 @@ class _Extractor:
         target.num_qubits = source.num_qubits
         target.num_clbits = source.num_clbits
 
-    def _transpile(self, call: Call, scope: _Scope) -> _Binding:
+    def _transpile(self, call: ast.Call, scope: _Scope) -> _Binding:
         bindings = self._eval_args(call, scope)
         sources = [b.ids[0] for b in bindings if b.kind == "circuit" and len(b.ids) == 1]
-        decl = self._new_circuit(CircuitKind.TRANSPILED, call.span)
+        decl = self._new_circuit(CircuitKind.TRANSPILED, self.span(call))
         for kw in call.keywords:
-            if kw.name == "optimization_level":
+            if kw.arg == "optimization_level":
                 decl.transpile_opt_level = self.env.resolve(kw.value)
         if sources:
             self._inherit_layout(decl, self.ir.circuits[sources[0]])
         return _Binding("circuit", (decl.id,))
 
-    def _local_function_call(self, info: _FuncInfo, call: Call, scope: _Scope) -> _Binding:
+    def _local_function_call(self, info: _FuncInfo, call: ast.Call, scope: _Scope) -> _Binding:
         circuit_args = self._circuit_args(call, scope)
         if circuit_args:
             self._emit_unknown(
-                circuit_args, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, call.span
+                circuit_args, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, self.span(call)
             )
         mutated: set[str] = set()
         for receiver in sorted(info.global_method_receivers):
@@ -504,43 +509,45 @@ class _Extractor:
                 mutated.update(binding.ids)
         if mutated:
             self._emit_unknown(
-                sorted(mutated), UnknownCause.GLOBAL_CIRCUIT_MUTATION, call.span
+                sorted(mutated), UnknownCause.GLOBAL_CIRCUIT_MUTATION, self.span(call)
             )
         if info.returns_circuit:
-            decl = self._new_circuit(CircuitKind.USER_FUNCTION_RETURN, call.span)
+            decl = self._new_circuit(CircuitKind.USER_FUNCTION_RETURN, self.span(call))
             return _Binding("circuit", (decl.id,))
         return _OTHER
 
-    def _unknown_call(self, call: Call, scope: _Scope) -> _Binding:
+    def _unknown_call(self, call: ast.Call, scope: _Scope) -> _Binding:
         circuit_args = self._circuit_args(call, scope)
         if circuit_args:
             self._emit_unknown(
-                circuit_args, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, call.span
+                circuit_args, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, self.span(call)
             )
         return _OTHER
 
-    def _eval_args(self, call: Call, scope: _Scope) -> list[_Binding]:
+    def _eval_args(self, call: ast.Call, scope: _Scope) -> list[_Binding]:
         """Evaluate positional, then keyword arguments; return the positional bindings."""
-        bindings = [self._eval(arg, scope) for arg in call.args]
-        for kw in call.keywords:
-            self._eval(kw.value, scope)
+        bindings = [self._eval(arg, scope) for arg in positional_args(call)]
+        for value in keyword_values(call):
+            self._eval(value, scope)
         return bindings
 
-    def _circuit_args(self, call: Call, scope: _Scope) -> list[str]:
+    def _circuit_args(self, call: ast.Call, scope: _Scope) -> list[str]:
         """Circuits a call receives: as args, in one-level containers, or named in an
         opaque argument (a dict, lambda, comprehension, ...) or a `*`/`**` value."""
         found: set[str] = set()
-        names = [n for kw in call.keywords if kw.name is None for n in expr_names(kw.value)]
-        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
-            elements = arg.elements if isinstance(arg, SeqExpr) else [arg]
+        unpacked = [a.value for a in call.args if type(a) is ast.Starred]
+        unpacked += [k.value for k in call.keywords if k.arg is None]
+        named = [n for value in unpacked for n in names(value)]
+        for arg in arguments(call):
+            elements = arg.elts if form(arg) is ast.Tuple else [arg]
             for element in elements:
-                if isinstance(element, OpaqueExpr):
-                    names += element.names
+                if form(element) is None:
+                    named += names(element)
                     continue
                 binding = self._eval(element, scope)
                 if binding.kind == "circuit":
                     found.update(binding.ids)
-        for name in names:
+        for name in named:
             binding = scope.vars.get(name, _OTHER)
             if binding.kind == "circuit":
                 found.update(binding.ids)
@@ -549,13 +556,13 @@ class _Extractor:
     # --- circuit methods ---
 
     def _circuit_method(
-        self, receiver: _Binding, method: str, call: Call, scope: _Scope, bare: bool
+        self, receiver: _Binding, method: str, call: ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
         if len(receiver.ids) != 1:
             # Receiver may be one of several circuits; taint them all.
             self._eval_args(call, scope)
             self._emit_unknown(
-                receiver.ids, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, call.span
+                receiver.ids, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, self.span(call)
             )
             return _OTHER
         circuit = self.ir.circuits[receiver.ids[0]]
@@ -567,7 +574,7 @@ class _Extractor:
         if method == "compose":
             return self._compose(circuit, call, scope, bare)
         if method == "add_register":
-            for arg in call.args:
+            for arg in positional_args(call):
                 binding = self._eval(arg, scope)
                 if binding.kind == "register":
                     self._associate(circuit, self.ir.registers[binding.ids[0]])
@@ -576,7 +583,7 @@ class _Extractor:
             circuit.subcircuit_flags.add("to_gate_or_instruction")
             return _Binding("circuit_gate", (circuit.id,))
         if method == "copy":
-            decl = self._new_circuit(CircuitKind.COPY, call.span)
+            decl = self._new_circuit(CircuitKind.COPY, self.span(call))
             self._inherit_layout(decl, circuit)
             return _Binding("circuit", (decl.id,))
         if method == "assign_parameters":
@@ -587,16 +594,16 @@ class _Extractor:
         self._emit_unknown(
             [circuit.id] + others,
             UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG,
-            call.span,
+            self.span(call),
             gate_name=method,
         )
         return _OTHER
 
     def _table_method(
-        self, circuit: CircuitDecl, spec: GateSpec, call: Call, scope: _Scope
+        self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, scope: _Scope
     ) -> _Binding:
         # Operands are resolved below; evaluate only arguments that may have effects.
-        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+        for arg in arguments(call):
             if not _is_inert(arg):
                 self._eval(arg, scope)
         if spec.category in ("reversible_gate", "reset"):
@@ -608,13 +615,15 @@ class _Extractor:
         if spec.category == "initialize":
             return self._initialize_event(circuit, call, scope)
         if spec.category == "barrier":
-            event = self._emit(EventKind.BARRIER, circuit.id, call.span, gate_name="barrier")
+            event = self._emit(
+                EventKind.BARRIER, circuit.id, self.span(call), gate_name="barrier"
+            )
             return _Binding("instruction", (circuit.id,), event)
         # conditional_marker applied directly to a circuit is not a gate add.
         self._emit_unknown(
             [circuit.id],
             UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG,
-            call.span,
+            self.span(call),
             gate_name=spec.method_name,
         )
         return _OTHER
@@ -632,35 +641,36 @@ class _Extractor:
         return _Binding("instruction", (circuit.id,), event)
 
     def _gate_event(
-        self, circuit: CircuitDecl, spec: GateSpec, call: Call, scope: _Scope
+        self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, scope: _Scope
     ) -> _Binding:
-        if call.has_star_args or not spec.qubit_args:
-            return self._unresolved_event(circuit, call.span, spec.method_name)
+        span, args = self.span(call), call.args
+        if has_star_args(call) or not spec.qubit_args:
+            return self._unresolved_event(circuit, span, spec.method_name)
         refs: list[QubitRef] = []
         for pos in spec.qubit_args:
-            if pos >= len(call.args):
-                return self._unresolved_event(circuit, call.span, spec.method_name)
-            ref = self._resolve_single_bit(call.args[pos], circuit, scope, classical=False)
+            if pos >= len(args):
+                return self._unresolved_event(circuit, span, spec.method_name)
+            ref = self._resolve_single_bit(args[pos], circuit, scope, classical=False)
             if not ref.is_resolved:
-                return self._unresolved_event(circuit, call.span, spec.method_name)
+                return self._unresolved_event(circuit, span, spec.method_name)
             refs.append(ref)
         event = self._emit(
             EventKind.RESET if spec.category == "reset" else EventKind.GATE,
             circuit.id,
-            call.span,
+            span,
             gate_name=spec.method_name,
             qubits=refs,
         )
         return _Binding("instruction", (circuit.id,), event)
 
-    def _measure_event(self, circuit: CircuitDecl, call: Call, scope: _Scope) -> _Binding:
-        span = call.span
-        if call.has_star_args or len(call.args) < 1:
+    def _measure_event(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
+        span, args = self.span(call), call.args
+        if has_star_args(call) or len(args) < 1:
             return self._unresolved_event(circuit, span, "measure")
-        qubits = self._resolve_bit_group(call.args[0], circuit, scope, classical=False)
+        qubits = self._resolve_bit_group(args[0], circuit, scope, classical=False)
         clbits = (
-            self._resolve_bit_group(call.args[1], circuit, scope, classical=True)
-            if len(call.args) >= 2
+            self._resolve_bit_group(args[1], circuit, scope, classical=True)
+            if len(args) >= 2
             else None
         )
         if qubits is None:
@@ -684,15 +694,15 @@ class _Extractor:
                 last = _Binding("instruction", (circuit.id,), event)
         return last
 
-    def _measure_all_event(self, circuit: CircuitDecl, call: Call) -> _Binding:
+    def _measure_all_event(self, circuit: CircuitDecl, call: ast.Call) -> _Binding:
         creates = True
         for kw in call.keywords:
-            if kw.name == "add_bits" and isinstance(kw.value, Literal) and kw.value.value is False:
+            if kw.arg == "add_bits" and type(kw.value) is ast.Constant and kw.value.value is False:
                 creates = False
         event = self._emit(
             EventKind.MEASURE_ALL,
             circuit.id,
-            call.span,
+            self.span(call),
             gate_name="measure_all",
             creates_new_register=creates,
             qubits=self._full_layout(circuit),
@@ -709,10 +719,11 @@ class _Extractor:
             operands.extend(QubitRef(reg_id, i) for i in range(size.value))
         return operands
 
-    def _initialize_event(self, circuit: CircuitDecl, call: Call, scope: _Scope) -> _Binding:
+    def _initialize_event(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
         operands: list[QubitRef] = []
-        if len(call.args) >= 2:
-            group = self._resolve_bit_group(call.args[1], circuit, scope, classical=False)
+        args = positional_args(call)
+        if len(args) >= 2:
+            group = self._resolve_bit_group(args[1], circuit, scope, classical=False)
             if group is not None and all(r.is_resolved for r in group):
                 operands = group
         else:
@@ -720,7 +731,7 @@ class _Extractor:
         event = self._emit(
             EventKind.INITIALIZE,
             circuit.id,
-            call.span,
+            self.span(call),
             gate_name="initialize",
             qubits=operands,
         )
@@ -729,14 +740,11 @@ class _Extractor:
     # --- operand resolution ---
 
     def _resolve_bit_group(
-        self, expr: Expr, circuit: CircuitDecl, scope: _Scope, classical: bool
+        self, expr: ast.expr, circuit: CircuitDecl, scope: _Scope, classical: bool
     ) -> list[QubitRef] | None:
-        if isinstance(expr, SeqExpr):
-            return [
-                self._resolve_single_bit(e, circuit, scope, classical)
-                for e in expr.elements
-            ]
-        if isinstance(expr, Name):
+        if form(expr) is ast.Tuple:
+            return [self._resolve_single_bit(e, circuit, scope, classical) for e in expr.elts]
+        if type(expr) is ast.Name:
             # A whole register expands into one reference per slot.
             reg = self._register_of_name(expr, scope, classical)
             if reg is not None:
@@ -747,9 +755,9 @@ class _Extractor:
         return [self._resolve_single_bit(expr, circuit, scope, classical)]
 
     def _register_of_name(
-        self, name: Name, scope: _Scope, classical: bool
+        self, name: ast.Name, scope: _Scope, classical: bool
     ) -> RegisterDecl | None:
-        binding = scope.vars.get(name.ident, _OTHER)
+        binding = scope.vars.get(name.id, _OTHER)
         if binding.kind != "register":
             return None
         reg = self.ir.registers[binding.ids[0]]
@@ -757,17 +765,17 @@ class _Extractor:
         return reg if reg.kind == wanted else None
 
     def _resolve_single_bit(
-        self, expr: Expr, circuit: CircuitDecl, scope: _Scope, classical: bool
+        self, expr: ast.expr, circuit: CircuitDecl, scope: _Scope, classical: bool
     ) -> QubitRef:
-        if isinstance(expr, Subscript) and isinstance(expr.value, Name):
-            reg = self._register_of_name(expr.value, scope, classical)
+        if form(expr) is ast.Subscript and type(value := expr.value) is ast.Name:
+            reg = self._register_of_name(value, scope, classical)
             if reg is None:
                 return UNRESOLVED_BIT
-            index = self.env.resolve(expr.index)
+            index = self.env.resolve(expr.slice)
             if not index.is_known:
                 return UNRESOLVED_BIT
             assert index.value is not None
-            return self._checked_ref(reg, index.value, circuit, expr.span)
+            return self._checked_ref(reg, index.value, circuit, expr)
         value = self.env.resolve(expr)
         if value.is_known:
             registers = (
@@ -776,58 +784,59 @@ class _Extractor:
             if len(registers) == 1:
                 reg = self.ir.registers[registers[0]]
                 assert value.value is not None
-                return self._checked_ref(reg, value.value, circuit, expr.span)
+                return self._checked_ref(reg, value.value, circuit, expr)
         return UNRESOLVED_BIT
 
     def _checked_ref(
-        self, reg: RegisterDecl, index: int, circuit: CircuitDecl, span: SourceSpan
+        self, reg: RegisterDecl, index: int, circuit: CircuitDecl, node: ast.expr
     ) -> QubitRef:
         if index < 0:
             self._diagnostic(
-                f"negative index {index} into register {reg.display_name()}", span
+                f"negative index {index} into register {reg.display_name()}", node
             )
             return UNRESOLVED_BIT
         if reg.size.is_known and reg.size.value is not None and index >= reg.size.value:
             self._diagnostic(
                 f"index {index} out of range for register "
                 f"{reg.display_name()} of size {reg.size.value}",
-                span,
+                node,
             )
             return UNRESOLVED_BIT
         if reg.id not in circuit.quantum_registers and reg.id not in circuit.classical_registers:
             self._diagnostic(
                 f"register {reg.display_name()} is not associated with the circuit",
-                span,
+                node,
             )
         return QubitRef(reg.id, index)
 
     # --- composition ---
 
-    def _append(self, circuit: CircuitDecl, call: Call, scope: _Scope) -> _Binding:
+    def _append(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
         self._composition_edges(circuit, call, scope, "append")
         return _OTHER
 
     def _compose(
-        self, circuit: CircuitDecl, call: Call, scope: _Scope, bare: bool
+        self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
         self._composition_edges(circuit, call, scope, "compose")
         inplace_true = False
         for kw in call.keywords:
-            if kw.name == "inplace" and isinstance(kw.value, Literal) and kw.value.value is True:
+            if kw.arg == "inplace" and type(kw.value) is ast.Constant and kw.value.value is True:
                 inplace_true = True
-        self.ir.compose_calls.append(
-            ComposeCall(circuit.id, call.span, bare, inplace_true)
-        )
-        decl = self._new_circuit(CircuitKind.COPY, call.span)
+        span = self.span(call)
+        self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, inplace_true))
+        decl = self._new_circuit(CircuitKind.COPY, span)
         self._inherit_layout(decl, circuit)
         return _Binding("circuit", (decl.id,))
 
     def _composition_edges(
-        self, circuit: CircuitDecl, call: Call, scope: _Scope, how: str
+        self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, how: str
     ) -> None:
         """Evaluate the arguments; link the circuits the first one holds as children."""
         bindings = self._eval_args(call, scope)
         if bindings and bindings[0].kind in ("circuit", "circuit_gate"):
             for child in bindings[0].ids:
                 if child != circuit.id:
-                    self.ir.edges.append(CompositionEdge(circuit.id, child, how, call.span))
+                    self.ir.edges.append(
+                        CompositionEdge(circuit.id, child, how, self.span(call))
+                    )

@@ -12,6 +12,11 @@ Regenerate it only for an intended behaviour change, and explain each
 changed entry:
 
     PYTHONPATH=src python tests/test_behaviour.py
+
+Compare against it without pytest, on any interpreter (exit status 1 and
+the test's diff text when an input changed; the file is never rewritten):
+
+    PYTHONPATH=src python tests/test_behaviour.py --check
 """
 
 from __future__ import annotations
@@ -111,19 +116,31 @@ def render(table: dict[str, dict]) -> str:
     return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
-def test_behaviour_matches_lock():
+def lock_diff() -> str | None:
+    """What changed against the golden file (up to 10 inputs), or None."""
     expected = json.loads(GOLDEN.read_text("utf-8"))
     got = compute()
     changed = [name for name in sorted(expected.keys() | got.keys())
                if expected.get(name) != got.get(name)]
+    if not changed:
+        return None
     detail = "\n".join(
         f"{name}:\n  locked: {expected.get(name)}\n  now:    {got.get(name)}"
         for name in changed[:10]
     )
-    assert not changed, f"{len(changed)} of {len(expected)} inputs changed:\n{detail}"
+    return f"{len(changed)} of {len(expected)} inputs changed:\n{detail}"
+
+
+def test_behaviour_matches_lock():
+    diff = lock_diff()
+    assert diff is None, diff
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        diff = lock_diff()
+        print(diff or f"{GOLDEN.name}: all inputs match")
+        sys.exit(1 if diff else 0)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(render(compute()), "utf-8")
     print(f"wrote {GOLDEN}")

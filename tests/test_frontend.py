@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from genprog import loop_pair, wide_branchy
 from oracle import capture_values
 
+from qlint import analyze_source
 from qlint.frontend import (
     MODULE_SCOPE,
     ParseError,
@@ -20,21 +21,24 @@ from qlint.frontend import (
     source_lines,
     unroll_loops,
 )
-from qlint.frontend.constprop import UNKNOWN, known
+from qlint.frontend.constprop import UNKNOWN, ConstEnv, known
 from qlint.frontend.parser import MAX_IF_DEPTH
 from qlint.frontend.nodes import (
     Assign,
-    Call,
     ExprStmt,
     ForRange,
     FunctionDef,
     If,
-    IntLit,
-    Keyword,
-    Name,
     Node,
     Opaque,
+    children,
+    form,
 )
+
+
+def _int(expr):
+    """The value of an integer constant, as the unroller folds them; else None."""
+    return ConstEnv.resolve(expr).value
 
 
 def _parse(source: str):
@@ -53,12 +57,13 @@ def _all_stmts(stmts):
 
 
 def _all_nodes(value):
-    """Every statement and expression node below a node or a list of them."""
+    """Every statement and modelled expression below a statement or a list of them."""
     if isinstance(value, list):
         for item in value:
             yield from _all_nodes(item)
-    elif isinstance(value, Keyword):
-        yield from _all_nodes(value.value)
+    elif isinstance(value, ast.expr):
+        yield value
+        yield from _all_nodes(children(value))
     elif isinstance(value, Node):
         yield value
         for name in value._fields:
@@ -121,9 +126,9 @@ def _resolved_calls(tree, env):
     out = []
     for stmt in tree.statements:
         value = None
-        if isinstance(stmt, ExprStmt) and isinstance(stmt.value, Call):
+        if isinstance(stmt, ExprStmt) and isinstance(stmt.value, ast.Call):
             value = stmt.value
-        elif isinstance(stmt, Assign) and isinstance(stmt.value, Call):
+        elif isinstance(stmt, Assign) and isinstance(stmt.value, ast.Call):
             value = stmt.value
         if value is not None:
             out.append([env.resolve(a) for a in value.args])
@@ -136,11 +141,10 @@ class TestParse:
         assert len(tree.statements) == 1
         stmt = tree.statements[0]
         assert isinstance(stmt, Assign)
-        assert isinstance(stmt.value, Call)
-        assert isinstance(stmt.value.func, Name)
-        assert stmt.value.func.ident == "QuantumRegister"
-        assert isinstance(stmt.value.args[0], IntLit)
-        assert stmt.value.args[0].value == 4
+        assert isinstance(stmt.value, ast.Call)
+        assert isinstance(stmt.value.func, ast.Name)
+        assert stmt.value.func.id == "QuantumRegister"
+        assert _int(stmt.value.args[0]) == 4
 
     def test_two_bug_demo_statement_shape(self):
         source = sample_source("two_bugs")
@@ -169,6 +173,42 @@ class TestParse:
         assert len(lines) == 4
         for stmt in ast.parse(source).body:
             assert lines[stmt.lineno - 1].startswith(ast.unparse(stmt))
+
+    def test_columns_count_characters_not_bytes(self):
+        # `ast` counts UTF-8 bytes: ψ, θ and é take two bytes but one column.
+        def spans(source, rule):
+            warnings = analyze_source(source, "t.py").warnings
+            return [(w.span.line, w.span.column, w.span.end_column) for w in warnings
+                    if w.rule == rule]
+
+        assert spans("ψ = QuantumCircuit(3)\n", "oversized-circuit") == [(1, 5, 22)]
+        source = "qc = QuantumCircuit(2, 2)\nθθ = 1; qc.measure(1, 1); qc.measure(1, 1)\n"
+        assert spans(source, "double-meas") == [(2, 27, 43)]
+        stmt = _parse('s = "é"; t = 1\n').statements[1]
+        assert (stmt.span.column, stmt.span.end_column) == (10, 15)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("x", ast.Name), ("a.b", ast.Attribute), ("f(*a, k=1)", ast.Call),
+            ("[a, b]", ast.Tuple), ("(a, b)", ast.Tuple), ("a[1]", ast.Subscript),
+            ("a[1, 2]", ast.Subscript), ("1", ast.Constant), ("1.5", ast.Constant),
+            ("'s'", ast.Constant), ("True", ast.Constant), ("None", ast.Constant),
+            *((f"a {op} b", ast.BinOp) for op in ["+", "-", "*", "//", "/", "%", "**"]),
+            ("-a", ast.UnaryOp),
+            ("a[1:2]", None), ("1j", None), ("b''", None), ("...", None),
+            *((f"a {op} b", None) for op in ["@", "<<", ">>", "|", "&", "^"]),
+            ("+a", None), ("~a", None), ("not a", None), ("a == b", None),
+            ("a and b", None), ("{1: a}", None), ("{a}", None), ("lambda: a", None),
+            ("a if b else c", None), ("f'{a}'", None), ("[a for a in b]", None),
+            ("(x := 1)", None),
+        ],
+    )
+    def test_form_is_the_modelled_subset(self, source, expected):
+        assert form(ast.parse(source, mode="eval").body) is expected
+
+    def test_starred_outside_a_call_is_opaque(self):
+        assert form(ast.parse("[*a]", mode="eval").body.elts[0]) is None
 
     def test_syntax_error_raises_parse_error(self):
         with pytest.raises(ParseError) as info:
@@ -318,9 +358,9 @@ class TestConstants:
 
             def check(stmts):
                 for stmt in stmts:
-                    if isinstance(stmt, ExprStmt) and isinstance(stmt.value, Call):
+                    if isinstance(stmt, ExprStmt) and isinstance(stmt.value, ast.Call):
                         callee = stmt.value.func
-                        if isinstance(callee, Name) and callee.ident == "use":
+                        if isinstance(callee, ast.Name) and callee.id == "use":
                             value = env.resolve(stmt.value.args[0])
                             if value.is_known:
                                 assert observed[stmt.span.line] == value.value
@@ -349,7 +389,7 @@ class TestConstants:
                 for s in _all_stmts(tree.statements)
                 if isinstance(s, ExprStmt)
                 and s.value.args
-                and isinstance(s.value.args[0], Name)
+                and isinstance(s.value.args[0], ast.Name)
             ]
             assert [env.resolve(u) for u in uses] == [UNKNOWN], source
 
@@ -369,17 +409,17 @@ class TestConstants:
         ]
         for stmt, parsed_arg in uses:
             if _cannot_fold(parsed_arg):
-                assert not isinstance(stmt.value.args[0], IntLit)
+                assert _int(stmt.value.args[0]) is None
         for run in (source, source.replace("flag = True", "flag = False", 1)):
             try:
                 observed = capture_values(run)
             except (TypeError, ZeroDivisionError):
                 continue  # `None + 1` or `// 0` stopped the run
             for stmt, _ in uses:
-                arg = stmt.value.args[0]
-                if isinstance(arg, IntLit) and stmt.span.line in observed:  # else not run
+                value = _int(stmt.value.args[0])
+                if value is not None and stmt.span.line in observed:  # else not run
                     seen = observed[stmt.span.line]
-                    assert type(seen) is int and seen == arg.value
+                    assert type(seen) is int and seen == value
 
     def test_tree_must_come_from_unroll_loops(self):
         with pytest.raises(ValueError):
@@ -519,11 +559,17 @@ class TestUnrollSharing:
     )
 
     def test_unrolling_never_mutates_its_input(self):
+        def dump(tree):
+            return [
+                ast.dump(n, include_attributes=True) if isinstance(n, ast.AST) else repr(n)
+                for n in _all_nodes(tree.statements)
+            ]
+
         parsed = _parse(self.NESTED)
-        before = repr(parsed)
+        before = dump(parsed)
         kept = unroll_loops(parsed, max_iterations=2)
         expanded = unroll_loops(parsed, max_iterations=10)
-        assert repr(parsed) == before
+        assert dump(parsed) == before
         assert len(kept.non_unrollable) == 3
         assert len(expanded.non_unrollable) == 1
 
@@ -541,7 +587,7 @@ class TestUnrollSharing:
         branch, function = tree.statements[2], tree.statements[3]
         assert isinstance(branch, If)
         for body in (branch.body, function.body):
-            indices = [env.resolve(s.value.args[0].index) for s in body]
+            indices = [env.resolve(s.value.args[0].slice) for s in body]
             assert indices == [known(0), known(1), known(2)]
 
     def test_unrolled_function_copies_keep_method_receivers(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qlint import Config
-from qlint.frontend.nodes import Call, ExprStmt, IntLit, Keyword, Literal, ModuleAst, Name, SourceSpan
+from qlint.frontend.nodes import ModuleAst, NoOp, Opaque, SourceSpan
 from qlint.qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QubitRef
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -39,18 +39,9 @@ class TestRepr:
     """The text `@dataclass` printed, which callers of analyze_pipeline see."""
 
     def test_node(self):
-        call = Call(
-            Name("h", span=SPAN),
-            [IntLit(0, span=SPAN)],
-            [Keyword("k", Literal(None, span=SPAN))],
-            span=SPAN,
-        )
-        assert repr(ExprStmt(call, span=SPAN, uid=2)) == (
-            f"ExprStmt(span={SPAN_TEXT}, uid=2, value=Call(span={SPAN_TEXT}, "
-            f"func=Name(span={SPAN_TEXT}, ident='h'), "
-            f"args=[IntLit(span={SPAN_TEXT}, value=0)], "
-            f"keywords=[Keyword(name='k', value=Literal(span={SPAN_TEXT}, value=None))], "
-            "has_star_args=False))"
+        stmt = Opaque(frozenset({"x"}), "while", span=SPAN, uid=2)
+        assert repr(stmt) == (
+            f"Opaque(span={SPAN_TEXT}, uid=2, names=frozenset({{'x'}}), label='while')"
         )
 
     def test_operator_event(self):
@@ -77,13 +68,13 @@ class TestRepr:
 
 class TestMutableRecords:
     def test_equality_is_field_wise_and_per_class(self):
-        assert Name("x", span=SPAN) == Name("x", span=SPAN)
-        assert Name("x", span=SPAN) != Name("y", span=SPAN)
-        assert IntLit(1, span=SPAN) != Name("x", span=SPAN)
+        assert NoOp("pass", span=SPAN) == NoOp("pass", span=SPAN)
+        assert NoOp("pass", span=SPAN) != NoOp("break", span=SPAN)
+        assert Opaque(label="pass", span=SPAN) != NoOp("pass", span=SPAN)
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):
-            hash(Name("x", span=SPAN))
+            hash(NoOp(span=SPAN))
 
     def test_each_instance_gets_its_own_containers(self):
         first, second = _event(), _event()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import elif_chain, parses_in_this_python, sample_source, warnings_for
 
 from qlint.analyses import ALL_RULES, DEFAULT_PROFILE, RULE_IDS, run_all
@@ -16,6 +18,19 @@ def _rules_fired(source: str, rules=ALL_RULES):
 
 def _lines_of(source: str, rule: str, rules=ALL_RULES):
     return [w.span.line for w in warnings_for(source, rules=rules) if w.rule == rule]
+
+
+# Expressions outside the subset that name the circuit `e` stands for.
+_ESCAPES = {
+    "dict": "{{1: {e}}}",
+    "lambda": "(lambda: {e})",
+    "conditional": "({e} if flag else None)",
+    "fstring": "f{q}{{ {e} }}{q}",
+    "comprehension": "[c for c in [{e}]]",
+    "boolop": "(flag and {e})",
+    "walrus": "(w := {e})",
+    "await": "(await {e})",
+}
 
 
 class TestDoubleMeas:
@@ -236,6 +251,19 @@ class TestOversizedCircuit:
         # outside the subset, qc reaches code that may use its other qubits.
         source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{statement}\n"
         assert _rules_fired(source) == ["insuff-clas-reg"]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(_ESCAPES)), min_size=1, max_size=3))
+    def test_circuit_wrapped_in_escapes_at_module_level(self, wraps):
+        # However it is wrapped, qc escapes before its qubits are used, so no
+        # rule may claim them unused or still |0>; bare, both rules fire.
+        expr, quotes = "qc", iter(['"', "'", "'''"])  # f-strings nest (3.10, 3.11)
+        for wrap in wraps:
+            expr = _ESCAPES[wrap].format(e=expr, q=next(quotes) if wrap == "fstring" else "")
+        program = "qc = QuantumCircuit(3, 3)\nx = {}\nqc.measure(0, 0)\n"
+        quiet = {"oversized-circuit", "const-clas-bit"}
+        assert quiet <= set(_rules_fired(program.format("qc")))
+        assert not quiet & set(_rules_fired(program.format(expr))), expr
 
     @pytest.mark.parametrize("params",["qc", "*qc", "**qc", "*, qc"])
     def test_parameter_shadows_module_circuit(self, params):
