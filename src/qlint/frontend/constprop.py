@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Callable, NamedTuple
 
-from .nodes import Assign, ForRange, If, ModuleAst, Opaque, Stmt, form, names
+from .nodes import Assign, ModuleAst, form
 
 MODULE_SCOPE = "<module>"
 
@@ -38,7 +38,7 @@ def known(value: int) -> ConstValue:
     return ConstValue(value)
 
 
-_Env = dict[str, ConstValue]
+Env = dict[str, ConstValue]  # integer facts by name; a missing name is Unknown
 
 
 def binop_value(op: type[ast.operator], left: ConstValue, right: ConstValue) -> ConstValue:
@@ -95,27 +95,6 @@ def tuple_assign_pairs(stmt: Assign) -> list[tuple[str, ast.expr]] | None:
     return [(t.id, v) for t, v in zip(target.elts, value.elts)]
 
 
-def collect_assigned_names(stmts: list[Stmt]) -> set[str]:
-    """Names possibly (re)bound anywhere in a statement list, same scope only."""
-    out: set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            for target in stmt.targets:
-                if type(target) is ast.Name:
-                    out.add(target.id)
-                elif form(target) is ast.Tuple:
-                    out.update(names(target))
-        elif isinstance(stmt, ForRange):
-            out.add(stmt.var)
-            out.update(collect_assigned_names(stmt.body))
-        elif isinstance(stmt, If):
-            out.update(collect_assigned_names(stmt.body))
-            out.update(collect_assigned_names(stmt.orelse))
-        elif isinstance(stmt, Opaque):
-            out.update(stmt.names)
-    return out
-
-
 def _agree(a: ConstValue, b: ConstValue) -> ConstValue:
     return a if a == b else UNKNOWN
 
@@ -141,7 +120,7 @@ class ConstEnv:
     def __init__(self, rebound_names: frozenset[str] = frozenset()) -> None:
         self.rebound_names = rebound_names
 
-    def forget_rebound(self, env: _Env) -> None:
+    def forget_rebound(self, env: Env) -> None:
         """Make Unknown the names a walrus or a function's `global` may rebind."""
         if self.rebound_names:
             for name in self.rebound_names & env.keys():

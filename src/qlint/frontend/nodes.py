@@ -1,10 +1,11 @@
 """Restricted AST over the supported Python/Qiskit subset.
 
-Statements are qlint's own records. Expressions are the `ast.expr` objects
-that `ast.parse` returned; `form` decides which of them the subset models,
-and every stage reads them through it. Statements and expressions outside
-the subset stay opaque: later stages take the names they mention as
-possibly used in any way, instead of silently dropping program behavior.
+Statements are qlint's own records, which `unroll_loops` builds from the
+parsed `ast.stmt`s. Expressions are the `ast.expr` objects that `ast.parse`
+returned; `form` decides which of them the subset models, and every stage
+reads them through it. Statements and expressions outside the subset stay
+opaque: later stages take the names they mention as possibly used in any
+way, instead of silently dropping program behavior.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def names(node: ast.AST) -> frozenset[str]:
 
 
 class Node(Record):
-    """A statement and its span; `uid` is its number in an unrolled tree (-1 as parsed)."""
+    """A statement and its span; `uid` is its number in the unrolled tree, from 1."""
 
     __slots__ = ("span", "uid")
 
@@ -184,14 +185,14 @@ class Node(Record):
 class Assign(Node):
     __slots__ = ("targets", "value")
     def __init__(
-        self, targets: list[ast.expr], value: ast.expr, *, span: SourceSpan, uid: int = -1
+        self, targets: list[ast.expr], value: ast.expr, *, span: SourceSpan, uid: int
     ) -> None:
         self.span, self.uid, self.targets, self.value = span, uid, targets, value
 
 
 class ExprStmt(Node):
     __slots__ = ("value",)
-    def __init__(self, value: ast.expr, *, span: SourceSpan, uid: int = -1) -> None:
+    def __init__(self, value: ast.expr, *, span: SourceSpan, uid: int) -> None:
         self.span, self.uid, self.value = span, uid, value
 
 
@@ -199,7 +200,7 @@ class ForRange(Node):
     __slots__ = ("var", "range_args", "body")
     def __init__(
         self, var: str, range_args: list[ast.expr], body: list[Stmt],
-        *, span: SourceSpan, uid: int = -1,
+        *, span: SourceSpan, uid: int,
     ) -> None:
         self.span, self.uid, self.var = span, uid, var
         self.range_args, self.body = range_args, body
@@ -209,7 +210,7 @@ class If(Node):
     __slots__ = ("test", "body", "orelse")
     def __init__(
         self, test: ast.expr, body: list[Stmt], orelse: list[Stmt],
-        *, span: SourceSpan, uid: int = -1,
+        *, span: SourceSpan, uid: int,
     ) -> None:
         self.span, self.uid, self.test = span, uid, test
         self.body, self.orelse = body, orelse
@@ -219,7 +220,7 @@ class FunctionDef(Node):
     __slots__ = ("name", "params", "body", "method_receivers")
     def __init__(
         self, name: str, params: list[str], body: list[Stmt],
-        method_receivers: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int = -1,
+        method_receivers: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int,
     ) -> None:
         self.span, self.uid, self.name, self.params, self.body = span, uid, name, params, body
         # Names the body calls `to_gate`, `to_instruction` or `assign_parameters` on.
@@ -228,7 +229,7 @@ class FunctionDef(Node):
 
 class Return(Node):
     __slots__ = ("value",)
-    def __init__(self, value: ast.expr | None, *, span: SourceSpan, uid: int = -1) -> None:
+    def __init__(self, value: ast.expr | None, *, span: SourceSpan, uid: int) -> None:
         self.span, self.uid, self.value = span, uid, value
 
 
@@ -236,7 +237,7 @@ class NoOp(Node):
     """Statement with no analysis effect (pass, import, break, continue)."""
 
     __slots__ = ("kind",)
-    def __init__(self, kind: str = "pass", *, span: SourceSpan, uid: int = -1) -> None:
+    def __init__(self, kind: str = "pass", *, span: SourceSpan, uid: int) -> None:
         self.span, self.uid, self.kind = span, uid, kind
 
 
@@ -246,7 +247,7 @@ class Opaque(Node):
     __slots__ = ("names", "label")
     def __init__(
         self, names: frozenset[str] = frozenset(), label: str = "stmt",
-        *, span: SourceSpan, uid: int = -1,
+        *, span: SourceSpan, uid: int,
     ) -> None:
         self.span, self.uid, self.names, self.label = span, uid, names, label
 
@@ -255,13 +256,18 @@ Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | NoOp | Opaque
 
 
 class ModuleAst(Record):
-    """Parsed file: top-level statements plus bookkeeping set by unrolling."""
+    """A file: its top-level statements plus bookkeeping set by unrolling.
+
+    `parse_file` leaves the `ast.stmt`s of the file in `statements`;
+    `unroll_loops` replaces them with qlint's records.
+    """
 
     __slots__ = ("file", "statements", "non_unrollable", "constants", "rebound_names",
                  "method_receivers", "wide_lines")
 
     def __init__(
-        self, file: str, statements: list[Stmt], non_unrollable: list[int] | None = None,
+        self, file: str, statements: list[ast.stmt] | list[Stmt],
+        non_unrollable: list[int] | None = None,
         constants: ConstEnv | None = None, rebound_names: frozenset[str] = frozenset(),
         method_receivers: frozenset[str] = frozenset(), wide_lines: dict[int, bytes] | None = None,
     ) -> None:

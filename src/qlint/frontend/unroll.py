@@ -1,6 +1,9 @@
-"""Bounded unrolling of `for ... in range(...)` loops, with constant folding.
+"""Lowering of the parsed statements, with bounded unrolling and constant folding.
 
-A loop is expanded only when its trip count is statically known and small;
+`unroll_loops` walks the `ast.stmt`s of `parse_file` once and builds each
+statement record of its result there; every decision of what the subset
+models at statement level is made in this module. A `for ... in range(...)`
+loop is expanded only when its trip count is statically known and small;
 every other loop is kept intact and flagged, so downstream stages treat its
 body conservatively. The same walk propagates integer constants, and
 `_Unroller._value` is qlint's one constant evaluator: an expanded loop body
@@ -19,10 +22,9 @@ from operator import is_
 
 from .constprop import (
     ConstEnv,
-    ConstValue,
+    Env,
     UNKNOWN,
     binop_value,
-    collect_assigned_names,
     join_envs,
     known,
     negated,
@@ -47,115 +49,204 @@ from .nodes import (
 )
 
 DEFAULT_MAX_UNROLL = 10
+# `if` statements nested deeper than this (an `elif` counts as one more level)
+# are kept opaque, so a long `elif` chain cannot exhaust the Python stack.
+MAX_IF_DEPTH = 100
+# Methods that only a circuit has: a call result later used as the receiver
+# of one of them is taken to be a circuit.
+_CIRCUIT_METHOD_MARKERS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
+_NO_OP_KINDS = {
+    ast.Import: "import",
+    ast.ImportFrom: "import",
+    ast.Pass: "pass",
+    ast.Break: "break",
+    ast.Continue: "continue",
+}
 
 
 def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> ModuleAst:
-    """Return the tree with small constant-bound loops expanded and known integers folded.
+    """Lower the parsed statements of `tree`, small constant-bound loops expanded.
 
-    Every statement of the result is new, with a `uid` from 1 up in walk
-    order. Expressions are the parsed objects, except that one of known
-    integer value becomes an `ast.Constant` at its position, and the nodes
-    above it are rebuilt; the input is never mutated. Loops that cannot be
-    expanded (unknown or too-large trip count, or a break/continue in the
-    body) are kept and their uids listed in `non_unrollable`.
+    Every statement of the result is a new record, with a `uid` from 1 up
+    in walk order. Expressions are the parsed objects, except that one of
+    known integer value becomes an `ast.Constant` at its position, and the
+    nodes above it are rebuilt; the input is never mutated. Loops that
+    cannot be expanded (unknown or too-large trip count, or a break/continue
+    in the body) are kept and their uids listed in `non_unrollable`.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    unroller = _Unroller(max_iterations, ConstEnv(tree.rebound_names))
+    unroller = _Unroller(tree, max_iterations)
+    statements = unroller.walk(tree.statements, {})
     return tree._replace(
-        statements=unroller.walk(tree.statements, {}),
+        statements=statements,
         non_unrollable=unroller.non_unrollable,
         constants=unroller.constants,
+        method_receivers=frozenset(unroller.method_receivers),
     )
 
 
+def _range_args(node: ast.For) -> list[ast.expr] | None:
+    """The arguments of `for name in range(...)` with no `else`; None for another loop."""
+    it = node.iter
+    if (
+        type(it) is ast.Call
+        and type(it.func) is ast.Name
+        and it.func.id == "range"
+        and not it.keywords
+        and 1 <= len(it.args) <= 3
+        and type(node.target) is ast.Name
+        and not node.orelse
+    ):
+        return it.args
+    return None
+
+
+def _aug_value(node: ast.AugAssign) -> ast.expr | None:
+    """`x + e` for `x += e`, placed at the statement; None unless the subset models it."""
+    if type(node.target) is not ast.Name:
+        return None
+    value = replacing(node, ast.BinOp(node.target, node.op, node.value))
+    return value if form(value) is not None else None
+
+
 class _Unroller:
-    def __init__(self, max_iterations: int, constants: ConstEnv) -> None:
+    def __init__(self, tree: ModuleAst, max_iterations: int) -> None:
+        self.span = tree.span
         self.max_iterations = max_iterations
         self.non_unrollable: list[int] = []
-        self.constants = constants
+        self.constants = ConstEnv(tree.rebound_names)
         self.uids = count(1)
+        self.if_depth = 0
+        self.method_receivers: set[str] = set()  # of the scope being walked
 
-    def walk(self, stmts: list[Stmt], env: dict[str, ConstValue]) -> list[Stmt]:
-        """New `stmts`, loops expanded; `env` ends as the bindings after them."""
+    def walk(self, stmts: list[ast.stmt], env: Env) -> list[Stmt]:
+        """Records for `stmts`, loops expanded; `env` ends as the bindings after them."""
         out: list[Stmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, ForRange):
-                out.extend(self._for_range(stmt, env))
-            else:
-                out.append(self._stmt(stmt, env))
+        for node in stmts:
+            _LOWER.get(type(node), _Unroller._opaque)(self, node, env, out)
         return out
 
-    def _for_range(self, stmt: ForRange, env: dict[str, ConstValue]) -> list[Stmt]:
-        args = [self._value(a, env) for a in stmt.range_args]
-        values = range_values([self.constants.resolve(a) for a in args], self.max_iterations)
-        if values is None or _has_loop_escape(stmt.body):
-            uid = next(self.uids)
-            self.non_unrollable.append(uid)
-            # The body may run any number of times: whatever it binds is
-            # unknown inside it and after it.
-            for name in collect_assigned_names(stmt.body) | {stmt.var}:
-                env[name] = UNKNOWN
-            self.constants.forget_rebound(env)
-            body = self.walk(stmt.body, dict(env))
-            return [ForRange(stmt.var, args, body, span=stmt.span, uid=uid)]
-        out: list[Stmt] = []
-        for value in values:
-            env[stmt.var] = known(value)
-            out.extend(self.walk(stmt.body, env))
-        return out
+    # --- statements: each appends its records to `out` ---
 
-    def _stmt(self, stmt: Stmt, env: dict[str, ConstValue]) -> Stmt:
-        """A new `stmt`, its expressions evaluated under `env`."""
-        span, uid = stmt.span, next(self.uids)
-        if isinstance(stmt, Assign):
-            node = Assign(stmt.targets, self._value(stmt.value, env), span=span, uid=uid)
-            self._assign(node, env)
-            if not all(type(t) is ast.Name for t in stmt.targets):  # may hold a walrus
-                self.constants.forget_rebound(env)
-            return node
-        if isinstance(stmt, (ExprStmt, Return)):
-            value = self._value(stmt.value, env) if stmt.value is not None else None
-            return type(stmt)(value, span=span, uid=uid)
-        if isinstance(stmt, If):
-            test = self._value(stmt.test, env)
-            env_else = dict(env)
-            body = self.walk(stmt.body, env)
-            orelse = self.walk(stmt.orelse, env_else)
-            joined = join_envs(env, env_else)
-            env.clear()
-            env.update(joined)
-            return If(test, body, orelse, span=span, uid=uid)
-        if isinstance(stmt, FunctionDef):
-            self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
-            body = self.walk(stmt.body, {p: UNKNOWN for p in stmt.params})
-            return FunctionDef(
-                stmt.name, stmt.params, body, stmt.method_receivers, span=span, uid=uid
-            )
-        if isinstance(stmt, Opaque):
-            for name in stmt.names:
-                if name in env:
-                    env[name] = UNKNOWN
-            return Opaque(stmt.names, stmt.label, span=span, uid=uid)
-        return NoOp(stmt.kind, span=span, uid=uid)
+    def _assign(self, node: ast.Assign, env: Env, out: list[Stmt]) -> None:
+        out.append(self._bind(node, node.targets, node.value, env))
 
-    def _assign(self, stmt: Assign, env: dict[str, ConstValue]) -> None:
-        """Bind the targets of `stmt`, whose value is already evaluated."""
+    def _ann_assign(self, node: ast.AnnAssign, env: Env, out: list[Stmt]) -> None:
+        if node.value is None:
+            out.append(NoOp("annotation", span=self.span(node), uid=next(self.uids)))
+        else:
+            out.append(self._bind(node, [node.target], node.value, env))
+        # A module-level annotation runs after the assignment and may hold a walrus.
+        self.constants.forget_rebound(env)
+
+    def _aug_assign(self, node: ast.AugAssign, env: Env, out: list[Stmt]) -> None:
+        value = _aug_value(node)
+        if value is None:
+            self._opaque(node, env, out, "augassign")
+        else:
+            out.append(self._bind(node, [node.target], value, env))
+
+    def _bind(
+        self, node: ast.stmt, targets: list[ast.expr], value: ast.expr, env: Env
+    ) -> Assign:
+        """An `Assign` of `value` to `targets`, bound in `env` once `value` is evaluated."""
+        stmt = Assign(targets, self._value(value, env), span=self.span(node), uid=next(self.uids))
         resolve = self.constants.resolve
         pairs = tuple_assign_pairs(stmt)
         if pairs is not None:
             # The whole right side evaluates before any name is rebound.
             env.update([(name, resolve(v)) for name, v in pairs])
-            return
-        value = resolve(stmt.value)
-        for target in stmt.targets:
-            if type(target) is ast.Name:
-                env[target.id] = value
-            elif form(target) is ast.Tuple:
-                for name in names(target):
-                    env[name] = UNKNOWN
+        else:
+            bound = resolve(stmt.value)
+            for target in targets:
+                if type(target) is ast.Name:
+                    env[target.id] = bound
+                elif form(target) is ast.Tuple:
+                    for name in names(target):
+                        env[name] = UNKNOWN
+        for target in targets:
+            if type(target) is not ast.Name:
+                self._value(target, env)  # for its effects: targets are kept as parsed
+                self.constants.forget_rebound(env)  # a walrus, or a setter that rebinds
+        return stmt
 
-    def _value(self, expr: ast.expr, env: dict[str, ConstValue]) -> ast.expr:
+    def _expr(self, node: ast.Expr, env: Env, out: list[Stmt]) -> None:
+        value = self._value(node.value, env)
+        out.append(ExprStmt(value, span=self.span(node), uid=next(self.uids)))
+
+    def _return(self, node: ast.Return, env: Env, out: list[Stmt]) -> None:
+        value = self._value(node.value, env) if node.value is not None else None
+        out.append(Return(value, span=self.span(node), uid=next(self.uids)))
+
+    def _for(self, node: ast.For, env: Env, out: list[Stmt]) -> None:
+        range_args = _range_args(node)
+        if range_args is None:
+            self._opaque(node, env, out, "for")
+            return
+        var = node.target.id
+        args = [self._value(a, env) for a in range_args]
+        values = range_values([self.constants.resolve(a) for a in args], self.max_iterations)
+        if values is None or _has_loop_escape(node.body):
+            uid = next(self.uids)
+            self.non_unrollable.append(uid)
+            # The body may run any number of times: whatever it binds is
+            # unknown inside it and after it.
+            for name in _assigned_names(node.body, self.if_depth) | {var}:
+                env[name] = UNKNOWN
+            self.constants.forget_rebound(env)
+            body = self.walk(node.body, dict(env))
+            out.append(ForRange(var, args, body, span=self.span(node), uid=uid))
+            return
+        for value in values:
+            env[var] = known(value)
+            out.extend(self.walk(node.body, env))
+
+    def _if(self, node: ast.If, env: Env, out: list[Stmt]) -> None:
+        if self.if_depth >= MAX_IF_DEPTH:
+            self._opaque(node, env, out, "if")
+            return
+        uid = next(self.uids)
+        test = self._value(node.test, env)
+        env_else = dict(env)
+        self.if_depth += 1
+        body = self.walk(node.body, env)
+        orelse = self.walk(node.orelse, env_else)
+        self.if_depth -= 1
+        joined = join_envs(env, env_else)
+        env.clear()
+        env.update(joined)
+        out.append(If(test, body, orelse, span=self.span(node), uid=uid))
+
+    def _function_def(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef, env: Env, out: list[Stmt]
+    ) -> None:
+        uid = next(self.uids)
+        a = node.args
+        params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+        self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
+        outer_receivers, self.method_receivers = self.method_receivers, set()
+        body = self.walk(node.body, {p: UNKNOWN for p in params})
+        receivers, self.method_receivers = frozenset(self.method_receivers), outer_receivers
+        out.append(FunctionDef(node.name, params, body, receivers, span=self.span(node), uid=uid))
+
+    def _no_op(self, node: ast.stmt, env: Env, out: list[Stmt]) -> None:
+        out.append(NoOp(_NO_OP_KINDS[type(node)], span=self.span(node), uid=next(self.uids)))
+
+    def _opaque(
+        self, node: ast.stmt, env: Env, out: list[Stmt], label: str | None = None
+    ) -> None:
+        """Keep `node` whole: any name it mentions may be rebound, so becomes Unknown."""
+        mentioned = names(node)
+        for name in mentioned:
+            if name in env:
+                env[name] = UNKNOWN
+        label = label or type(node).__name__.lower()
+        out.append(Opaque(mentioned, label, span=self.span(node), uid=next(self.uids)))
+
+    # --- expressions ---
+
+    def _value(self, expr: ast.expr, env: Env) -> ast.expr:
         """`expr` evaluated under `env`, each subterm after its operands.
 
         A subterm of known integer value becomes an `ast.Constant` at its
@@ -212,7 +303,12 @@ class _Unroller:
         self.constants.forget_rebound(env)  # an opaque expression may hold a walrus
         return expr
 
-    def _call(self, call: ast.Call, env: dict[str, ConstValue]) -> ast.expr:
+    def _call(self, call: ast.Call, env: Env) -> ast.expr:
+        """`_value` of a call; also notes `name` of `name.to_gate()` and the like."""
+        f = call.func
+        if type(f) is ast.Attribute and f.attr in _CIRCUIT_METHOD_MARKERS:
+            if type(f.value) is ast.Name:
+                self.method_receivers.add(f.value.id)
         folded = {}
         for arg in arguments(call):
             value = self._value(arg, env)
@@ -234,13 +330,73 @@ class _Unroller:
         return replacing(call, ast.Call(func, args, keywords))
 
 
-def _has_loop_escape(stmts: list[Stmt]) -> bool:
-    """True when the body has a break/continue bound to this loop."""
-    for stmt in stmts:
-        if isinstance(stmt, NoOp) and stmt.kind in ("break", "continue"):
+_LOWER = {
+    ast.Assign: _Unroller._assign,
+    ast.AnnAssign: _Unroller._ann_assign,
+    ast.AugAssign: _Unroller._aug_assign,
+    ast.Expr: _Unroller._expr,
+    ast.For: _Unroller._for,
+    ast.If: _Unroller._if,
+    ast.FunctionDef: _Unroller._function_def,
+    ast.AsyncFunctionDef: _Unroller._function_def,
+    ast.Return: _Unroller._return,
+    **dict.fromkeys(_NO_OP_KINDS, _Unroller._no_op),
+}
+
+
+def _assigned_names(stmts: list[ast.stmt], if_depth: int) -> set[str]:
+    """Names the lowering of `stmts` at `if` depth `if_depth` may bind, same scope only.
+
+    An opaque statement may bind any name it mentions.
+    """
+    out: set[str] = set()
+    for node in stmts:
+        cls = type(node)
+        if cls is ast.For and _range_args(node) is not None:
+            out.add(node.target.id)
+            out |= _assigned_names(node.body, if_depth)
+        elif cls is ast.If and if_depth < MAX_IF_DEPTH:
+            out |= _assigned_names(node.body, if_depth + 1)
+            out |= _assigned_names(node.orelse, if_depth + 1)
+        elif cls is ast.Assign or cls is ast.AnnAssign and node.value is not None:
+            for target in node.targets if cls is ast.Assign else [node.target]:
+                if form(target) in (ast.Name, ast.Tuple):
+                    out |= names(target)
+        elif cls is ast.AugAssign and _aug_value(node) is not None:
+            out.add(node.target.id)
+        elif cls not in _LOWER or cls in (ast.For, ast.If, ast.AugAssign):
+            out |= names(node)  # kept opaque
+    return out
+
+
+_TRY_FIELDS = ("body", "handlers", "orelse", "finalbody")
+# Where a `break`/`continue` of the enclosing loop can sit, by statement
+# class. A nested loop's body, a `def` and a `class` hold their own.
+_ESCAPE_FIELDS = {
+    ast.If: ("body", "orelse"),
+    ast.For: ("orelse",),
+    ast.AsyncFor: ("orelse",),
+    ast.While: ("orelse",),
+    ast.With: ("body",),
+    ast.AsyncWith: ("body",),
+    ast.Try: _TRY_FIELDS,
+    getattr(ast, "TryStar", ast.Try): _TRY_FIELDS,  # Python 3.11+
+    ast.ExceptHandler: ("body",),
+    ast.Match: ("cases",),
+    ast.match_case: ("body",),
+}
+
+
+def _has_loop_escape(body: list[ast.stmt]) -> bool:
+    """True when a loop with this body has a `break` or `continue` of its own."""
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is ast.Break or cls is ast.Continue:
             return True
-        if isinstance(stmt, If):
-            if _has_loop_escape(stmt.body) or _has_loop_escape(stmt.orelse):
-                return True
-        # Nested loops own their break/continue statements.
+        fields = _ESCAPE_FIELDS.get(cls)
+        if fields is not None:
+            for field in fields:
+                stack.extend(getattr(node, field))
     return False

@@ -68,13 +68,13 @@ class TestRepr:
 
 class TestMutableRecords:
     def test_equality_is_field_wise_and_per_class(self):
-        assert NoOp("pass", span=SPAN) == NoOp("pass", span=SPAN)
-        assert NoOp("pass", span=SPAN) != NoOp("break", span=SPAN)
-        assert Opaque(label="pass", span=SPAN) != NoOp("pass", span=SPAN)
+        assert NoOp("pass", span=SPAN, uid=1) == NoOp("pass", span=SPAN, uid=1)
+        assert NoOp("pass", span=SPAN, uid=1) != NoOp("break", span=SPAN, uid=1)
+        assert Opaque(label="pass", span=SPAN, uid=1) != NoOp("pass", span=SPAN, uid=1)
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):
-            hash(NoOp(span=SPAN))
+            hash(NoOp(span=SPAN, uid=1))
 
     def test_each_instance_gets_its_own_containers(self):
         first, second = _event(), _event()

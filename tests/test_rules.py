@@ -61,6 +61,26 @@ class TestDoubleMeas:
         )
         assert _lines_of(source, "double-meas") == []
 
+    @pytest.mark.parametrize(
+        "exit_first_pass",
+        [
+            "    with lock:\n        break\n",
+            "    try:\n        continue\n    finally:\n        pass\n",
+            "    try:\n        raise E\n    except E:\n        break\n",
+            "    match i:\n        case 0:\n            break\n",
+            "    for j in x:\n        pass\n    else:\n        break\n",
+        ],
+        ids=["with", "try-finally", "except", "match", "inner-loop-else"],
+    )
+    def test_loop_left_from_inside_a_compound_statement(self, exit_first_pass):
+        # The first pass leaves the loop before the measurement: it never runs.
+        source = (
+            "qc = QuantumCircuit(1, 1)\nqc.h(0)\nfor i in range(2):\n"
+            + exit_first_pass
+            + "    qc.measure(0, 0)\n"
+        )
+        assert _lines_of(source, "double-meas") == []
+
     @pytest.mark.parametrize("branches", [300, 1000, 2000])
     def test_after_a_long_elif_chain(self, branches):
         tail = "qc = QuantumCircuit(1, 1)\nqc.measure(0, 0)\nqc.measure(0, 0)\n"
@@ -288,7 +308,12 @@ class TestOversizedCircuit:
 
     @pytest.mark.parametrize(
         "rebind",
-        ["f((n := 5))\n", "f(*(n := [5]))\n", "f(**(n := {}))\n", "def g() -> (n := 5):\n    pass\n"],
+        [
+            "f((n := 5))\n", "f(*(n := [5]))\n", "f(**(n := {}))\n",
+            "def g() -> (n := 5):\n    pass\n",
+            # A module-level annotation runs, after the assignment if there is one.
+            "x: (n := 5) = 0\n", "y[(n := 5)]: int\n", "n: (n := 5) = 2\n",
+        ],
     )
     def test_walrus_anywhere_in_a_call_or_def_forgets_the_size(self, rebind):
         # `n` is no longer 2 once the line ran, so the circuit's size is unknown.
