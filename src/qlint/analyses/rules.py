@@ -82,13 +82,13 @@ def run_meas_all_abuse(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if event.circuit is None:
             continue
         clbits = ir.circuits[event.circuit].num_clbits
-        if clbits.is_known and clbits.value is not None and clbits.value > 0:
+        if clbits is not None and clbits > 0:
             out.append(
                 Warning(
                     "meas-all-abuse",
                     event.span,
                     f"measure_all() creates a new classical register although the "
-                    f"circuit already has {clbits.value} classical bits",
+                    f"circuit already has {clbits} classical bits",
                     circuit=event.circuit,
                 )
             )
@@ -178,8 +178,8 @@ def _measured_qubit_demand(circuit: CircuitDecl, events: list[OperatorEvent]) ->
     measured: set[QubitRef] = set()
     saw_measurement = False
     for event in events:
-        if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.num_qubits.value:
-            return circuit.num_qubits.value  # every qubit of a layout it could not resolve
+        if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.num_qubits:
+            return circuit.num_qubits  # every qubit of a layout it could not resolve
         if event.kind is EventKind.MEASUREMENT or event.kind is EventKind.MEASURE_ALL:
             saw_measurement = True
             measured.update(ref for ref in event.qubits if ref.is_resolved)
@@ -194,22 +194,19 @@ def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
         nq, nc = circuit.num_qubits, circuit.num_clbits
-        if not (nq.is_known and nc.is_known):
-            continue
-        assert nq.value is not None and nc.value is not None
-        if nq.value <= nc.value:
+        if nq is None or nc is None or nq <= nc:
             continue
         if circuit.id in subcircuits:
             continue
         demand = _measured_qubit_demand(circuit, flow.events_by_circuit.get(circuit.id, []))
         if demand is None:
-            demand = nq.value
-        if demand > nc.value:
+            demand = nq
+        if demand > nc:
             out.append(
                 Warning(
                     "insuff-clas-reg",
                     circuit.span,
-                    f"Circuit has {nq.value} qubits but only {nc.value} classical "
+                    f"Circuit has {nq} qubits but only {nc} classical "
                     "bits, not enough to measure them all",
                     circuit=circuit.id,
                 )
@@ -225,7 +222,7 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
         nq = circuit.num_qubits  # known only when every register size is
-        if not nq.value:
+        if not nq:
             continue
         events = flow.events_by_circuit.get(circuit.id, [])
         if any(e.kind is EventKind.UNKNOWN or e.kind is EventKind.INITIALIZE for e in events):
@@ -239,7 +236,7 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
                 offset = offsets.get(ref.register)  # None: unresolved, or not this circuit's
                 if offset is not None and ref.index is not None:
                     touched.add(offset + ref.index)
-        unused = sorted(set(range(nq.value)) - touched)
+        unused = sorted(set(range(nq)) - touched)
         if unused:
             listing = ", ".join(str(i) for i in unused)
             noun = "position" if len(unused) == 1 else "positions"
@@ -281,8 +278,7 @@ def run_op_after_transp(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         circuit = ir.circuits[event.circuit]
         if circuit.kind is not CircuitKind.TRANSPILED:
             continue
-        level = circuit.transpile_opt_level
-        if level.is_known and level.value == 3:
+        if circuit.transpile_opt_level == 3:
             out.append(
                 Warning(
                     "op-after-transp",

@@ -15,14 +15,19 @@ from .frontend import (
     ParseError,
     build_cfg,
     parse_file,
-    propagate_constants,
     source_lines,
     unroll_loops,
 )
-from .frontend.nodes import Record
+from .frontend.nodes import ModuleAst, Record
 from .qflow import FlowRelation, build_flow
 from .qir import GateTable, QuantumIR, extract, load_gate_table
 from .report import Report, SkippedFile, build_report
+
+
+def propagate_constants(tree: ModuleAst) -> None:
+    """Unused, and does nothing; kept, like `ThreadPoolExecutor` above, because
+    bench/tracing.py wraps this name. `unroll_loops` folds the constants."""
+
 
 _SUPPRESS_RE = re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
 # PEP 263: a coding cookie on line 1, or on line 2 when line 1 is blank or a comment.
@@ -69,10 +74,9 @@ def analyze_pipeline(source: str, path: str, config: Config | None = None) -> Pi
     cfg_options = config or Config()
     tree = parse_file(source, path)
     tree = unroll_loops(tree, cfg_options.max_unroll)
-    env = propagate_constants(tree)
     graph = build_cfg(tree)
     table = cfg_options.gate_table or load_gate_table()
-    ir = extract(tree, env, graph, table)
+    ir = extract(tree, graph, table)
     flow = build_flow(ir, graph)
     warnings = run_all(ir, flow, cfg_options.rules)
     return PipelineResult(ir, flow, warnings)

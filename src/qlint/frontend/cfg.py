@@ -10,8 +10,7 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Iterable
 
-from .constprop import MODULE_SCOPE
-from .nodes import ForRange, FunctionDef, If, ModuleAst, Record, Stmt
+from .nodes import MODULE_SCOPE, ForRange, FunctionDef, If, ModuleAst, Record, Stmt
 
 
 class Block(Record):

@@ -11,12 +11,10 @@ way, instead of silently dropping program behavior.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Any, NamedTuple, TypeVar
-
-if TYPE_CHECKING:
-    from .constprop import ConstEnv
+from typing import Any, Callable, NamedTuple, TypeVar
 
 _R = TypeVar("_R", bound="Record")
+MODULE_SCOPE = "<module>"  # the scope of a file's top-level statements
 
 
 class SourceSpan(NamedTuple):
@@ -161,6 +159,16 @@ def children(node: ast.expr) -> list[ast.expr]:
     return []
 
 
+def int_value(expr: ast.expr) -> int | None:
+    """The value of an integer constant (not a bool), else None.
+
+    Unrolling folds every integer whose value it knows into such a constant.
+    """
+    if type(expr) is ast.Constant and type(expr.value) is int:
+        return expr.value
+    return None
+
+
 def replacing(old: ast.AST, new: ast.AST) -> ast.AST:
     """`new`, given the source position of `old`, which it stands in for."""
     new.lineno, new.col_offset = old.lineno, old.col_offset
@@ -197,13 +205,13 @@ class ExprStmt(Node):
 
 
 class ForRange(Node):
-    __slots__ = ("var", "range_args", "body")
+    """A kept `for ... in range(...)` loop; expanded loops leave no record."""
+
+    __slots__ = ("range_args", "body")
     def __init__(
-        self, var: str, range_args: list[ast.expr], body: list[Stmt],
-        *, span: SourceSpan, uid: int,
+        self, range_args: list[ast.expr], body: list[Stmt], *, span: SourceSpan, uid: int
     ) -> None:
-        self.span, self.uid, self.var = span, uid, var
-        self.range_args, self.body = range_args, body
+        self.span, self.uid, self.range_args, self.body = span, uid, range_args, body
 
 
 class If(Node):
@@ -233,26 +241,49 @@ class Return(Node):
         self.span, self.uid, self.value = span, uid, value
 
 
-class NoOp(Node):
-    """Statement with no analysis effect (pass, import, break, continue)."""
-
-    __slots__ = ("kind",)
-    def __init__(self, kind: str = "pass", *, span: SourceSpan, uid: int) -> None:
-        self.span, self.uid, self.kind = span, uid, kind
-
-
 class Opaque(Node):
     """Statement outside the subset; keeps the names it mentions."""
 
-    __slots__ = ("names", "label")
-    def __init__(
-        self, names: frozenset[str] = frozenset(), label: str = "stmt",
-        *, span: SourceSpan, uid: int,
-    ) -> None:
-        self.span, self.uid, self.names, self.label = span, uid, names, label
+    __slots__ = ("names",)
+    def __init__(self, names: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int) -> None:
+        self.span, self.uid, self.names = span, uid, names
 
 
-Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | NoOp | Opaque
+Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | Opaque
+
+
+def tuple_assign_pairs(stmt: Assign) -> list[tuple[str, ast.expr]] | None:
+    """(name, value expr) pairs of `a, b = x, y`, or None for other shapes."""
+    if len(stmt.targets) != 1:
+        return None
+    target = stmt.targets[0]
+    value = stmt.value
+    if form(target) is not ast.Tuple or form(value) is not ast.Tuple:
+        return None
+    if len(target.elts) != len(value.elts):
+        return None
+    if not all(type(e) is ast.Name for e in target.elts):
+        return None
+    return [(t.id, v) for t, v in zip(target.elts, value.elts)]
+
+
+def _agree(a: int | None, b: int | None) -> int | None:
+    return a if a == b else None
+
+
+def join_envs(
+    a: dict[str, Any],
+    b: dict[str, Any],
+    join: Callable[[Any, Any], Any] = _agree,
+    missing: Any = None,
+) -> dict[str, Any]:
+    """Join of two branch environments, name by name over both.
+
+    A name bound on one side only meets `missing` from the other. The
+    default keeps an integer only where both branches agree; the extractor
+    passes its own binding join.
+    """
+    return {name: join(a.get(name, missing), b.get(name, missing)) for name in {**a, **b}}
 
 
 class ModuleAst(Record):
@@ -262,19 +293,17 @@ class ModuleAst(Record):
     `unroll_loops` replaces them with qlint's records.
     """
 
-    __slots__ = ("file", "statements", "non_unrollable", "constants", "rebound_names",
-                 "method_receivers", "wide_lines")
+    __slots__ = ("file", "statements", "non_unrollable", "rebound_names", "method_receivers",
+                 "wide_lines")
 
     def __init__(
         self, file: str, statements: list[ast.stmt] | list[Stmt],
-        non_unrollable: list[int] | None = None,
-        constants: ConstEnv | None = None, rebound_names: frozenset[str] = frozenset(),
+        non_unrollable: list[int] | None = None, rebound_names: frozenset[str] = frozenset(),
         method_receivers: frozenset[str] = frozenset(), wide_lines: dict[int, bytes] | None = None,
     ) -> None:
         self.file = file
         self.statements = statements
         self.non_unrollable = [] if non_unrollable is None else non_unrollable
-        self.constants = constants
         # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
         self.rebound_names = rebound_names
         # Like FunctionDef.method_receivers, for the module's own statements.

@@ -20,17 +20,6 @@ import ast
 from itertools import count
 from operator import is_
 
-from .constprop import (
-    ConstEnv,
-    Env,
-    UNKNOWN,
-    binop_value,
-    join_envs,
-    known,
-    negated,
-    range_values,
-    tuple_assign_pairs,
-)
 from .nodes import (
     Assign,
     ExprStmt,
@@ -38,14 +27,16 @@ from .nodes import (
     FunctionDef,
     If,
     ModuleAst,
-    NoOp,
     Opaque,
     Return,
     Stmt,
     arguments,
     form,
+    int_value,
+    join_envs,
     names,
     replacing,
+    tuple_assign_pairs,
 )
 
 DEFAULT_MAX_UNROLL = 10
@@ -55,13 +46,10 @@ MAX_IF_DEPTH = 100
 # Methods that only a circuit has: a call result later used as the receiver
 # of one of them is taken to be a circuit.
 _CIRCUIT_METHOD_MARKERS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
-_NO_OP_KINDS = {
-    ast.Import: "import",
-    ast.ImportFrom: "import",
-    ast.Pass: "pass",
-    ast.Break: "break",
-    ast.Continue: "continue",
-}
+# Statements with no analysis effect: they leave no record, and are not opaque.
+_NO_OPS = (ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue)
+
+Env = dict[str, int | None]  # integer facts by name; None, or a missing name, is unknown
 
 
 def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> ModuleAst:
@@ -71,8 +59,9 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
     in walk order. Expressions are the parsed objects, except that one of
     known integer value becomes an `ast.Constant` at its position, and the
     nodes above it are rebuilt; the input is never mutated. Loops that
-    cannot be expanded (unknown or too-large trip count, or a break/continue
-    in the body) are kept and their uids listed in `non_unrollable`.
+    cannot be expanded (unknown or too-large trip count, or a `break`,
+    `continue`, `return` or `raise` in the body) are kept and their uids
+    listed in `non_unrollable`.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -81,7 +70,6 @@ def unroll_loops(tree: ModuleAst, max_iterations: int = DEFAULT_MAX_UNROLL) -> M
     return tree._replace(
         statements=statements,
         non_unrollable=unroller.non_unrollable,
-        constants=unroller.constants,
         method_receivers=frozenset(unroller.method_receivers),
     )
 
@@ -102,6 +90,33 @@ def _range_args(node: ast.For) -> list[ast.expr] | None:
     return None
 
 
+def binop_value(op: type[ast.operator], a: int | None, b: int | None) -> int | None:
+    """`a op b` for +, -, * and //; None for any other operator or an unknown operand."""
+    if a is None or b is None:
+        return None
+    if op is ast.Add:
+        return a + b
+    if op is ast.Sub:
+        return a - b
+    if op is ast.Mult:
+        return a * b
+    if op is ast.FloorDiv and b != 0:
+        return a // b
+    return None
+
+
+def range_values(args: list[int | None], limit: int) -> range | None:
+    """The values of range(*args), or None when an argument is unknown, the
+    call would raise, or the range is longer than `limit`."""
+    if None in args:
+        return None
+    try:
+        rng = range(*args)
+        return rng if len(rng) <= limit else None
+    except (ValueError, OverflowError):  # a zero step, or a length past sys.maxsize
+        return None
+
+
 def _aug_value(node: ast.AugAssign) -> ast.expr | None:
     """`x + e` for `x += e`, placed at the statement; None unless the subset models it."""
     if type(node.target) is not ast.Name:
@@ -115,10 +130,16 @@ class _Unroller:
         self.span = tree.span
         self.max_iterations = max_iterations
         self.non_unrollable: list[int] = []
-        self.constants = ConstEnv(tree.rebound_names)
+        self.rebound_names = tree.rebound_names
         self.uids = count(1)
         self.if_depth = 0
         self.method_receivers: set[str] = set()  # of the scope being walked
+
+    def forget_rebound(self, env: Env) -> None:
+        """Make unknown the names a walrus or a function's `global` may rebind."""
+        if self.rebound_names:
+            for name in self.rebound_names & env.keys():
+                env[name] = None
 
     def walk(self, stmts: list[ast.stmt], env: Env) -> list[Stmt]:
         """Records for `stmts`, loops expanded; `env` ends as the bindings after them."""
@@ -133,17 +154,15 @@ class _Unroller:
         out.append(self._bind(node, node.targets, node.value, env))
 
     def _ann_assign(self, node: ast.AnnAssign, env: Env, out: list[Stmt]) -> None:
-        if node.value is None:
-            out.append(NoOp("annotation", span=self.span(node), uid=next(self.uids)))
-        else:
+        if node.value is not None:
             out.append(self._bind(node, [node.target], node.value, env))
         # A module-level annotation runs after the assignment and may hold a walrus.
-        self.constants.forget_rebound(env)
+        self.forget_rebound(env)
 
     def _aug_assign(self, node: ast.AugAssign, env: Env, out: list[Stmt]) -> None:
         value = _aug_value(node)
         if value is None:
-            self._opaque(node, env, out, "augassign")
+            self._opaque(node, env, out)
         else:
             out.append(self._bind(node, [node.target], value, env))
 
@@ -152,23 +171,22 @@ class _Unroller:
     ) -> Assign:
         """An `Assign` of `value` to `targets`, bound in `env` once `value` is evaluated."""
         stmt = Assign(targets, self._value(value, env), span=self.span(node), uid=next(self.uids))
-        resolve = self.constants.resolve
         pairs = tuple_assign_pairs(stmt)
         if pairs is not None:
             # The whole right side evaluates before any name is rebound.
-            env.update([(name, resolve(v)) for name, v in pairs])
+            env.update([(name, int_value(v)) for name, v in pairs])
         else:
-            bound = resolve(stmt.value)
+            bound = int_value(stmt.value)
             for target in targets:
                 if type(target) is ast.Name:
                     env[target.id] = bound
                 elif form(target) is ast.Tuple:
                     for name in names(target):
-                        env[name] = UNKNOWN
+                        env[name] = None
         for target in targets:
             if type(target) is not ast.Name:
                 self._value(target, env)  # for its effects: targets are kept as parsed
-                self.constants.forget_rebound(env)  # a walrus, or a setter that rebinds
+                self.forget_rebound(env)  # a walrus, or a setter that rebinds
         return stmt
 
     def _expr(self, node: ast.Expr, env: Env, out: list[Stmt]) -> None:
@@ -182,29 +200,29 @@ class _Unroller:
     def _for(self, node: ast.For, env: Env, out: list[Stmt]) -> None:
         range_args = _range_args(node)
         if range_args is None:
-            self._opaque(node, env, out, "for")
+            self._opaque(node, env, out)
             return
         var = node.target.id
         args = [self._value(a, env) for a in range_args]
-        values = range_values([self.constants.resolve(a) for a in args], self.max_iterations)
+        values = range_values([int_value(a) for a in args], self.max_iterations)
         if values is None or _has_loop_escape(node.body):
             uid = next(self.uids)
             self.non_unrollable.append(uid)
             # The body may run any number of times: whatever it binds is
             # unknown inside it and after it.
             for name in _assigned_names(node.body, self.if_depth) | {var}:
-                env[name] = UNKNOWN
-            self.constants.forget_rebound(env)
+                env[name] = None
+            self.forget_rebound(env)
             body = self.walk(node.body, dict(env))
-            out.append(ForRange(var, args, body, span=self.span(node), uid=uid))
+            out.append(ForRange(args, body, span=self.span(node), uid=uid))
             return
         for value in values:
-            env[var] = known(value)
+            env[var] = value
             out.extend(self.walk(node.body, env))
 
     def _if(self, node: ast.If, env: Env, out: list[Stmt]) -> None:
         if self.if_depth >= MAX_IF_DEPTH:
-            self._opaque(node, env, out, "if")
+            self._opaque(node, env, out)
             return
         uid = next(self.uids)
         test = self._value(node.test, env)
@@ -224,25 +242,22 @@ class _Unroller:
         uid = next(self.uids)
         a = node.args
         params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
-        self.constants.forget_rebound(env)  # defaults and decorators may hold a walrus
+        self.forget_rebound(env)  # defaults and decorators may hold a walrus
         outer_receivers, self.method_receivers = self.method_receivers, set()
-        body = self.walk(node.body, {p: UNKNOWN for p in params})
+        body = self.walk(node.body, dict.fromkeys(params))
         receivers, self.method_receivers = frozenset(self.method_receivers), outer_receivers
         out.append(FunctionDef(node.name, params, body, receivers, span=self.span(node), uid=uid))
 
     def _no_op(self, node: ast.stmt, env: Env, out: list[Stmt]) -> None:
-        out.append(NoOp(_NO_OP_KINDS[type(node)], span=self.span(node), uid=next(self.uids)))
+        """A statement in `_NO_OPS` lowers to nothing."""
 
-    def _opaque(
-        self, node: ast.stmt, env: Env, out: list[Stmt], label: str | None = None
-    ) -> None:
-        """Keep `node` whole: any name it mentions may be rebound, so becomes Unknown."""
+    def _opaque(self, node: ast.stmt, env: Env, out: list[Stmt]) -> None:
+        """Keep `node` whole: any name it mentions may be rebound, so becomes unknown."""
         mentioned = names(node)
         for name in mentioned:
             if name in env:
-                env[name] = UNKNOWN
-        label = label or type(node).__name__.lower()
-        out.append(Opaque(mentioned, label, span=self.span(node), uid=next(self.uids)))
+                env[name] = None
+        out.append(Opaque(mentioned, span=self.span(node), uid=next(self.uids)))
 
     # --- expressions ---
 
@@ -258,7 +273,7 @@ class _Unroller:
         """
         f = form(expr)
         if f is ast.Name:
-            value = env.get(expr.id, UNKNOWN).value
+            value = env.get(expr.id)
             return expr if value is None else replacing(expr, ast.Constant(value))
         if f is ast.Call:
             return self._call(expr, env)
@@ -276,10 +291,9 @@ class _Unroller:
             if inner is value and folded is index:
                 return expr
             return replacing(expr, ast.Subscript(inner, folded, expr.ctx))
-        resolve = self.constants.resolve
         if f is ast.BinOp:
             left, right = self._value(expr.left, env), self._value(expr.right, env)
-            value = binop_value(type(expr.op), resolve(left), resolve(right)).value
+            value = binop_value(type(expr.op), int_value(left), int_value(right))
             if value is not None:
                 return replacing(expr, ast.Constant(value))
             if left is expr.left and right is expr.right:
@@ -287,9 +301,9 @@ class _Unroller:
             return replacing(expr, ast.BinOp(left, expr.op, right))
         if f is ast.UnaryOp:
             operand = self._value(expr.operand, env)
-            value = negated(resolve(operand)).value
+            value = int_value(operand)
             if value is not None:
-                return replacing(expr, ast.Constant(value))
+                return replacing(expr, ast.Constant(-value))
             if operand is expr.operand:
                 return expr
             return replacing(expr, ast.UnaryOp(expr.op, operand))
@@ -300,7 +314,7 @@ class _Unroller:
             if all(map(is_, elements, expr.elts)):
                 return expr
             return replacing(expr, type(expr)(elements, expr.ctx))
-        self.constants.forget_rebound(env)  # an opaque expression may hold a walrus
+        self.forget_rebound(env)  # an opaque expression may hold a walrus
         return expr
 
     def _call(self, call: ast.Call, env: Env) -> ast.expr:
@@ -315,7 +329,7 @@ class _Unroller:
             if value is not arg:
                 folded[arg] = value
         func = self._value(call.func, env)
-        self.constants.forget_rebound(env)
+        self.forget_rebound(env)
         if func is call.func and not folded:
             return call
         args, keywords = [], []
@@ -340,7 +354,7 @@ _LOWER = {
     ast.FunctionDef: _Unroller._function_def,
     ast.AsyncFunctionDef: _Unroller._function_def,
     ast.Return: _Unroller._return,
-    **dict.fromkeys(_NO_OP_KINDS, _Unroller._no_op),
+    **dict.fromkeys(_NO_OPS, _Unroller._no_op),
 }
 
 
@@ -371,7 +385,8 @@ def _assigned_names(stmts: list[ast.stmt], if_depth: int) -> set[str]:
 
 _TRY_FIELDS = ("body", "handlers", "orelse", "finalbody")
 # Where a `break`/`continue` of the enclosing loop can sit, by statement
-# class. A nested loop's body, a `def` and a `class` hold their own.
+# class. A nested loop's body holds its own, but a `return` or `raise` there
+# leaves the enclosing loop too; a `def` and a `class` hold their own of all four.
 _ESCAPE_FIELDS = {
     ast.If: ("body", "orelse"),
     ast.For: ("orelse",),
@@ -385,18 +400,22 @@ _ESCAPE_FIELDS = {
     ast.Match: ("cases",),
     ast.match_case: ("body",),
 }
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
 
 
 def _has_loop_escape(body: list[ast.stmt]) -> bool:
-    """True when a loop with this body has a `break` or `continue` of its own."""
-    stack = list(body)
+    """True when a loop with this body may stop an iteration early: by a
+    `break` or `continue` of its own, or by a `return` or `raise`."""
+    stack = [(node, False) for node in body]
     while stack:
-        node = stack.pop()
+        node, nested = stack.pop()  # nested: inside a loop within the body
         cls = type(node)
-        if cls is ast.Break or cls is ast.Continue:
+        if cls is ast.Return or cls is ast.Raise:
             return True
-        fields = _ESCAPE_FIELDS.get(cls)
-        if fields is not None:
-            for field in fields:
-                stack.extend(getattr(node, field))
+        if not nested and (cls is ast.Break or cls is ast.Continue):
+            return True
+        for field in _ESCAPE_FIELDS.get(cls, ()):
+            stack.extend((child, nested) for child in getattr(node, field))
+        if cls in _LOOPS:
+            stack.extend((child, True) for child in node.body)
     return False

@@ -14,23 +14,14 @@ import ast
 from typing import NamedTuple
 
 from ..frontend.cfg import Cfg
-from ..frontend.constprop import (
-    MODULE_SCOPE,
-    UNKNOWN,
-    ConstEnv,
-    ConstValue,
-    join_envs,
-    known,
-    tuple_assign_pairs,
-)
 from ..frontend.nodes import (
+    MODULE_SCOPE,
     Assign,
     ExprStmt,
     ForRange,
     FunctionDef,
     If,
     ModuleAst,
-    NoOp,
     Opaque,
     Return,
     SourceSpan,
@@ -38,9 +29,12 @@ from ..frontend.nodes import (
     arguments,
     form,
     has_star_args,
+    int_value,
+    join_envs,
     keyword_values,
     names,
     positional_args,
+    tuple_assign_pairs,
 )
 from .gates import GateSpec, GateTable, load_gate_table
 from .model import (
@@ -118,12 +112,7 @@ class _Scope:
         self.method_receivers, self.func_info = method_receivers, func_info
 
 
-def extract(
-    tree: ModuleAst,
-    env: ConstEnv,
-    cfg: Cfg,
-    gate_table: GateTable | None = None,
-) -> QuantumIR:
+def extract(tree: ModuleAst, cfg: Cfg, gate_table: GateTable | None = None) -> QuantumIR:
     """Extract the quantum IR of one file from the output of `unroll_loops`.
 
     Known integers must already be folded into `ast.Constant`s and statements
@@ -131,13 +120,12 @@ def extract(
     same tree.
     """
     table = gate_table if gate_table is not None else load_gate_table()
-    return _Extractor(tree, env, cfg, table).run()
+    return _Extractor(tree, cfg, table).run()
 
 
 class _Extractor:
-    def __init__(self, tree: ModuleAst, env: ConstEnv, cfg: Cfg, table: GateTable) -> None:
+    def __init__(self, tree: ModuleAst, cfg: Cfg, table: GateTable) -> None:
         self.tree = tree
-        self.env = env
         self.cfg = cfg
         self.table = table
         self.ir = QuantumIR(tree.file)
@@ -231,8 +219,6 @@ class _Extractor:
                 touched = self._touched(stmt.names, scope)
                 if touched:
                     self._emit_unknown(touched, UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span)
-            elif isinstance(stmt, NoOp):
-                pass
 
     def _assign(self, stmt: Assign, scope: _Scope) -> None:
         if self._tuple_assign(stmt, scope):
@@ -405,10 +391,7 @@ class _Extractor:
         args = positional_args(call)
         for arg in args:
             self._eval(arg, scope)
-        size = self.env.resolve(args[0]) if args else UNKNOWN
-        if size.is_known and size.value is not None and size.value < 0:
-            self._diagnostic("register declared with negative size", call)
-            size = UNKNOWN
+        size = self._nonnegative(int_value(args[0]), call) if args else None
         name = None
         label = args[1] if len(args) >= 2 else None
         if type(label) is ast.Constant and type(label.value) is str:
@@ -417,6 +400,13 @@ class _Extractor:
         self.ir.registers[decl.id] = decl
         return _Binding("register", (decl.id,))
 
+    def _nonnegative(self, size: int | None, node: ast.expr) -> int | None:
+        """A register size; a negative one is reported at `node` and made unknown."""
+        if size is not None and size < 0:
+            self._diagnostic("register declared with negative size", node)
+            return None
+        return size
+
     def _new_circuit(
         self, kind: CircuitKind, span: SourceSpan, name: str | None = None
     ) -> CircuitDecl:
@@ -424,9 +414,7 @@ class _Extractor:
         self.ir.circuits[decl.id] = decl
         return decl
 
-    def _implicit_register(
-        self, kind: str, size: ConstValue, span: SourceSpan
-    ) -> RegisterDecl:
+    def _implicit_register(self, kind: str, size: int | None, span: SourceSpan) -> RegisterDecl:
         default_name = "q" if kind == "quantum" else "c"
         decl = RegisterDecl(self._new_id("r"), kind, size, span, name=default_name)
         self.ir.registers[decl.id] = decl
@@ -446,15 +434,14 @@ class _Extractor:
         circuit.num_qubits = self._registers_total(circuit.quantum_registers)
         circuit.num_clbits = self._registers_total(circuit.classical_registers)
 
-    def _registers_total(self, register_ids: list[str]) -> ConstValue:
+    def _registers_total(self, register_ids: list[str]) -> int | None:
         total = 0
         for reg_id in register_ids:
             size = self.ir.registers[reg_id].size
-            if not size.is_known:
-                return UNKNOWN
-            assert size.value is not None
-            total += size.value
-        return known(total)
+            if size is None:
+                return None
+            total += size
+        return total
 
     def _circuit_constructor(self, call: ast.Call, scope: _Scope) -> _Binding:
         span = self.span(call)
@@ -465,14 +452,14 @@ class _Extractor:
             if binding.kind == "register":
                 self._associate(decl, self.ir.registers[binding.ids[0]])
                 continue
-            size = self.env.resolve(arg)
-            if size.is_known:
+            size = int_value(arg)
+            if size is not None:
                 kind = "quantum" if implicit_seen == 0 else "classical"
                 implicit_seen += 1
-                reg = self._implicit_register(kind, size, span)
+                reg = self._implicit_register(kind, self._nonnegative(size, arg), span)
             else:
                 # Could be a register object we cannot see or a dynamic size.
-                reg = self._implicit_register("quantum", UNKNOWN, span)
+                reg = self._implicit_register("quantum", None, span)
             self._associate(decl, reg)
         for value in keyword_values(call):
             self._eval(value, scope)
@@ -491,7 +478,7 @@ class _Extractor:
         decl = self._new_circuit(CircuitKind.TRANSPILED, self.span(call))
         for kw in call.keywords:
             if kw.arg == "optimization_level":
-                decl.transpile_opt_level = self.env.resolve(kw.value)
+                decl.transpile_opt_level = int_value(kw.value)
         if sources:
             self._inherit_layout(decl, self.ir.circuits[sources[0]])
         return _Binding("circuit", (decl.id,))
@@ -713,10 +700,9 @@ class _Extractor:
         operands: list[QubitRef] = []
         for reg_id in circuit.quantum_registers:
             size = self.ir.registers[reg_id].size
-            if not size.is_known:
+            if size is None:
                 return []
-            assert size.value is not None
-            operands.extend(QubitRef(reg_id, i) for i in range(size.value))
+            operands.extend(QubitRef(reg_id, i) for i in range(size))
         return operands
 
     def _initialize_event(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
@@ -748,10 +734,9 @@ class _Extractor:
             # A whole register expands into one reference per slot.
             reg = self._register_of_name(expr, scope, classical)
             if reg is not None:
-                if not reg.size.is_known:
+                if reg.size is None:
                     return None
-                assert reg.size.value is not None
-                return [QubitRef(reg.id, i) for i in range(reg.size.value)]
+                return [QubitRef(reg.id, i) for i in range(reg.size)]
         return [self._resolve_single_bit(expr, circuit, scope, classical)]
 
     def _register_of_name(
@@ -771,20 +756,18 @@ class _Extractor:
             reg = self._register_of_name(value, scope, classical)
             if reg is None:
                 return UNRESOLVED_BIT
-            index = self.env.resolve(expr.slice)
-            if not index.is_known:
+            index = int_value(expr.slice)
+            if index is None:
                 return UNRESOLVED_BIT
-            assert index.value is not None
-            return self._checked_ref(reg, index.value, circuit, expr)
-        value = self.env.resolve(expr)
-        if value.is_known:
+            return self._checked_ref(reg, index, circuit, expr)
+        index = int_value(expr)
+        if index is not None:
             registers = (
                 circuit.classical_registers if classical else circuit.quantum_registers
             )
             if len(registers) == 1:
                 reg = self.ir.registers[registers[0]]
-                assert value.value is not None
-                return self._checked_ref(reg, value.value, circuit, expr)
+                return self._checked_ref(reg, index, circuit, expr)
         return UNRESOLVED_BIT
 
     def _checked_ref(
@@ -795,10 +778,10 @@ class _Extractor:
                 f"negative index {index} into register {reg.display_name()}", node
             )
             return UNRESOLVED_BIT
-        if reg.size.is_known and reg.size.value is not None and index >= reg.size.value:
+        if reg.size is not None and index >= reg.size:
             self._diagnostic(
                 f"index {index} out of range for register "
-                f"{reg.display_name()} of size {reg.size.value}",
+                f"{reg.display_name()} of size {reg.size}",
                 node,
             )
             return UNRESOLVED_BIT

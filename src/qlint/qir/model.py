@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from ..frontend.constprop import UNKNOWN, ConstValue
 from ..frontend.nodes import Record, SourceSpan
 
 
@@ -52,7 +51,7 @@ class RegisterDecl(Record):
     __slots__ = ("id", "kind", "size", "span", "name")
 
     def __init__(
-        self, id: str, kind: str, size: ConstValue, span: SourceSpan, name: str | None = None
+        self, id: str, kind: str, size: int | None, span: SourceSpan, name: str | None = None
     ) -> None:
         self.id, self.size, self.span, self.name = id, size, span, name
         self.kind = kind  # "quantum" | "classical"
@@ -70,7 +69,8 @@ class CircuitDecl(Record):
         self, id: str, kind: CircuitKind, span: SourceSpan, scope: str, name: str | None = None
     ) -> None:
         self.id, self.kind, self.span, self.scope, self.name = id, kind, span, scope, name
-        self.num_qubits = self.num_clbits = self.transpile_opt_level = UNKNOWN
+        # Integers, each None while unknown.
+        self.num_qubits = self.num_clbits = self.transpile_opt_level = None
         self.quantum_registers: list[str] = []
         self.classical_registers: list[str] = []
         self.subcircuit_flags: set[str] = set()
@@ -140,7 +140,7 @@ def register_offsets(ir: QuantumIR, circuit: CircuitDecl) -> dict[str, int]:
     offset = 0
     for reg_id in circuit.quantum_registers:
         offsets[reg_id] = offset
-        size = ir.registers[reg_id].size.value
+        size = ir.registers[reg_id].size
         if size is None:
             break
         offset += size

@@ -7,6 +7,11 @@ message, span or the report layout shows up here as a byte diff.
 Regenerate it only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Compare against it without pytest, on any interpreter (exit status 1 and the
+first differing line when the report changed; the file is never rewritten):
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 from __future__ import annotations
@@ -51,12 +56,28 @@ def render_report(root: Path) -> bytes:
     return out.buffer.getvalue()
 
 
+def first_difference(got: bytes, expected: bytes) -> str | None:
+    """The first line where `got` differs from `expected`, or None when equal."""
+    end = ["<end of report>"]
+    now_lines = got.decode().splitlines(keepends=True) + end
+    locked_lines = expected.decode().splitlines(keepends=True) + end
+    for number, (now, locked) in enumerate(zip(now_lines, locked_lines), 1):
+        if now != locked:
+            return f"line {number} differs:\n  locked: {locked!r}\n  now:    {now!r}"
+    return None
+
+
 def test_report_matches_golden(tmp_path):
     assert render_report(tmp_path) == GOLDEN.read_bytes()
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_bytes(render_report(Path(tmp)))
+        report = render_report(Path(tmp))
+    if sys.argv[1:] == ["--check"]:
+        diff = first_difference(report, GOLDEN.read_bytes())
+        print(diff or f"{GOLDEN.name}: the report matches")
+        sys.exit(1 if diff else 0)
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_bytes(report)
     print(f"wrote {GOLDEN}")

@@ -7,7 +7,6 @@ import random
 import pytest
 from conftest import sample_source, pipeline
 
-from qlint.frontend.constprop import UNKNOWN, known
 from qlint.qir import (
     CircuitKind,
     EventKind,
@@ -37,13 +36,13 @@ class TestTwoBugDemo:
         ir = _ir(sample_source("two_bugs"))
         quantum = [r for r in ir.registers.values() if r.kind == "quantum"]
         classical = [r for r in ir.registers.values() if r.kind == "classical"]
-        assert len(quantum) == 1 and quantum[0].size == known(4)
-        assert len(classical) == 1 and classical[0].size == known(3)
+        assert len(quantum) == 1 and quantum[0].size == 4
+        assert len(classical) == 1 and classical[0].size == 3
         constructor = _the_circuit(ir)
-        assert constructor.num_qubits == known(4)
-        assert constructor.num_clbits == known(3)
+        assert constructor.num_qubits == 4
+        assert constructor.num_clbits == 3
         transpiled = _the_circuit(ir, CircuitKind.TRANSPILED)
-        assert transpiled.num_qubits == known(4)
+        assert transpiled.num_qubits == 4
 
     def test_event_counts(self):
         ir = _ir(sample_source("two_bugs"))
@@ -65,8 +64,8 @@ class TestCircuitConstruction:
     def test_implicit_registers(self):
         ir = _ir("qc = QuantumCircuit(2, 2)\n")
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == known(2)
-        assert circuit.num_clbits == known(2)
+        assert circuit.num_qubits == 2
+        assert circuit.num_clbits == 2
         assert len(ir.registers) == 2
         kinds = sorted(r.kind for r in ir.registers.values())
         assert kinds == ["classical", "quantum"]
@@ -74,13 +73,31 @@ class TestCircuitConstruction:
     def test_quantum_only_constructor(self):
         ir = _ir("qc = QuantumCircuit(3)\n")
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == known(3)
-        assert circuit.num_clbits == known(0)
+        assert circuit.num_qubits == 3
+        assert circuit.num_clbits == 0
+
+    @pytest.mark.parametrize(
+        "call, sizes",
+        [
+            ("QuantumCircuit(-2)", [("quantum", None)]),
+            ("QuantumCircuit(2, -1)", [("quantum", 2), ("classical", None)]),
+            ("QuantumCircuit(-2, 3)", [("quantum", None), ("classical", 3)]),
+            ("QuantumRegister(-2)", [("quantum", None)]),
+        ],
+    )
+    def test_negative_size_is_reported_and_unknown(self, call, sizes):
+        ir = _ir(f"qc = {call}\nqc.h(0)\n")
+        assert [(r.kind, r.size) for r in ir.registers.values()] == sizes
+        (diagnostic,) = ir.diagnostics
+        assert diagnostic.message == "register declared with negative size"
+        # At the argument of an implicit register, at the call of a declared one.
+        column = 6 if call.startswith("QuantumRegister") else 6 + call.index("-")
+        assert (diagnostic.span.line, diagnostic.span.column) == (1, column)
 
     def test_unknown_size_argument(self):
         ir = _ir("qc = QuantumCircuit(n)\n")
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == UNKNOWN
+        assert circuit.num_qubits is None
 
     def test_register_association_order(self):
         source = (
@@ -102,7 +119,7 @@ class TestCircuitConstruction:
         )
         ir = _ir(source)
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == known(5)
+        assert circuit.num_qubits == 5
         names = [ir.registers[r].display_name() for r in circuit.quantum_registers]
         assert names == ["qa", "qb"]
 
@@ -124,7 +141,7 @@ class TestCircuitConstruction:
     def test_copy_kind(self):
         ir = _ir("qc = QuantumCircuit(2, 2)\nqc2 = qc.copy()\nqc2.h(0)\n")
         copy = _the_circuit(ir, CircuitKind.COPY)
-        assert copy.num_qubits == known(2)
+        assert copy.num_qubits == 2
         gates = _events(ir, EventKind.GATE)
         assert gates and gates[0].circuit == copy.id
 
@@ -144,7 +161,7 @@ class TestCircuitConstruction:
         ]
         assert len(returned) == 1
         call_site = _the_circuit(ir, CircuitKind.USER_FUNCTION_RETURN)
-        assert call_site.num_qubits == UNKNOWN
+        assert call_site.num_qubits is None
 
     def test_unknown_object_with_circuit_methods(self):
         source = "mystery = build()\ngate = mystery.to_gate()\n"
@@ -164,7 +181,7 @@ class TestCircuitConstruction:
              if c.kind is CircuitKind.TRANSPILED),
             key=repr,
         )
-        assert levels == [known(3), UNKNOWN]
+        assert levels == [3, None]
 
 
 class TestQubitResolution:
@@ -279,7 +296,7 @@ class TestAbsoluteIndex:
         circuit = _the_circuit(ir)
         layout = []
         for reg_id in circuit.quantum_registers:
-            size = ir.registers[reg_id].size.value
+            size = ir.registers[reg_id].size
             layout.extend((reg_id, i) for i in range(size))
         reg_b = circuit.quantum_registers[1]
         expected = layout.index((reg_b, 0))
@@ -318,7 +335,7 @@ class TestAbsoluteIndex:
             refs = [
                 (reg_id, index)
                 for reg_id in circuit.quantum_registers
-                for index in range(ir.registers[reg_id].size.value)
+                for index in range(ir.registers[reg_id].size)
             ]
             positions = [offsets[reg_id] + index for reg_id, index in refs]
             assert len(set(positions)) == len(refs)
@@ -466,7 +483,7 @@ class TestUnknownOperators:
         )
         ir = _ir(source)
         (gate,) = _events(ir, EventKind.GATE)
-        assert ir.circuits[gate.circuit].num_qubits == known(3)
+        assert ir.circuits[gate.circuit].num_qubits == 3
 
     def test_circuit_stored_in_container_is_tainted(self):
         ir = _ir("qc = QuantumCircuit(2)\nbatch = [qc, other]\n")
@@ -590,9 +607,9 @@ class TestDeterminism:
         ir = _ir(sample_source("multi_register"))
         assert len([r for r in ir.registers.values() if r.kind == "quantum"]) == 3
         sizes = sorted(
-            r.size.value for r in ir.registers.values() if r.kind == "classical"
+            r.size for r in ir.registers.values() if r.kind == "classical"
         )
         assert sizes == [2, 3]
         main = [c for c in ir.circuits.values() if c.name == "circ"]
-        assert len(main) == 1 and main[0].num_qubits == known(4)
+        assert len(main) == 1 and main[0].num_qubits == 4
         assert len(ir.edges) == 1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qlint import Config
-from qlint.frontend.nodes import ModuleAst, NoOp, Opaque, SourceSpan
+from qlint.frontend.nodes import ModuleAst, Opaque, Return, SourceSpan
 from qlint.qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QubitRef
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -39,10 +39,8 @@ class TestRepr:
     """The text `@dataclass` printed, which callers of analyze_pipeline see."""
 
     def test_node(self):
-        stmt = Opaque(frozenset({"x"}), "while", span=SPAN, uid=2)
-        assert repr(stmt) == (
-            f"Opaque(span={SPAN_TEXT}, uid=2, names=frozenset({{'x'}}), label='while')"
-        )
+        stmt = Opaque(frozenset({"x"}), span=SPAN, uid=2)
+        assert repr(stmt) == f"Opaque(span={SPAN_TEXT}, uid=2, names=frozenset({{'x'}}))"
 
     def test_operator_event(self):
         event = _event(gate_name="h", qubits=[QubitRef("r1", 0)])
@@ -57,9 +55,9 @@ class TestRepr:
         decl = CircuitDecl("c1", CircuitKind.CONSTRUCTOR, SPAN, "<module>")
         assert repr(decl) == (
             "CircuitDecl(id='c1', kind=<CircuitKind.CONSTRUCTOR: 'constructor'>, "
-            f"span={SPAN_TEXT}, scope='<module>', name=None, num_qubits=Unknown, "
-            "num_clbits=Unknown, quantum_registers=[], classical_registers=[], "
-            "transpile_opt_level=Unknown, subcircuit_flags=set())"
+            f"span={SPAN_TEXT}, scope='<module>', name=None, num_qubits=None, "
+            "num_clbits=None, quantum_registers=[], classical_registers=[], "
+            "transpile_opt_level=None, subcircuit_flags=set())"
         )
 
     def test_qubit_ref(self):
@@ -68,13 +66,13 @@ class TestRepr:
 
 class TestMutableRecords:
     def test_equality_is_field_wise_and_per_class(self):
-        assert NoOp("pass", span=SPAN, uid=1) == NoOp("pass", span=SPAN, uid=1)
-        assert NoOp("pass", span=SPAN, uid=1) != NoOp("break", span=SPAN, uid=1)
-        assert Opaque(label="pass", span=SPAN, uid=1) != NoOp("pass", span=SPAN, uid=1)
+        assert Return(None, span=SPAN, uid=1) == Return(None, span=SPAN, uid=1)
+        assert Return(None, span=SPAN, uid=1) != Return(None, span=SPAN, uid=2)
+        assert Opaque(span=SPAN, uid=1) != Return(None, span=SPAN, uid=1)
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):
-            hash(NoOp(span=SPAN, uid=1))
+            hash(Return(None, span=SPAN, uid=1))
 
     def test_each_instance_gets_its_own_containers(self):
         first, second = _event(), _event()

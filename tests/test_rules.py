@@ -69,8 +69,9 @@ class TestDoubleMeas:
             "    try:\n        raise E\n    except E:\n        break\n",
             "    match i:\n        case 0:\n            break\n",
             "    for j in x:\n        pass\n    else:\n        break\n",
+            "    raise E\n",
         ],
-        ids=["with", "try-finally", "except", "match", "inner-loop-else"],
+        ids=["with", "try-finally", "except", "match", "inner-loop-else", "raise"],
     )
     def test_loop_left_from_inside_a_compound_statement(self, exit_first_pass):
         # The first pass leaves the loop before the measurement: it never runs.
@@ -78,6 +79,24 @@ class TestDoubleMeas:
             "qc = QuantumCircuit(1, 1)\nqc.h(0)\nfor i in range(2):\n"
             + exit_first_pass
             + "    qc.measure(0, 0)\n"
+        )
+        assert _lines_of(source, "double-meas") == []
+
+    @pytest.mark.parametrize(
+        "leave",
+        [
+            "return qc\n",
+            "raise E\n",
+            "with lock:\n            return\n",
+            "for j in range(1):\n            return qc\n",
+        ],
+        ids=["return", "raise", "return-in-with", "return-in-inner-loop"],
+    )
+    def test_loop_left_after_the_measurement(self, leave):
+        # The first pass leaves the function after the measurement: it runs once.
+        source = (
+            "def f():\n    qc = QuantumCircuit(1, 1)\n    qc.h(0)\n    for i in range(2):\n"
+            "        qc.measure(0, 0)\n        " + leave
         )
         assert _lines_of(source, "double-meas") == []
 
@@ -191,6 +210,9 @@ class TestInsuffClasReg:
 
     def test_equal_sizes(self):
         assert _lines_of("qc = QuantumCircuit(3, 3)\n", "insuff-clas-reg") == []
+
+    def test_negative_classical_size_is_unknown(self):
+        assert _lines_of("qc = QuantumCircuit(2, -1)\n", "insuff-clas-reg") == []
 
     def test_subcircuit_excluded(self):
         source = (
