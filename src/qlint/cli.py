@@ -7,7 +7,7 @@ import sys
 
 from .analyses import ALL_RULES, DEFAULT_PROFILE, RULES
 from .driver import Config, FileOutcome, analyze_paths, expand_paths, report_of, suppress
-from .frontend import DEFAULT_MAX_UNROLL
+from .qir import DEFAULT_MAX_UNROLL
 from .qir import GateTableError, load_gate_table
 from .report import STYLES, corpus_stats, format_report
 

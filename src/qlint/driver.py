@@ -10,23 +10,20 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .analyses import ALL_RULES, Warning, run_all
-from .frontend import (
-    DEFAULT_MAX_UNROLL,
-    ParseError,
-    build_cfg,
-    parse_file,
-    source_lines,
-    unroll_loops,
-)
+from .frontend import ParseError, parse_file, source_lines
 from .frontend.nodes import ModuleAst, Record
 from .qflow import FlowRelation, build_flow
-from .qir import GateTable, QuantumIR, extract, load_gate_table
+from .qir import DEFAULT_MAX_UNROLL, GateTable, QuantumIR, extract, load_gate_table
 from .report import Report, SkippedFile, build_report
 
 
 def propagate_constants(tree: ModuleAst) -> None:
-    """Unused, and does nothing; kept, like `ThreadPoolExecutor` above, because
-    bench/tracing.py wraps this name. `unroll_loops` folds the constants."""
+    """Unused, and does nothing; kept, like `ThreadPoolExecutor` above and the
+    two names below, because bench/tracing.py wraps them. `extract` unrolls
+    loops, folds constants and builds the CFG in its one walk."""
+
+
+unroll_loops = build_cfg = propagate_constants
 
 
 _SUPPRESS_RE = re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
@@ -70,14 +67,12 @@ class PipelineResult(NamedTuple):
 
 
 def analyze_pipeline(source: str, path: str, config: Config | None = None) -> PipelineResult:
-    """Run parse -> unroll (with constants) -> cfg -> extract -> flow -> rules."""
+    """Run parse -> extract (loops, constants and CFG included) -> flow -> rules."""
     cfg_options = config or Config()
     tree = parse_file(source, path)
-    tree = unroll_loops(tree, cfg_options.max_unroll)
-    graph = build_cfg(tree)
     table = cfg_options.gate_table or load_gate_table()
-    ir = extract(tree, graph, table)
-    flow = build_flow(ir, graph)
+    ir = extract(tree, table, cfg_options.max_unroll)
+    flow = build_flow(ir)
     warnings = run_all(ir, flow, cfg_options.rules)
     return PipelineResult(ir, flow, warnings)
 

@@ -1,20 +1,22 @@
 """Restricted AST over the supported Python/Qiskit subset.
 
-Statements are qlint's own records, which `unroll_loops` builds from the
-parsed `ast.stmt`s. Expressions are the `ast.expr` objects that `ast.parse`
-returned; `form` decides which of them the subset models, and every stage
-reads them through it. Statements and expressions outside the subset stay
-opaque: later stages take the names they mention as possibly used in any
-way, instead of silently dropping program behavior.
+Statements and expressions are the `ast` objects that `ast.parse`
+returned; `form` decides which expressions the subset models, and the
+extractor reads them through it. Statements and expressions outside the
+subset stay opaque: the extractor takes the names they mention as possibly
+used in any way, instead of silently dropping program behavior.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, NamedTuple, TypeVar
+from typing import Any, NamedTuple, TypeVar
 
 _R = TypeVar("_R", bound="Record")
 MODULE_SCOPE = "<module>"  # the scope of a file's top-level statements
+# Methods that only a circuit has: a call result later used as the receiver
+# of one of them is taken to be a circuit.
+CIRCUIT_METHODS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
 
 
 class SourceSpan(NamedTuple):
@@ -160,20 +162,10 @@ def children(node: ast.expr) -> list[ast.expr]:
 
 
 def int_value(expr: ast.expr) -> int | None:
-    """The value of an integer constant (not a bool), else None.
-
-    Unrolling folds every integer whose value it knows into such a constant.
-    """
+    """The value of an integer literal (not a bool), else None."""
     if type(expr) is ast.Constant and type(expr.value) is int:
         return expr.value
     return None
-
-
-def replacing(old: ast.AST, new: ast.AST) -> ast.AST:
-    """`new`, given the source position of `old`, which it stands in for."""
-    new.lineno, new.col_offset = old.lineno, old.col_offset
-    new.end_lineno, new.end_col_offset = old.end_lineno, old.end_col_offset
-    return new
 
 
 def names(node: ast.AST) -> frozenset[str]:
@@ -184,130 +176,33 @@ def names(node: ast.AST) -> frozenset[str]:
 # --- statements ---
 
 
-class Node(Record):
-    """A statement and its span; `uid` is its number in the unrolled tree, from 1."""
-
-    __slots__ = ("span", "uid")
-
-
-class Assign(Node):
-    __slots__ = ("targets", "value")
-    def __init__(
-        self, targets: list[ast.expr], value: ast.expr, *, span: SourceSpan, uid: int
-    ) -> None:
-        self.span, self.uid, self.targets, self.value = span, uid, targets, value
-
-
-class ExprStmt(Node):
-    __slots__ = ("value",)
-    def __init__(self, value: ast.expr, *, span: SourceSpan, uid: int) -> None:
-        self.span, self.uid, self.value = span, uid, value
-
-
-class ForRange(Node):
-    """A kept `for ... in range(...)` loop; expanded loops leave no record."""
-
-    __slots__ = ("range_args", "body")
-    def __init__(
-        self, range_args: list[ast.expr], body: list[Stmt], *, span: SourceSpan, uid: int
-    ) -> None:
-        self.span, self.uid, self.range_args, self.body = span, uid, range_args, body
-
-
-class If(Node):
-    __slots__ = ("test", "body", "orelse")
-    def __init__(
-        self, test: ast.expr, body: list[Stmt], orelse: list[Stmt],
-        *, span: SourceSpan, uid: int,
-    ) -> None:
-        self.span, self.uid, self.test = span, uid, test
-        self.body, self.orelse = body, orelse
-
-
-class FunctionDef(Node):
-    __slots__ = ("name", "params", "body", "method_receivers")
-    def __init__(
-        self, name: str, params: list[str], body: list[Stmt],
-        method_receivers: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int,
-    ) -> None:
-        self.span, self.uid, self.name, self.params, self.body = span, uid, name, params, body
-        # Names the body calls `to_gate`, `to_instruction` or `assign_parameters` on.
-        self.method_receivers = method_receivers
-
-
-class Return(Node):
-    __slots__ = ("value",)
-    def __init__(self, value: ast.expr | None, *, span: SourceSpan, uid: int) -> None:
-        self.span, self.uid, self.value = span, uid, value
-
-
-class Opaque(Node):
-    """Statement outside the subset; keeps the names it mentions."""
-
-    __slots__ = ("names",)
-    def __init__(self, names: frozenset[str] = frozenset(), *, span: SourceSpan, uid: int) -> None:
-        self.span, self.uid, self.names = span, uid, names
-
-
-Stmt = Assign | ExprStmt | ForRange | If | FunctionDef | Return | Opaque
-
-
-def tuple_assign_pairs(stmt: Assign) -> list[tuple[str, ast.expr]] | None:
+def tuple_assign_pairs(
+    targets: list[ast.expr], value: ast.expr
+) -> list[tuple[str, ast.expr]] | None:
     """(name, value expr) pairs of `a, b = x, y`, or None for other shapes."""
-    if len(stmt.targets) != 1:
+    if len(targets) != 1 or form(targets[0]) is not ast.Tuple or form(value) is not ast.Tuple:
         return None
-    target = stmt.targets[0]
-    value = stmt.value
-    if form(target) is not ast.Tuple or form(value) is not ast.Tuple:
+    names = targets[0].elts
+    if len(names) != len(value.elts) or any(type(e) is not ast.Name for e in names):
         return None
-    if len(target.elts) != len(value.elts):
-        return None
-    if not all(type(e) is ast.Name for e in target.elts):
-        return None
-    return [(t.id, v) for t, v in zip(target.elts, value.elts)]
-
-
-def _agree(a: int | None, b: int | None) -> int | None:
-    return a if a == b else None
-
-
-def join_envs(
-    a: dict[str, Any],
-    b: dict[str, Any],
-    join: Callable[[Any, Any], Any] = _agree,
-    missing: Any = None,
-) -> dict[str, Any]:
-    """Join of two branch environments, name by name over both.
-
-    A name bound on one side only meets `missing` from the other. The
-    default keeps an integer only where both branches agree; the extractor
-    passes its own binding join.
-    """
-    return {name: join(a.get(name, missing), b.get(name, missing)) for name in {**a, **b}}
+    return [(t.id, v) for t, v in zip(names, value.elts)]
 
 
 class ModuleAst(Record):
-    """A file: its top-level statements plus bookkeeping set by unrolling.
+    """A file: its top-level `ast.stmt`s plus facts read off the whole file."""
 
-    `parse_file` leaves the `ast.stmt`s of the file in `statements`;
-    `unroll_loops` replaces them with qlint's records.
-    """
-
-    __slots__ = ("file", "statements", "non_unrollable", "rebound_names", "method_receivers",
-                 "wide_lines")
+    __slots__ = ("file", "statements", "rebound_names", "calls_circuit_methods", "wide_lines")
 
     def __init__(
-        self, file: str, statements: list[ast.stmt] | list[Stmt],
-        non_unrollable: list[int] | None = None, rebound_names: frozenset[str] = frozenset(),
-        method_receivers: frozenset[str] = frozenset(), wide_lines: dict[int, bytes] | None = None,
+        self, file: str, statements: list[ast.stmt], rebound_names: frozenset[str] = frozenset(),
+        calls_circuit_methods: bool = False, wide_lines: dict[int, bytes] | None = None,
     ) -> None:
         self.file = file
         self.statements = statements
-        self.non_unrollable = [] if non_unrollable is None else non_unrollable
         # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
         self.rebound_names = rebound_names
-        # Like FunctionDef.method_receivers, for the module's own statements.
-        self.method_receivers = method_receivers
+        # False when no CIRCUIT_METHODS name occurs in the source text.
+        self.calls_circuit_methods = calls_circuit_methods
         # The UTF-8 text of each line that is not ASCII, by line number.
         self.wide_lines = {} if wide_lines is None else wide_lines
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 
-from .nodes import ModuleAst
+from .nodes import CIRCUIT_METHODS, ModuleAst
 
 
 class ParseError(Exception):
@@ -32,8 +32,7 @@ def source_lines(source: str) -> list[str]:
 def parse_file(source: str, file: str) -> ModuleAst:
     """Parse source text; the statements are the `ast.stmt`s of `ast.parse`.
 
-    `unroll_loops` lowers them into qlint's statement records. A file that
-    is not syntactically valid Python raises ParseError.
+    A file that is not syntactically valid Python raises ParseError.
     """
     try:
         tree = ast.parse(source, filename=file)
@@ -46,7 +45,8 @@ def parse_file(source: str, file: str) -> ModuleAst:
         lines = enumerate(source_lines(source), 1)
         wide_lines = {n: line.encode() for n, line in lines if not line.isascii()}
     rebound_names = _rebound_names(tree, source)
-    return ModuleAst(file, tree.body, rebound_names=rebound_names, wide_lines=wide_lines)
+    calls_circuit_methods = any(method in source for method in CIRCUIT_METHODS)
+    return ModuleAst(file, tree.body, rebound_names, calls_circuit_methods, wide_lines)
 
 
 def _rebound_names(tree: ast.Module, source: str) -> frozenset[str]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import cached_property
 from operator import attrgetter
 
-from .frontend.cfg import Cfg
 from .qir.model import EventKind, OperatorEvent, QuantumIR
 
 QubitKey = tuple[str, str, int]  # (circuit id, register id, index)
@@ -29,7 +28,7 @@ _TIMELINE_KINDS = frozenset(
 )
 
 
-def build_flow(ir: QuantumIR, cfg: Cfg) -> "FlowRelation":
+def build_flow(ir: QuantumIR) -> "FlowRelation":
     """Derive the flow relation for one file's IR, in one pass over its events."""
     events: dict[str, OperatorEvent] = {}
     by_circuit: dict[str, list[OperatorEvent]] = {}
@@ -51,22 +50,18 @@ def build_flow(ir: QuantumIR, cfg: Cfg) -> "FlowRelation":
             assert ref.register is not None and ref.index is not None
             key = (event.circuit, ref.register, ref.index)
             timelines.setdefault(key, []).append(event.id)
-    return FlowRelation(ir, cfg, events, by_circuit, timelines, blockers)
+    return FlowRelation(ir, events, by_circuit, timelines, blockers)
 
 
 class FlowRelation:
     """Ordering facts over one file's operator events, and each circuit's events."""
 
     def __init__(
-        self,
-        ir: QuantumIR,
-        cfg: Cfg,
-        events: dict[str, OperatorEvent],
-        events_by_circuit: dict[str, list[OperatorEvent]],
-        timelines: dict[QubitKey, list[str]],
+        self, ir: QuantumIR, events: dict[str, OperatorEvent],
+        events_by_circuit: dict[str, list[OperatorEvent]], timelines: dict[QubitKey, list[str]],
         unknown_blockers: dict[str, list[str]],
     ) -> None:
-        self.ir, self.cfg, self.timelines = ir, cfg, timelines
+        self.ir, self.cfg, self.timelines = ir, ir.cfg, timelines
         self._events, self.events_by_circuit = events, events_by_circuit  # in IR order
         self.unknown_blockers = unknown_blockers
         self.unknown_taint = frozenset(unknown_blockers)  # circuits with an unknown operator

@@ -1,6 +1,6 @@
 """Quantum IR: entity model, gate signature table, and the extractor."""
 
-from .extract import extract
+from .extract import DEFAULT_MAX_UNROLL, extract
 from .gates import GateSpec, GateTable, GateTableError, load_gate_table, parse_gate_table
 from .model import (
     CircuitDecl,
@@ -22,6 +22,7 @@ __all__ = [
     "CircuitKind",
     "ComposeCall",
     "CompositionEdge",
+    "DEFAULT_MAX_UNROLL",
     "Diagnostic",
     "EventKind",
     "GateSpec",

@@ -1,11 +1,18 @@
-"""Lifting of the restricted AST into the quantum IR.
+"""Lifting of parsed Python into the quantum IR, in one walk over the `ast`.
 
-The extractor walks each scope once, tracking what every variable holds
-(register, circuit, instruction, anything else). Recognized constructors and
-circuit methods produce IR entities; everything it cannot resolve becomes an
-explicit unknown operator so later analyses can stay on the safe side.
-Expressions are `ast` nodes, read through `nodes.form`; a source span is
-made only for what the IR keeps.
+The extractor walks each scope's `ast.stmt`s once, tracking what every
+variable holds: a known integer, or a register, circuit, instruction or
+anything else. The same walk expands a `for ... in range(...)` loop whose
+trip count it knows and that is small, by walking the body again with the
+loop variable bound; every other loop is kept, its body walked once under a
+back edge, and whatever integer it binds is unknown. The walk also builds
+each scope's control-flow graph, so every event is emitted with its block.
+Recognized constructors and circuit methods produce IR entities; everything
+it cannot resolve becomes an explicit unknown operator so later analyses can
+stay on the safe side. Expressions are `ast` nodes, read through
+`nodes.form`; statements and expressions outside the subset are opaque, and
+any name they mention may be rebound. A source span is made only for what
+the IR keeps.
 """
 
 from __future__ import annotations
@@ -13,24 +20,16 @@ from __future__ import annotations
 import ast
 from typing import NamedTuple
 
-from ..frontend.cfg import Cfg
 from ..frontend.nodes import (
+    CIRCUIT_METHODS,
     MODULE_SCOPE,
-    Assign,
-    ExprStmt,
-    ForRange,
-    FunctionDef,
-    If,
     ModuleAst,
-    Opaque,
-    Return,
     SourceSpan,
-    Stmt,
     arguments,
+    children,
     form,
     has_star_args,
     int_value,
-    join_envs,
     keyword_values,
     names,
     positional_args,
@@ -52,7 +51,19 @@ from .model import (
     UnknownCause,
 )
 
+DEFAULT_MAX_UNROLL = 10
+# Statements a file may walk inside expanded loop bodies: a loop whose
+# expansion would pass this is kept, as one longer than `max_unroll` is.
+MAX_UNROLLED_STMTS = 20_000
+# `if` statements nested deeper than this (an `elif` counts as one more level)
+# are kept opaque, so a long `elif` chain cannot exhaust the Python stack.
+MAX_IF_DEPTH = 100
+# Register sizes above this are unknown, so no stage enumerates their bits.
+MAX_REGISTER_SIZE = 10_000
+# Statements with no analysis effect: they are not opaque, and not counted.
+_NO_OPS = (ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue)
 _REGISTER_CONSTRUCTORS = {"QuantumRegister": "quantum", "ClassicalRegister": "classical"}
+_CONSTRUCTORS = {*_REGISTER_CONSTRUCTORS, "QuantumCircuit", "transpile"}
 
 
 class _Binding(NamedTuple):
@@ -62,10 +73,22 @@ class _Binding(NamedTuple):
 
 
 _OTHER = _Binding("other")
+# What a name holds: a known integer or a binding. A missing name holds
+# `_OTHER`, and so does an integer for every question but its value.
+_Value = int | _Binding
 
 
-def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
-    """What a name holds after a branch: either side's circuits, else nothing known."""
+def _binding(value: _Value) -> _Binding:
+    return _OTHER if type(value) is int else value
+
+
+def _join(left: _Value, right: _Value) -> _Value:
+    """What a name holds after an `if`: the integer both branches agree on,
+    else either side's circuits, else nothing known."""
+    if type(left) is int or type(right) is int:
+        if left == right:
+            return left
+        left, right = _binding(left), _binding(right)
     if left is right or (left.kind == right.kind and left.ids == right.ids):
         return left
     if left.kind == "circuit" or right.kind == "circuit":
@@ -73,6 +96,13 @@ def _join_bindings(left: _Binding, right: _Binding) -> _Binding:
         ids.update(right.ids if right.kind == "circuit" else ())
         return _Binding("circuit", tuple(sorted(ids)))
     return _OTHER
+
+
+def _circuits(value: _Value | None) -> tuple[str, ...]:
+    """The circuits a name holding `value` may be."""
+    if type(value) is _Binding and value.kind == "circuit":
+        return value.ids
+    return ()
 
 
 _LEAVES = (ast.Name, ast.Constant)
@@ -87,10 +117,9 @@ def _is_inert(expr: ast.expr) -> bool:
 
 
 class _FuncInfo:
-    __slots__ = ("name", "returns_circuit", "global_method_receivers")
+    __slots__ = ("returns_circuit", "global_method_receivers")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.returns_circuit = False
         self.global_method_receivers: set[str] = set()
 
@@ -99,45 +128,55 @@ class _Scope:
     __slots__ = ("name", "vars", "funcs", "method_receivers", "func_info")
 
     def __init__(
-        self,
-        name: str,
-        vars: dict[str, _Binding] | None = None,
-        funcs: dict[str, _FuncInfo] | None = None,
-        method_receivers: frozenset[str] = frozenset(),
-        func_info: _FuncInfo | None = None,
+        self, name: str, vars: dict[str, _Value], funcs: dict[str, _FuncInfo],
+        method_receivers: frozenset[str], func_info: _FuncInfo | None = None,
     ) -> None:
-        self.name = name
-        self.vars = {} if vars is None else vars
-        self.funcs = {} if funcs is None else funcs
+        self.name, self.vars, self.funcs = name, vars, funcs
+        # Names the scope calls a CIRCUIT_METHODS method on.
         self.method_receivers, self.func_info = method_receivers, func_info
 
 
-def extract(tree: ModuleAst, cfg: Cfg, gate_table: GateTable | None = None) -> QuantumIR:
-    """Extract the quantum IR of one file from the output of `unroll_loops`.
+def extract(
+    tree: ModuleAst, gate_table: GateTable | None = None, max_unroll: int = DEFAULT_MAX_UNROLL
+) -> QuantumIR:
+    """Extract the quantum IR of one file from `parse_file`'s tree, in one walk.
 
-    Known integers must already be folded into `ast.Constant`s and statements
-    numbered, as `unroll_loops` leaves them; `cfg` is `build_cfg` of the
-    same tree.
+    A `range` loop is expanded when its trip count is known and at most
+    `max_unroll`, no `break`, `continue`, `return` or `raise` can end an
+    iteration early, and the file stays within MAX_UNROLLED_STMTS expanded
+    statements; every other loop is kept. `ir.cfg` is the block graph the
+    events' `block` ids index into. The parsed tree is never mutated.
     """
+    if max_unroll < 1:
+        raise ValueError("max_unroll must be >= 1")
     table = gate_table if gate_table is not None else load_gate_table()
-    return _Extractor(tree, cfg, table).run()
+    return _Extractor(tree, table, max_unroll).run(tree.statements)
 
 
 class _Extractor:
-    def __init__(self, tree: ModuleAst, cfg: Cfg, table: GateTable) -> None:
-        self.tree = tree
-        self.cfg = cfg
+    def __init__(self, tree: ModuleAst, table: GateTable, max_unroll: int) -> None:
         self.table = table
         self.ir = QuantumIR(tree.file)
+        self.cfg = self.ir.cfg
         self.span = tree.span
+        self.rebound_names = tree.rebound_names
+        self.calls_circuit_methods = tree.calls_circuit_methods
+        self.max_unroll = max_unroll
+        # Where a walrus or a `global` may rebind names, what each name node
+        # held as `_fold` met it; None elsewhere (see `_int`).
+        self.folded: dict[ast.Name, _Value | None] | None = {} if tree.rebound_names else None
         self._seq = 0
         self._ids = {"r": 0, "c": 0, "e": 0}
-        self._block = 0
         self._scope_name = MODULE_SCOPE
+        self._block = self.cfg.new_block(MODULE_SCOPE)
+        self.if_depth = 0
+        self.stmts = 0  # statements walked, loop copies included; numbers function scopes
+        self.unrolled = 0  # statements counted against MAX_UNROLLED_STMTS
+        self.expanding = 0  # expanded loops the walk is inside
 
-    def run(self) -> QuantumIR:
-        scope = _Scope(MODULE_SCOPE, method_receivers=self.tree.method_receivers)
-        self._walk(self.tree.statements, scope)
+    def run(self, statements: list[ast.stmt]) -> QuantumIR:
+        scope = _Scope(MODULE_SCOPE, {}, {}, self._method_receivers(statements))
+        self._walk(statements, scope)
         return self.ir
 
     # --- id and event plumbing ---
@@ -147,169 +186,339 @@ class _Extractor:
         return f"{prefix}{self._ids[prefix]}"
 
     def _emit(
-        self,
-        kind: EventKind,
-        circuit: str | None,
-        span: SourceSpan,
-        *,
-        gate_name: str | None = None,
-        creates_new_register: bool = False,
-        unknown_cause: UnknownCause | None = None,
-        qubits: list[QubitRef] | None = None,
+        self, kind: EventKind, circuit: str | None, span: SourceSpan, *,
+        gate_name: str | None = None, creates_new_register: bool = False,
+        unknown_cause: UnknownCause | None = None, qubits: list[QubitRef] | None = None,
         clbits: list[QubitRef] | None = None,
     ) -> OperatorEvent:
         event = OperatorEvent(
-            id=self._new_id("e"),
-            circuit=circuit,
-            kind=kind,
-            seq=self._seq,
-            block=self._block,
-            scope=self._scope_name,
-            span=span,
-            gate_name=gate_name,
-            creates_new_register=creates_new_register,
-            unknown_cause=unknown_cause,
-            qubits=qubits or [],
-            clbits=clbits or [],
+            self._new_id("e"), circuit, kind, self._seq, self._block, self._scope_name, span,
+            gate_name, creates_new_register, unknown_cause, qubits, clbits,
         )
         self._seq += 1
         self.ir.events.append(event)
         return event
 
     def _emit_unknown(
-        self,
-        circuit_ids: list[str] | tuple[str, ...],
-        cause: UnknownCause,
-        span: SourceSpan,
+        self, circuit_ids: list[str] | tuple[str, ...], cause: UnknownCause, span: SourceSpan,
         gate_name: str | None = None,
     ) -> None:
         for cid in circuit_ids:
-            self._emit(
-                EventKind.UNKNOWN, cid, span, unknown_cause=cause, gate_name=gate_name
-            )
+            self._emit(EventKind.UNKNOWN, cid, span, unknown_cause=cause, gate_name=gate_name)
 
     def _diagnostic(self, message: str, node: ast.expr) -> None:
         self.ir.diagnostics.append(Diagnostic(message, self.span(node)))
 
-    # --- scope walking ---
+    # --- statements ---
 
-    def _walk(self, stmts: list[Stmt], scope: _Scope) -> None:
-        for stmt in stmts:
-            self._block = self.cfg.block_of_stmt[stmt.uid]
-            if isinstance(stmt, Assign):
-                self._assign(stmt, scope)
-            elif isinstance(stmt, ExprStmt):
-                self._eval(stmt.value, scope, bare=True)
-            elif isinstance(stmt, If):
-                self._eval(stmt.test, scope)
-                saved = dict(scope.vars)
-                self._walk(stmt.body, scope)
-                then_vars, scope.vars = scope.vars, saved
-                self._walk(stmt.orelse, scope)
-                scope.vars = join_envs(then_vars, scope.vars, _join_bindings, _OTHER)
-            elif isinstance(stmt, ForRange):
-                for arg in stmt.range_args:
-                    self._eval(arg, scope)
-                self._walk(stmt.body, scope)
-            elif isinstance(stmt, FunctionDef):
-                self._function_def(stmt, scope)
-            elif isinstance(stmt, Return):
-                self._return(stmt, scope)
-            elif isinstance(stmt, Opaque):
-                touched = self._touched(stmt.names, scope)
-                if touched:
-                    self._emit_unknown(touched, UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span)
+    def _walk(self, stmts: list[ast.stmt], scope: _Scope) -> None:
+        for node in stmts:
+            lower = _STATEMENTS.get(type(node), _Extractor._opaque)
+            if lower is not None:  # None: a statement with no analysis effect
+                lower(self, node, scope)
 
-    def _assign(self, stmt: Assign, scope: _Scope) -> None:
-        if self._tuple_assign(stmt, scope):
+    def _assign(self, node: ast.Assign, scope: _Scope) -> None:
+        self._bind(node, node.targets, node.value, scope)
+
+    def _ann_assign(self, node: ast.AnnAssign, scope: _Scope) -> None:
+        if node.value is not None:
+            self._bind(node, [node.target], node.value, scope)
+        # A module-level annotation runs after the assignment and may hold a walrus.
+        self._forget_rebound(scope)
+
+    def _aug_assign(self, node: ast.AugAssign, scope: _Scope) -> None:
+        """`x += e` as `x = x + e`, whose value has no effect but its integer."""
+        if not _aug_modelled(node):
+            self._opaque(node, scope)
             return
-        binding = self._eval(stmt.value, scope)
-        for target in stmt.targets:
+        self.stmts += 1
+        target = node.target
+        self._fold(target, scope)
+        self._fold(node.value, scope)
+        value = binop_value(type(node.op), self._int(target, scope), self._int(node.value, scope))
+        scope.vars[target.id] = _OTHER if value is None else value
+
+    def _bind(
+        self, node: ast.stmt, targets: list[ast.expr], value: ast.expr, scope: _Scope
+    ) -> None:
+        """Assign `value` to `targets`, left to right after `value` is evaluated."""
+        self.stmts += 1
+        self._fold(value, scope)
+        pairs = tuple_assign_pairs(targets, value)
+        if pairs is not None:
+            # The whole right side evaluates before any name is rebound.
+            held = [self._value(v, scope) for _, v in pairs]
+            for (name, _), v in zip(pairs, held):
+                scope.vars[name] = v
+                self._name_decls(v, name)
+            self._forget_rebound(scope)
+            return
+        known = self._int(value, scope)
+        binding = _OTHER if known is not None else self._eval(value, scope)
+        vars = scope.vars
+        # Every target's integer is bound before any target is evaluated.
+        for target in targets:
             if type(target) is ast.Name:
+                if known is not None:
+                    vars[target.id] = known
+                elif type(vars.get(target.id)) is int:
+                    vars[target.id] = _OTHER
+            elif form(target) is ast.Tuple:
+                self._forget(names(target), scope)
+        for target in targets:
+            if type(target) is ast.Name:
+                if known is not None:
+                    continue
                 bound = binding
-                if (
-                    bound.kind == "other"
-                    and type(stmt.value) is ast.Call
-                    and target.id in scope.method_receivers
-                ):
+                receiver = type(value) is ast.Call and target.id in scope.method_receivers
+                if receiver and bound.kind == "other":
                     # An opaque call result later used with circuit-specific
                     # methods is modeled as a circuit of unknown shape.
-                    decl = self._new_circuit(
-                        CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS, self.span(stmt.value)
-                    )
-                    bound = _Binding("circuit", (decl.id,))
-                scope.vars[target.id] = bound
-                for entity in self._named_decls(bound):
-                    if entity.name is None:
-                        entity.name = target.id
-            else:
-                self._eval(target, scope)
-                if binding.kind == "circuit" and form(target) in (ast.Attribute, ast.Subscript):
-                    # Stored into an object or container the analysis does not track.
-                    self._emit_unknown(
-                        binding.ids, UnknownCause.GLOBAL_CIRCUIT_MUTATION, stmt.span
-                    )
+                    kind = CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS
+                    bound = _Binding("circuit", (self._new_circuit(kind, self.span(value)).id,))
+                vars[target.id] = bound
+                self._name_decls(bound, target.id)
+                continue
+            self._fold(target, scope)
+            self._eval(target, scope)
+            if binding.kind == "circuit" and form(target) in (ast.Attribute, ast.Subscript):
+                # Stored into an object or container the analysis does not track.
+                cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
+                self._emit_unknown(binding.ids, cause, self.span(node))
+            self._forget_rebound(scope)  # a walrus, or a setter that rebinds
 
-    def _tuple_assign(self, stmt: Assign, scope: _Scope) -> bool:
-        """Bind `a, b = x, y` pairwise so circuits do not escape tracking."""
-        pairs = tuple_assign_pairs(stmt)
-        if pairs is None:
-            return False
-        # The whole right side evaluates before any name is rebound.
-        bindings = [self._eval(v, scope) for _, v in pairs]
-        for (name, _), binding in zip(pairs, bindings):
-            scope.vars[name] = binding
-            for entity in self._named_decls(binding):
-                if entity.name is None:
-                    entity.name = name
-        return True
-
-    def _named_decls(self, binding: _Binding) -> list[RegisterDecl | CircuitDecl]:
-        if binding.kind == "register":
-            return [self.ir.registers[i] for i in binding.ids]
-        if binding.kind == "circuit":
-            return [self.ir.circuits[i] for i in binding.ids]
-        return []
-
-    def _function_def(self, stmt: FunctionDef, scope: _Scope) -> None:
-        info = _FuncInfo(stmt.name)
-        scope.funcs[stmt.name] = info
-        inner = _Scope(
-            name=f"{scope.name}.{stmt.name}#{stmt.uid}",
-            vars={p: _OTHER for p in stmt.params},
-            funcs=dict(scope.funcs),
-            method_receivers=stmt.method_receivers,
-            func_info=info,
-        )
-        outer_scope_name = self._scope_name
-        self._scope_name = inner.name
-        self._walk(stmt.body, inner)
-        self._scope_name = outer_scope_name
-
-    def _return(self, stmt: Return, scope: _Scope) -> None:
-        if stmt.value is None:
+    def _name_decls(self, value: _Value, name: str) -> None:
+        """Give the registers or circuits a name first holds that name."""
+        if type(value) is int or value.kind not in ("register", "circuit"):
             return
-        binding = self._eval(stmt.value, scope)
+        decls = self.ir.registers if value.kind == "register" else self.ir.circuits
+        for entity_id in value.ids:
+            entity = decls[entity_id]
+            if entity.name is None:
+                entity.name = name
+
+    def _expr(self, node: ast.Expr, scope: _Scope) -> None:
+        self.stmts += 1
+        self._fold(node.value, scope)
+        self._eval(node.value, scope, bare=True)
+
+    def _return(self, node: ast.Return, scope: _Scope) -> None:
+        self.stmts += 1
+        if node.value is None:
+            return
+        self._fold(node.value, scope)
+        binding = self._eval(node.value, scope)
         if scope.func_info is not None and binding.kind == "circuit":
             scope.func_info.returns_circuit = True
             for cid in binding.ids:
                 self.ir.circuits[cid].subcircuit_flags.add("returned_from_function")
 
-    def _touched(self, names: frozenset[str], scope: _Scope) -> list[str]:
-        """Circuits that opaque code naming `names` may change in any way."""
+    def _for(self, node: ast.For, scope: _Scope) -> None:
+        range_args = _range_args(node)
+        if range_args is None:
+            self._opaque(node, scope)
+            return
+        for arg in range_args:
+            self._fold(arg, scope)
+        values = range_values([self._int(a, scope) for a in range_args], self.max_unroll)
+        body = node.body
+        if values is None or _has_loop_escape(body) or not self._budget(len(values), body):
+            self._kept_loop(node, range_args, scope)
+            return
+        var = node.target.id
+        self.expanding += 1
+        for value in values:
+            scope.vars[var] = value
+            self._walk(body, scope)
+        self.expanding -= 1
+
+    def _budget(self, trips: int, body: list[ast.stmt]) -> bool:
+        """Count the statements expanding a loop walks; False when that would
+        pass MAX_UNROLLED_STMTS. Inside another expansion, the body's first
+        walk was counted there."""
+        more = max(trips - 1 if self.expanding else trips, 0) * _stmt_count(body)
+        if self.unrolled + more > MAX_UNROLLED_STMTS:
+            return False
+        self.unrolled += more
+        return True
+
+    def _kept_loop(self, node: ast.For, range_args: list[ast.expr], scope: _Scope) -> None:
+        """Walk the body once under a back edge; its bindings stay, its integers do not."""
+        self.stmts += 1
+        for arg in range_args:
+            self._eval(arg, scope)
+        # The body may run any number of times: whatever integer it binds is
+        # unknown inside it and after it.
+        assigned = _assigned_names(node.body, self.if_depth) | {node.target.id}
+        self._forget(assigned, scope)
+        self._forget_rebound(scope)
+        cfg, entry = self.cfg, self._block
+        body = self._block = cfg.new_block(self._scope_name)
+        cfg.edge(entry, body)
+        self._walk(node.body, scope)
+        after = cfg.new_block(self._scope_name)
+        cfg.edge(self._block, body)
+        cfg.edge(self._block, after)
+        cfg.edge(entry, after)
+        self._block = after
+        self._forget(assigned, scope)
+
+    def _if(self, node: ast.If, scope: _Scope) -> None:
+        if self.if_depth >= MAX_IF_DEPTH:
+            self._opaque(node, scope)
+            return
+        self.stmts += 1
+        self._fold(node.test, scope)
+        self._eval(node.test, scope)
+        cfg, entry, saved = self.cfg, self._block, dict(scope.vars)
+        self.if_depth += 1
+        self._block = cfg.new_block(self._scope_name)
+        cfg.edge(entry, self._block)
+        self._walk(node.body, scope)
+        then_vars, scope.vars = scope.vars, saved
+        join = cfg.new_block(self._scope_name)
+        cfg.edge(self._block, join)
+        else_entry = None
+        if node.orelse:
+            walked = self.stmts
+            self._block = else_entry = cfg.new_block(self._scope_name)
+            self._walk(node.orelse, scope)
+            if self.stmts == walked:  # only no-ops: as if there were no `else`
+                cfg.blocks.pop()
+                else_entry = None
+        if else_entry is None:
+            cfg.edge(entry, join)
+        else:
+            cfg.edge(entry, else_entry)
+            cfg.edge(self._block, join)
+        self.if_depth -= 1
+        else_vars = scope.vars
+        scope.vars = {
+            name: _join(then_vars.get(name, _OTHER), else_vars.get(name, _OTHER))
+            for name in {**then_vars, **else_vars}
+        }
+        self._block = join
+
+    def _function_def(self, node: ast.FunctionDef | ast.AsyncFunctionDef, scope: _Scope) -> None:
+        self.stmts += 1
+        name = f"{scope.name}.{node.name}#{self.stmts}"
+        self._forget_rebound(scope)  # defaults and decorators may hold a walrus
+        info = scope.funcs[node.name] = _FuncInfo()
+        a = node.args
+        params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+        receivers = self._method_receivers(node.body)
+        inner = _Scope(name, dict.fromkeys(params, _OTHER), dict(scope.funcs), receivers, info)
+        outer = self._scope_name, self._block
+        self._scope_name, self._block = name, self.cfg.new_block(name)
+        self._walk(node.body, inner)
+        self._scope_name, self._block = outer
+
+    def _opaque(self, node: ast.stmt, scope: _Scope) -> None:
+        """A statement outside the subset: it may rebind or change any name it mentions."""
+        self.stmts += 1
+        mentioned = names(node)
+        self._forget(mentioned, scope)
+        self._touch(mentioned, scope, node)
+
+    def _touch(self, names: frozenset[str], scope: _Scope, node: ast.AST) -> None:
+        """Opaque code at `node` that names `names` may change their circuits in any way."""
         touched: set[str] = set()
         for name in names:
-            binding = scope.vars.get(name)
-            if binding is not None and binding.kind == "circuit":
-                touched.update(binding.ids)
-        return sorted(touched)
+            touched.update(_circuits(scope.vars.get(name)))
+        if touched:
+            cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
+            self._emit_unknown(sorted(touched), cause, self.span(node))
+
+    def _method_receivers(self, stmts: list[ast.stmt]) -> frozenset[str]:
+        """Names the walk of `stmts` calls a CIRCUIT_METHODS method on, its own scope only.
+
+        Such a call may come after the assignment it decides, so the scope's
+        statements are read ahead, as the walk would evaluate them.
+        """
+        if not self.calls_circuit_methods:
+            return frozenset()
+        found = set()
+        stack = _scope_expressions(stmts, self.if_depth)
+        while stack:
+            expr = stack.pop()
+            if type(expr) is ast.Call:
+                f = expr.func
+                if type(f) is ast.Attribute and f.attr in CIRCUIT_METHODS:
+                    if type(f.value) is ast.Name:
+                        found.add(f.value.id)
+            stack += children(expr)
+        return frozenset(found)
+
+    # --- integers ---
+
+    def _forget(self, names: set[str] | frozenset[str], scope: _Scope) -> None:
+        """Make unknown the integers `names` hold; their bindings stay."""
+        vars = scope.vars
+        for name in names:
+            if type(vars.get(name)) is int:
+                vars[name] = _OTHER
+
+    def _forget_rebound(self, scope: _Scope) -> None:
+        """Make unknown the integers a walrus or a function's `global` may rebind."""
+        if self.rebound_names:
+            self._forget(self.rebound_names & scope.vars.keys(), scope)
+
+    def _int(self, expr: ast.expr, scope: _Scope) -> int | None:
+        """The integer value of `expr` under the scope's names, or None.
+
+        Where a walrus or a `global` may rebind names, a name has the value
+        `_fold` recorded for it when its statement was evaluated.
+        """
+        cls = type(expr)
+        if cls is ast.Constant:
+            return int_value(expr)
+        if cls is ast.Name:
+            folded = self.folded
+            value = scope.vars.get(expr.id) if folded is None else folded.get(expr)
+            return value if type(value) is int else None
+        if cls is ast.BinOp:
+            left = self._int(expr.left, scope)
+            return binop_value(type(expr.op), left, self._int(expr.right, scope))
+        if cls is ast.UnaryOp and type(expr.op) is ast.USub:
+            value = self._int(expr.operand, scope)
+            return None if value is None else -value
+        return None
+
+    def _fold(self, expr: ast.expr, scope: _Scope) -> None:
+        """Record for `_int` what each name in `expr` holds when evaluation reaches it.
+
+        Operands are evaluated before the node that uses them: call
+        arguments first, then `*` values, then keyword values, then the
+        callee. A name a walrus or a `global` may rebind loses its integer
+        after every call and opaque expression. Elsewhere it does nothing.
+        """
+        if self.folded is None:
+            return
+        f = form(expr)
+        if f is ast.Name:
+            self.folded[expr] = scope.vars.get(expr.id)
+        elif f is ast.Call:
+            for arg in arguments(expr):
+                self._fold(arg, scope)
+            self._fold(expr.func, scope)
+            self._forget_rebound(scope)
+        elif f is None:
+            self._forget_rebound(scope)  # an opaque expression may hold a walrus
+        else:
+            for child in children(expr):
+                self._fold(child, scope)
+
+    def _value(self, expr: ast.expr, scope: _Scope) -> _Value:
+        """What a name assigned `expr` holds."""
+        known = self._int(expr, scope)
+        return self._eval(expr, scope) if known is None else known
 
     # --- expression evaluation ---
 
     def _eval(self, expr: ast.expr, scope: _Scope, bare: bool = False) -> _Binding:
         f = form(expr)
         if f is ast.Name:
-            return scope.vars.get(expr.id, _OTHER)
+            return _binding(scope.vars.get(expr.id, _OTHER))
         if f is ast.Call:
             return self._call(expr, scope, bare)
         if f is ast.Attribute:
@@ -322,19 +531,14 @@ class _Extractor:
         if f is ast.Tuple:
             escaped: set[str] = set()
             for element in expr.elts:
-                binding = self._eval(element, scope)
-                if binding.kind == "circuit":
-                    escaped.update(binding.ids)
+                escaped.update(_circuits(self._eval(element, scope)))
             if escaped:
                 # A circuit stored in a container can be mutated through
                 # aliases this analysis does not track.
-                self._emit_unknown(
-                    sorted(escaped), UnknownCause.GLOBAL_CIRCUIT_MUTATION, self.span(expr)
-                )
+                cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
+                self._emit_unknown(sorted(escaped), cause, self.span(expr))
         elif f is None:
-            touched = self._touched(names(expr), scope)
-            if touched:
-                self._emit_unknown(touched, UnknownCause.GLOBAL_CIRCUIT_MUTATION, self.span(expr))
+            self._touch(names(expr), scope, expr)
         return _OTHER
 
     def _call(self, call: ast.Call, scope: _Scope, bare: bool = False) -> _Binding:
@@ -349,16 +553,13 @@ class _Extractor:
                 if receiver.event is not None:
                     receiver.event.is_conditional = True
                 return _OTHER
-            if (
-                scope.func_info is not None
-                and type(value) is ast.Name
-                and value.id not in scope.vars
-            ):
-                scope.func_info.global_method_receivers.add(value.id)
+            info = scope.func_info
+            if info is not None and type(value) is ast.Name and value.id not in scope.vars:
+                info.global_method_receivers.add(value.id)
             if self._is_constructor_name(method):
                 return self._constructor(method, call, scope)
             return self._unknown_call(call, scope)
-        if type(callee) is ast.Name:
+        if type(callee) is ast.Name and type(scope.vars.get(callee.id)) is not int:
             name = callee.id
             if self._is_constructor_name(name):
                 return self._constructor(name, call, scope)
@@ -369,12 +570,7 @@ class _Extractor:
         return self._unknown_call(call, scope)
 
     def _is_constructor_name(self, name: str) -> bool:
-        return (
-            name in _REGISTER_CONSTRUCTORS
-            or name == "QuantumCircuit"
-            or name == "transpile"
-            or name in self.table.builtin_circuits
-        )
+        return name in _CONSTRUCTORS or name in self.table.builtin_circuits
 
     def _constructor(self, name: str, call: ast.Call, scope: _Scope) -> _Binding:
         if name in _REGISTER_CONSTRUCTORS:
@@ -391,19 +587,22 @@ class _Extractor:
         args = positional_args(call)
         for arg in args:
             self._eval(arg, scope)
-        size = self._nonnegative(int_value(args[0]), call) if args else None
-        name = None
+        size = self._register_size(self._int(args[0], scope), call) if args else None
         label = args[1] if len(args) >= 2 else None
-        if type(label) is ast.Constant and type(label.value) is str:
-            name = label.value
+        name = label.value if type(label) is ast.Constant and type(label.value) is str else None
         decl = RegisterDecl(self._new_id("r"), kind, size, self.span(call), name=name)
         self.ir.registers[decl.id] = decl
         return _Binding("register", (decl.id,))
 
-    def _nonnegative(self, size: int | None, node: ast.expr) -> int | None:
-        """A register size; a negative one is reported at `node` and made unknown."""
+    def _register_size(self, size: int | None, node: ast.expr) -> int | None:
+        """A register size; a negative one, or one above MAX_REGISTER_SIZE, is
+        reported at `node` and made unknown."""
         if size is not None and size < 0:
             self._diagnostic("register declared with negative size", node)
+            return None
+        if size is not None and size > MAX_REGISTER_SIZE:
+            message = f"register size {size} is above {MAX_REGISTER_SIZE}; treated as unknown"
+            self._diagnostic(message, node)
             return None
         return size
 
@@ -415,17 +614,14 @@ class _Extractor:
         return decl
 
     def _implicit_register(self, kind: str, size: int | None, span: SourceSpan) -> RegisterDecl:
-        default_name = "q" if kind == "quantum" else "c"
-        decl = RegisterDecl(self._new_id("r"), kind, size, span, name=default_name)
+        name = "q" if kind == "quantum" else "c"
+        decl = RegisterDecl(self._new_id("r"), kind, size, span, name=name)
         self.ir.registers[decl.id] = decl
         return decl
 
     def _associate(self, circuit: CircuitDecl, register: RegisterDecl) -> None:
-        target = (
-            circuit.quantum_registers
-            if register.kind == "quantum"
-            else circuit.classical_registers
-        )
+        quantum = register.kind == "quantum"
+        target = circuit.quantum_registers if quantum else circuit.classical_registers
         if register.id not in target:
             target.append(register.id)
         self._recompute_counts(circuit)
@@ -435,13 +631,8 @@ class _Extractor:
         circuit.num_clbits = self._registers_total(circuit.classical_registers)
 
     def _registers_total(self, register_ids: list[str]) -> int | None:
-        total = 0
-        for reg_id in register_ids:
-            size = self.ir.registers[reg_id].size
-            if size is None:
-                return None
-            total += size
-        return total
+        sizes = [self.ir.registers[reg_id].size for reg_id in register_ids]
+        return None if None in sizes else sum(sizes)
 
     def _circuit_constructor(self, call: ast.Call, scope: _Scope) -> _Binding:
         span = self.span(call)
@@ -452,15 +643,12 @@ class _Extractor:
             if binding.kind == "register":
                 self._associate(decl, self.ir.registers[binding.ids[0]])
                 continue
-            size = int_value(arg)
-            if size is not None:
-                kind = "quantum" if implicit_seen == 0 else "classical"
-                implicit_seen += 1
-                reg = self._implicit_register(kind, self._nonnegative(size, arg), span)
-            else:
-                # Could be a register object we cannot see or a dynamic size.
-                reg = self._implicit_register("quantum", None, span)
-            self._associate(decl, reg)
+            # A size, known or not: the first is the quantum register's, the
+            # second the classical one's.
+            kind = "quantum" if implicit_seen == 0 else "classical"
+            implicit_seen += 1
+            size = self._register_size(self._int(arg, scope), arg)
+            self._associate(decl, self._implicit_register(kind, size, span))
         for value in keyword_values(call):
             self._eval(value, scope)
         self._recompute_counts(decl)
@@ -478,26 +666,19 @@ class _Extractor:
         decl = self._new_circuit(CircuitKind.TRANSPILED, self.span(call))
         for kw in call.keywords:
             if kw.arg == "optimization_level":
-                decl.transpile_opt_level = int_value(kw.value)
+                decl.transpile_opt_level = self._int(kw.value, scope)
         if sources:
             self._inherit_layout(decl, self.ir.circuits[sources[0]])
         return _Binding("circuit", (decl.id,))
 
     def _local_function_call(self, info: _FuncInfo, call: ast.Call, scope: _Scope) -> _Binding:
-        circuit_args = self._circuit_args(call, scope)
-        if circuit_args:
-            self._emit_unknown(
-                circuit_args, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, self.span(call)
-            )
+        self._unknown_call(call, scope)
         mutated: set[str] = set()
-        for receiver in sorted(info.global_method_receivers):
-            binding = scope.vars.get(receiver)
-            if binding is not None and binding.kind == "circuit":
-                mutated.update(binding.ids)
+        for receiver in info.global_method_receivers:
+            mutated.update(_circuits(scope.vars.get(receiver)))
         if mutated:
-            self._emit_unknown(
-                sorted(mutated), UnknownCause.GLOBAL_CIRCUIT_MUTATION, self.span(call)
-            )
+            cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
+            self._emit_unknown(sorted(mutated), cause, self.span(call))
         if info.returns_circuit:
             decl = self._new_circuit(CircuitKind.USER_FUNCTION_RETURN, self.span(call))
             return _Binding("circuit", (decl.id,))
@@ -506,9 +687,8 @@ class _Extractor:
     def _unknown_call(self, call: ast.Call, scope: _Scope) -> _Binding:
         circuit_args = self._circuit_args(call, scope)
         if circuit_args:
-            self._emit_unknown(
-                circuit_args, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, self.span(call)
-            )
+            cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+            self._emit_unknown(circuit_args, cause, self.span(call))
         return _OTHER
 
     def _eval_args(self, call: ast.Call, scope: _Scope) -> list[_Binding]:
@@ -531,13 +711,9 @@ class _Extractor:
                 if form(element) is None:
                     named += names(element)
                     continue
-                binding = self._eval(element, scope)
-                if binding.kind == "circuit":
-                    found.update(binding.ids)
+                found.update(_circuits(self._eval(element, scope)))
         for name in named:
-            binding = scope.vars.get(name, _OTHER)
-            if binding.kind == "circuit":
-                found.update(binding.ids)
+            found.update(_circuits(scope.vars.get(name)))
         return sorted(found)
 
     # --- circuit methods ---
@@ -548,16 +724,16 @@ class _Extractor:
         if len(receiver.ids) != 1:
             # Receiver may be one of several circuits; taint them all.
             self._eval_args(call, scope)
-            self._emit_unknown(
-                receiver.ids, UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG, self.span(call)
-            )
+            cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+            self._emit_unknown(receiver.ids, cause, self.span(call))
             return _OTHER
         circuit = self.ir.circuits[receiver.ids[0]]
         spec = self.table.spec(method)
         if spec is not None:
             return self._table_method(circuit, spec, call, scope)
         if method == "append":
-            return self._append(circuit, call, scope)
+            self._composition_edges(circuit, call, scope, "append")
+            return _OTHER
         if method == "compose":
             return self._compose(circuit, call, scope, bare)
         if method == "add_register":
@@ -578,12 +754,8 @@ class _Extractor:
             return _Binding("circuit", (circuit.id,))
         # Unrecognized circuit method: the circuit may change in any way.
         others = [c for c in self._circuit_args(call, scope) if c != circuit.id]
-        self._emit_unknown(
-            [circuit.id] + others,
-            UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG,
-            self.span(call),
-            gate_name=method,
-        )
+        cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+        self._emit_unknown([circuit.id] + others, cause, self.span(call), method)
         return _OTHER
 
     def _table_method(
@@ -602,29 +774,17 @@ class _Extractor:
         if spec.category == "initialize":
             return self._initialize_event(circuit, call, scope)
         if spec.category == "barrier":
-            event = self._emit(
-                EventKind.BARRIER, circuit.id, self.span(call), gate_name="barrier"
-            )
+            event = self._emit(EventKind.BARRIER, circuit.id, self.span(call), gate_name="barrier")
             return _Binding("instruction", (circuit.id,), event)
         # conditional_marker applied directly to a circuit is not a gate add.
-        self._emit_unknown(
-            [circuit.id],
-            UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG,
-            self.span(call),
-            gate_name=spec.method_name,
-        )
+        cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+        self._emit_unknown([circuit.id], cause, self.span(call), spec.method_name)
         return _OTHER
 
-    def _unresolved_event(
-        self, circuit: CircuitDecl, span: SourceSpan, gate_name: str
-    ) -> _Binding:
-        event = self._emit(
-            EventKind.UNKNOWN,
-            circuit.id,
-            span,
-            gate_name=gate_name,
-            unknown_cause=UnknownCause.UNRESOLVED_QUBIT,
-        )
+    def _unresolved_event(self, circuit: CircuitDecl, span: SourceSpan, gate_name: str) -> _Binding:
+        cause = UnknownCause.UNRESOLVED_QUBIT
+        event = self._emit(EventKind.UNKNOWN, circuit.id, span, gate_name=gate_name,
+                           unknown_cause=cause)
         return _Binding("instruction", (circuit.id,), event)
 
     def _gate_event(
@@ -641,13 +801,8 @@ class _Extractor:
             if not ref.is_resolved:
                 return self._unresolved_event(circuit, span, spec.method_name)
             refs.append(ref)
-        event = self._emit(
-            EventKind.RESET if spec.category == "reset" else EventKind.GATE,
-            circuit.id,
-            span,
-            gate_name=spec.method_name,
-            qubits=refs,
-        )
+        kind = EventKind.RESET if spec.category == "reset" else EventKind.GATE
+        event = self._emit(kind, circuit.id, span, gate_name=spec.method_name, qubits=refs)
         return _Binding("instruction", (circuit.id,), event)
 
     def _measure_event(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
@@ -655,11 +810,9 @@ class _Extractor:
         if has_star_args(call) or len(args) < 1:
             return self._unresolved_event(circuit, span, "measure")
         qubits = self._resolve_bit_group(args[0], circuit, scope, classical=False)
-        clbits = (
-            self._resolve_bit_group(args[1], circuit, scope, classical=True)
-            if len(args) >= 2
-            else None
-        )
+        clbits = None
+        if len(args) >= 2:
+            clbits = self._resolve_bit_group(args[1], circuit, scope, classical=True)
         if qubits is None:
             return self._unresolved_event(circuit, span, "measure")
         if clbits is not None and len(clbits) != len(qubits):
@@ -670,14 +823,8 @@ class _Extractor:
             if not qref.is_resolved:
                 last = self._unresolved_event(circuit, span, "measure")
             else:
-                event = self._emit(
-                    EventKind.MEASUREMENT,
-                    circuit.id,
-                    span,
-                    gate_name="measure",
-                    qubits=[qref],
-                    clbits=[cref],
-                )
+                event = self._emit(EventKind.MEASUREMENT, circuit.id, span, gate_name="measure",
+                                   qubits=[qref], clbits=[cref])
                 last = _Binding("instruction", (circuit.id,), event)
         return last
 
@@ -687,12 +834,8 @@ class _Extractor:
             if kw.arg == "add_bits" and type(kw.value) is ast.Constant and kw.value.value is False:
                 creates = False
         event = self._emit(
-            EventKind.MEASURE_ALL,
-            circuit.id,
-            self.span(call),
-            gate_name="measure_all",
-            creates_new_register=creates,
-            qubits=self._full_layout(circuit),
+            EventKind.MEASURE_ALL, circuit.id, self.span(call), gate_name="measure_all",
+            creates_new_register=creates, qubits=self._full_layout(circuit),
         )
         return _Binding("instruction", (circuit.id,), event)
 
@@ -714,13 +857,9 @@ class _Extractor:
                 operands = group
         else:
             operands = self._full_layout(circuit)
-        event = self._emit(
-            EventKind.INITIALIZE,
-            circuit.id,
-            self.span(call),
-            gate_name="initialize",
-            qubits=operands,
-        )
+        span = self.span(call)
+        event = self._emit(EventKind.INITIALIZE, circuit.id, span, gate_name="initialize",
+                           qubits=operands)
         return _Binding("instruction", (circuit.id,), event)
 
     # --- operand resolution ---
@@ -742,7 +881,7 @@ class _Extractor:
     def _register_of_name(
         self, name: ast.Name, scope: _Scope, classical: bool
     ) -> RegisterDecl | None:
-        binding = scope.vars.get(name.id, _OTHER)
+        binding = _binding(scope.vars.get(name.id, _OTHER))
         if binding.kind != "register":
             return None
         reg = self.ir.registers[binding.ids[0]]
@@ -756,15 +895,13 @@ class _Extractor:
             reg = self._register_of_name(value, scope, classical)
             if reg is None:
                 return UNRESOLVED_BIT
-            index = int_value(expr.slice)
+            index = self._int(expr.slice, scope)
             if index is None:
                 return UNRESOLVED_BIT
             return self._checked_ref(reg, index, circuit, expr)
-        index = int_value(expr)
+        index = self._int(expr, scope)
         if index is not None:
-            registers = (
-                circuit.classical_registers if classical else circuit.quantum_registers
-            )
+            registers = circuit.classical_registers if classical else circuit.quantum_registers
             if len(registers) == 1:
                 reg = self.ir.registers[registers[0]]
                 return self._checked_ref(reg, index, circuit, expr)
@@ -774,33 +911,20 @@ class _Extractor:
         self, reg: RegisterDecl, index: int, circuit: CircuitDecl, node: ast.expr
     ) -> QubitRef:
         if index < 0:
-            self._diagnostic(
-                f"negative index {index} into register {reg.display_name()}", node
-            )
+            self._diagnostic(f"negative index {index} into register {reg.display_name()}", node)
             return UNRESOLVED_BIT
         if reg.size is not None and index >= reg.size:
-            self._diagnostic(
-                f"index {index} out of range for register "
-                f"{reg.display_name()} of size {reg.size}",
-                node,
-            )
+            name, size = reg.display_name(), reg.size
+            self._diagnostic(f"index {index} out of range for register {name} of size {size}", node)
             return UNRESOLVED_BIT
         if reg.id not in circuit.quantum_registers and reg.id not in circuit.classical_registers:
-            self._diagnostic(
-                f"register {reg.display_name()} is not associated with the circuit",
-                node,
-            )
+            message = f"register {reg.display_name()} is not associated with the circuit"
+            self._diagnostic(message, node)
         return QubitRef(reg.id, index)
 
     # --- composition ---
 
-    def _append(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
-        self._composition_edges(circuit, call, scope, "append")
-        return _OTHER
-
-    def _compose(
-        self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, bare: bool
-    ) -> _Binding:
+    def _compose(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, bare: bool) -> _Binding:
         self._composition_edges(circuit, call, scope, "compose")
         inplace_true = False
         for kw in call.keywords:
@@ -820,6 +944,162 @@ class _Extractor:
         if bindings and bindings[0].kind in ("circuit", "circuit_gate"):
             for child in bindings[0].ids:
                 if child != circuit.id:
-                    self.ir.edges.append(
-                        CompositionEdge(circuit.id, child, how, self.span(call))
-                    )
+                    self.ir.edges.append(CompositionEdge(circuit.id, child, how, self.span(call)))
+
+
+_STATEMENTS = {
+    ast.Assign: _Extractor._assign,
+    ast.AnnAssign: _Extractor._ann_assign,
+    ast.AugAssign: _Extractor._aug_assign,
+    ast.Expr: _Extractor._expr,
+    ast.For: _Extractor._for,
+    ast.If: _Extractor._if,
+    ast.FunctionDef: _Extractor._function_def,
+    ast.AsyncFunctionDef: _Extractor._function_def,
+    ast.Return: _Extractor._return,
+    **dict.fromkeys(_NO_OPS),
+}
+
+
+# --- loops ---
+
+
+def _range_args(node: ast.For) -> list[ast.expr] | None:
+    """The arguments of `for name in range(...)` with no `else`; None for another loop."""
+    it = node.iter
+    if type(it) is not ast.Call or type(it.func) is not ast.Name or it.func.id != "range":
+        return None
+    if it.keywords or not 1 <= len(it.args) <= 3 or node.orelse:
+        return None
+    return it.args if type(node.target) is ast.Name else None
+
+
+_INT_OPS = {ast.Add: int.__add__, ast.Sub: int.__sub__, ast.Mult: int.__mul__,
+            ast.FloorDiv: int.__floordiv__}
+
+
+def binop_value(op: type[ast.operator], a: int | None, b: int | None) -> int | None:
+    """`a op b` for +, -, * and //; None for another operator, an unknown operand or `// 0`."""
+    fn = _INT_OPS.get(op)
+    if fn is None or a is None or b is None or (b == 0 and op is ast.FloorDiv):
+        return None
+    return fn(a, b)
+
+
+def range_values(args: list[int | None], limit: int) -> range | None:
+    """The values of range(*args), or None when an argument is unknown, the
+    call would raise, or the range is longer than `limit`."""
+    if None in args:
+        return None
+    try:
+        rng = range(*args)
+        return rng if len(rng) <= limit else None
+    except (ValueError, OverflowError):  # a zero step, or a length past sys.maxsize
+        return None
+
+
+def _aug_modelled(node: ast.AugAssign) -> bool:
+    """True when `x op= e` is in the subset: a name target, an operator `form` models."""
+    binop = ast.BinOp(node.target, node.op, node.value)
+    return type(node.target) is ast.Name and form(binop) is not None
+
+
+def _stmt_count(stmts: list[ast.stmt]) -> int:
+    """Statements in `stmts` and in every body nested in them, each counted once."""
+    count, stack = 0, list(stmts)
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack += getattr(node, "body", ())
+        stack += getattr(node, "orelse", ())
+    return count
+
+
+def _scope_expressions(stmts: list[ast.stmt], if_depth: int) -> list[ast.expr]:
+    """The statement-level expressions the walk of `stmts` at `if` depth
+    `if_depth` evaluates, same scope only."""
+    out: list[ast.expr] = []
+    for node in stmts:
+        cls = type(node)
+        if cls is ast.Assign:
+            out.append(node.value)
+            out += [t for t in node.targets if type(t) is not ast.Name]
+        elif cls is ast.AnnAssign and node.value is not None:
+            out.append(node.value)
+            if type(node.target) is not ast.Name:
+                out.append(node.target)
+        elif cls is ast.AugAssign and _aug_modelled(node):
+            out.append(node.value)
+        elif cls is ast.Expr or cls is ast.Return and node.value is not None:
+            out.append(node.value)
+        elif cls is ast.For and _range_args(node) is not None:
+            out += _range_args(node)
+            out += _scope_expressions(node.body, if_depth)
+        elif cls is ast.If and if_depth < MAX_IF_DEPTH:
+            out.append(node.test)
+            out += _scope_expressions(node.body, if_depth + 1)
+            out += _scope_expressions(node.orelse, if_depth + 1)
+    return out
+
+
+def _assigned_names(stmts: list[ast.stmt], if_depth: int) -> set[str]:
+    """Names the walk of `stmts` at `if` depth `if_depth` may bind, same scope only.
+
+    An opaque statement may bind any name it mentions.
+    """
+    out: set[str] = set()
+    for node in stmts:
+        cls = type(node)
+        if cls is ast.For and _range_args(node) is not None:
+            out.add(node.target.id)
+            out |= _assigned_names(node.body, if_depth)
+        elif cls is ast.If and if_depth < MAX_IF_DEPTH:
+            out |= _assigned_names(node.body, if_depth + 1)
+            out |= _assigned_names(node.orelse, if_depth + 1)
+        elif cls is ast.Assign or cls is ast.AnnAssign and node.value is not None:
+            for target in node.targets if cls is ast.Assign else [node.target]:
+                if form(target) in (ast.Name, ast.Tuple):
+                    out |= names(target)
+        elif cls is ast.AugAssign and _aug_modelled(node):
+            out.add(node.target.id)
+        elif cls not in _STATEMENTS or cls in (ast.For, ast.If, ast.AugAssign):
+            out |= names(node)  # kept opaque
+    return out
+
+
+_TRY_FIELDS = ("body", "handlers", "orelse", "finalbody")
+# Where a `break`/`continue` of the enclosing loop can sit, by statement
+# class. A nested loop's body holds its own, but a `return` or `raise` there
+# leaves the enclosing loop too; a `def` and a `class` hold their own of all four.
+_ESCAPE_FIELDS = {
+    ast.If: ("body", "orelse"),
+    ast.For: ("orelse",),
+    ast.AsyncFor: ("orelse",),
+    ast.While: ("orelse",),
+    ast.With: ("body",),
+    ast.AsyncWith: ("body",),
+    ast.Try: _TRY_FIELDS,
+    getattr(ast, "TryStar", ast.Try): _TRY_FIELDS,  # Python 3.11+
+    ast.ExceptHandler: ("body",),
+    ast.Match: ("cases",),
+    ast.match_case: ("body",),
+}
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+
+
+def _has_loop_escape(body: list[ast.stmt]) -> bool:
+    """True when a loop with this body may stop an iteration early: by a
+    `break` or `continue` of its own, or by a `return` or `raise`."""
+    stack = [(node, False) for node in body]
+    while stack:
+        node, nested = stack.pop()  # nested: inside a loop within the body
+        cls = type(node)
+        if cls is ast.Return or cls is ast.Raise:
+            return True
+        if not nested and (cls is ast.Break or cls is ast.Continue):
+            return True
+        for field in _ESCAPE_FIELDS.get(cls, ()):
+            stack.extend((child, nested) for child in getattr(node, field))
+        if cls in _LOOPS:
+            stack.extend((child, True) for child in node.body)
+    return False

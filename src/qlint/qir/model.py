@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
+from ..frontend.cfg import Cfg
 from ..frontend.nodes import Record, SourceSpan
 
 
@@ -118,10 +119,10 @@ class Diagnostic(NamedTuple):
 
 
 class QuantumIR(Record):
-    """Everything extracted from one file."""
+    """Everything extracted from one file; each event's `block` is a block of `cfg`."""
 
     __slots__ = ("file", "registers", "circuits", "events", "edges", "compose_calls",
-                 "diagnostics")
+                 "diagnostics", "cfg")
 
     def __init__(self, file: str) -> None:
         self.file = file
@@ -131,6 +132,7 @@ class QuantumIR(Record):
         self.edges: list[CompositionEdge] = []
         self.compose_calls: list[ComposeCall] = []
         self.diagnostics: list[Diagnostic] = []
+        self.cfg = Cfg()
 
 
 def register_offsets(ir: QuantumIR, circuit: CircuitDecl) -> dict[str, int]:

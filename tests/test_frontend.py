@@ -1,9 +1,13 @@
-"""Frontend tests: parsing, constant propagation, unrolling, CFG shape."""
+"""Frontend tests: parsing, and the extractor's walk: integers, loops, CFG shape."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 import textwrap
+import time
+from unittest import mock
 
 import pytest
 from conftest import elif_chain, parses_in_this_python, sample_source
@@ -13,57 +17,67 @@ from genprog import loop_pair, wide_branchy
 from oracle import capture_values
 
 from qlint import analyze_source
-from qlint.frontend import (
-    MODULE_SCOPE,
-    ParseError,
-    build_cfg,
-    int_value,
-    parse_file,
-    source_lines,
-    unroll_loops,
-)
-from qlint.frontend.unroll import MAX_IF_DEPTH
-from qlint.frontend.nodes import (
-    Assign,
-    ExprStmt,
-    ForRange,
-    FunctionDef,
-    If,
-    Node,
-    Opaque,
-    children,
-    form,
-)
+from qlint.frontend import MODULE_SCOPE, ParseError, parse_file, source_lines
+from qlint.frontend.nodes import form
+from qlint.qir import CircuitKind, EventKind, UnknownCause, extract
+from qlint.qir.extract import MAX_IF_DEPTH, MAX_UNROLLED_STMTS
+
+# The module, which `qlint.qir.extract` (the function) shadows.
+extract_module = importlib.import_module("qlint.qir.extract")
 
 
 def _parse(source: str):
     return parse_file(source, "test.py")
 
 
-def _unrolled(source: str):
-    return unroll_loops(_parse(source))
+def _ir(source: str, **options):
+    return extract(_parse(source), **options)
 
 
-def _all_stmts(stmts):
-    for stmt in stmts:
-        yield stmt
-        yield from _all_stmts(getattr(stmt, "body", ()))
-        yield from _all_stmts(getattr(stmt, "orelse", ()))
+_INDEX = re.compile(r"index (-?\d+)")
 
 
-def _all_nodes(value):
-    """Every statement and modelled expression below a statement or a list of them."""
-    if isinstance(value, list):
-        for item in value:
-            yield from _all_nodes(item)
-    elif isinstance(value, ast.expr):
-        yield value
-        yield from _all_nodes(children(value))
-    elif isinstance(value, Node):
-        yield value
-        for name in value._fields:
-            if name != "span":
-                yield from _all_nodes(getattr(value, name))
+def _used(source: str) -> list[tuple[int, int | None]]:
+    """(line, integer) of each `use(...)` call the walk reaches, in walk order.
+
+    Each `use(e)` is read as a gate on qubit `e` of a 10,000-qubit circuit
+    declared on an extra first line, so the integer the walk knows for `e`
+    is the gate's operand, or is named by the diagnostic of a negative or
+    out-of-range index; None where it is unknown.
+    """
+    probe = "qp = QuantumCircuit(10000)\n" + source.replace("use(", "qp.h(")
+    ir = _ir(probe)
+    told = {d.span.anchor(): int(_INDEX.search(d.message).group(1)) for d in ir.diagnostics}
+    out = []
+    for event in ir.events:
+        if event.gate_name == "h":
+            value = event.qubits[0].index if event.qubits else told.get(event.span.anchor())
+            out.append((event.span.line - 1, value))
+    return out
+
+
+def _gates(ir) -> list[tuple[int | None, ...]]:
+    """The qubit indices of each gate or unresolved event, in walk order."""
+    return [
+        tuple(q.index for q in e.qubits) or (None,)
+        for e in ir.events
+        if e.kind is EventKind.GATE or e.unknown_cause is UnknownCause.UNRESOLVED_QUBIT
+    ]
+
+
+def _stream(ir) -> list[tuple]:
+    """Events and diagnostics without ids, blocks or positions."""
+    names = {rid: r.display_name() for rid, r in ir.registers.items()}
+    events = [
+        (e.kind, e.gate_name, e.unknown_cause, [(names.get(q.register), q.index) for q in e.qubits])
+        for e in ir.events
+    ]
+    return events + [d.message for d in ir.diagnostics]
+
+
+def _kept(ir) -> bool:
+    """True when some block lies on a cycle: a loop was kept, not expanded."""
+    return any(ir.cfg.in_cycle(b.id) for b in ir.cfg.blocks)
 
 
 # Leaves of the fold property's programs. Only `w` is bound by a walrus, so
@@ -116,30 +130,14 @@ def _cannot_fold(expr: ast.expr) -> bool:
     )
 
 
-def _resolved_calls(tree):
-    """(callee name, resolved args) for every top-level call statement."""
-    out = []
-    for stmt in tree.statements:
-        value = None
-        if isinstance(stmt, ExprStmt) and isinstance(stmt.value, ast.Call):
-            value = stmt.value
-        elif isinstance(stmt, Assign) and isinstance(stmt.value, ast.Call):
-            value = stmt.value
-        if value is not None:
-            out.append([int_value(a) for a in value.args])
-    return out
-
-
 class TestParse:
     def test_register_assignment_shape(self):
-        tree = _unrolled("qreg = QuantumRegister(4)\n")
-        assert len(tree.statements) == 1
-        stmt = tree.statements[0]
-        assert isinstance(stmt, Assign)
+        (stmt,) = _parse("qreg = QuantumRegister(4)\n").statements
+        assert isinstance(stmt, ast.Assign)
         assert isinstance(stmt.value, ast.Call)
-        assert isinstance(stmt.value.func, ast.Name)
         assert stmt.value.func.id == "QuantumRegister"
-        assert int_value(stmt.value.args[0]) == 4
+        (register,) = _ir("qreg = QuantumRegister(4)\n").registers.values()
+        assert (register.kind, register.size, register.name) == ("quantum", 4, "qreg")
 
     def test_two_bug_demo_statement_shape(self):
         source = sample_source("two_bugs")
@@ -152,7 +150,8 @@ class TestParse:
         assert len(loops) == 1
 
     def test_span_is_an_immutable_value(self):
-        span = _unrolled("x = 1\n").statements[0].span
+        tree = _parse("x = 1\n")
+        span = tree.span(tree.statements[0])
         assert repr(span) == (
             "SourceSpan(file='test.py', line=1, column=1, end_line=1, end_column=6)"
         )
@@ -179,8 +178,9 @@ class TestParse:
         assert spans("ψ = QuantumCircuit(3)\n", "oversized-circuit") == [(1, 5, 22)]
         source = "qc = QuantumCircuit(2, 2)\nθθ = 1; qc.measure(1, 1); qc.measure(1, 1)\n"
         assert spans(source, "double-meas") == [(2, 27, 43)]
-        stmt = _unrolled('s = "é"; t = 1\n').statements[1]
-        assert (stmt.span.column, stmt.span.end_column) == (10, 15)
+        tree = _parse('s = "é"; t = 1\n')
+        span = tree.span(tree.statements[1])
+        assert (span.column, span.end_column) == (10, 15)
 
     @pytest.mark.parametrize(
         "source, expected",
@@ -211,42 +211,47 @@ class TestParse:
         assert info.value.line == 1
 
     def test_unsupported_statement_becomes_opaque_with_names(self):
-        tree = _unrolled("while cond:\n    qc.h(0)\n")
-        stmt = tree.statements[0]
-        assert isinstance(stmt, Opaque)
-        assert {"cond", "qc"} <= set(stmt.names)
+        # The loop may change the circuit and rebind `n` in any way.
+        ir = _ir("n = 1\nqc = QuantumCircuit(1)\nwhile n:\n    qc.h(0)\nQuantumRegister(n)\n")
+        (event,) = ir.events
+        assert (event.span.line, event.unknown_cause) == (3, UnknownCause.GLOBAL_CIRCUIT_MUTATION)
+        assert [r.size for r in ir.registers.values()] == [1, None]
 
     @pytest.mark.parametrize("branches", [300, 1000])
     def test_long_elif_chain_is_opaque_past_the_depth_cap(self, branches):
-        source = elif_chain(branches)
+        source = elif_chain(branches) + "use(x)\n"
         if not parses_in_this_python(source):
             pytest.skip("ast.parse itself runs out of stack on this chain")
-        node, depth = _unrolled(source).statements[1], 0
-        while isinstance(node, If):
-            node, depth = node.orelse[0], depth + 1
-        assert depth == MAX_IF_DEPTH
-        assert isinstance(node, Opaque)
-        assert node.names == {"x"}
+        ir = _ir(source)
+        # Each modelled `if` adds a then, a join and an else block; the one
+        # at the cap is opaque and adds none.
+        assert len(ir.cfg.blocks) == 1 + 3 * MAX_IF_DEPTH
+        assert _used(source) == [(2 * branches + 2, None)]  # the opaque `if` may rebind x
 
     def test_method_receivers_are_recorded_per_scope(self):
+        # A call result used as a receiver of `to_gate` and the like, in the
+        # same scope, is a circuit of unknown shape.
         source = (
             "sub = make()\n"
+            "other = make()\n"
             "def f():\n"
+            "    sub = make()\n"
+            "    inner = make()\n"
             "    sub.to_gate()\n"
             "    def g():\n"
+            "        inner = make()\n"
             "        inner.to_instruction()\n"
             "other.assign_parameters(p)\n"
             "deep.attr.to_gate()\n"
         )
-        tree = _unrolled(source)
-        f = tree.statements[1]
-        assert tree.method_receivers == {"other"}
-        assert f.method_receivers == {"sub"}
-        assert f.body[1].method_receivers == {"inner"}
+        circuits = _ir(source).circuits.values()
+        assert all(c.kind is CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS for c in circuits)
+        found = {(c.scope.rsplit(".", 1)[-1].split("#")[0], c.name) for c in circuits}
+        assert found == {(MODULE_SCOPE, "other"), ("f", "sub"), ("g", "inner")}
 
     def test_method_receivers_cover_every_lowered_expression(self):
         # `if` tests, range arguments, assignment targets and operands.
-        source = (
+        source = "".join(f"{name} = make()\n" for name in "abcdefgh") + (
             "if a.to_gate():\n"
             "    pass\n"
             "for i in range(b.to_instruction()):\n"
@@ -257,73 +262,50 @@ class TestParse:
             "    pass\n"
             "z[h.to_gate()] += 1\n"
         )
-        # Statements lowered to Opaque (the last two) record nothing.
-        assert _unrolled(source).method_receivers == set("abcdef")
+        # Statements outside the subset (the last two) decide nothing.
+        assert {c.name for c in _ir(source).circuits.values()} == set("abcdef")
 
     def test_every_statement_carries_a_span(self):
-        tree = _unrolled("a = 1\nif a:\n    b = 2\nelse:\n    b = 3\n")
-
-        def spans(stmts):
-            for s in stmts:
-                assert s.span.line >= 1
-                assert s.span.line <= s.span.end_line
-                if isinstance(s, If):
-                    spans(s.body)
-                    spans(s.orelse)
-
-        spans(tree.statements)
+        ir = _ir("qc = QuantumCircuit(2)\nif a:\n    qc.h(0)\nelse:\n    qc.x(b)\n")
+        assert [(e.span.line, e.span.end_line) for e in ir.events] == [(3, 3), (5, 5)]
 
 
 class TestConstants:
+    """Integers as the walk evaluates them, observed through `_used`."""
+
     def test_register_size_through_variable(self):
-        tree = _unrolled("n = 3\ncreg = ClassicalRegister(n)\n")
-        (args,) = _resolved_calls(tree)
-        assert args == [3]
+        ir = _ir("n = 3\ncreg = ClassicalRegister(n)\n")
+        assert [r.size for r in ir.registers.values()] == [3]
 
     def test_dynamic_input_is_unknown(self):
-        tree = _unrolled("n = input()\nuse(n)\n")
-        (args,) = _resolved_calls(tree)[-1:]
-        assert args == [None]
+        assert _used("n = input()\nuse(n)\n") == [(2, None)]
 
     def test_reassignment_chain(self):
         # Expected value computed by concretely executing the snippet.
         source = "a = 2\na = a + 1\nuse(a)\n"
         assert capture_values(source) == {3: 3}
-        tree = _unrolled(source)
-        (args,) = _resolved_calls(tree)[-1:]
-        assert args == [3]
+        assert _used(source) == [(3, 3)]
 
     def test_arithmetic_folding(self):
         source = "a = 2 * 3 + 4 - 1\nb = a // 2\nuse(b)\n"
         assert capture_values(source)[3] == 4
-        tree = _unrolled(source)
-        assert _resolved_calls(tree)[-1] == [4]
+        assert _used(source) == [(3, 4)]
 
     def test_branch_join_agreeing_values(self):
-        source = "a = 1\nif cond:\n    a = 1\nuse(a)\n"
-        tree = _unrolled(source)
-        assert _resolved_calls(tree)[-1] == [1]
+        assert _used("a = 1\nif cond:\n    a = 1\nuse(a)\n") == [(4, 1)]
 
     def test_branch_join_conflicting_values(self):
-        source = "a = 1\nif cond:\n    a = 2\nuse(a)\n"
-        tree = _unrolled(source)
-        assert _resolved_calls(tree)[-1] == [None]
+        assert _used("a = 1\nif cond:\n    a = 2\nuse(a)\n") == [(4, None)]
 
     def test_variable_assigned_in_one_branch_only(self):
-        source = "if cond:\n    a = 2\nuse(a)\n"
-        tree = _unrolled(source)
-        assert _resolved_calls(tree)[-1] == [None]
+        assert _used("if cond:\n    a = 2\nuse(a)\n") == [(3, None)]
 
     def test_function_scopes_are_independent(self):
-        source = "n = 3\ndef f(n):\n    use(n)\nuse(n)\n"
-        tree = _unrolled(source)
-        inner_use = tree.statements[1].body[0].value
-        assert int_value(inner_use.args[0]) is None
-        outer_use = tree.statements[2].value
-        assert int_value(outer_use.args[0]) == 3
+        ir = _ir("n = 3\ndef f(n):\n    QuantumRegister(n)\nQuantumRegister(n)\n")
+        assert [r.size for r in ir.registers.values()] == [None, 3]
 
     def test_soundness_against_concrete_execution(self):
-        # Wherever the analysis folds a value v, running the program must
+        # Wherever the walk knows a value v, running the program must
         # observe exactly v at the same use site.
         snippets = [
             "a = 1\nb = a + a\nuse(b)\n",
@@ -340,23 +322,11 @@ class TestConstants:
         ]
         for source in snippets:
             observed = capture_values(source)
-            tree = unroll_loops(_parse(source))
-
-            def check(stmts):
-                for stmt in stmts:
-                    if isinstance(stmt, ExprStmt) and isinstance(stmt.value, ast.Call):
-                        callee = stmt.value.func
-                        if isinstance(callee, ast.Name) and callee.id == "use":
-                            value = int_value(stmt.value.args[0])
-                            if value is not None:
-                                assert observed[stmt.span.line] == value
-                    if isinstance(stmt, If):
-                        check(stmt.body)
-                        check(stmt.orelse)
-                    if isinstance(stmt, ForRange):
-                        check(stmt.body)
-
-            check(tree.statements)
+            used = _used(source)
+            assert used, source
+            for line, value in used:
+                if value is not None:
+                    assert observed[line] == value, source
 
     def test_walrus_and_global_rebinding_forget_constant(self):
         # Running each snippet, its `use(x)` observes 5 at least once.
@@ -368,103 +338,88 @@ class TestConstants:
         ]
         for source in snippets:
             assert 5 in capture_values(source).values(), source
-            tree = _unrolled(source)
-            uses = [
-                s.value.args[0]
-                for s in _all_stmts(tree.statements)
-                if isinstance(s, ExprStmt)
-                and s.value.args
-                and isinstance(s.value.args[0], ast.Name)
+            (line,) = [
+                n.lineno for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "use"
+                and isinstance(n.args[0], ast.Name)
             ]
-            assert [int_value(u) for u in uses] == [None], source
+            assert [v for at, v in _used(source) if at == line] == [None], source
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_fold_programs())
     def test_fold_agrees_with_execution(self, source):
-        """A folded `use` argument is the value the program passes, whichever
+        """A known `use` argument is the value the program passes, whichever
         branches run; an operand that cannot fold keeps its expression from
         folding."""
-        uses = [
-            (stmt, parsed.value.args[0])
-            for stmt, parsed in zip(
-                _all_stmts(_unrolled(source).statements),
-                _all_stmts(ast.parse(source).body),
-            )
-            if isinstance(stmt, ExprStmt)
-        ]
-        for stmt, parsed_arg in uses:
-            if _cannot_fold(parsed_arg):
-                assert int_value(stmt.value.args[0]) is None
+        arguments = {
+            n.lineno: n.value.args[0] for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Expr)
+        }
+        used = dict(_used(source))
+        assert used.keys() == arguments.keys()
+        for line, argument in arguments.items():
+            if _cannot_fold(argument):
+                assert used[line] is None
         for run in (source, source.replace("flag = True", "flag = False", 1)):
             try:
                 observed = capture_values(run)
             except (TypeError, ZeroDivisionError):
                 continue  # `None + 1` or `// 0` stopped the run
-            for stmt, _ in uses:
-                value = int_value(stmt.value.args[0])
-                if value is not None and stmt.span.line in observed:  # else not run
-                    seen = observed[stmt.span.line]
+            for line, value in used.items():
+                if value is not None and line in observed:  # else not run
+                    seen = observed[line]
                     assert type(seen) is int and seen == value
 
 
 class TestUnroll:
     def test_small_known_loop_expands(self):
-        tree = unroll_loops(_parse("for i in range(3):\n    circ.h(i)\n"))
-        assert len(tree.statements) == 3
-        values = [int_value(s.value.args[0]) for s in tree.statements]
-        assert values == [0, 1, 2]
-        assert tree.non_unrollable == []
+        ir = _ir("qc = QuantumCircuit(5)\nfor i in range(3):\n    qc.h(i)\n")
+        assert _gates(ir) == [(0,), (1,), (2,)]
+        assert ir.cfg.edges == set()
 
     def test_loop_over_limit_is_kept(self):
-        tree = unroll_loops(_parse("for i in range(20):\n    circ.h(i)\n"))
-        assert len(tree.statements) == 1
-        assert isinstance(tree.statements[0], ForRange)
-        assert len(tree.non_unrollable) == 1
+        ir = _ir("qc = QuantumCircuit(5)\nfor i in range(20):\n    qc.h(i)\n")
+        assert _gates(ir) == [(None,)]
+        assert _kept(ir)
 
     def test_limit_boundary(self):
-        ten = unroll_loops(_parse("for i in range(10):\n    circ.h(i)\n"))
-        assert len(ten.statements) == 10
-        eleven = unroll_loops(_parse("for i in range(11):\n    circ.h(i)\n"))
-        assert isinstance(eleven.statements[0], ForRange)
+        ten = _ir("qc = QuantumCircuit(5)\nfor i in range(10):\n    qc.h(0)\n")
+        assert len(ten.events) == 10 and not _kept(ten)
+        eleven = _ir("qc = QuantumCircuit(5)\nfor i in range(11):\n    qc.h(0)\n")
+        assert len(eleven.events) == 1 and _kept(eleven)
 
     def test_bound_past_the_largest_length_is_kept(self):
         # `len` of this range raises OverflowError.
-        tree = _unrolled("for i in range(10000000000 * 10000000000 * 10):\n    circ.h(i)\n")
-        assert isinstance(tree.statements[0], ForRange)
+        assert _kept(_ir("for i in range(10000000000 * 10000000000 * 10):\n    circ.h(i)\n"))
 
     def test_unknown_bound_is_kept(self):
-        tree = unroll_loops(_parse("for i in range(n):\n    circ.h(i)\n"))
-        assert isinstance(tree.statements[0], ForRange)
-        assert len(tree.non_unrollable) == 1
+        ir = _ir("qc = QuantumCircuit(5)\nfor i in range(n):\n    qc.h(i)\n")
+        assert _gates(ir) == [(None,)]
+        assert _kept(ir)
 
     def test_custom_limit(self):
-        source = "for i in range(3):\n    circ.h(i)\n"
-        assert len(unroll_loops(_parse(source), 2).statements) == 1
-        assert len(unroll_loops(_parse(source), 3).statements) == 3
+        source = "qc = QuantumCircuit(5)\nfor i in range(3):\n    qc.h(i)\n"
+        assert _gates(_ir(source, max_unroll=2)) == [(None,)]
+        assert _gates(_ir(source, max_unroll=3)) == [(0,), (1,), (2,)]
 
     def test_range_start_stop_step(self):
-        tree = unroll_loops(_parse("for i in range(1, 7, 2):\n    circ.h(i)\n"))
-        values = [int_value(s.value.args[0]) for s in tree.statements]
-        assert values == [1, 3, 5]
+        ir = _ir("qc = QuantumCircuit(9)\nfor i in range(1, 7, 2):\n    qc.h(i)\n")
+        assert _gates(ir) == [(1,), (3,), (5,)]
 
     def test_nested_loops_expand(self):
-        source = "for i in range(2):\n    for j in range(2):\n        circ.cx(i, j)\n"
-        tree = unroll_loops(_parse(source))
-        assert len(tree.statements) == 4
-        pairs = [
-            (int_value(s.value.args[0]), int_value(s.value.args[1]))
-            for s in tree.statements
-        ]
-        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        source = (
+            "qc = QuantumCircuit(4)\n"
+            "for i in range(2):\n    for j in range(2):\n        qc.cx(i, j + 2)\n"
+        )
+        assert _gates(_ir(source)) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_bound_from_constant_variable(self):
-        tree = unroll_loops(_parse("k = 2\nfor i in range(k):\n    circ.h(i)\n"))
-        assert len(tree.statements) == 3  # assignment + two copies
+        ir = _ir("qc = QuantumCircuit(5)\nk = 2\nfor i in range(k):\n    qc.h(i)\n")
+        assert _gates(ir) == [(0,), (1,)]
 
     def test_break_disables_unrolling(self):
-        source = "for i in range(3):\n    circ.h(i)\n    break\n"
-        tree = unroll_loops(_parse(source))
-        assert isinstance(tree.statements[0], ForRange)
+        ir = _ir("qc = QuantumCircuit(5)\nfor i in range(3):\n    qc.h(i)\n    break\n")
+        assert _kept(ir)
 
     @pytest.mark.parametrize("bound, kept", [("n", 1), ("2", 0)])
     def test_long_elif_chain_inside_a_loop(self, bound, kept):
@@ -472,40 +427,71 @@ class TestUnroll:
         source = f"for i in range({bound}):\n" + textwrap.indent(elif_chain(1500), "    ")
         if not parses_in_this_python(source):
             pytest.skip("ast.parse itself runs out of stack on this chain")
-        assert len(_unrolled(source).non_unrollable) == kept
+        assert _kept(_ir(source)) == bool(kept)
         assert analyze_source(source, "t.py").warnings == []
 
     def test_loop_variable_reassigned_in_body(self):
         source = "for i in range(3):\n    i = i + 1\n    use(i)\n"
         observed = capture_values(source)
-        tree = unroll_loops(_parse(source))
-        uses = [
-            int_value(s.value.args[0])
-            for s in tree.statements
-            if isinstance(s, ExprStmt)
-        ]
-        assert uses == [1, 2, 3]
+        assert _used(source) == [(3, 1), (3, 2), (3, 3)]
         assert observed[3] == 3  # last concrete value matches the final copy
 
     def test_loop_variable_keeps_its_last_value(self):
         source = "for i in range(3):\n    x = i\nuse(i)\n"
         assert capture_values(source) == {3: 2}
-        tree = unroll_loops(_parse(source))
-        assert _resolved_calls(tree)[-1] == [2]
+        assert _used(source) == [(3, 2)]
 
     def test_zero_iterations(self):
-        tree = unroll_loops(_parse("for i in range(0):\n    circ.h(i)\nuse(1)\n"))
-        assert len(tree.statements) == 1
+        assert _used("for i in range(0):\n    use(i)\nuse(1)\n") == [(3, 1)]
 
     def test_max_iterations_must_be_positive(self):
         with pytest.raises(ValueError):
-            unroll_loops(_parse("a = 1\n"), 0)
+            _ir("a = 1\n", max_unroll=0)
+
+    def test_six_nested_loops_stay_within_the_budget(self):
+        source = "qc = QuantumCircuit(1)\n" + "".join(
+            "    " * k + f"for i{k} in range(10):\n" for k in range(6)
+        ) + "    " * 6 + "qc.h(0)\n"
+        started = time.perf_counter()
+        analyze_source(source, "t.py")
+        assert time.perf_counter() - started < 1.0
+        ir = _ir(source)
+        assert len(ir.events) <= MAX_UNROLLED_STMTS + 1
+        assert _kept(ir)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), min_size=1, max_size=5))
+    def test_expanded_statements_never_pass_the_budget(self, loops):
+        """Nested loops of `(trips, gates)`: gates walked inside expanded
+        bodies stay within the budget, and every loop expands when the whole
+        nest fits."""
+        lines, indent = ["qc = QuantumCircuit(1)"], ""
+        for k, (trips, gates) in enumerate(loops):
+            lines.append(f"{indent}for i{k} in range({trips}):")
+            indent += "    "
+            lines += [f"{indent}qc.h(0)"] * gates
+        budget = 40
+        with mock.patch.object(extract_module, "MAX_UNROLLED_STMTS", budget):
+            ir = _ir("\n".join(lines) + "\n")
+        static = sum(gates for _, gates in loops)
+        assert len(ir.events) <= budget + static
+        # Walking every expansion: each body once per run of its loop.
+        runs = walked = full = body = 0
+        for k in reversed(range(len(loops))):
+            body = loops[k][1] + (1 + body if k + 1 < len(loops) else 0)
+        runs, below = 1, body
+        for k, (trips, gates) in enumerate(loops):
+            runs *= trips
+            walked += runs * gates
+            full += runs * below
+            below -= gates + 1
+        if full <= budget:
+            assert len(ir.events) == walked and not _kept(ir)
 
     def test_unrolling_preserves_concrete_semantics(self):
         """The unrolled event stream matches a faithful textual expansion,
         which in turn executes identically on the reference interpreter."""
         from conftest import pipeline
-        from genprog import loop_pair
         from oracle import trace_program
 
         def stream(result):
@@ -531,7 +517,7 @@ class TestUnroll:
 
 
 class TestUnrollSharing:
-    """Unrolling keeps parsed nodes and copies only expanded loop bodies."""
+    """Expanded loops are walked again; the parsed tree is never changed."""
 
     # A loop that always expands sits inside an `if`, a `def` and a kept loop.
     NESTED = (
@@ -541,8 +527,10 @@ class TestUnrollSharing:
         "    for i in range(3):\n"
         "        qc.h(qa[i])\n"
         "def f():\n"
+        "    qb = QuantumRegister(4)\n"
+        "    qd = QuantumCircuit(qb)\n"
         "    for i in range(3):\n"
-        "        qc.h(qa[i])\n"
+        "        qd.h(qb[i])\n"
         "for j in range(n):\n"
         "    for i in range(2):\n"
         "        qc.h(qa[i + j])\n"
@@ -554,45 +542,41 @@ class TestUnrollSharing:
 
         parsed = _parse(self.NESTED)
         before = dump(parsed)
-        kept = unroll_loops(parsed, max_iterations=2)
-        expanded = unroll_loops(parsed, max_iterations=10)
+        kept = extract(parsed, max_unroll=2)
+        expanded = extract(parsed, max_unroll=10)
         assert dump(parsed) == before
-        assert len(kept.non_unrollable) == 3
-        assert len(expanded.non_unrollable) == 1
+        assert _gates(kept) == [(None,)] * 4
+        assert _gates(expanded) == [(0,), (1,), (2,)] * 2 + [(None,)] * 2
 
     def test_every_uid_is_unique(self):
-        """The result's statements are numbered 1..n, each once, copies included."""
-        parsed = _parse(self.NESTED)
-        tree = unroll_loops(parsed)
-        uids = [stmt.uid for stmt in _all_stmts(tree.statements)]
-        assert sorted(uids) == list(range(1, len(uids) + 1))
-        assert len(uids) > len(list(_all_stmts(parsed.statements)))  # the copies
+        """Function scopes are numbered by statement, loop copies included."""
+        ir = _ir("for i in range(3):\n    def f():\n        pass\n    use(i)\ndef g():\n    pass\n")
+        scopes = [b.scope for b in ir.cfg.blocks[1:]]
+        uids = [int(scope.split("#")[1]) for scope in scopes]
+        assert len(scopes) == 4 and sorted(uids) == uids and len(set(uids)) == 4
 
     def test_unrolled_index_resolves_inside_if_and_def(self):
-        tree = _unrolled(self.NESTED)
-        branch, function = tree.statements[2], tree.statements[3]
-        assert isinstance(branch, If)
-        for body in (branch.body, function.body):
-            indices = [int_value(s.value.args[0].slice) for s in body]
-            assert indices == [0, 1, 2]
+        ir = _ir(self.NESTED)
+        branch = [e for e in ir.events if e.scope == MODULE_SCOPE][:3]
+        function = [e for e in ir.events if e.scope != MODULE_SCOPE]
+        for events in (branch, function):
+            assert [e.qubits[0].index for e in events] == [0, 1, 2]
 
     def test_unrolled_function_copies_keep_method_receivers(self):
-        tree = _unrolled("mod.to_gate()\nfor i in range(2):\n    def f():\n        sub.to_gate()\n")
-        copies = [s for s in tree.statements if isinstance(s, FunctionDef)]
-        assert len(copies) == 2 and copies[0] is not copies[1]
-        assert [c.method_receivers for c in copies] == [{"sub"}, {"sub"}]
-        assert tree.method_receivers == {"mod"}
+        source = (
+            "mod = make()\nmod.to_gate()\n"
+            "for i in range(2):\n    def f():\n        sub = make()\n        sub.to_gate()\n"
+        )
+        circuits = list(_ir(source).circuits.values())
+        assert [c.name for c in circuits] == ["mod", "sub", "sub"]
+        assert all(c.kind is CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS for c in circuits)
+        assert len({c.scope for c in circuits}) == 3
 
     def test_loop_free_file_shares_parsed_expressions(self):
-        """Complexity guard: on a 3,200-op file with nothing to fold, statements
-        are new but every expression is the parsed object itself."""
-        parsed = _parse(wide_branchy(seed=7, n_ops=3200))
-        tree = unroll_loops(parsed)
-        pairs = zip(_all_stmts(tree.statements), _all_stmts(parsed.statements), strict=True)
-        for out, parsed_stmt in pairs:
-            for name in ("value", "targets", "test"):
-                if name in out._fields:
-                    assert getattr(out, name) is getattr(parsed_stmt, name)
+        """Complexity guard: a 3,200-op file without loops walks each statement once."""
+        source = wide_branchy(seed=7, n_ops=3200)
+        calls = sum(isinstance(n, ast.Expr) for n in ast.walk(ast.parse(source)))
+        assert len(_ir(source).events) <= calls
 
 
 class TestUnrolledCopiesResolve:
@@ -636,6 +620,8 @@ class TestUnrolledCopiesResolve:
     # A walrus in the body rebinds `k`, and calling `bump` rebinds the global
     # `m`: each is known until the expression that may rebind it, unknown after.
     REBOUND_LOOPED = (
+        "qa = QuantumRegister(4)\n"
+        "qc = QuantumCircuit(qa)\n"
         "def bump():\n"
         "    global m\n"
         "    m = 0\n"
@@ -648,6 +634,8 @@ class TestUnrolledCopiesResolve:
         "    qc.cx(qa[k + j], g((k := j)), qa[k])\n"
     )
     REBOUND_BY_HAND = (
+        "qa = QuantumRegister(4)\n"
+        "qc = QuantumCircuit(qa)\n"
         "def bump():\n"
         "    global m\n"
         "    m = 0\n"
@@ -664,74 +652,58 @@ class TestUnrolledCopiesResolve:
         "qc.cx(qa[k + 1], g((k := 1)), qa[k])\n"
     )
 
-    @staticmethod
-    def _values(source: str) -> list:
-        tree = _unrolled(source)
-        return [int_value(node) for node in _all_nodes(tree.statements)]
-
     @pytest.mark.parametrize(
         "looped, by_hand",
         [(NESTED_LOOPED, NESTED_BY_HAND), (REBOUND_LOOPED, REBOUND_BY_HAND)],
         ids=["nested", "rebound"],
     )
     def test_hand_written_cases(self, looped, by_hand):
-        values = self._values(looped)
-        assert values == self._values(by_hand)
-        assert 1 in values and None in values
+        ir = _ir(looped)
+        assert _stream(ir) == _stream(_ir(by_hand))
+        indices = {i for gate in _gates(ir) for i in gate}
+        assert None in indices and len(indices) > 1  # both known and unknown operands
 
     @pytest.mark.parametrize("seed", range(40))
     def test_generated_loop_pairs(self, seed):
         looped, expanded = loop_pair(seed)
-        assert self._values(looped) == self._values(expanded)
+        assert _stream(_ir(looped)) == _stream(_ir(expanded))
 
 
 class TestCfg:
     def test_straight_line_single_block(self):
-        tree = unroll_loops(_parse("a = 1\nb = 2\nc = 3\n"))
-        cfg = build_cfg(tree)
+        cfg = _ir("a = 1\nb = 2\nc = 3\n").cfg
         assert len(cfg.blocks) == 1
         assert cfg.edges == set()
 
     def test_if_else_diamond(self):
-        tree = unroll_loops(_parse("a = 1\nif a:\n    b = 2\nelse:\n    b = 3\n"))
-        cfg = build_cfg(tree)
+        cfg = _ir("a = 1\nif a:\n    b = 2\nelse:\n    b = 3\n").cfg
         assert len(cfg.blocks) == 4  # pre, then, else, join
         assert len(cfg.edges) == 4
 
+    def test_else_of_no_ops_adds_no_block(self):
+        cfg = _ir("if a:\n    b = 2\nelse:\n    pass\nc = 1\n").cfg
+        assert len(cfg.blocks) == 3  # pre, then, join
+        assert cfg.edges == {(0, 1), (1, 2), (0, 2)}
+
     def test_two_bug_demo_is_a_chain_after_unroll(self):
-        tree = unroll_loops(_parse(sample_source("two_bugs")))
-        cfg = build_cfg(tree)
-        assert len(cfg.blocks) == 1
+        assert len(_ir(sample_source("two_bugs")).cfg.blocks) == 1
 
     def test_kept_loop_has_back_edge(self):
-        tree = unroll_loops(_parse("for i in range(n):\n    circ.h(i)\n"))
-        cfg = build_cfg(tree)
-        assert any(cfg.in_cycle(b.id) for b in cfg.blocks)
+        assert _kept(_ir("for i in range(n):\n    circ.h(i)\n"))
 
     def test_every_statement_in_exactly_one_block(self):
-        tree = unroll_loops(
-            _parse("a = 1\nif a:\n    b = 2\nfor i in range(9):\n    use(i)\n")
+        source = (
+            "qc = QuantumCircuit(2)\nqc.h(0)\nif a:\n    qc.x(0)\n"
+            "for i in range(n):\n    qc.h(1)\ndef f():\n    helper(qc)\nqc.z(0)\n"
         )
-        cfg = build_cfg(tree)
-
-        def all_uids(stmts):
-            for s in stmts:
-                yield s.uid
-                if isinstance(s, If):
-                    yield from all_uids(s.body)
-                    yield from all_uids(s.orelse)
-                if isinstance(s, ForRange):
-                    yield from all_uids(s.body)
-
-        uids = list(all_uids(tree.statements))
-        assert len(uids) == len(set(uids))
-        assert set(cfg.block_of_stmt) == set(uids)
-        assert set(cfg.block_of_stmt.values()) <= {block.id for block in cfg.blocks}
+        ir = _ir(source)
+        scopes = {b.id: b.scope for b in ir.cfg.blocks}
+        assert len({e.id for e in ir.events}) == len(ir.events) == 4
+        assert [scopes[e.block] for e in ir.events] == [e.scope for e in ir.events]
+        assert [e.block for e in ir.events] == [0, 1, 3, 4]
 
     def test_function_bodies_get_their_own_scope(self):
-        tree = unroll_loops(_parse("def f():\n    a = 1\nb = 2\n"))
-        cfg = build_cfg(tree)
-        scopes = {b.scope for b in cfg.blocks}
+        scopes = {b.scope for b in _ir("def f():\n    a = 1\nb = 2\n").cfg.blocks}
         assert MODULE_SCOPE in scopes
         assert len(scopes) == 2
 
@@ -741,14 +713,8 @@ class TestDeterminism:
         source = sample_source("two_bugs")
 
         def fingerprint():
-            tree = unroll_loops(parse_file(source, "two_bugs.py"))
-            cfg = build_cfg(tree)
-            return (
-                [type(s).__name__ for s in tree.statements],
-                sorted(cfg.edges),
-                len(cfg.blocks),
-                repr([int_value(s.value) for s in tree.statements if isinstance(s, Assign)]),
-            )
+            ir = extract(parse_file(source, "two_bugs.py"))
+            return repr(ir.events), sorted(ir.cfg.edges), len(ir.cfg.blocks)
 
         assert fingerprint() == fingerprint()
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
-from conftest import sample_source, pipeline
+from conftest import pipeline, sample_source, warnings_for
 
 from qlint.qir import (
     CircuitKind,
@@ -94,10 +95,51 @@ class TestCircuitConstruction:
         column = 6 if call.startswith("QuantumRegister") else 6 + call.index("-")
         assert (diagnostic.span.line, diagnostic.span.column) == (1, column)
 
+    @pytest.mark.parametrize(
+        "call, sizes",
+        [
+            ("QuantumCircuit(200000)", [("quantum", None)]),
+            ("QuantumCircuit(2, 10001)", [("quantum", 2), ("classical", None)]),
+            ("QuantumRegister(200000)", [("quantum", None)]),
+        ],
+    )
+    def test_size_above_the_cap_is_reported_and_unknown(self, call, sizes):
+        ir = _ir(f"qc = {call}\nqc.h(0)\n")
+        assert [(r.kind, r.size) for r in ir.registers.values()] == sizes
+        (diagnostic,) = ir.diagnostics
+        size = call.split(", ")[-1].split("(")[-1].rstrip(")")
+        assert diagnostic.message == f"register size {size} is above 10000; treated as unknown"
+        start = 6 if call.startswith("QuantumRegister") else 6 + call.index(size)
+        assert (diagnostic.span.line, diagnostic.span.column) == (1, start)
+        assert _ir("qc = QuantumCircuit(10000)\n").diagnostics == []
+
+    def test_huge_size_is_never_enumerated(self):
+        source = "qc = QuantumCircuit(1000000000)\nqc.h(0)\nqc.measure_all()\n"
+        started = time.perf_counter()
+        warnings = warnings_for(source)
+        assert time.perf_counter() - started < 1.0
+        assert warnings == []
+        (event,) = _events(_ir(source), EventKind.MEASURE_ALL)
+        assert event.qubits == []
+
     def test_unknown_size_argument(self):
         ir = _ir("qc = QuantumCircuit(n)\n")
         circuit = _the_circuit(ir)
         assert circuit.num_qubits is None
+
+    @pytest.mark.parametrize(
+        "args, sizes",
+        [
+            ("n, 2", [("quantum", None), ("classical", 2)]),
+            ("3, m", [("quantum", 3), ("classical", None)]),
+            ("make_q(), make_c()", [("quantum", None), ("classical", None)]),
+        ],
+    )
+    def test_unresolved_size_keeps_its_position(self, args, sizes):
+        # The first size not known is the quantum register's, the second the classical one's.
+        ir = _ir(f"qc = QuantumCircuit({args})\n")
+        assert [(r.kind, r.size) for r in ir.registers.values()] == sizes
+        assert _the_circuit(ir).num_clbits == sizes[1][1]
 
     def test_register_association_order(self):
         source = (

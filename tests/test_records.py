@@ -9,12 +9,19 @@ from pathlib import Path
 import pytest
 
 from qlint import Config
-from qlint.frontend.nodes import ModuleAst, Opaque, Return, SourceSpan
+from qlint.frontend.cfg import Block, Cfg
+from qlint.frontend.nodes import ModuleAst, SourceSpan
 from qlint.qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QubitRef
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPAN = SourceSpan("f.py", 1, 1, 1, 4)
 SPAN_TEXT = "SourceSpan(file='f.py', line=1, column=1, end_line=1, end_column=4)"
+
+
+def _graph() -> Cfg:
+    cfg = Cfg()
+    cfg.edge(cfg.new_block("<module>"), cfg.new_block("<module>"))
+    return cfg
 
 
 def _event(**fields) -> OperatorEvent:
@@ -39,8 +46,7 @@ class TestRepr:
     """The text `@dataclass` printed, which callers of analyze_pipeline see."""
 
     def test_node(self):
-        stmt = Opaque(frozenset({"x"}), span=SPAN, uid=2)
-        assert repr(stmt) == f"Opaque(span={SPAN_TEXT}, uid=2, names=frozenset({{'x'}}))"
+        assert repr(Block(2, "<module>")) == "Block(id=2, scope='<module>')"
 
     def test_operator_event(self):
         event = _event(gate_name="h", qubits=[QubitRef("r1", 0)])
@@ -60,30 +66,39 @@ class TestRepr:
             "transpile_opt_level=None, subcircuit_flags=set())"
         )
 
+    def test_cfg(self):
+        assert repr(_graph()) == (
+            "Cfg(blocks=[Block(id=0, scope='<module>'), Block(id=1, scope='<module>')], "
+            "edges=[(0, 1)])"
+        )
+
     def test_qubit_ref(self):
         assert repr(QubitRef("r1", 0)) == "QubitRef(register='r1', index=0)"
 
 
 class TestMutableRecords:
     def test_equality_is_field_wise_and_per_class(self):
-        assert Return(None, span=SPAN, uid=1) == Return(None, span=SPAN, uid=1)
-        assert Return(None, span=SPAN, uid=1) != Return(None, span=SPAN, uid=2)
-        assert Opaque(span=SPAN, uid=1) != Return(None, span=SPAN, uid=1)
+        assert Block(1, "<module>") == Block(1, "<module>")
+        assert Block(1, "<module>") != Block(2, "<module>")
+        assert ModuleAst("a.py", []) != Block(1, "<module>")
+        assert _graph() == _graph() and _graph() != Cfg()
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):
-            hash(Return(None, span=SPAN, uid=1))
+            hash(Block(1, "<module>"))
+        with pytest.raises(TypeError):
+            hash(Cfg())
 
     def test_each_instance_gets_its_own_containers(self):
         first, second = _event(), _event()
         first.qubits.append(QubitRef("r1", 0))
         assert second.qubits == []
-        assert ModuleAst("a.py", []).non_unrollable is not ModuleAst("b.py", []).non_unrollable
+        assert ModuleAst("a.py", []).wide_lines is not ModuleAst("b.py", []).wide_lines
 
     def test_replace_copies_and_changes_fields(self):
-        tree = ModuleAst("a.py", [], non_unrollable=[3])
-        copy = tree._replace(non_unrollable=[7])
-        assert (copy.file, copy.non_unrollable, tree.non_unrollable) == ("a.py", [7], [3])
+        tree = ModuleAst("a.py", [], rebound_names=frozenset("x"))
+        copy = tree._replace(rebound_names=frozenset("y"))
+        assert (copy.file, copy.rebound_names, tree.rebound_names) == ("a.py", {"y"}, {"x"})
         with pytest.raises(TypeError):
             tree._replace(no_such_field=1)
 

@@ -128,6 +128,13 @@ class TestOpAfterMeas:
 
 
 class TestMeasAllAbuse:
+    @pytest.mark.parametrize(
+        "args, lines", [("n, 2", [3]), ("make_q(), make_c()", [])], ids=["size", "registers"]
+    )
+    def test_unresolved_quantum_size_keeps_the_classical_bits(self, args, lines):
+        source = f"qc = QuantumCircuit({args})\nqc.h(0)\nqc.measure_all()\n"
+        assert _lines_of(source, "meas-all-abuse") == lines
+
     def test_sample_program(self):
         assert _lines_of(sample_source("measure_all_extra"), "meas-all-abuse") == [5]
 
@@ -229,6 +236,15 @@ class TestInsuffClasReg:
 
 
 class TestOversizedCircuit:
+    def test_loop_variable_no_longer_holds_its_earlier_circuit(self):
+        # `for k in range(2)` rebinds `k` to integers, so the opaque argument
+        # passes no circuit and qubit 1 stays unused.
+        source = (
+            "qc = QuantumCircuit(2)\nk = qc\nfor k in range(2):\n"
+            "    log(k if flag else 0)\nqc.h(0)\n"
+        )
+        assert _lines_of(source, "oversized-circuit") == [1]
+
     def test_two_bug_demo(self):
         assert _lines_of(sample_source("two_bugs"), "oversized-circuit") == [5]
 
@@ -504,7 +520,7 @@ class TestRunAll:
         ir = result.ir
         assert len(ir.circuits) == circuits and len(ir.events) == 10 * circuits
         ir.events = CountingList(ir.events)
-        warnings = run_all(ir, build_flow(ir, result.flow.cfg))
+        warnings = run_all(ir, build_flow(ir))
         assert len(warnings) == 2 * circuits  # insuff-clas-reg and op-after-meas each
         return CountingList.scans
 
