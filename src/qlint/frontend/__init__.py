@@ -1,7 +1,7 @@
 """Restricted Python/Qiskit frontend: parsing, the subset's forms, the CFG."""
 
 from .cfg import Block, Cfg
-from .nodes import MODULE_SCOPE, ModuleAst, SourceSpan, int_value
+from .nodes import MODULE_SCOPE, ModuleAst, SourceSpan
 from .parser import ParseError, parse_file, source_lines
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "ModuleAst",
     "ParseError",
     "SourceSpan",
-    "int_value",
     "parse_file",
     "source_lines",
 ]

@@ -161,13 +161,6 @@ def children(node: ast.expr) -> list[ast.expr]:
     return []
 
 
-def int_value(expr: ast.expr) -> int | None:
-    """The value of an integer literal (not a bool), else None."""
-    if type(expr) is ast.Constant and type(expr.value) is int:
-        return expr.value
-    return None
-
-
 def names(node: ast.AST) -> frozenset[str]:
     """Every variable name mentioned anywhere inside `node`."""
     return frozenset(n.id for n in ast.walk(node) if type(n) is ast.Name)

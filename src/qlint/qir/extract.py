@@ -7,12 +7,17 @@ trip count it knows and that is small, by walking the body again with the
 loop variable bound; every other loop is kept, its body walked once under a
 back edge, and whatever integer it binds is unknown. The walk also builds
 each scope's control-flow graph, so every event is emitted with its block.
-Recognized constructors and circuit methods produce IR entities; everything
-it cannot resolve becomes an explicit unknown operator so later analyses can
-stay on the safe side. Expressions are `ast` nodes, read through
-`nodes.form`; statements and expressions outside the subset are opaque, and
-any name they mention may be rebound. A source span is made only for what
-the IR keeps.
+One evaluator, `_Extractor._eval`, reads every expression once, in Python's
+order: a callee and its receiver, then each argument, the operands of
+arithmetic, each element of a display. It yields the expression's integer,
+binding, register slot or tuple of element values, so a call nested
+anywhere (in arithmetic, a `range` bound, an `if` test, a gate parameter, a
+keyword argument) has its effect. Recognized constructors and circuit
+methods produce IR entities; everything it cannot resolve becomes an
+explicit unknown operator so later analyses can stay on the safe side.
+Expressions are `ast` nodes, read through `nodes.form`; statements and
+expressions outside the subset are opaque, and any name they mention may be
+rebound. A source span is made only for what the IR keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from ..frontend.nodes import (
     children,
     form,
     has_star_args,
-    int_value,
     keyword_values,
     names,
     positional_args,
@@ -76,10 +80,13 @@ _OTHER = _Binding("other")
 # What a name holds: a known integer or a binding. A missing name holds
 # `_OTHER`, and so does an integer for every question but its value.
 _Value = int | _Binding
+# What `_eval` yields: also a register slot `name[k]`, and the element values
+# of a tuple or list display. Names never hold these two.
+_Eval = int | _Binding | QubitRef | tuple
 
 
-def _binding(value: _Value) -> _Binding:
-    return _OTHER if type(value) is int else value
+def _binding(value: _Eval) -> _Binding:
+    return value if type(value) is _Binding else _OTHER
 
 
 def _join(left: _Value, right: _Value) -> _Value:
@@ -98,22 +105,11 @@ def _join(left: _Value, right: _Value) -> _Value:
     return _OTHER
 
 
-def _circuits(value: _Value | None) -> tuple[str, ...]:
-    """The circuits a name holding `value` may be."""
+def _circuits(value: _Eval | None) -> tuple[str, ...]:
+    """The circuits `value` may be."""
     if type(value) is _Binding and value.kind == "circuit":
         return value.ids
     return ()
-
-
-_LEAVES = (ast.Name, ast.Constant)
-
-
-def _is_inert(expr: ast.expr) -> bool:
-    """A literal, a name or `name[literal or name]`: only calls and displays have effects."""
-    f = form(expr)
-    if f is ast.Subscript:
-        return type(expr.value) is ast.Name and form(expr.slice) in _LEAVES
-    return f in _LEAVES
 
 
 class _FuncInfo:
@@ -162,9 +158,6 @@ class _Extractor:
         self.rebound_names = tree.rebound_names
         self.calls_circuit_methods = tree.calls_circuit_methods
         self.max_unroll = max_unroll
-        # Where a walrus or a `global` may rebind names, what each name node
-        # held as `_fold` met it; None elsewhere (see `_int`).
-        self.folded: dict[ast.Name, _Value | None] | None = {} if tree.rebound_names else None
         self._seq = 0
         self._ids = {"r": 0, "c": 0, "e": 0}
         self._scope_name = MODULE_SCOPE
@@ -232,29 +225,30 @@ class _Extractor:
             self._opaque(node, scope)
             return
         self.stmts += 1
-        target = node.target
-        self._fold(target, scope)
-        self._fold(node.value, scope)
-        value = binop_value(type(node.op), self._int(target, scope), self._int(node.value, scope))
-        scope.vars[target.id] = _OTHER if value is None else value
+        name = node.target.id
+        held = scope.vars.get(name)  # read before the value is evaluated
+        value = binop_value(type(node.op), held, self._eval(node.value, scope))
+        scope.vars[name] = _OTHER if value is None else value
 
     def _bind(
         self, node: ast.stmt, targets: list[ast.expr], value: ast.expr, scope: _Scope
     ) -> None:
         """Assign `value` to `targets`, left to right after `value` is evaluated."""
         self.stmts += 1
-        self._fold(value, scope)
         pairs = tuple_assign_pairs(targets, value)
         if pairs is not None:
-            # The whole right side evaluates before any name is rebound.
-            held = [self._value(v, scope) for _, v in pairs]
-            for (name, _), v in zip(pairs, held):
+            # The whole right side evaluates before any name is rebound; its
+            # elements are read one by one, so no circuit escapes into a tuple.
+            values = [self._eval(v, scope) for _, v in pairs]
+            for (name, _), v in zip(pairs, values):
+                v = v if type(v) is int else _binding(v)  # a name holds no bits or tuples
                 scope.vars[name] = v
                 self._name_decls(v, name)
             self._forget_rebound(scope)
             return
-        known = self._int(value, scope)
-        binding = _OTHER if known is not None else self._eval(value, scope)
+        got = self._eval(value, scope)
+        known = got if type(got) is int else None
+        binding = _binding(got)
         vars = scope.vars
         # Every target's integer is bound before any target is evaluated.
         for target in targets:
@@ -279,7 +273,6 @@ class _Extractor:
                 vars[target.id] = bound
                 self._name_decls(bound, target.id)
                 continue
-            self._fold(target, scope)
             self._eval(target, scope)
             if binding.kind == "circuit" and form(target) in (ast.Attribute, ast.Subscript):
                 # Stored into an object or container the analysis does not track.
@@ -299,15 +292,13 @@ class _Extractor:
 
     def _expr(self, node: ast.Expr, scope: _Scope) -> None:
         self.stmts += 1
-        self._fold(node.value, scope)
         self._eval(node.value, scope, bare=True)
 
     def _return(self, node: ast.Return, scope: _Scope) -> None:
         self.stmts += 1
         if node.value is None:
             return
-        self._fold(node.value, scope)
-        binding = self._eval(node.value, scope)
+        binding = _binding(self._eval(node.value, scope))
         if scope.func_info is not None and binding.kind == "circuit":
             scope.func_info.returns_circuit = True
             for cid in binding.ids:
@@ -318,12 +309,10 @@ class _Extractor:
         if range_args is None:
             self._opaque(node, scope)
             return
-        for arg in range_args:
-            self._fold(arg, scope)
-        values = range_values([self._int(a, scope) for a in range_args], self.max_unroll)
+        values = range_values([self._eval(a, scope) for a in range_args], self.max_unroll)
         body = node.body
         if values is None or _has_loop_escape(body) or not self._budget(len(values), body):
-            self._kept_loop(node, range_args, scope)
+            self._kept_loop(node, scope)
             return
         var = node.target.id
         self.expanding += 1
@@ -342,11 +331,9 @@ class _Extractor:
         self.unrolled += more
         return True
 
-    def _kept_loop(self, node: ast.For, range_args: list[ast.expr], scope: _Scope) -> None:
+    def _kept_loop(self, node: ast.For, scope: _Scope) -> None:
         """Walk the body once under a back edge; its bindings stay, its integers do not."""
         self.stmts += 1
-        for arg in range_args:
-            self._eval(arg, scope)
         # The body may run any number of times: whatever integer it binds is
         # unknown inside it and after it.
         assigned = _assigned_names(node.body, self.if_depth) | {node.target.id}
@@ -368,7 +355,6 @@ class _Extractor:
             self._opaque(node, scope)
             return
         self.stmts += 1
-        self._fold(node.test, scope)
         self._eval(node.test, scope)
         cfg, entry, saved = self.cfg, self._block, dict(scope.vars)
         self.if_depth += 1
@@ -463,82 +449,56 @@ class _Extractor:
         if self.rebound_names:
             self._forget(self.rebound_names & scope.vars.keys(), scope)
 
-    def _int(self, expr: ast.expr, scope: _Scope) -> int | None:
-        """The integer value of `expr` under the scope's names, or None.
-
-        Where a walrus or a `global` may rebind names, a name has the value
-        `_fold` recorded for it when its statement was evaluated.
-        """
-        cls = type(expr)
-        if cls is ast.Constant:
-            return int_value(expr)
-        if cls is ast.Name:
-            folded = self.folded
-            value = scope.vars.get(expr.id) if folded is None else folded.get(expr)
-            return value if type(value) is int else None
-        if cls is ast.BinOp:
-            left = self._int(expr.left, scope)
-            return binop_value(type(expr.op), left, self._int(expr.right, scope))
-        if cls is ast.UnaryOp and type(expr.op) is ast.USub:
-            value = self._int(expr.operand, scope)
-            return None if value is None else -value
-        return None
-
-    def _fold(self, expr: ast.expr, scope: _Scope) -> None:
-        """Record for `_int` what each name in `expr` holds when evaluation reaches it.
-
-        Operands are evaluated before the node that uses them: call
-        arguments first, then `*` values, then keyword values, then the
-        callee. A name a walrus or a `global` may rebind loses its integer
-        after every call and opaque expression. Elsewhere it does nothing.
-        """
-        if self.folded is None:
-            return
-        f = form(expr)
-        if f is ast.Name:
-            self.folded[expr] = scope.vars.get(expr.id)
-        elif f is ast.Call:
-            for arg in arguments(expr):
-                self._fold(arg, scope)
-            self._fold(expr.func, scope)
-            self._forget_rebound(scope)
-        elif f is None:
-            self._forget_rebound(scope)  # an opaque expression may hold a walrus
-        else:
-            for child in children(expr):
-                self._fold(child, scope)
-
-    def _value(self, expr: ast.expr, scope: _Scope) -> _Value:
-        """What a name assigned `expr` holds."""
-        known = self._int(expr, scope)
-        return self._eval(expr, scope) if known is None else known
-
     # --- expression evaluation ---
 
-    def _eval(self, expr: ast.expr, scope: _Scope, bare: bool = False) -> _Binding:
+    def _eval(self, expr: ast.expr, scope: _Scope, bare: bool = False) -> _Eval:
+        """Evaluate `expr` once, its sub-expressions in Python's order.
+
+        The value is a known integer, a binding, the `QubitRef` of
+        `name[k]` where the name holds a register and `k` is known, or the
+        tuple of a display's element values. A name a walrus or a `global`
+        may rebind loses its integer after every call and opaque expression.
+        """
+        cls = type(expr)
+        if cls is ast.Name:
+            return scope.vars.get(expr.id, _OTHER)
+        if cls is ast.Constant and type(expr.value) is int:
+            return expr.value
+        if cls is ast.Call:
+            got = self._call(expr, scope, bare)
+            if self.rebound_names:
+                self._forget_rebound(scope)
+            return got
         f = form(expr)
-        if f is ast.Name:
-            return _binding(scope.vars.get(expr.id, _OTHER))
-        if f is ast.Call:
-            return self._call(expr, scope, bare)
+        if f is ast.BinOp:
+            left = self._eval(expr.left, scope)
+            value = binop_value(type(expr.op), left, self._eval(expr.right, scope))
+            return _OTHER if value is None else value
+        if f is ast.UnaryOp:  # `-x`
+            value = self._eval(expr.operand, scope)
+            return -value if type(value) is int else _OTHER
         if f is ast.Attribute:
             self._eval(expr.value, scope)
             return _OTHER
         if f is ast.Subscript:
-            self._eval(expr.value, scope)
-            self._eval(expr.slice, scope)
+            held = self._eval(expr.value, scope)
+            index = self._eval(expr.slice, scope)
+            if type(index) is int and type(held) is _Binding and held.kind == "register":
+                return tuple.__new__(QubitRef, (held.ids[0], index))
             return _OTHER
         if f is ast.Tuple:
-            escaped: set[str] = set()
-            for element in expr.elts:
-                escaped.update(_circuits(self._eval(element, scope)))
+            values = tuple([self._eval(element, scope) for element in expr.elts])
+            escaped = {cid for value in values for cid in _circuits(value)}
             if escaped:
                 # A circuit stored in a container can be mutated through
                 # aliases this analysis does not track.
                 cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
                 self._emit_unknown(sorted(escaped), cause, self.span(expr))
-        elif f is None:
+            return values
+        if f is None:
             self._touch(names(expr), scope, expr)
+            if self.rebound_names:
+                self._forget_rebound(scope)  # it may hold a walrus
         return _OTHER
 
     def _call(self, call: ast.Call, scope: _Scope, bare: bool = False) -> _Binding:
@@ -546,6 +506,8 @@ class _Extractor:
         if type(callee) is ast.Attribute:
             value, method = callee.value, callee.attr
             receiver = self._eval(value, scope)
+            if type(receiver) is not _Binding:
+                receiver = _OTHER
             if receiver.kind == "circuit":
                 return self._circuit_method(receiver, method, call, scope, bare)
             if receiver.kind == "instruction" and method == "c_if":
@@ -585,22 +547,23 @@ class _Extractor:
 
     def _register_constructor(self, kind: str, call: ast.Call, scope: _Scope) -> _Binding:
         args = positional_args(call)
-        for arg in args:
-            self._eval(arg, scope)
-        size = self._register_size(self._int(args[0], scope), call) if args else None
+        values, _ = self._eval_args(call, scope)
+        size = self._register_size(values[0], call) if values else None
         label = args[1] if len(args) >= 2 else None
         name = label.value if type(label) is ast.Constant and type(label.value) is str else None
         decl = RegisterDecl(self._new_id("r"), kind, size, self.span(call), name=name)
         self.ir.registers[decl.id] = decl
         return _Binding("register", (decl.id,))
 
-    def _register_size(self, size: int | None, node: ast.expr) -> int | None:
-        """A register size; a negative one, or one above MAX_REGISTER_SIZE, is
-        reported at `node` and made unknown."""
-        if size is not None and size < 0:
+    def _register_size(self, size: _Eval, node: ast.expr) -> int | None:
+        """A register size, if `size` is a known integer; a negative one, or
+        one above MAX_REGISTER_SIZE, is reported at `node` and made unknown."""
+        if type(size) is not int:
+            return None
+        if size < 0:
             self._diagnostic("register declared with negative size", node)
             return None
-        if size is not None and size > MAX_REGISTER_SIZE:
+        if size > MAX_REGISTER_SIZE:
             message = f"register size {size} is above {MAX_REGISTER_SIZE}; treated as unknown"
             self._diagnostic(message, node)
             return None
@@ -638,16 +601,18 @@ class _Extractor:
         span = self.span(call)
         decl = self._new_circuit(CircuitKind.CONSTRUCTOR, span)
         implicit_seen = 0
+        # Each size argument's register is made before the next argument is
+        # evaluated, so an inline register is numbered after the sizes before it.
         for arg in positional_args(call):
-            binding = self._eval(arg, scope)
-            if binding.kind == "register":
-                self._associate(decl, self.ir.registers[binding.ids[0]])
+            value = self._eval(arg, scope)
+            if type(value) is _Binding and value.kind == "register":
+                self._associate(decl, self.ir.registers[value.ids[0]])
                 continue
             # A size, known or not: the first is the quantum register's, the
             # second the classical one's.
             kind = "quantum" if implicit_seen == 0 else "classical"
             implicit_seen += 1
-            size = self._register_size(self._int(arg, scope), arg)
+            size = self._register_size(value, arg)
             self._associate(decl, self._implicit_register(kind, size, span))
         for value in keyword_values(call):
             self._eval(value, scope)
@@ -661,12 +626,11 @@ class _Extractor:
         target.num_clbits = source.num_clbits
 
     def _transpile(self, call: ast.Call, scope: _Scope) -> _Binding:
-        bindings = self._eval_args(call, scope)
-        sources = [b.ids[0] for b in bindings if b.kind == "circuit" and len(b.ids) == 1]
+        values, keywords = self._eval_args(call, scope)
+        sources = [v.ids[0] for v in values if len(_circuits(v)) == 1]
         decl = self._new_circuit(CircuitKind.TRANSPILED, self.span(call))
-        for kw in call.keywords:
-            if kw.arg == "optimization_level":
-                decl.transpile_opt_level = self._int(kw.value, scope)
+        level = keywords.get("optimization_level")
+        decl.transpile_opt_level = level if type(level) is int else None
         if sources:
             self._inherit_layout(decl, self.ir.circuits[sources[0]])
         return _Binding("circuit", (decl.id,))
@@ -691,12 +655,18 @@ class _Extractor:
             self._emit_unknown(circuit_args, cause, self.span(call))
         return _OTHER
 
-    def _eval_args(self, call: ast.Call, scope: _Scope) -> list[_Binding]:
-        """Evaluate positional, then keyword arguments; return the positional bindings."""
-        bindings = [self._eval(arg, scope) for arg in positional_args(call)]
-        for value in keyword_values(call):
-            self._eval(value, scope)
-        return bindings
+    def _eval_args(
+        self, call: ast.Call, scope: _Scope
+    ) -> tuple[list[_Eval], dict[str | None, _Eval]]:
+        """Evaluate each of `arguments(call)` once, in order; return the
+        positional values, and the keyword values by name."""
+        values = [self._eval(arg, scope) for arg in positional_args(call)]
+        if not call.keywords and len(values) == len(call.args):
+            return values, {}
+        for arg in call.args:
+            if type(arg) is ast.Starred:
+                self._eval(arg.value, scope)
+        return values, {kw.arg: self._eval(kw.value, scope) for kw in call.keywords}
 
     def _circuit_args(self, call: ast.Call, scope: _Scope) -> list[str]:
         """Circuits a call receives: as args, in one-level containers, or named in an
@@ -737,15 +707,17 @@ class _Extractor:
         if method == "compose":
             return self._compose(circuit, call, scope, bare)
         if method == "add_register":
-            for arg in positional_args(call):
-                binding = self._eval(arg, scope)
-                if binding.kind == "register":
-                    self._associate(circuit, self.ir.registers[binding.ids[0]])
+            values, _ = self._eval_args(call, scope)
+            for value in values:
+                if type(value) is _Binding and value.kind == "register":
+                    self._associate(circuit, self.ir.registers[value.ids[0]])
             return _OTHER
         if method in ("to_gate", "to_instruction"):
+            self._eval_args(call, scope)
             circuit.subcircuit_flags.add("to_gate_or_instruction")
             return _Binding("circuit_gate", (circuit.id,))
         if method == "copy":
+            self._eval_args(call, scope)
             decl = self._new_circuit(CircuitKind.COPY, self.span(call))
             self._inherit_layout(decl, circuit)
             return _Binding("circuit", (decl.id,))
@@ -761,18 +733,15 @@ class _Extractor:
     def _table_method(
         self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, scope: _Scope
     ) -> _Binding:
-        # Operands are resolved below; evaluate only arguments that may have effects.
-        for arg in arguments(call):
-            if not _is_inert(arg):
-                self._eval(arg, scope)
+        values, _ = self._eval_args(call, scope)
         if spec.category in ("reversible_gate", "reset"):
-            return self._gate_event(circuit, spec, call, scope)
+            return self._gate_event(circuit, spec, call, values)
         if spec.category == "measurement":
-            return self._measure_event(circuit, call, scope)
+            return self._measure_event(circuit, call, values)
         if spec.category == "measure_all":
             return self._measure_all_event(circuit, call)
         if spec.category == "initialize":
-            return self._initialize_event(circuit, call, scope)
+            return self._initialize_event(circuit, call, values)
         if spec.category == "barrier":
             event = self._emit(EventKind.BARRIER, circuit.id, self.span(call), gate_name="barrier")
             return _Binding("instruction", (circuit.id,), event)
@@ -788,7 +757,7 @@ class _Extractor:
         return _Binding("instruction", (circuit.id,), event)
 
     def _gate_event(
-        self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, scope: _Scope
+        self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, values: list[_Eval]
     ) -> _Binding:
         span, args = self.span(call), call.args
         if has_star_args(call) or not spec.qubit_args:
@@ -797,7 +766,7 @@ class _Extractor:
         for pos in spec.qubit_args:
             if pos >= len(args):
                 return self._unresolved_event(circuit, span, spec.method_name)
-            ref = self._resolve_single_bit(args[pos], circuit, scope, classical=False)
+            ref = self._bit(values[pos], args[pos], circuit, classical=False)
             if not ref.is_resolved:
                 return self._unresolved_event(circuit, span, spec.method_name)
             refs.append(ref)
@@ -805,14 +774,16 @@ class _Extractor:
         event = self._emit(kind, circuit.id, span, gate_name=spec.method_name, qubits=refs)
         return _Binding("instruction", (circuit.id,), event)
 
-    def _measure_event(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
+    def _measure_event(
+        self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
+    ) -> _Binding:
         span, args = self.span(call), call.args
         if has_star_args(call) or len(args) < 1:
             return self._unresolved_event(circuit, span, "measure")
-        qubits = self._resolve_bit_group(args[0], circuit, scope, classical=False)
+        qubits = self._bits(values[0], args[0], circuit, classical=False)
         clbits = None
         if len(args) >= 2:
-            clbits = self._resolve_bit_group(args[1], circuit, scope, classical=True)
+            clbits = self._bits(values[1], args[1], circuit, classical=True)
         if qubits is None:
             return self._unresolved_event(circuit, span, "measure")
         if clbits is not None and len(clbits) != len(qubits):
@@ -848,11 +819,12 @@ class _Extractor:
             operands.extend(QubitRef(reg_id, i) for i in range(size))
         return operands
 
-    def _initialize_event(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope) -> _Binding:
+    def _initialize_event(
+        self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
+    ) -> _Binding:
         operands: list[QubitRef] = []
-        args = positional_args(call)
-        if len(args) >= 2:
-            group = self._resolve_bit_group(args[1], circuit, scope, classical=False)
+        if len(values) >= 2:
+            group = self._bits(values[1], positional_args(call)[1], circuit, classical=False)
             if group is not None and all(r.is_resolved for r in group):
                 operands = group
         else:
@@ -864,52 +836,43 @@ class _Extractor:
 
     # --- operand resolution ---
 
-    def _resolve_bit_group(
-        self, expr: ast.expr, circuit: CircuitDecl, scope: _Scope, classical: bool
+    def _bits(
+        self, value: _Eval, expr: ast.expr, circuit: CircuitDecl, classical: bool
     ) -> list[QubitRef] | None:
-        if form(expr) is ast.Tuple:
-            return [self._resolve_single_bit(e, circuit, scope, classical) for e in expr.elts]
-        if type(expr) is ast.Name:
-            # A whole register expands into one reference per slot.
-            reg = self._register_of_name(expr, scope, classical)
-            if reg is not None:
+        """The operands `expr`, of value `value`, names: one per element of a
+        display, one per slot of a register name, else one; None for a
+        register of unknown size."""
+        if type(value) is tuple:
+            return [self._bit(v, e, circuit, classical) for v, e in zip(value, expr.elts)]
+        if type(expr) is ast.Name and type(value) is _Binding and value.kind == "register":
+            reg = self.ir.registers[value.ids[0]]
+            if reg.kind == ("classical" if classical else "quantum"):
                 if reg.size is None:
                     return None
                 return [QubitRef(reg.id, i) for i in range(reg.size)]
-        return [self._resolve_single_bit(expr, circuit, scope, classical)]
+        return [self._bit(value, expr, circuit, classical)]
 
-    def _register_of_name(
-        self, name: ast.Name, scope: _Scope, classical: bool
-    ) -> RegisterDecl | None:
-        binding = _binding(scope.vars.get(name.id, _OTHER))
-        if binding.kind != "register":
-            return None
-        reg = self.ir.registers[binding.ids[0]]
-        wanted = "classical" if classical else "quantum"
-        return reg if reg.kind == wanted else None
-
-    def _resolve_single_bit(
-        self, expr: ast.expr, circuit: CircuitDecl, scope: _Scope, classical: bool
-    ) -> QubitRef:
-        if form(expr) is ast.Subscript and type(value := expr.value) is ast.Name:
-            reg = self._register_of_name(value, scope, classical)
-            if reg is None:
+    def _bit(self, value: _Eval, expr: ast.expr, circuit: CircuitDecl, classical: bool) -> QubitRef:
+        """The one operand `expr`, of value `value`, names: a register slot, or
+        a known index into the circuit's only register of its kind."""
+        if type(value) is QubitRef:
+            reg = self.ir.registers[value.register]
+            if reg.kind != ("classical" if classical else "quantum"):
                 return UNRESOLVED_BIT
-            index = self._int(expr.slice, scope)
-            if index is None:
-                return UNRESOLVED_BIT
-            return self._checked_ref(reg, index, circuit, expr)
-        index = self._int(expr, scope)
-        if index is not None:
+            return self._checked_ref(reg, value, circuit, expr)
+        if type(value) is int:
             registers = circuit.classical_registers if classical else circuit.quantum_registers
             if len(registers) == 1:
                 reg = self.ir.registers[registers[0]]
-                return self._checked_ref(reg, index, circuit, expr)
+                ref = tuple.__new__(QubitRef, (reg.id, value))
+                return self._checked_ref(reg, ref, circuit, expr)
         return UNRESOLVED_BIT
 
     def _checked_ref(
-        self, reg: RegisterDecl, index: int, circuit: CircuitDecl, node: ast.expr
+        self, reg: RegisterDecl, ref: QubitRef, circuit: CircuitDecl, node: ast.expr
     ) -> QubitRef:
+        """`ref`, a slot of `reg`; unresolved, and reported, when out of range."""
+        index = ref.index
         if index < 0:
             self._diagnostic(f"negative index {index} into register {reg.display_name()}", node)
             return UNRESOLVED_BIT
@@ -920,7 +883,7 @@ class _Extractor:
         if reg.id not in circuit.quantum_registers and reg.id not in circuit.classical_registers:
             message = f"register {reg.display_name()} is not associated with the circuit"
             self._diagnostic(message, node)
-        return QubitRef(reg.id, index)
+        return ref
 
     # --- composition ---
 
@@ -940,9 +903,10 @@ class _Extractor:
         self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, how: str
     ) -> None:
         """Evaluate the arguments; link the circuits the first one holds as children."""
-        bindings = self._eval_args(call, scope)
-        if bindings and bindings[0].kind in ("circuit", "circuit_gate"):
-            for child in bindings[0].ids:
+        values, _ = self._eval_args(call, scope)
+        first = _binding(values[0]) if values else _OTHER
+        if first.kind in ("circuit", "circuit_gate"):
+            for child in first.ids:
                 if child != circuit.id:
                     self.ir.edges.append(CompositionEdge(circuit.id, child, how, self.span(call)))
 
@@ -978,18 +942,19 @@ _INT_OPS = {ast.Add: int.__add__, ast.Sub: int.__sub__, ast.Mult: int.__mul__,
             ast.FloorDiv: int.__floordiv__}
 
 
-def binop_value(op: type[ast.operator], a: int | None, b: int | None) -> int | None:
-    """`a op b` for +, -, * and //; None for another operator, an unknown operand or `// 0`."""
+def binop_value(op: type[ast.operator], a: object, b: object) -> int | None:
+    """`a op b` for +, -, * and //; None for another operator, an operand
+    that is not an `int` (such as None, unknown), or `// 0`."""
     fn = _INT_OPS.get(op)
-    if fn is None or a is None or b is None or (b == 0 and op is ast.FloorDiv):
+    if fn is None or type(a) is not int or type(b) is not int or (b == 0 and op is ast.FloorDiv):
         return None
     return fn(a, b)
 
 
-def range_values(args: list[int | None], limit: int) -> range | None:
-    """The values of range(*args), or None when an argument is unknown, the
-    call would raise, or the range is longer than `limit`."""
-    if None in args:
+def range_values(args: list[object], limit: int) -> range | None:
+    """The values of range(*args), or None when an argument is not an `int`
+    (such as None, unknown), the call would raise, or the range is longer than `limit`."""
+    if any(type(a) is not int for a in args):
         return None
     try:
         rng = range(*args)

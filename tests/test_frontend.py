@@ -89,10 +89,13 @@ _LEAVES = ("0", "1", "2", "3", "(-1)", "(-2)", "(-3)", *_NAMES, *_NAMES, "True",
 
 @st.composite
 def _fold_programs(draw) -> str:
-    """Straight-line or if/else code over a, b and w that ends in `use(expr)`."""
+    """Straight-line or if/else code over a, b and w that ends in `use(expr)`.
+
+    `use` calls also nest inside arithmetic, walrus values and assignments.
+    """
 
     def expr(depth: int) -> str:
-        kind = draw(st.integers(0, 9)) if depth else 9
+        kind = draw(st.integers(0, 10)) if depth else 10
         if kind < 5:
             op = draw(st.sampled_from(["+", "-", "*", "//"]))
             return f"({expr(depth - 1)} {op} {expr(depth - 1)})"
@@ -100,6 +103,8 @@ def _fold_programs(draw) -> str:
             return f"(-{expr(depth - 1)})"
         if kind == 6:
             return f"(w := {expr(depth - 1)})"
+        if kind == 7:
+            return f"use({expr(depth - 1)})"
         return draw(st.sampled_from(_LEAVES))
 
     def simple(indent: str) -> str:
@@ -118,6 +123,26 @@ def _fold_programs(draw) -> str:
         orelse = [simple("    ") for _ in range(draw(st.integers(0, 3)))]
         lines += ["else:\n", *orelse] if orelse else []
     return "".join(lines) + f"use({expr(2)})\n"
+
+
+def _last_uses(source: str) -> dict[int, ast.expr]:
+    """The argument of the `use` call that completes last on each line.
+
+    A post-order walk visits calls in the order Python completes them; it
+    does not enter an expression outside the subset, which the extractor
+    does not evaluate either.
+    """
+    out = {}
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.expr) or form(child) is not None:
+                visit(child)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "use":
+            out[node.lineno] = node.args[0]
+
+    visit(ast.parse(source))
+    return out
 
 
 def _cannot_fold(expr: ast.expr) -> bool:
@@ -351,10 +376,7 @@ class TestConstants:
         """A known `use` argument is the value the program passes, whichever
         branches run; an operand that cannot fold keeps its expression from
         folding."""
-        arguments = {
-            n.lineno: n.value.args[0] for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Expr)
-        }
+        arguments = _last_uses(source)
         used = dict(_used(source))
         assert used.keys() == arguments.keys()
         for line, argument in arguments.items():

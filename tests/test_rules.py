@@ -30,6 +30,8 @@ _ESCAPES = {
     "boolop": "(flag and {e})",
     "walrus": "(w := {e})",
     "await": "(await {e})",
+    "call_in_sum": "(f({e}) + 1)",
+    "negated_call": "(-f({e}))",
 }
 
 
@@ -264,7 +266,25 @@ class TestOversizedCircuit:
         source = "qc = QuantumCircuit(4)\nqc.initialize(vec)\nqc.h(0)\n"
         assert _lines_of(source, "oversized-circuit") == []
 
-    @pytest.mark.parametrize("call", ["helper(qc)", "helper(*[qc])", 'helper(**{"c": qc})'])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "helper(qc)",
+            "helper(*[qc])",
+            'helper(**{"c": qc})',
+            "x = helper(qc) + 1",
+            "x = -helper(qc)",
+            "n = 0\nn += helper(qc)",
+            "helper(qc) * 2",
+            "if helper(qc) + 1:\n    pass",
+            "for i in range(helper(qc) + 1):\n    pass",
+            "qc.rx(helper(qc) * 2, 0)",
+            "c = qc.copy(name=helper(qc))",
+            "g = qc.to_gate(label=helper(qc))",
+            "r = QuantumRegister(2, name=helper(qc))",
+            "qc.add_register(QuantumRegister(1), x=helper(qc))",
+        ],
+    )
     def test_circuit_passed_to_unknown_code_is_excluded(self, call):
         # However qc is passed, helper() may use the qubits qc.h() leaves alone.
         source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{call}\n"
