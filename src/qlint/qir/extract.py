@@ -680,6 +680,8 @@ class _Extractor:
             for element in elements:
                 if form(element) is None:
                     named += names(element)
+                    if self.rebound_names:
+                        self._forget_rebound(scope)  # it may hold a walrus
                     continue
                 found.update(_circuits(self._eval(element, scope)))
         for name in named:

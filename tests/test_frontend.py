@@ -43,15 +43,24 @@ def _used(source: str) -> list[tuple[int, int | None]]:
     Each `use(e)` is read as a gate on qubit `e` of a 10,000-qubit circuit
     declared on an extra first line, so the integer the walk knows for `e`
     is the gate's operand, or is named by the diagnostic of a negative or
-    out-of-range index; None where it is unknown.
+    out-of-range index; None where it is unknown. That diagnostic is
+    reported just before the gate's unresolved event, so it is kept by the
+    number of events emitted before it.
     """
     probe = "qp = QuantumCircuit(10000)\n" + source.replace("use(", "qp.h(")
-    ir = _ir(probe)
-    told = {d.span.anchor(): int(_INDEX.search(d.message).group(1)) for d in ir.diagnostics}
+    told: dict[int, int] = {}
+    report = extract_module._Extractor._diagnostic
+
+    def diagnostic(self, message, node):
+        told[len(self.ir.events)] = int(_INDEX.search(message).group(1))
+        report(self, message, node)
+
+    with mock.patch.object(extract_module._Extractor, "_diagnostic", diagnostic):
+        ir = _ir(probe)
     out = []
-    for event in ir.events:
+    for i, event in enumerate(ir.events):
         if event.gate_name == "h":
-            value = event.qubits[0].index if event.qubits else told.get(event.span.anchor())
+            value = event.qubits[0].index if event.qubits else told.get(i)
             out.append((event.span.line - 1, value))
     return out
 
@@ -95,7 +104,7 @@ def _fold_programs(draw) -> str:
     """
 
     def expr(depth: int) -> str:
-        kind = draw(st.integers(0, 10)) if depth else 10
+        kind = draw(st.integers(0, 11)) if depth else 11
         if kind < 5:
             op = draw(st.sampled_from(["+", "-", "*", "//"]))
             return f"({expr(depth - 1)} {op} {expr(depth - 1)})"
@@ -105,6 +114,8 @@ def _fold_programs(draw) -> str:
             return f"(w := {expr(depth - 1)})"
         if kind == 7:
             return f"use({expr(depth - 1)})"
+        if kind == 8:  # a walrus in an earlier argument of an unknown callee
+            return f"max((w := {expr(depth - 1)}), use(w))"
         return draw(st.sampled_from(_LEAVES))
 
     def simple(indent: str) -> str:
@@ -329,6 +340,10 @@ class TestConstants:
         ir = _ir("n = 3\ndef f(n):\n    QuantumRegister(n)\nQuantumRegister(n)\n")
         assert [r.size for r in ir.registers.values()] == [None, 3]
 
+    def test_probe_reads_negative_and_out_of_range_integers(self):
+        source = "use(-1)\nuse(20000)\nfor i in range(3):\n    use(i - 1)\nuse(n)\n"
+        assert _used(source) == [(1, -1), (2, 20000), (4, -1), (4, 0), (4, 1), (5, None)]
+
     def test_soundness_against_concrete_execution(self):
         # Wherever the walk knows a value v, running the program must
         # observe exactly v at the same use site.
@@ -344,6 +359,8 @@ class TestConstants:
             "x = 0\ndef f():\n    global x\n    x = 5\nf()\nuse(x)\n",
             "x = 0\ndef f(a=(x := 5)):\n    pass\nuse(x)\n",
             "x = 0\nb = [0]\nb[(x := 5) - 5] = 1\nuse(x)\n",
+            "a = -4\nuse(a + 1)\nuse(a // 3)\nuse(-a % -3)\n",
+            "w = 0\nmax((w := 2), use(w))\n",
         ]
         for source in snippets:
             observed = capture_values(source)

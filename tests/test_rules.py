@@ -293,6 +293,22 @@ class TestOversizedCircuit:
     @pytest.mark.parametrize(
         "call",
         [
+            "helper((w := 2), qc.h(w))",
+            "helper([(w := 2)], qc.h(w))",
+            "helper(((w := 2), 0), qc.h(w))",
+            "helper(k=(w := 2), j=qc.h(w))",
+            "def helper(*a):\n    pass\nhelper((w := 2), qc.h(w))",
+        ],
+    )
+    def test_walrus_in_call_argument_rebinds_later_arguments(self, call):
+        # Python runs qc.h(2), not qc.h(0): the walrus in an earlier argument
+        # of an unknown or local function rebinds w, so qubit 2 is used.
+        source = f"qc = QuantumCircuit(3)\nqc.h(0)\nqc.h(1)\nw = 0\n{call}\n"
+        assert _lines_of(source, "oversized-circuit") == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
             'helper({"c": qc})',
             "helper(lambda: qc)",
             "helper(qc if f else None)",
