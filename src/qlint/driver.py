@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import gc
 import re
-# Unused; kept because bench/tracing.py subclasses qlint.driver.ThreadPoolExecutor.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 from typing import NamedTuple
 
@@ -17,9 +15,23 @@ from .qir import DEFAULT_MAX_UNROLL, GateTable, QuantumIR, extract, load_gate_ta
 from .report import Report, SkippedFile, build_report
 
 
+def __getattr__(name: str):
+    """Import `ThreadPoolExecutor` on first access (PEP 562), not in `import qlint`.
+
+    The analysis does not use it; bench/tracing.py subclasses it and then
+    reads it back from the module's namespace, where it is stored.
+    """
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        globals()[name] = ThreadPoolExecutor
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def propagate_constants(tree: ModuleAst) -> None:
-    """Unused, and does nothing; kept, like `ThreadPoolExecutor` above and the
-    two names below, because bench/tracing.py wraps them. `extract` unrolls
+    """Unused, and does nothing; kept, like `ThreadPoolExecutor` and the two
+    names below, only because bench/tracing.py wraps them. `extract` unrolls
     loops, folds constants and builds the CFG in its one walk."""
 
 

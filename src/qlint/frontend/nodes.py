@@ -94,7 +94,7 @@ def form(node: ast.expr) -> type[ast.expr] | None:
     unary operator other than `-`; a constant other than an int, float,
     str, bool or None (complex, bytes, `...`); and every other class. In a
     call, a `*` value is read as an argument of its own (see
-    `keyword_values`); anywhere else an `ast.Starred` is opaque.
+    `arguments`); anywhere else an `ast.Starred` is opaque.
     """
     cls = type(node)
     got = _ALWAYS.get(cls)
@@ -122,7 +122,8 @@ def positional_args(call: ast.Call) -> list[ast.expr]:
 def keyword_values(call: ast.Call) -> list[ast.expr]:
     """The `*` values of `call`, then its keyword and `**` values.
 
-    Stages evaluate them in this order, after `positional_args`.
+    This is the order of the former `Call.keywords` list, not Python's
+    evaluation order, which `arguments` gives.
     """
     values = [a.value for a in call.args if type(a) is ast.Starred]
     values += [k.value for k in call.keywords]
@@ -130,9 +131,14 @@ def keyword_values(call: ast.Call) -> list[ast.expr]:
 
 
 def arguments(call: ast.Call) -> list[ast.expr]:
-    """`positional_args`, then `keyword_values`: every argument value, in evaluation order."""
+    """Every argument value of `call`, in Python's evaluation order.
+
+    That is `call.args` in source order, each `*` value in its place, then
+    the keyword and `**` values.
+    """
     if call.keywords or ast.Starred in map(type, call.args):
-        return [*positional_args(call), *keyword_values(call)]
+        values = [a.value if type(a) is ast.Starred else a for a in call.args]
+        return values + [k.value for k in call.keywords]
     return call.args
 
 

@@ -34,7 +34,6 @@ from ..frontend.nodes import (
     children,
     form,
     has_star_args,
-    keyword_values,
     names,
     positional_args,
     tuple_assign_pairs,
@@ -603,7 +602,10 @@ class _Extractor:
         implicit_seen = 0
         # Each size argument's register is made before the next argument is
         # evaluated, so an inline register is numbered after the sizes before it.
-        for arg in positional_args(call):
+        for arg in call.args:
+            if type(arg) is ast.Starred:
+                self._eval(arg.value, scope)
+                continue
             value = self._eval(arg, scope)
             if type(value) is _Binding and value.kind == "register":
                 self._associate(decl, self.ir.registers[value.ids[0]])
@@ -614,8 +616,8 @@ class _Extractor:
             implicit_seen += 1
             size = self._register_size(value, arg)
             self._associate(decl, self._implicit_register(kind, size, span))
-        for value in keyword_values(call):
-            self._eval(value, scope)
+        for kw in call.keywords:
+            self._eval(kw.value, scope)
         self._recompute_counts(decl)
         return _Binding("circuit", (decl.id,))
 
@@ -659,13 +661,15 @@ class _Extractor:
         self, call: ast.Call, scope: _Scope
     ) -> tuple[list[_Eval], dict[str | None, _Eval]]:
         """Evaluate each of `arguments(call)` once, in order; return the
-        positional values, and the keyword values by name."""
-        values = [self._eval(arg, scope) for arg in positional_args(call)]
-        if not call.keywords and len(values) == len(call.args):
-            return values, {}
+        positional values without the `*` ones, and the keyword values by name."""
+        values = []
         for arg in call.args:
             if type(arg) is ast.Starred:
                 self._eval(arg.value, scope)
+            else:
+                values.append(self._eval(arg, scope))
+        if not call.keywords:
+            return values, {}
         return values, {kw.arg: self._eval(kw.value, scope) for kw in call.keywords}
 
     def _circuit_args(self, call: ast.Call, scope: _Scope) -> list[str]:

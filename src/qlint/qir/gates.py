@@ -6,8 +6,8 @@ extended or overridden without touching code.
 
 from __future__ import annotations
 
+import os
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,5 +96,8 @@ def load_gate_table(path: str | Path | None = None) -> GateTable:
 
 @cache
 def _bundled_gate_table() -> GateTable:
-    text = resources.files("qlint.qir").joinpath("gate_table.txt").read_text("utf-8")
+    # Read through the package's loader, as `pkgutil.get_data` does, so that a
+    # zipped package works too; `importlib.resources` costs more to import.
+    path = os.path.join(os.path.dirname(__file__), "gate_table.txt")
+    text = __spec__.loader.get_data(path).decode("utf-8")
     return parse_gate_table(text, "bundled gate table")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .analyses import RULE_IDS, RULES, Warning
@@ -117,8 +115,11 @@ def _format_json(report: Report) -> bytes:
 
     `json.dumps` drops to its pure-Python encoder whenever `indent` is set, so
     the fixed shape is filled in directly, with strings escaped by the C
-    function `encode_basestring_ascii`.
+    function `encode_basestring_ascii`. `json` is imported here, on first
+    use, so that `import qlint` does not load it.
     """
+    from json.encoder import encode_basestring_ascii as _quote
+
     files = ["    " + _quote(f) for f in report.files_analyzed]
     skipped = [
         _JSON_SKIPPED.format(_quote(s.file), s.line, _quote(s.message))
@@ -140,6 +141,8 @@ def _format_json(report: Report) -> bytes:
 
 
 def _format_sarif(report: Report) -> bytes:
+    import json
+
     results = [
         {
             "ruleId": w.rule,

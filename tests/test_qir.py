@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 import time
+import zipfile
+from pathlib import Path
 
 import pytest
 from conftest import pipeline, sample_source, warnings_for
@@ -611,6 +615,31 @@ class TestGateTable:
 
     def test_bundled_table_parsed_once_per_process(self):
         assert load_gate_table() is load_gate_table()
+
+    def test_bundled_table_loads_from_a_zipped_package(self, tmp_path):
+        # The table is read through the package's loader, so zipimport works.
+        package = Path(__file__).resolve().parent.parent / "src" / "qlint"
+        archive = tmp_path / "qlint.zip"
+        with zipfile.ZipFile(archive, "w") as zipped:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zipped.write(path, path.relative_to(package.parent))
+        code = (
+            f"import sys; sys.path.insert(0, {str(archive)!r})\n"
+            "import qlint.qir\n"
+            "table = qlint.qir.load_gate_table()\n"
+            "print(qlint.qir.__file__)\n"
+            "print(repr((sorted(table.gates.items()), sorted(table.builtin_circuits))))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        origin, table = done.stdout.splitlines()
+        assert origin.startswith(str(archive))
+        expected = parse_gate_table((package / "qir" / "gate_table.txt").read_text("utf-8"))
+        assert expected == load_gate_table()
+        assert table == repr((sorted(expected.gates.items()), sorted(expected.builtin_circuits)))
 
     def test_override_file_is_reread(self, tmp_path):
         path = tmp_path / "gates.txt"

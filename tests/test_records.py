@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import concurrent.futures
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qlint import Config
+from qlint import Config, analyze_source, driver, format_report, report_of
 from qlint.frontend.cfg import Block, Cfg
 from qlint.frontend.nodes import ModuleAst, SourceSpan
 from qlint.qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QubitRef
@@ -40,6 +42,43 @@ def test_importing_qlint_does_not_import_dataclasses():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout == "False\n"
+
+
+_NOT_AT_IMPORT = ("concurrent.futures", "importlib.resources", "json", "logging", "tempfile")
+_REPORTED = "from qiskit import QuantumCircuit\nqc = QuantumCircuit(2, 2)\nqc.h(0)\n"
+
+
+def test_importing_qlint_loads_only_what_analysis_runs():
+    # No site, so no `.pth` file preloads a module; JSON and SARIF output
+    # still work afterwards, and give the bytes they give in this process.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import qlint, qlint.cli\n"
+        "from qlint.qir import load_gate_table\n"
+        "load_gate_table()\n"
+        f"loaded = [name for name in {_NOT_AT_IMPORT!r} if name in sys.modules]\n"
+        f"report = qlint.report_of([qlint.analyze_source({_REPORTED!r}, 'f.py')])\n"
+        "styles = [qlint.format_report(report, style) for style in ('json', 'sarif')]\n"
+        "print(repr([loaded, *styles]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded, as_json, as_sarif = ast.literal_eval(done.stdout)
+    assert loaded == []
+    report = report_of([analyze_source(_REPORTED, "f.py")])
+    assert report.warnings
+    assert as_json == format_report(report, "json")
+    assert as_sarif == format_report(report, "sarif")
+
+
+def test_driver_thread_pool_executor_resolves_on_access():
+    # bench/tracing.py subclasses this name, then restores it from vars(driver).
+    assert driver.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+    assert vars(driver)["ThreadPoolExecutor"] is concurrent.futures.ThreadPoolExecutor
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(driver, "no_such_name")
 
 
 class TestRepr:

@@ -309,6 +309,22 @@ class TestOversizedCircuit:
     @pytest.mark.parametrize(
         "call",
         [
+            "helper(*[(w := 2)], qc.h(w))",
+            "def helper(*a):\n    pass\nhelper(*[(w := 2)], qc.h(w))",
+            "transpile(*[(w := 2)], qc.h(w))",
+            "QuantumCircuit(*[(w := 2)], qc.h(w))",
+            "QuantumRegister(*[(w := 2)], qc.h(w))",
+        ],
+    )
+    def test_star_value_is_evaluated_in_source_order(self, call):
+        # Python evaluates a `*` value in its place among the positional
+        # arguments, so the walrus rebinds w before qc.h(w) runs h(2).
+        source = f"qc = QuantumCircuit(3)\nqc.h(0)\nqc.h(1)\nw = 0\n{call}\n"
+        assert _lines_of(source, "oversized-circuit") == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
             'helper({"c": qc})',
             "helper(lambda: qc)",
             "helper(qc if f else None)",
