@@ -329,6 +329,44 @@ class TestQubitResolution:
             if event.kind is not EventKind.UNKNOWN:
                 assert all(q.is_resolved for q in event.qubits)
 
+    def test_slot_of_unassociated_register_is_a_gate_and_a_diagnostic(self):
+        source = (
+            "qa = QuantumRegister(2)\n"
+            "qb = QuantumRegister(2)\n"
+            "qc = QuantumCircuit(qa)\n"
+            "qc.h(qb[1])\n"
+        )
+        ir = _ir(source)
+        (gate,) = _events(ir, EventKind.GATE)
+        assert [(ir.registers[r.register].name, r.index) for r in gate.qubits] == [("qb", 1)]
+        assert not _events(ir, EventKind.UNKNOWN)
+        (diagnostic,) = ir.diagnostics
+        assert diagnostic.message == "register qb is not associated with the circuit"
+        assert (diagnostic.span.line, diagnostic.span.column) == (4, 6)
+
+    def test_classical_slot_as_gate_qubit_is_unknown_without_diagnostic(self):
+        source = (
+            "qa = QuantumRegister(2)\n"
+            "ca = ClassicalRegister(2)\n"
+            "qc = QuantumCircuit(qa, ca)\n"
+            "qc.h(ca[0])\n"
+        )
+        ir = _ir(source)
+        (event,) = ir.events
+        assert event.kind is EventKind.UNKNOWN
+        assert event.unknown_cause is UnknownCause.UNRESOLVED_QUBIT
+        assert event.gate_name == "h"
+        assert ir.diagnostics == []
+
+    def test_bare_int_past_the_only_register_is_out_of_range(self):
+        ir = _ir("qc = QuantumCircuit(2)\nqc.h(5)\n")
+        (event,) = ir.events
+        assert event.kind is EventKind.UNKNOWN
+        assert event.unknown_cause is UnknownCause.UNRESOLVED_QUBIT
+        (diagnostic,) = ir.diagnostics
+        assert diagnostic.message == "index 5 out of range for register q of size 2"
+        assert (diagnostic.span.line, diagnostic.span.column) == (2, 6)
+
 
 class TestAbsoluteIndex:
     def test_second_register_shifts(self):
