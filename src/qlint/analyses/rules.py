@@ -7,7 +7,7 @@ from typing import NamedTuple
 from ..frontend.nodes import SourceSpan
 from ..qflow import FlowRelation, QubitKey
 from ..qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QuantumIR
-from ..qir.model import QubitRef, register_offsets
+from ..qir.model import UNRESOLVED_BIT, QubitRef, register_offsets
 
 
 class Warning(NamedTuple):
@@ -35,9 +35,9 @@ def _subcircuits(ir: QuantumIR) -> set[str]:
 
 def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Two measurements read the same qubit with nothing in between."""
-    out = []
+    out, events = [], flow.events
     for a, b, key in flow.directly_pairs:
-        first, second = flow.event(a), flow.event(b)
+        first, second = events[a], events[b]
         if first.kind is EventKind.MEASUREMENT and second.kind is EventKind.MEASUREMENT:
             out.append(
                 Warning(
@@ -53,9 +53,9 @@ def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 def run_op_after_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """A non-conditional gate acts on a qubit right after it was measured."""
-    out = []
+    out, events = [], flow.events
     for a, b, key in flow.directly_pairs:
-        measurement, gate = flow.event(a), flow.event(b)
+        measurement, gate = events[a], events[b]
         if (
             measurement.kind is EventKind.MEASUREMENT
             and gate.kind is EventKind.GATE
@@ -147,14 +147,14 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
             continue
         if circuit_id in opaque:
             continue
-        ref = event.qubits[0] if event.qubits else None
-        if ref is None or not ref.is_resolved:
+        register, index = event.qubits[0] if event.qubits else UNRESOLVED_BIT
+        if register is None or index is None:
             continue
-        assert ref.register is not None and ref.index is not None
-        key = (circuit_id, ref.register, ref.index)
+        key = (circuit_id, register, index)
         if key not in transformed:
             first: dict[int, int] = {}
-            for other in map(flow.event, flow.timelines.get(key, ())):
+            for other_id in flow.timelines.get(key, ()):
+                other = flow.events[other_id]
                 if other.kind in transforming:
                     first.setdefault(other.block, other.seq)
             transformed[key] = (first, flow.cfg.reachable_from(first))
@@ -182,7 +182,8 @@ def _measured_qubit_demand(circuit: CircuitDecl, events: list[OperatorEvent]) ->
             return circuit.num_qubits  # every qubit of a layout it could not resolve
         if event.kind is EventKind.MEASUREMENT or event.kind is EventKind.MEASURE_ALL:
             saw_measurement = True
-            measured.update(ref for ref in event.qubits if ref.is_resolved)
+            measured.update(event.qubits)
+    measured.discard(UNRESOLVED_BIT)
     return len(measured) if saw_measurement else None
 
 
@@ -217,25 +218,21 @@ def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Some qubit slot of the circuit is never used by any operator."""
     out = []
-    parents = {edge.parent for edge in ir.edges}
+    # Circuits an unknown operator, an initialize or a composed child may act on anywhere.
+    skipped = {edge.parent for edge in ir.edges} | flow.unknown_taint
+    skipped |= {e.circuit for e in ir.events if e.kind is EventKind.INITIALIZE}
+    # The qubits each circuit's operators act on are the keys of its timelines.
+    used: dict[str, list[tuple[str, int]]] = {}
+    for circuit_id, register, index in flow.timelines:
+        used.setdefault(circuit_id, []).append((register, index))
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
         nq = circuit.num_qubits  # known only when every register size is
-        if not nq:
-            continue
-        events = flow.events_by_circuit.get(circuit.id, [])
-        if any(e.kind is EventKind.UNKNOWN or e.kind is EventKind.INITIALIZE for e in events):
-            continue
-        if circuit.id in parents:
+        if not nq or circuit.id in skipped:
             continue
         offsets = register_offsets(ir, circuit)
-        touched: set[int] = set()
-        for event in events:
-            for ref in event.qubits:
-                offset = offsets.get(ref.register)  # None: unresolved, or not this circuit's
-                if offset is not None and ref.index is not None:
-                    touched.add(offset + ref.index)
+        touched = {offsets[r] + i for r, i in used.get(circuit.id, ()) if r in offsets}
         unused = sorted(set(range(nq)) - touched)
         if unused:
             listing = ", ".join(str(i) for i in unused)

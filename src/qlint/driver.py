@@ -138,7 +138,8 @@ def analyze_source(source: str, path: str, config: Config | None = None) -> File
 
 def _analyze_path(path: str, config: Config) -> FileOutcome:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
     cookie = None if data.startswith(b"\xef\xbb\xbf") else _COOKIE_RE.match(data)

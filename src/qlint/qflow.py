@@ -14,42 +14,34 @@ from operator import attrgetter
 from .qir.model import EventKind, OperatorEvent, QuantumIR
 
 QubitKey = tuple[str, str, int]  # (circuit id, register id, index)
-
-# Barriers move no quantum data; unknown events have no resolved operands but
-# act as blockers for adjacency within their circuit.
-_TIMELINE_KINDS = frozenset(
-    {
-        EventKind.GATE,
-        EventKind.MEASUREMENT,
-        EventKind.MEASURE_ALL,
-        EventKind.RESET,
-        EventKind.INITIALIZE,
-    }
-)
+Pair = tuple[str, str, QubitKey]  # (earlier event id, later event id, key)
 
 
 def build_flow(ir: QuantumIR) -> "FlowRelation":
-    """Derive the flow relation for one file's IR, in one pass over its events."""
+    """Derive the flow relation for one file's IR, in one pass over its events.
+
+    Barriers move no quantum data; unknown events have no resolved operands
+    but act as blockers for adjacency within their circuit.
+    """
     events: dict[str, OperatorEvent] = {}
     by_circuit: dict[str, list[OperatorEvent]] = {}
     timelines: dict[QubitKey, list[str]] = {}
     blockers: dict[str, list[str]] = {}
+    unknown, barrier = EventKind.UNKNOWN, EventKind.BARRIER
     for event in ir.events:
-        events[event.id] = event
-        if event.circuit is None:
+        event_id, circuit, kind = event.id, event.circuit, event.kind
+        events[event_id] = event
+        if circuit is None:
             continue
-        by_circuit.setdefault(event.circuit, []).append(event)
-        if event.kind is EventKind.UNKNOWN:
-            blockers.setdefault(event.circuit, []).append(event.id)
+        by_circuit.setdefault(circuit, []).append(event)
+        if kind is unknown:
+            blockers.setdefault(circuit, []).append(event_id)
             continue
-        if event.kind not in _TIMELINE_KINDS:
+        if kind is barrier:
             continue
-        for ref in event.qubits:
-            if not ref.is_resolved:
-                continue
-            assert ref.register is not None and ref.index is not None
-            key = (event.circuit, ref.register, ref.index)
-            timelines.setdefault(key, []).append(event.id)
+        for register, index in event.qubits:
+            if register is not None and index is not None:
+                timelines.setdefault((circuit, register, index), []).append(event_id)
     return FlowRelation(ir, events, by_circuit, timelines, blockers)
 
 
@@ -62,18 +54,16 @@ class FlowRelation:
         unknown_blockers: dict[str, list[str]],
     ) -> None:
         self.ir, self.cfg, self.timelines = ir, ir.cfg, timelines
-        self._events, self.events_by_circuit = events, events_by_circuit  # in IR order
+        self.events = events  # by id
+        self.events_by_circuit = events_by_circuit  # in IR order
         self.unknown_blockers = unknown_blockers
         self.unknown_taint = frozenset(unknown_blockers)  # circuits with an unknown operator
-
-    def event(self, event_id: str) -> OperatorEvent:
-        return self._events[event_id]
 
     # --- ordering primitives ---
 
     def before(self, a: str, b: str) -> bool:
         """True when some control-flow path executes event a before event b."""
-        ea, eb = self._events[a], self._events[b]
+        ea, eb = self.events[a], self.events[b]
         if a == b or ea.scope != eb.scope:
             return False
         if ea.block == eb.block:
@@ -82,16 +72,18 @@ class FlowRelation:
 
     # --- materialized relations ---
 
-    def _pair_order(self, pair: tuple[str, str, QubitKey]) -> tuple[int, int, QubitKey]:
-        a, b, key = pair
-        return (self._events[a].seq, self._events[b].seq, key)
+    def _in_order(self, pairs: set[Pair]) -> tuple[Pair, ...]:
+        """`pairs` by the seq of their earlier event, then of the later one, then key."""
+        events = self.events
+        ordered = sorted([(events[p[0]].seq, events[p[1]].seq, p[2], p) for p in pairs])
+        return tuple([row[3] for row in ordered])
 
     @cached_property
-    def may_follow_pairs(self) -> tuple[tuple[str, str, QubitKey], ...]:
+    def may_follow_pairs(self) -> tuple[Pair, ...]:
         """Every ordered pair on each timeline; quadratic, built only on demand.
 
         No rule reads it: the benchmark's oracle check and the tests do."""
-        pairs: set[tuple[str, str, QubitKey]] = set()
+        pairs: set[Pair] = set()
         for key, events in self.timelines.items():
             for i, a in enumerate(events):
                 for b in events[i + 1 :]:
@@ -99,10 +91,10 @@ class FlowRelation:
                         pairs.add((a, b, key))
                     if self.before(b, a):
                         pairs.add((b, a, key))
-        return tuple(sorted(pairs, key=self._pair_order))
+        return self._in_order(pairs)
 
     @cached_property
-    def directly_pairs(self) -> tuple[tuple[str, str, QubitKey], ...]:
+    def directly_pairs(self) -> tuple[Pair, ...]:
         """Pairs (a, b, key) where some path runs b right after a on the key.
 
         One forward pass per key, as for reaching definitions. Blockers are
@@ -113,22 +105,26 @@ class FlowRelation:
         entry, and each later blocker follows the one before it. An event
         never pairs with itself.
         """
-        pairs: set[tuple[str, str, QubitKey]] = set()
+        pairs: set[Pair] = set()
+        all_events, successors, unknown = self.events, self.cfg.successors, self.unknown_blockers
+        by_seq = attrgetter("seq")
         for key, timeline in self.timelines.items():
             on_key = set(timeline)
+            blockers = unknown.get(key[0])
             by_block: dict[int, list[OperatorEvent]] = {}
-            for event_id in on_key.union(self.unknown_blockers.get(key[0], ())):
-                event = self._events[event_id]
+            for event_id in (on_key.union(blockers) if blockers else on_key):
+                event = all_events[event_id]
                 by_block.setdefault(event.block, []).append(event)
             work: list[tuple[int, str]] = []
             for block, events in by_block.items():
-                events.sort(key=attrgetter("seq"))
+                events.sort(key=by_seq)
                 for x, y in zip(events, events[1:]):
                     if x.id in on_key and y.id in on_key:
                         pairs.add((x.id, y.id, key))
                 last = events[-1].id
                 if last in on_key:
-                    work += [(succ, last) for succ in self.cfg.successors(block)]
+                    for succ in successors(block):
+                        work.append((succ, last))
             reached: set[tuple[int, str]] = set()
             while work:
                 block, a = item = work.pop()
@@ -136,12 +132,13 @@ class FlowRelation:
                     continue
                 reached.add(item)
                 if block not in by_block:
-                    work += [(succ, a) for succ in self.cfg.successors(block)]
+                    for succ in successors(block):
+                        work.append((succ, a))
                     continue
                 first = by_block[block][0].id
                 if first in on_key and first != a:
                     pairs.add((a, first, key))
-        return tuple(sorted(pairs, key=self._pair_order))
+        return self._in_order(pairs)
 
     # --- debug dump ---
 
@@ -154,8 +151,8 @@ class FlowRelation:
             circuit = self.ir.circuits[circuit_id]
             label = f"{circuit.name or circuit.id}:{register.display_name()}[{index}]"
             steps = " -> ".join(
-                f"{self._events[i].gate_name or self._events[i].kind.value}"
-                f"@{self._events[i].span.line}"
+                f"{self.events[i].gate_name or self.events[i].kind.value}"
+                f"@{self.events[i].span.line}"
                 for i in self.timelines[key]
             )
             lines.append(f"{label}: {steps}")

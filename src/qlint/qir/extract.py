@@ -75,6 +75,7 @@ class _Binding(NamedTuple):
     event: OperatorEvent | None = None
 
 
+_new = tuple.__new__  # `_Binding(...)` or `QubitRef(...)` without its Python-level `__new__`
 _OTHER = _Binding("other")
 # What a name holds: a known integer or a binding. A missing name holds
 # `_OTHER`, and so does an integer for every question but its value.
@@ -100,7 +101,7 @@ def _join(left: _Value, right: _Value) -> _Value:
     if left.kind == "circuit" or right.kind == "circuit":
         ids = set(left.ids if left.kind == "circuit" else ())
         ids.update(right.ids if right.kind == "circuit" else ())
-        return _Binding("circuit", tuple(sorted(ids)))
+        return _new(_Binding, ("circuit", tuple(sorted(ids)), None))
     return _OTHER
 
 
@@ -158,7 +159,7 @@ class _Extractor:
         self.calls_circuit_methods = tree.calls_circuit_methods
         self.max_unroll = max_unroll
         self._seq = 0
-        self._ids = {"r": 0, "c": 0, "e": 0}
+        self._ids = {"r": 0, "c": 0}
         self._scope_name = MODULE_SCOPE
         self._block = self.cfg.new_block(MODULE_SCOPE)
         self.if_depth = 0
@@ -178,16 +179,18 @@ class _Extractor:
         return f"{prefix}{self._ids[prefix]}"
 
     def _emit(
-        self, kind: EventKind, circuit: str | None, span: SourceSpan, *,
+        self, kind: EventKind, circuit: str | None, span: SourceSpan,
         gate_name: str | None = None, creates_new_register: bool = False,
         unknown_cause: UnknownCause | None = None, qubits: list[QubitRef] | None = None,
         clbits: list[QubitRef] | None = None,
     ) -> OperatorEvent:
+        """Append an event; the n-th of the file has `seq` n - 1 and id `e<n>`."""
+        seq = self._seq
+        self._seq = seq + 1
         event = OperatorEvent(
-            self._new_id("e"), circuit, kind, self._seq, self._block, self._scope_name, span,
+            f"e{seq + 1}", circuit, kind, seq, self._block, self._scope_name, span,
             gate_name, creates_new_register, unknown_cause, qubits, clbits,
         )
-        self._seq += 1
         self.ir.events.append(event)
         return event
 
@@ -196,7 +199,7 @@ class _Extractor:
         gate_name: str | None = None,
     ) -> None:
         for cid in circuit_ids:
-            self._emit(EventKind.UNKNOWN, cid, span, unknown_cause=cause, gate_name=gate_name)
+            self._emit(EventKind.UNKNOWN, cid, span, gate_name, False, cause)
 
     def _diagnostic(self, message: str, node: ast.expr) -> None:
         self.ir.diagnostics.append(Diagnostic(message, self.span(node)))
@@ -268,7 +271,8 @@ class _Extractor:
                     # An opaque call result later used with circuit-specific
                     # methods is modeled as a circuit of unknown shape.
                     kind = CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS
-                    bound = _Binding("circuit", (self._new_circuit(kind, self.span(value)).id,))
+                    decl = self._new_circuit(kind, self.span(value))
+                    bound = _new(_Binding, ("circuit", (decl.id,), None))
                 vars[target.id] = bound
                 self._name_decls(bound, target.id)
                 continue
@@ -291,7 +295,14 @@ class _Extractor:
 
     def _expr(self, node: ast.Expr, scope: _Scope) -> None:
         self.stmts += 1
-        self._eval(node.value, scope, bare=True)
+        value = node.value
+        if type(value) is not ast.Call:
+            self._eval(value, scope)
+            return
+        # As `_eval` reads a call, telling `_call` that its value is dropped.
+        self._call(value, scope, True)
+        if self.rebound_names:
+            self._forget_rebound(scope)
 
     def _return(self, node: ast.Return, scope: _Scope) -> None:
         self.stmts += 1
@@ -450,13 +461,15 @@ class _Extractor:
 
     # --- expression evaluation ---
 
-    def _eval(self, expr: ast.expr, scope: _Scope, bare: bool = False) -> _Eval:
+    def _eval(self, expr: ast.expr, scope: _Scope) -> _Eval:
         """Evaluate `expr` once, its sub-expressions in Python's order.
 
         The value is a known integer, a binding, the `QubitRef` of
         `name[k]` where the name holds a register and `k` is known, or the
         tuple of a display's element values. A name a walrus or a `global`
         may rebind loses its integer after every call and opaque expression.
+        A name or an int constant, the commonest operands, is read in place
+        as an operand of a subscript or of arithmetic, and as a call's receiver.
         """
         cls = type(expr)
         if cls is ast.Name:
@@ -464,26 +477,47 @@ class _Extractor:
         if cls is ast.Constant and type(expr.value) is int:
             return expr.value
         if cls is ast.Call:
-            got = self._call(expr, scope, bare)
+            got = self._call(expr, scope)
             if self.rebound_names:
                 self._forget_rebound(scope)
             return got
         f = form(expr)
+        if f is ast.Subscript:
+            held, index = expr.value, expr.slice
+            if type(held) is ast.Name:
+                held = scope.vars.get(held.id, _OTHER)
+            else:
+                held = self._eval(held, scope)
+            if type(index) is ast.Name:
+                index = scope.vars.get(index.id, _OTHER)
+            elif type(index) is not ast.Constant or type(index.value) is not int:
+                index = self._eval(index, scope)
+            else:
+                index = index.value
+            if type(index) is int and type(held) is _Binding and held.kind == "register":
+                return _new(QubitRef, (held.ids[0], index))
+            return _OTHER
         if f is ast.BinOp:
-            left = self._eval(expr.left, scope)
-            value = binop_value(type(expr.op), left, self._eval(expr.right, scope))
+            left, right = expr.left, expr.right
+            if type(left) is ast.Name:
+                left = scope.vars.get(left.id, _OTHER)
+            elif type(left) is not ast.Constant or type(left.value) is not int:
+                left = self._eval(left, scope)
+            else:
+                left = left.value
+            if type(right) is ast.Name:
+                right = scope.vars.get(right.id, _OTHER)
+            elif type(right) is not ast.Constant or type(right.value) is not int:
+                right = self._eval(right, scope)
+            else:
+                right = right.value
+            value = binop_value(type(expr.op), left, right)
             return _OTHER if value is None else value
         if f is ast.UnaryOp:  # `-x`
             value = self._eval(expr.operand, scope)
             return -value if type(value) is int else _OTHER
         if f is ast.Attribute:
             self._eval(expr.value, scope)
-            return _OTHER
-        if f is ast.Subscript:
-            held = self._eval(expr.value, scope)
-            index = self._eval(expr.slice, scope)
-            if type(index) is int and type(held) is _Binding and held.kind == "register":
-                return tuple.__new__(QubitRef, (held.ids[0], index))
             return _OTHER
         if f is ast.Tuple:
             values = tuple([self._eval(element, scope) for element in expr.elts])
@@ -504,7 +538,10 @@ class _Extractor:
         callee = call.func
         if type(callee) is ast.Attribute:
             value, method = callee.value, callee.attr
-            receiver = self._eval(value, scope)
+            if type(value) is ast.Name:
+                receiver = scope.vars.get(value.id, _OTHER)
+            else:
+                receiver = self._eval(value, scope)
             if type(receiver) is not _Binding:
                 receiver = _OTHER
             if receiver.kind == "circuit":
@@ -542,7 +579,7 @@ class _Extractor:
             return self._transpile(call, scope)
         decl = self._new_circuit(CircuitKind.BUILTIN_PARAMETRIZED, self.span(call), name=name)
         self._eval_args(call, scope)
-        return _Binding("circuit", (decl.id,))
+        return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _register_constructor(self, kind: str, call: ast.Call, scope: _Scope) -> _Binding:
         args = positional_args(call)
@@ -552,7 +589,7 @@ class _Extractor:
         name = label.value if type(label) is ast.Constant and type(label.value) is str else None
         decl = RegisterDecl(self._new_id("r"), kind, size, self.span(call), name=name)
         self.ir.registers[decl.id] = decl
-        return _Binding("register", (decl.id,))
+        return _new(_Binding, ("register", (decl.id,), None))
 
     def _register_size(self, size: _Eval, node: ast.expr) -> int | None:
         """A register size, if `size` is a known integer; a negative one, or
@@ -605,6 +642,10 @@ class _Extractor:
         for arg in call.args:
             if type(arg) is ast.Starred:
                 self._eval(arg.value, scope)
+                # It may hold registers, or the sizes not given yet: those are unknown.
+                for kind in ("quantum", "classical")[implicit_seen:]:
+                    self._associate(decl, self._implicit_register(kind, None, span))
+                implicit_seen = 2
                 continue
             value = self._eval(arg, scope)
             if type(value) is _Binding and value.kind == "register":
@@ -619,7 +660,7 @@ class _Extractor:
         for kw in call.keywords:
             self._eval(kw.value, scope)
         self._recompute_counts(decl)
-        return _Binding("circuit", (decl.id,))
+        return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _inherit_layout(self, target: CircuitDecl, source: CircuitDecl) -> None:
         for reg_id in source.quantum_registers + source.classical_registers:
@@ -635,7 +676,7 @@ class _Extractor:
         decl.transpile_opt_level = level if type(level) is int else None
         if sources:
             self._inherit_layout(decl, self.ir.circuits[sources[0]])
-        return _Binding("circuit", (decl.id,))
+        return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _local_function_call(self, info: _FuncInfo, call: ast.Call, scope: _Scope) -> _Binding:
         self._unknown_call(call, scope)
@@ -647,7 +688,7 @@ class _Extractor:
             self._emit_unknown(sorted(mutated), cause, self.span(call))
         if info.returns_circuit:
             decl = self._new_circuit(CircuitKind.USER_FUNCTION_RETURN, self.span(call))
-            return _Binding("circuit", (decl.id,))
+            return _new(_Binding, ("circuit", (decl.id,), None))
         return _OTHER
 
     def _unknown_call(self, call: ast.Call, scope: _Scope) -> _Binding:
@@ -704,9 +745,25 @@ class _Extractor:
             self._emit_unknown(receiver.ids, cause, self.span(call))
             return _OTHER
         circuit = self.ir.circuits[receiver.ids[0]]
-        spec = self.table.spec(method)
+        spec = self.table.gates.get(method)
         if spec is not None:
-            return self._table_method(circuit, spec, call, scope)
+            values, _ = self._eval_args(call, scope)
+            category = spec.category
+            if category == "reversible_gate" or category == "reset":
+                return self._gate_event(circuit, spec, call, values)
+            if category == "measurement":
+                return self._measure_event(circuit, call, values)
+            if category == "measure_all":
+                return self._measure_all_event(circuit, call)
+            if category == "initialize":
+                return self._initialize_event(circuit, call, values)
+            if category == "barrier":
+                event = self._emit(EventKind.BARRIER, circuit.id, self.span(call), "barrier")
+                return _new(_Binding, ("instruction", (circuit.id,), event))
+            # conditional_marker applied directly to a circuit is not a gate add.
+            cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+            self._emit_unknown([circuit.id], cause, self.span(call), method)
+            return _OTHER
         if method == "append":
             self._composition_edges(circuit, call, scope, "append")
             return _OTHER
@@ -721,46 +778,25 @@ class _Extractor:
         if method in ("to_gate", "to_instruction"):
             self._eval_args(call, scope)
             circuit.subcircuit_flags.add("to_gate_or_instruction")
-            return _Binding("circuit_gate", (circuit.id,))
+            return _new(_Binding, ("circuit_gate", (circuit.id,), None))
         if method == "copy":
             self._eval_args(call, scope)
             decl = self._new_circuit(CircuitKind.COPY, self.span(call))
             self._inherit_layout(decl, circuit)
-            return _Binding("circuit", (decl.id,))
+            return _new(_Binding, ("circuit", (decl.id,), None))
         if method == "assign_parameters":
             self._eval_args(call, scope)
-            return _Binding("circuit", (circuit.id,))
+            return _new(_Binding, ("circuit", (circuit.id,), None))
         # Unrecognized circuit method: the circuit may change in any way.
         others = [c for c in self._circuit_args(call, scope) if c != circuit.id]
         cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
         self._emit_unknown([circuit.id] + others, cause, self.span(call), method)
         return _OTHER
 
-    def _table_method(
-        self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, scope: _Scope
-    ) -> _Binding:
-        values, _ = self._eval_args(call, scope)
-        if spec.category in ("reversible_gate", "reset"):
-            return self._gate_event(circuit, spec, call, values)
-        if spec.category == "measurement":
-            return self._measure_event(circuit, call, values)
-        if spec.category == "measure_all":
-            return self._measure_all_event(circuit, call)
-        if spec.category == "initialize":
-            return self._initialize_event(circuit, call, values)
-        if spec.category == "barrier":
-            event = self._emit(EventKind.BARRIER, circuit.id, self.span(call), gate_name="barrier")
-            return _Binding("instruction", (circuit.id,), event)
-        # conditional_marker applied directly to a circuit is not a gate add.
-        cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
-        self._emit_unknown([circuit.id], cause, self.span(call), spec.method_name)
-        return _OTHER
-
     def _unresolved_event(self, circuit: CircuitDecl, span: SourceSpan, gate_name: str) -> _Binding:
         cause = UnknownCause.UNRESOLVED_QUBIT
-        event = self._emit(EventKind.UNKNOWN, circuit.id, span, gate_name=gate_name,
-                           unknown_cause=cause)
-        return _Binding("instruction", (circuit.id,), event)
+        event = self._emit(EventKind.UNKNOWN, circuit.id, span, gate_name, False, cause)
+        return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _gate_event(
         self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, values: list[_Eval]
@@ -772,13 +808,13 @@ class _Extractor:
         for pos in spec.qubit_args:
             if pos >= len(args):
                 return self._unresolved_event(circuit, span, spec.method_name)
-            ref = self._bit(values[pos], args[pos], circuit, classical=False)
-            if not ref.is_resolved:
+            ref = self._bit(values[pos], args[pos], circuit, False)
+            if ref is UNRESOLVED_BIT:
                 return self._unresolved_event(circuit, span, spec.method_name)
             refs.append(ref)
         kind = EventKind.RESET if spec.category == "reset" else EventKind.GATE
-        event = self._emit(kind, circuit.id, span, gate_name=spec.method_name, qubits=refs)
-        return _Binding("instruction", (circuit.id,), event)
+        event = self._emit(kind, circuit.id, span, spec.method_name, False, None, refs)
+        return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _measure_event(
         self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
@@ -786,10 +822,10 @@ class _Extractor:
         span, args = self.span(call), call.args
         if has_star_args(call) or len(args) < 1:
             return self._unresolved_event(circuit, span, "measure")
-        qubits = self._bits(values[0], args[0], circuit, classical=False)
+        qubits = self._bits(values[0], args[0], circuit, False)
         clbits = None
         if len(args) >= 2:
-            clbits = self._bits(values[1], args[1], circuit, classical=True)
+            clbits = self._bits(values[1], args[1], circuit, True)
         if qubits is None:
             return self._unresolved_event(circuit, span, "measure")
         if clbits is not None and len(clbits) != len(qubits):
@@ -797,12 +833,12 @@ class _Extractor:
         last: _Binding = _OTHER
         for i, qref in enumerate(qubits):
             cref = clbits[i] if clbits is not None else UNRESOLVED_BIT
-            if not qref.is_resolved:
+            if qref is UNRESOLVED_BIT:
                 last = self._unresolved_event(circuit, span, "measure")
             else:
-                event = self._emit(EventKind.MEASUREMENT, circuit.id, span, gate_name="measure",
-                                   qubits=[qref], clbits=[cref])
-                last = _Binding("instruction", (circuit.id,), event)
+                kind = EventKind.MEASUREMENT
+                event = self._emit(kind, circuit.id, span, "measure", False, None, [qref], [cref])
+                last = _new(_Binding, ("instruction", (circuit.id,), event))
         return last
 
     def _measure_all_event(self, circuit: CircuitDecl, call: ast.Call) -> _Binding:
@@ -810,11 +846,9 @@ class _Extractor:
         for kw in call.keywords:
             if kw.arg == "add_bits" and type(kw.value) is ast.Constant and kw.value.value is False:
                 creates = False
-        event = self._emit(
-            EventKind.MEASURE_ALL, circuit.id, self.span(call), gate_name="measure_all",
-            creates_new_register=creates, qubits=self._full_layout(circuit),
-        )
-        return _Binding("instruction", (circuit.id,), event)
+        kind, qubits = EventKind.MEASURE_ALL, self._full_layout(circuit)
+        event = self._emit(kind, circuit.id, self.span(call), "measure_all", creates, None, qubits)
+        return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _full_layout(self, circuit: CircuitDecl) -> list[QubitRef]:
         operands: list[QubitRef] = []
@@ -822,7 +856,7 @@ class _Extractor:
             size = self.ir.registers[reg_id].size
             if size is None:
                 return []
-            operands.extend(QubitRef(reg_id, i) for i in range(size))
+            operands += [_new(QubitRef, (reg_id, i)) for i in range(size)]
         return operands
 
     def _initialize_event(
@@ -830,15 +864,14 @@ class _Extractor:
     ) -> _Binding:
         operands: list[QubitRef] = []
         if len(values) >= 2:
-            group = self._bits(values[1], positional_args(call)[1], circuit, classical=False)
-            if group is not None and all(r.is_resolved for r in group):
+            group = self._bits(values[1], positional_args(call)[1], circuit, False)
+            if group is not None and UNRESOLVED_BIT not in group:
                 operands = group
         else:
             operands = self._full_layout(circuit)
-        span = self.span(call)
-        event = self._emit(EventKind.INITIALIZE, circuit.id, span, gate_name="initialize",
-                           qubits=operands)
-        return _Binding("instruction", (circuit.id,), event)
+        kind, span = EventKind.INITIALIZE, self.span(call)
+        event = self._emit(kind, circuit.id, span, "initialize", False, None, operands)
+        return _new(_Binding, ("instruction", (circuit.id,), event))
 
     # --- operand resolution ---
 
@@ -855,29 +888,33 @@ class _Extractor:
             if reg.kind == ("classical" if classical else "quantum"):
                 if reg.size is None:
                     return None
-                return [QubitRef(reg.id, i) for i in range(reg.size)]
+                return [_new(QubitRef, (reg.id, i)) for i in range(reg.size)]
         return [self._bit(value, expr, circuit, classical)]
 
     def _bit(self, value: _Eval, expr: ast.expr, circuit: CircuitDecl, classical: bool) -> QubitRef:
         """The one operand `expr`, of value `value`, names: a register slot, or
         a known index into the circuit's only register of its kind."""
+        registers = circuit.classical_registers if classical else circuit.quantum_registers
         if type(value) is QubitRef:
-            reg = self.ir.registers[value.register]
-            if reg.kind != ("classical" if classical else "quantum"):
-                return UNRESOLVED_BIT
-            return self._checked_ref(reg, value, circuit, expr)
-        if type(value) is int:
-            registers = circuit.classical_registers if classical else circuit.quantum_registers
-            if len(registers) == 1:
-                reg = self.ir.registers[registers[0]]
-                ref = tuple.__new__(QubitRef, (reg.id, value))
-                return self._checked_ref(reg, ref, circuit, expr)
-        return UNRESOLVED_BIT
+            ref = value
+        elif type(value) is int and len(registers) == 1:
+            ref = _new(QubitRef, (registers[0], value))
+        else:
+            return UNRESOLVED_BIT
+        reg = self.ir.registers[ref.register]
+        if ref.register in registers:  # associated, so of the right kind
+            size, index = reg.size, ref.index
+            if index >= 0 and (size is None or index < size):
+                return ref
+        elif reg.kind != ("classical" if classical else "quantum"):
+            return UNRESOLVED_BIT
+        return self._checked_ref(reg, ref, circuit, expr)
 
     def _checked_ref(
         self, reg: RegisterDecl, ref: QubitRef, circuit: CircuitDecl, node: ast.expr
     ) -> QubitRef:
-        """`ref`, a slot of `reg`; unresolved, and reported, when out of range."""
+        """`ref`, a slot of `reg`; unresolved, and reported, when out of range.
+        A register the circuit does not hold is reported too."""
         index = ref.index
         if index < 0:
             self._diagnostic(f"negative index {index} into register {reg.display_name()}", node)
@@ -903,7 +940,7 @@ class _Extractor:
         self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, inplace_true))
         decl = self._new_circuit(CircuitKind.COPY, span)
         self._inherit_layout(decl, circuit)
-        return _Binding("circuit", (decl.id,))
+        return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _composition_edges(
         self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, how: str

@@ -33,11 +33,8 @@ class GateSpec(NamedTuple):
 
 
 class GateTable(NamedTuple):
-    gates: dict[str, GateSpec]
+    gates: dict[str, GateSpec]  # by method name
     builtin_circuits: frozenset[str]
-
-    def spec(self, method_name: str) -> GateSpec | None:
-        return self.gates.get(method_name)
 
 
 class GateTableError(Exception):

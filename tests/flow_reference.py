@@ -22,7 +22,7 @@ def reference_directly_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
     for key, events in flow.timelines.items():
         by_block: dict[int, list[int]] = {}
         for event_id in set(events) | set(flow.unknown_blockers.get(key[0], ())):
-            event = flow.event(event_id)
+            event = flow.events[event_id]
             by_block.setdefault(event.block, []).append(event.seq)
         for seqs in by_block.values():
             seqs.sort()
@@ -42,7 +42,7 @@ def _directly(
     """
     if not flow.before(a, b):
         return False
-    ea, eb = flow.event(a), flow.event(b)
+    ea, eb = flow.events[a], flow.events[b]
 
     def seqs_of(block_id: int) -> list[int]:
         return index.get(block_id, [])

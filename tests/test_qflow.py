@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import itertools
 import sys
+from pathlib import Path
 
 from conftest import sample_source, pipeline
 from flow_reference import reference_directly_pairs
 from genprog import branch_free, branchy, wide_branchy, with_trip_count
 from oracle import trace_program
+
+from qlint import analyze_source
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 
 def _flow(source: str):
@@ -159,7 +165,7 @@ class TestBranches:
             b for a, b, _ in flow.directly_pairs if a == measure.id
         }
         assert len(successors) == 2
-        blocks = {flow.event(e).block for e in successors}
+        blocks = {flow.events[e].block for e in successors}
         assert len(blocks) == 2
 
     def test_empty_else_keeps_skip_path_adjacency(self):
@@ -338,6 +344,39 @@ class TestComplexityGuard:
         flow = result.flow
         assert "may_follow_pairs" not in flow.__dict__
         assert len(flow.directly_pairs) <= 4 * len(result.ir.events)
+
+
+def loops_calls_per_event() -> float:
+    """Python-level calls (`sys.setprofile` "call" events) that `analyze_source`
+    makes over the seed-1 `loops` benchmark workload, per operator event."""
+    files = workloads.loops(1)
+    events = sum(len(pipeline(f.source, f.name).ir.events) for f in files)
+    analyze_source(files[0].source, files[0].name)  # the gate table is loaded once
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for f in files:
+            analyze_source(f.source, f.name)
+    finally:
+        sys.setprofile(None)
+    return calls / events
+
+
+class TestHotPathGuard:
+    # 25.5 on CPython 3.11, and 51.2 before the per-event path was flattened;
+    # the bound is about 25% above. Python 3.12 and later inline
+    # comprehensions and count fewer calls; 3.10 counts as 3.11 does.
+    CALLS_PER_EVENT_BOUND = 32
+
+    def test_calls_per_event_stay_bounded(self):
+        per_event, bound = loops_calls_per_event(), self.CALLS_PER_EVENT_BOUND
+        assert per_event < bound, f"{per_event:.1f} Python-level calls per event; bound {bound}"
 
 
 class TestDump:

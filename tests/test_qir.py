@@ -592,7 +592,7 @@ class TestGateTable:
         table = load_gate_table()
         assert len(table.gates) >= 55
         assert "EfficientSU2" in table.builtin_circuits
-        cu = table.spec("cu")
+        cu = table.gates["cu"]
         assert cu.qubit_args == (4, 5)
         assert cu.param_args == (0, 1, 2, 3)
 
@@ -602,7 +602,7 @@ class TestGateTable:
     def test_every_bundled_entry_extracts(self, name):
         """Each table row is exercised by synthesizing a call of that shape."""
         table = load_gate_table()
-        spec = table.spec(name)
+        spec = table.gates[name]
         positions = sorted(spec.qubit_args + spec.clbit_args + spec.param_args)
         n_args = (max(positions) + 1) if positions else 0
         args = []
@@ -638,7 +638,7 @@ class TestGateTable:
 
     def test_override_table(self):
         custom = parse_gate_table("zap reversible_gate 0 - -\n")
-        assert custom.spec("zap").qubit_args == (0,)
+        assert custom.gates["zap"].qubit_args == (0,)
         result = pipeline("qc = QuantumCircuit(1)\nqc.zap(0)\n", gate_table=custom)
         gates = _events(result.ir, EventKind.GATE)
         assert gates and gates[0].gate_name == "zap"
@@ -685,8 +685,8 @@ class TestGateTable:
         first = load_gate_table(path)
         path.write_text("zip reversible_gate 0 - -\n", "utf-8")
         second = load_gate_table(path)
-        assert first.spec("zap") is not None and first.spec("zip") is None
-        assert second.spec("zip") is not None and second.spec("zap") is None
+        assert set(first.gates) == {"zap"}
+        assert set(second.gates) == {"zip"}
 
     def test_malformed_table_rejected(self):
         from qlint.qir import GateTableError

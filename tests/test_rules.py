@@ -223,6 +223,24 @@ class TestInsuffClasReg:
     def test_negative_classical_size_is_unknown(self):
         assert _lines_of("qc = QuantumCircuit(2, -1)\n", "insuff-clas-reg") == []
 
+    def test_classical_size_a_star_value_may_supply_is_unknown(self):
+        source = (
+            "rest = [3]\n"
+            "qc = QuantumCircuit(3, *rest)\n"
+            "qc.h(0)\n"
+            "qc.h(1)\n"
+            "qc.h(2)\n"
+            "qc.measure([0, 1, 2], [0, 1, 2])\n"
+        )
+        assert _lines_of(source, "insuff-clas-reg") == []
+        (circuit,) = analyze_pipeline(source, "t.py").ir.circuits.values()
+        assert (circuit.num_qubits, circuit.num_clbits) == (3, None)
+
+    def test_sizes_of_a_star_only_constructor_are_unknown(self):
+        ir = analyze_pipeline("qc = QuantumCircuit(*regs)\nqc.measure_all()\n", "t.py").ir
+        (circuit,) = ir.circuits.values()
+        assert (circuit.num_qubits, circuit.num_clbits) == (None, None)
+
     def test_subcircuit_excluded(self):
         source = (
             "sub = QuantumCircuit(3)\n"
