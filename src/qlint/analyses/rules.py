@@ -228,7 +228,7 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
-        nq = circuit.num_qubits  # known only when every register size is
+        nq = circuit.num_qubits  # None when a register or its size is unknown
         if not nq or circuit.id in skipped:
             continue
         offsets = register_offsets(ir, circuit)

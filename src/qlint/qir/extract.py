@@ -637,14 +637,17 @@ class _Extractor:
         span = self.span(call)
         decl = self._new_circuit(CircuitKind.CONSTRUCTOR, span)
         implicit_seen = 0
+        unknown_layout = False
         # Each size argument's register is made before the next argument is
         # evaluated, so an inline register is numbered after the sizes before it.
         for arg in call.args:
             if type(arg) is ast.Starred:
                 self._eval(arg.value, scope)
-                # It may hold registers, or the sizes not given yet: those are unknown.
-                for kind in ("quantum", "classical")[implicit_seen:]:
-                    self._associate(decl, self._implicit_register(kind, None, span))
+                # A `*` value supplies the sizes not given before it, or any registers.
+                if implicit_seen == 0:
+                    unknown_layout = True
+                elif implicit_seen == 1:
+                    self._associate(decl, self._implicit_register("classical", None, span))
                 implicit_seen = 2
                 continue
             value = self._eval(arg, scope)
@@ -660,6 +663,8 @@ class _Extractor:
         for kw in call.keywords:
             self._eval(kw.value, scope)
         self._recompute_counts(decl)
+        if unknown_layout:  # the `*` value may add registers this walk cannot name
+            decl.num_qubits = decl.num_clbits = None
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _inherit_layout(self, target: CircuitDecl, source: CircuitDecl) -> None:

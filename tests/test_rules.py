@@ -240,6 +240,18 @@ class TestInsuffClasReg:
         ir = analyze_pipeline("qc = QuantumCircuit(*regs)\nqc.measure_all()\n", "t.py").ir
         (circuit,) = ir.circuits.values()
         assert (circuit.num_qubits, circuit.num_clbits) == (None, None)
+        # The `*` value may hold registers, so a bare index names no known slot:
+        # `qr[0]` may be qubit 0, and no measurement is taken as repeated.
+        source = (
+            "qr = QuantumRegister(1)\n"
+            "cr = ClassicalRegister(1)\n"
+            "qc = QuantumCircuit(*[qr, cr])\n"
+            "qc.h(0)\n"
+            "qc.measure(0, 0)\n"
+            "qc.h(qr[0])\n"
+            "qc.measure(0, 0)\n"
+        )
+        assert _rules_fired(source) == []
 
     def test_subcircuit_excluded(self):
         source = (
