@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..qflow import FlowRelation
@@ -97,30 +98,33 @@ RULES: tuple[Rule, ...] = (
 RULE_IDS: tuple[str, ...] = tuple(rule.id for rule in RULES)
 DEFAULT_PROFILE: frozenset[str] = frozenset(r.id for r in RULES if r.default)
 ALL_RULES: frozenset[str] = frozenset(RULE_IDS)
+# `Warning.sort_key` without the file, which is the same for every warning of one IR.
+_position = attrgetter("span.line", "span.column", "rule")
 
 
 def run_all(
     ir: QuantumIR, flow: FlowRelation, enabled: Iterable[str] | None = None
 ) -> list[Warning]:
     """Run the enabled rules, deduplicate by (rule, span), sort by position."""
-    rule_ids = ALL_RULES if enabled is None else set(enabled)
-    unknown = rule_ids - ALL_RULES
-    if unknown:
-        raise ValueError(f"unknown rule ids: {sorted(unknown)}")
+    rule_ids = ALL_RULES if enabled is None else frozenset(enabled)
+    if not rule_ids <= ALL_RULES:
+        raise ValueError(f"unknown rule ids: {sorted(rule_ids - ALL_RULES)}")
     merged: list[Warning] = []
-    seen: set[tuple[str, tuple[str, int, int], str]] = set()
+    seen: set[tuple[str, int, int, str]] = set()
     for rule in RULES:
         if rule.id not in rule_ids:
             continue
         for warning in rule.run(ir, flow):
             # Dedup collapses repeats of one finding (for example from loop
             # iterations); distinct messages at one span are distinct findings.
-            dedup_key = (warning.rule, warning.span.anchor(), warning.message)
+            # Every span is in the file of `ir`, so the key leaves the file out.
+            span = warning.span
+            dedup_key = (warning.rule, span.line, span.column, warning.message)
             if dedup_key in seen:
                 continue
             seen.add(dedup_key)
             merged.append(warning)
-    merged.sort(key=Warning.sort_key)
+    merged.sort(key=_position)
     return merged
 
 

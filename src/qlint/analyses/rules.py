@@ -35,6 +35,8 @@ def _subcircuits(ir: QuantumIR) -> set[str]:
 
 def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Two measurements read the same qubit with nothing in between."""
+    if not flow.measurements:
+        return []
     out, events = [], flow.events
     for a, b, key in flow.directly_pairs:
         first, second = events[a], events[b]
@@ -53,6 +55,8 @@ def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 def run_op_after_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """A non-conditional gate acts on a qubit right after it was measured."""
+    if not flow.measurements:
+        return []
     out, events = [], flow.events
     for a, b, key in flow.directly_pairs:
         measurement, gate = events[a], events[b]
@@ -76,10 +80,8 @@ def run_op_after_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 def run_meas_all_abuse(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """measure_all() adds a fresh register although classical bits exist."""
     out = []
-    for event in ir.events:
-        if event.kind is not EventKind.MEASURE_ALL or not event.creates_new_register:
-            continue
-        if event.circuit is None:
+    for event in flow.measure_alls:
+        if not event.creates_new_register:
             continue
         clbits = ir.circuits[event.circuit].num_clbits
         if clbits is not None and clbits > 0:
@@ -97,6 +99,8 @@ def run_meas_all_abuse(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """A conditional gate fires on classical bits nothing has measured yet."""
+    if not flow.conditionals:
+        return []
     out = []
     measure_kinds = (EventKind.MEASUREMENT, EventKind.MEASURE_ALL)
     # Circuits derived from others (copies, transpiled or externally built
@@ -107,11 +111,9 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     for e in ir.events:
         if e.kind in measure_kinds:
             first_measurement.setdefault(e.circuit, e.seq)
-    for event in ir.events:
-        if event.kind is not EventKind.GATE or not event.is_conditional:
-            continue
+    for event in flow.conditionals:
         circuit_id = event.circuit
-        if circuit_id is None or circuit_id in composed:
+        if circuit_id in composed:
             continue
         if ir.circuits[circuit_id].kind not in visible_kinds:
             continue
@@ -130,17 +132,19 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """A qubit is measured although no operation ever transformed it."""
+    if not flow.measurements:
+        return []
     out = []
     transforming = (EventKind.GATE, EventKind.RESET, EventKind.INITIALIZE)
     # Circuits we cannot fully see: an unknown operator, a composed child or
     # an initialize with unresolved targets may touch any qubit.
-    opaque = flow.unknown_taint | {edge.parent for edge in ir.edges}
-    opaque |= {e.circuit for e in ir.events if e.kind is EventKind.INITIALIZE and not e.qubits}
+    opaque = flow.unknown_taint
+    if ir.edges or flow.initializations:
+        opaque = opaque | {edge.parent for edge in ir.edges}
+        opaque |= {e.circuit for e in flow.initializations if not e.qubits}
     # Per qubit key: first transforming seq per block, and the blocks it may reach.
     transformed: dict[QubitKey, tuple[dict[int, int], frozenset[int]]] = {}
-    for event in ir.events:
-        if event.kind is not EventKind.MEASUREMENT or event.circuit is None:
-            continue
+    for event in flow.measurements:
         circuit_id = event.circuit
         if ir.circuits[circuit_id].kind is not CircuitKind.CONSTRUCTOR:
             # Derived or externally built circuits have content we cannot see.
@@ -173,33 +177,35 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     return out
 
 
-def _measured_qubit_demand(circuit: CircuitDecl, events: list[OperatorEvent]) -> int | None:
-    """Distinct qubits the circuit's events measure, or None when nothing is measured."""
+def _measured_qubit_demand(circuit: CircuitDecl, measures: list[OperatorEvent]) -> int | None:
+    """Distinct qubits the circuit's measurements measure, or None when there are none."""
     measured: set[QubitRef] = set()
-    saw_measurement = False
-    for event in events:
+    for event in measures:
         if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.num_qubits:
             return circuit.num_qubits  # every qubit of a layout it could not resolve
-        if event.kind is EventKind.MEASUREMENT or event.kind is EventKind.MEASURE_ALL:
-            saw_measurement = True
-            measured.update(event.qubits)
+        measured.update(event.qubits)
     measured.discard(UNRESOLVED_BIT)
-    return len(measured) if saw_measurement else None
+    return len(measured) if measures else None
 
 
 def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """The classical register cannot hold results for the qubits measured."""
     out = []
-    subcircuits = _subcircuits(ir)
+    subcircuits = None  # built for the first circuit with fewer bits than qubits
+    measures: dict[str, list[OperatorEvent]] = {}  # measurements and measure_alls by circuit
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
         nq, nc = circuit.num_qubits, circuit.num_clbits
         if nq is None or nc is None or nq <= nc:
             continue
+        if subcircuits is None:
+            subcircuits = _subcircuits(ir)
+            for event in flow.measurements + flow.measure_alls:
+                measures.setdefault(event.circuit, []).append(event)
         if circuit.id in subcircuits:
             continue
-        demand = _measured_qubit_demand(circuit, flow.events_by_circuit.get(circuit.id, []))
+        demand = _measured_qubit_demand(circuit, measures.get(circuit.id, []))
         if demand is None:
             demand = nq
         if demand > nc:
@@ -219,8 +225,10 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Some qubit slot of the circuit is never used by any operator."""
     out = []
     # Circuits an unknown operator, an initialize or a composed child may act on anywhere.
-    skipped = {edge.parent for edge in ir.edges} | flow.unknown_taint
-    skipped |= {e.circuit for e in ir.events if e.kind is EventKind.INITIALIZE}
+    skipped = flow.unknown_taint
+    if ir.edges or flow.initializations:
+        skipped = skipped | {edge.parent for edge in ir.edges}
+        skipped |= {e.circuit for e in flow.initializations}
     # The qubits each circuit's operators act on are the keys of its timelines.
     used: dict[str, list[tuple[str, int]]] = {}
     for circuit_id, register, index in flow.timelines:
@@ -235,7 +243,7 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         touched = {offsets[r] + i for r, i in used.get(circuit.id, ()) if r in offsets}
         unused = sorted(set(range(nq)) - touched)
         if unused:
-            listing = ", ".join(str(i) for i in unused)
+            listing = ", ".join(map(str, unused))
             noun = "position" if len(unused) == 1 else "positions"
             out.append(
                 Warning(
@@ -267,15 +275,16 @@ def run_ghost_compose(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 def run_op_after_transp(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """An operator is appended to a circuit transpiled at optimization level 3."""
+    level_3 = {
+        c.id for c in ir.circuits.values()
+        if c.kind is CircuitKind.TRANSPILED and c.transpile_opt_level == 3
+    }
+    if not level_3:
+        return []
     out = []
     acting = (EventKind.GATE, EventKind.MEASUREMENT, EventKind.MEASURE_ALL)
     for event in ir.events:
-        if event.kind not in acting or event.circuit is None:
-            continue
-        circuit = ir.circuits[event.circuit]
-        if circuit.kind is not CircuitKind.TRANSPILED:
-            continue
-        if circuit.transpile_opt_level == 3:
+        if event.circuit in level_3 and event.kind in acting:
             out.append(
                 Warning(
                     "op-after-transp",

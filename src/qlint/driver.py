@@ -138,11 +138,13 @@ def analyze_source(source: str, path: str, config: Config | None = None) -> File
 
 def _analyze_path(path: str, config: Config) -> FileOutcome:
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", buffering=0) as handle:
             data = handle.read()
     except OSError as exc:
         return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
-    cookie = None if data.startswith(b"\xef\xbb\xbf") else _COOKIE_RE.match(data)
+    cookie = None  # a cookie holds the literal `coding`, which most files lack
+    if b"coding" in data and not data.startswith(b"\xef\xbb\xbf"):
+        cookie = _COOKIE_RE.match(data)
     try:
         source = data.decode(cookie.group(1).decode() if cookie else "utf-8-sig")
     except UnicodeDecodeError as exc:

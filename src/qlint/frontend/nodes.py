@@ -28,9 +28,6 @@ class SourceSpan(NamedTuple):
     end_line: int
     end_column: int
 
-    def anchor(self) -> tuple[str, int, int]:
-        return (self.file, self.line, self.column)
-
 
 _new_span = tuple.__new__  # `SourceSpan(...)` without its Python-level `__new__`
 

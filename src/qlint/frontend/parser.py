@@ -45,7 +45,7 @@ def parse_file(source: str, file: str) -> ModuleAst:
         lines = enumerate(source_lines(source), 1)
         wide_lines = {n: line.encode() for n, line in lines if not line.isascii()}
     rebound_names = _rebound_names(tree, source)
-    calls_circuit_methods = any(method in source for method in CIRCUIT_METHODS)
+    calls_circuit_methods = any(map(source.__contains__, CIRCUIT_METHODS))
     return ModuleAst(file, tree.body, rebound_names, calls_circuit_methods, wide_lines)
 
 

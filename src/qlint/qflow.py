@@ -9,7 +9,6 @@ are related in both orders because the loop may iterate.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import attrgetter
 
 from .qir.model import EventKind, OperatorEvent, QuantumIR
 
@@ -18,46 +17,59 @@ Pair = tuple[str, str, QubitKey]  # (earlier event id, later event id, key)
 
 
 def build_flow(ir: QuantumIR) -> "FlowRelation":
-    """Derive the flow relation for one file's IR, in one pass over its events.
-
-    Barriers move no quantum data; unknown events have no resolved operands
-    but act as blockers for adjacency within their circuit.
-    """
-    events: dict[str, OperatorEvent] = {}
-    by_circuit: dict[str, list[OperatorEvent]] = {}
-    timelines: dict[QubitKey, list[str]] = {}
-    blockers: dict[str, list[str]] = {}
-    unknown, barrier = EventKind.UNKNOWN, EventKind.BARRIER
-    for event in ir.events:
-        event_id, circuit, kind = event.id, event.circuit, event.kind
-        events[event_id] = event
-        if circuit is None:
-            continue
-        by_circuit.setdefault(circuit, []).append(event)
-        if kind is unknown:
-            blockers.setdefault(circuit, []).append(event_id)
-            continue
-        if kind is barrier:
-            continue
-        for register, index in event.qubits:
-            if register is not None and index is not None:
-                timelines.setdefault((circuit, register, index), []).append(event_id)
-    return FlowRelation(ir, events, by_circuit, timelines, blockers)
+    """Derive the flow relation for one file's IR, in one pass over its events."""
+    return FlowRelation(ir)
 
 
 class FlowRelation:
-    """Ordering facts over one file's operator events, and each circuit's events."""
+    """Ordering facts over one file's operator events."""
 
-    def __init__(
-        self, ir: QuantumIR, events: dict[str, OperatorEvent],
-        events_by_circuit: dict[str, list[OperatorEvent]], timelines: dict[QubitKey, list[str]],
-        unknown_blockers: dict[str, list[str]],
-    ) -> None:
-        self.ir, self.cfg, self.timelines = ir, ir.cfg, timelines
-        self.events = events  # by id
-        self.events_by_circuit = events_by_circuit  # in IR order
-        self.unknown_blockers = unknown_blockers
-        self.unknown_taint = frozenset(unknown_blockers)  # circuits with an unknown operator
+    def __init__(self, ir: QuantumIR) -> None:
+        """One pass over `ir.events`.
+
+        Barriers move no quantum data; unknown events have no resolved
+        operands but act as blockers for adjacency within their circuit.
+        The same pass picks out the events the rules start from, so a rule
+        whose list is empty does no work.
+        """
+        self.ir, self.cfg = ir, ir.cfg
+        self.events: dict[str, OperatorEvent] = {}  # by id
+        self.timelines: dict[QubitKey, list[str]] = {}  # in IR order, so by seq
+        self.unknown_blockers: dict[str, list[str]] = {}
+        # The events of circuits, in IR order, that the rules start from.
+        measurements: list[OperatorEvent] = []
+        measure_alls: list[OperatorEvent] = []
+        initializations: list[OperatorEvent] = []
+        conditionals: list[OperatorEvent] = []  # conditional gates
+        self.measurements, self.measure_alls = measurements, measure_alls
+        self.initializations, self.conditionals = initializations, conditionals
+        events, timelines = self.events, self.timelines
+        blockers = self.unknown_blockers
+        gate, measurement, unknown = EventKind.GATE, EventKind.MEASUREMENT, EventKind.UNKNOWN
+        barrier, measure_all = EventKind.BARRIER, EventKind.MEASURE_ALL
+        for event in ir.events:
+            event_id, circuit, kind = event.id, event.circuit, event.kind
+            events[event_id] = event
+            if circuit is None:
+                continue
+            if kind is gate:
+                if event.is_conditional:
+                    conditionals.append(event)
+            elif kind is measurement:
+                measurements.append(event)
+            elif kind is unknown:
+                blockers.setdefault(circuit, []).append(event_id)
+                continue
+            elif kind is barrier:
+                continue
+            elif kind is measure_all:
+                measure_alls.append(event)
+            elif kind is EventKind.INITIALIZE:
+                initializations.append(event)
+            for register, index in event.qubits:
+                if register is not None and index is not None:
+                    timelines.setdefault((circuit, register, index), []).append(event_id)
+        self.unknown_taint = frozenset(blockers)  # circuits with an unknown operator
 
     # --- ordering primitives ---
 
@@ -72,7 +84,7 @@ class FlowRelation:
 
     # --- materialized relations ---
 
-    def _in_order(self, pairs: set[Pair]) -> tuple[Pair, ...]:
+    def _in_order(self, pairs: set[Pair] | list[Pair]) -> tuple[Pair, ...]:
         """`pairs` by the seq of their earlier event, then of the later one, then key."""
         events = self.events
         ordered = sorted([(events[p[0]].seq, events[p[1]].seq, p[2], p) for p in pairs])
@@ -104,25 +116,42 @@ class FlowRelation:
         blocks. A block's first blocker follows every event open at its
         entry, and each later blocker follows the one before it. An event
         never pairs with itself.
+
+        A timeline is in seq order already, and names an event once per
+        operand, so a repeat of the id before is skipped. Only a circuit
+        with unknown operators has blockers off the timeline; they are
+        merged in by seq.
         """
-        pairs: set[Pair] = set()
+        pairs: list[Pair] = []
         all_events, successors, unknown = self.events, self.cfg.successors, self.unknown_blockers
-        by_seq = attrgetter("seq")
+        branches = bool(self.cfg.edges)  # else no block has a successor
         for key, timeline in self.timelines.items():
-            on_key = set(timeline)
+            on_key = None  # every blocker is on the key
             blockers = unknown.get(key[0])
-            by_block: dict[int, list[OperatorEvent]] = {}
-            for event_id in (on_key.union(blockers) if blockers else on_key):
-                event = all_events[event_id]
-                by_block.setdefault(event.block, []).append(event)
+            if blockers:
+                on_key = set(timeline)
+                timeline = sorted(on_key.union(blockers), key=lambda i: all_events[i].seq)
+            by_block: dict[int, list[str]] = {}
+            repeat = None
+            for event_id in timeline:
+                if event_id == repeat:
+                    continue
+                repeat = event_id
+                block = all_events[event_id].block
+                in_block = by_block.get(block)
+                if in_block is None:
+                    by_block[block] = [event_id]
+                    continue
+                x = in_block[-1]
+                if on_key is None or (x in on_key and event_id in on_key):
+                    pairs.append((x, event_id, key))
+                in_block.append(event_id)
+            if not branches:
+                continue
             work: list[tuple[int, str]] = []
-            for block, events in by_block.items():
-                events.sort(key=by_seq)
-                for x, y in zip(events, events[1:]):
-                    if x.id in on_key and y.id in on_key:
-                        pairs.add((x.id, y.id, key))
-                last = events[-1].id
-                if last in on_key:
+            for block, in_block in by_block.items():
+                last = in_block[-1]
+                if on_key is None or last in on_key:
                     for succ in successors(block):
                         work.append((succ, last))
             reached: set[tuple[int, str]] = set()
@@ -131,13 +160,14 @@ class FlowRelation:
                 if item in reached:
                     continue
                 reached.add(item)
-                if block not in by_block:
+                in_block = by_block.get(block)
+                if in_block is None:
                     for succ in successors(block):
                         work.append((succ, a))
                     continue
-                first = by_block[block][0].id
-                if first in on_key and first != a:
-                    pairs.add((a, first, key))
+                first = in_block[0]
+                if first != a and (on_key is None or first in on_key):
+                    pairs.append((a, first, key))
         return self._in_order(pairs)
 
     # --- debug dump ---

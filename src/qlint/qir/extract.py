@@ -63,6 +63,10 @@ MAX_UNROLLED_STMTS = 20_000
 MAX_IF_DEPTH = 100
 # Register sizes above this are unknown, so no stage enumerates their bits.
 MAX_REGISTER_SIZE = 10_000
+# Operands a file may list for whole registers (`measure_all()`, a register
+# name as an operand); past it such an operand is unresolved, so expanded
+# loops cannot multiply register sizes.
+MAX_LISTED_OPERANDS = 50_000
 # Statements with no analysis effect: they are not opaque, and not counted.
 _NO_OPS = (ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue)
 _REGISTER_CONSTRUCTORS = {"QuantumRegister": "quantum", "ClassicalRegister": "classical"}
@@ -166,6 +170,9 @@ class _Extractor:
         self.stmts = 0  # statements walked, loop copies included; numbers function scopes
         self.unrolled = 0  # statements counted against MAX_UNROLLED_STMTS
         self.expanding = 0  # expanded loops the walk is inside
+        self.listed = 0  # operands whole registers listed, against MAX_LISTED_OPERANDS
+        # Circuits a `*` value may have given registers the walk cannot name.
+        self.unknown_layouts: set[str] = set()
 
     def run(self, statements: list[ast.stmt]) -> QuantumIR:
         scope = _Scope(MODULE_SCOPE, {}, {}, self._method_receivers(statements))
@@ -237,7 +244,9 @@ class _Extractor:
     ) -> None:
         """Assign `value` to `targets`, left to right after `value` is evaluated."""
         self.stmts += 1
-        pairs = tuple_assign_pairs(targets, value)
+        pairs = None
+        if type(targets[0]) is ast.Tuple or type(targets[0]) is ast.List:
+            pairs = tuple_assign_pairs(targets, value)
         if pairs is not None:
             # The whole right side evaluates before any name is rebound; its
             # elements are read one by one, so no circuit escapes into a tuple.
@@ -250,7 +259,7 @@ class _Extractor:
             return
         got = self._eval(value, scope)
         known = got if type(got) is int else None
-        binding = _binding(got)
+        binding = got if type(got) is _Binding else _OTHER
         vars = scope.vars
         # Every target's integer is bound before any target is evaluated.
         for target in targets:
@@ -582,8 +591,8 @@ class _Extractor:
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _register_constructor(self, kind: str, call: ast.Call, scope: _Scope) -> _Binding:
-        args = positional_args(call)
         values, _ = self._eval_args(call, scope)
+        args = call.args if len(values) == len(call.args) else positional_args(call)
         size = self._register_size(values[0], call) if values else None
         label = args[1] if len(args) >= 2 else None
         name = label.value if type(label) is ast.Constant and type(label.value) is str else None
@@ -619,25 +628,33 @@ class _Extractor:
         return decl
 
     def _associate(self, circuit: CircuitDecl, register: RegisterDecl) -> None:
+        """Add `register` to the circuit; the caller then recomputes its counts."""
         quantum = register.kind == "quantum"
         target = circuit.quantum_registers if quantum else circuit.classical_registers
         if register.id not in target:
             target.append(register.id)
-        self._recompute_counts(circuit)
 
     def _recompute_counts(self, circuit: CircuitDecl) -> None:
+        """Sum the register sizes; unknown for a circuit of unknown layout."""
+        if circuit.id in self.unknown_layouts:
+            circuit.num_qubits = circuit.num_clbits = None
+            return
         circuit.num_qubits = self._registers_total(circuit.quantum_registers)
         circuit.num_clbits = self._registers_total(circuit.classical_registers)
 
     def _registers_total(self, register_ids: list[str]) -> int | None:
-        sizes = [self.ir.registers[reg_id].size for reg_id in register_ids]
-        return None if None in sizes else sum(sizes)
+        total, registers = 0, self.ir.registers
+        for reg_id in register_ids:
+            size = registers[reg_id].size
+            if size is None:
+                return None
+            total += size
+        return total
 
     def _circuit_constructor(self, call: ast.Call, scope: _Scope) -> _Binding:
         span = self.span(call)
         decl = self._new_circuit(CircuitKind.CONSTRUCTOR, span)
         implicit_seen = 0
-        unknown_layout = False
         # Each size argument's register is made before the next argument is
         # evaluated, so an inline register is numbered after the sizes before it.
         for arg in call.args:
@@ -645,7 +662,7 @@ class _Extractor:
                 self._eval(arg.value, scope)
                 # A `*` value supplies the sizes not given before it, or any registers.
                 if implicit_seen == 0:
-                    unknown_layout = True
+                    self.unknown_layouts.add(decl.id)
                 elif implicit_seen == 1:
                     self._associate(decl, self._implicit_register("classical", None, span))
                 implicit_seen = 2
@@ -663,13 +680,13 @@ class _Extractor:
         for kw in call.keywords:
             self._eval(kw.value, scope)
         self._recompute_counts(decl)
-        if unknown_layout:  # the `*` value may add registers this walk cannot name
-            decl.num_qubits = decl.num_clbits = None
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _inherit_layout(self, target: CircuitDecl, source: CircuitDecl) -> None:
         for reg_id in source.quantum_registers + source.classical_registers:
             self._associate(target, self.ir.registers[reg_id])
+        if source.id in self.unknown_layouts:
+            self.unknown_layouts.add(target.id)
         target.num_qubits = source.num_qubits
         target.num_clbits = source.num_clbits
 
@@ -779,6 +796,7 @@ class _Extractor:
             for value in values:
                 if type(value) is _Binding and value.kind == "register":
                     self._associate(circuit, self.ir.registers[value.ids[0]])
+            self._recompute_counts(circuit)
             return _OTHER
         if method in ("to_gate", "to_instruction"):
             self._eval_args(call, scope)
@@ -807,7 +825,9 @@ class _Extractor:
         self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, values: list[_Eval]
     ) -> _Binding:
         span, args = self.span(call), call.args
-        if has_star_args(call) or not spec.qubit_args:
+        # `values` leaves out the `*` values of `args`.
+        star = len(values) != len(args) or call.keywords and has_star_args(call)
+        if star or not spec.qubit_args:
             return self._unresolved_event(circuit, span, spec.method_name)
         refs: list[QubitRef] = []
         for pos in spec.qubit_args:
@@ -825,7 +845,8 @@ class _Extractor:
         self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
     ) -> _Binding:
         span, args = self.span(call), call.args
-        if has_star_args(call) or len(args) < 1:
+        star = len(values) != len(args) or call.keywords and has_star_args(call)
+        if star or len(args) < 1:
             return self._unresolved_event(circuit, span, "measure")
         qubits = self._bits(values[0], args[0], circuit, False)
         clbits = None
@@ -851,18 +872,32 @@ class _Extractor:
         for kw in call.keywords:
             if kw.arg == "add_bits" and type(kw.value) is ast.Constant and kw.value.value is False:
                 creates = False
-        kind, qubits = EventKind.MEASURE_ALL, self._full_layout(circuit)
+        kind, qubits = EventKind.MEASURE_ALL, self._full_layout(circuit, call)
         event = self._emit(kind, circuit.id, self.span(call), "measure_all", creates, None, qubits)
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
-    def _full_layout(self, circuit: CircuitDecl) -> list[QubitRef]:
+    def _full_layout(self, circuit: CircuitDecl, node: ast.expr) -> list[QubitRef]:
+        """Every qubit of the circuit; none when its layout is unknown or the
+        listing would pass MAX_LISTED_OPERANDS."""
+        if circuit.num_qubits is None or not self._may_list(circuit.num_qubits, node):
+            return []
         operands: list[QubitRef] = []
         for reg_id in circuit.quantum_registers:
-            size = self.ir.registers[reg_id].size
-            if size is None:
-                return []
-            operands += [_new(QubitRef, (reg_id, i)) for i in range(size)]
+            operands += [_new(QubitRef, (reg_id, i)) for i in range(self.ir.registers[reg_id].size)]
         return operands
+
+    def _may_list(self, operands: int, node: ast.expr) -> bool:
+        """Count `operands` against MAX_LISTED_OPERANDS; False once the file
+        has passed it, which is reported at `node` the first time."""
+        listed = self.listed + operands
+        if listed <= MAX_LISTED_OPERANDS:
+            self.listed = listed
+            return True
+        if self.listed <= MAX_LISTED_OPERANDS:
+            self.listed = listed
+            message = f"whole-register operands above {MAX_LISTED_OPERANDS}; treated as unresolved"
+            self._diagnostic(message, node)
+        return False
 
     def _initialize_event(
         self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
@@ -873,7 +908,7 @@ class _Extractor:
             if group is not None and UNRESOLVED_BIT not in group:
                 operands = group
         else:
-            operands = self._full_layout(circuit)
+            operands = self._full_layout(circuit, call)
         kind, span = EventKind.INITIALIZE, self.span(call)
         event = self._emit(kind, circuit.id, span, "initialize", False, None, operands)
         return _new(_Binding, ("instruction", (circuit.id,), event))
@@ -885,13 +920,13 @@ class _Extractor:
     ) -> list[QubitRef] | None:
         """The operands `expr`, of value `value`, names: one per element of a
         display, one per slot of a register name, else one; None for a
-        register of unknown size."""
+        register of unknown size, or past MAX_LISTED_OPERANDS."""
         if type(value) is tuple:
             return [self._bit(v, e, circuit, classical) for v, e in zip(value, expr.elts)]
         if type(expr) is ast.Name and type(value) is _Binding and value.kind == "register":
             reg = self.ir.registers[value.ids[0]]
             if reg.kind == ("classical" if classical else "quantum"):
-                if reg.size is None:
+                if reg.size is None or not self._may_list(reg.size, expr):
                     return None
                 return [_new(QubitRef, (reg.id, i)) for i in range(reg.size)]
         return [self._bit(value, expr, circuit, classical)]
@@ -902,7 +937,7 @@ class _Extractor:
         registers = circuit.classical_registers if classical else circuit.quantum_registers
         if type(value) is QubitRef:
             ref = value
-        elif type(value) is int and len(registers) == 1:
+        elif type(value) is int and len(registers) == 1 and circuit.id not in self.unknown_layouts:
             ref = _new(QubitRef, (registers[0], value))
         else:
             return UNRESOLVED_BIT

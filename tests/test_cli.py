@@ -179,6 +179,24 @@ class TestSourceEncoding:
         assert f"{tmp_path / 'lat.py'}:{bug_line}:1 double-meas " in out
         assert f"{tmp_path / 'two_bugs.py'}:10:1 op-after-meas " in out
 
+    @pytest.mark.parametrize(
+        "header, encoding",
+        [
+            # `coding` in a string on line 5 is no cookie: the file is UTF-8.
+            ("\n\n", "utf-8"),
+            ("#!/usr/bin/env python\n# coding: latin-1\n", "latin-1"),
+        ],
+    )
+    def test_text_is_decoded_by_the_cookie_lines_only(self, capsys, tmp_path, header, encoding):
+        # Columns count characters, so a wrong decoding moves the warning.
+        path = tmp_path / "enc.py"
+        body = "qc = QuantumCircuit(1, 1)\nqc.measure(0, 0)\n"
+        body += 's = "coding: latin-1 \u00e9"; qc.measure(0, 0)\n'
+        path.write_bytes((header + body).encode(encoding))
+        code, out, err = _run(capsys, "check", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith(f"{path}:5:26 double-meas ")
+
     def test_cookie_after_a_code_line_is_ignored(self, capsys, tmp_path):
         # Python rejects the Latin-1 byte on line 3 with a SyntaxError, so
         # the file is skipped like any file that does not parse.

@@ -126,6 +126,61 @@ class TestCircuitConstruction:
         (event,) = _events(_ir(source), EventKind.MEASURE_ALL)
         assert event.qubits == []
 
+    def test_listed_operands_are_bounded_per_file(self):
+        # 1,000 expanded `measure_all()`s on 10,000 qubits would list ten
+        # million operands; past MAX_LISTED_OPERANDS they are unresolved.
+        source = (
+            "qc = QuantumCircuit(10000)\n"
+            "for i in range(10):\n"
+            "    for j in range(10):\n"
+            "        for k in range(10):\n"
+            "            qc.measure_all()\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            f"import sys, resource, time; sys.path.insert(0, {str(src)!r})\n"
+            "from qlint import analyze_pipeline\n"
+            "started = time.perf_counter()\n"
+            f"result = analyze_pipeline({source!r}, 't.py')\n"
+            "print(time.perf_counter() - started)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+            "print(sum(1 for e in result.ir.events if e.qubits), len(result.ir.events))\n"
+            "print([(d.span.line, d.message) for d in result.ir.diagnostics])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60,
+            check=True,
+        )
+        seconds, max_rss_mib, listed, diagnostics = done.stdout.splitlines()
+        assert float(seconds) < 1.0
+        assert float(max_rss_mib) < 100
+        assert listed == "5 1000"
+        assert diagnostics == repr(
+            [(5, "whole-register operands above 50000; treated as unresolved")]
+        )
+
+    def test_register_operands_share_the_budget(self):
+        # Two measures of whole registers list 40,000 operands and the
+        # measure_all() 10,000 more: the budget is spent, so the last
+        # measure is one unresolved event.
+        source = (
+            "qr = QuantumRegister(10000)\n"
+            "cr = ClassicalRegister(10000)\n"
+            "qc = QuantumCircuit(qr, cr)\n"
+            "for i in range(2):\n"
+            "    qc.measure(qr, cr)\n"
+            "qc.measure_all()\n"
+            "qc.measure(qr, cr)\n"
+        )
+        ir = _ir(source)
+        measured = [e.span.line for e in _events(ir, EventKind.MEASUREMENT)]
+        assert measured == [5] * 20000
+        (measure_all,) = _events(ir, EventKind.MEASURE_ALL)
+        assert len(measure_all.qubits) == 10000
+        (unresolved,) = _events(ir, EventKind.UNKNOWN)
+        assert (unresolved.span.line, unresolved.gate_name) == (7, "measure")
+        assert [(d.span.line, d.span.column) for d in ir.diagnostics] == [(7, 12)]
+
     def test_unknown_size_argument(self):
         ir = _ir("qc = QuantumCircuit(n)\n")
         circuit = _the_circuit(ir)

@@ -253,6 +253,39 @@ class TestInsuffClasReg:
         )
         assert _rules_fired(source) == []
 
+    @pytest.mark.parametrize("target", ["qc", "qd"])
+    def test_registers_added_to_a_star_layout_leave_its_sizes_unknown(self, target):
+        # The `*` value may hold classical registers, so the added one does
+        # not tell the circuit's sizes; nor does it for a copy.
+        source = (
+            "qr = QuantumRegister(3)\n"
+            "qc = QuantumCircuit(*regs)\n"
+            "qd = qc.copy()\n"
+            f"{target}.add_register(qr)\n"
+            f"{target}.h(qr[0])\n"
+            f"{target}.h(qr[1])\n"
+            f"{target}.h(qr[2])\n"
+            f"{target}.measure_all()\n"
+        )
+        assert _lines_of(source, "insuff-clas-reg") == []
+        ir = analyze_pipeline(source, "t.py").ir
+        for circuit in ir.circuits.values():
+            assert (circuit.num_qubits, circuit.num_clbits) == (None, None)
+        (measure_all,) = [e for e in ir.events if e.gate_name == "measure_all"]
+        assert measure_all.qubits == []
+
+    def test_bare_index_into_a_star_layout_stays_unresolved_after_add_register(self):
+        source = (
+            "qr = QuantumRegister(3)\n"
+            "qc = QuantumCircuit(*regs)\n"
+            "qc.add_register(qr)\n"
+            "qc.h(0)\n"
+            "qc.h(qr[0])\n"
+        )
+        first, second = analyze_pipeline(source, "t.py").ir.events
+        assert (first.kind.value, first.qubits) == ("unknown", [])
+        assert (second.kind.value, len(second.qubits)) == ("gate", 1)
+
     def test_subcircuit_excluded(self):
         source = (
             "sub = QuantumCircuit(3)\n"
