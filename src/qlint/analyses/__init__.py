@@ -1,7 +1,5 @@
 """Rule catalog and the merged runner."""
 
-from __future__ import annotations
-
 from collections.abc import Callable, Iterable
 from operator import attrgetter
 from typing import NamedTuple

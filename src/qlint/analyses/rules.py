@@ -1,7 +1,5 @@
 """The ten rule implementations, each a pure function of (IR, flow relation)."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from ..frontend.nodes import SourceSpan
@@ -144,6 +142,7 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         opaque |= {e.circuit for e in flow.initializations if not e.qubits}
     # Per qubit key: first transforming seq per block, and the blocks it may reach.
     transformed: dict[QubitKey, tuple[dict[int, int], frozenset[int]]] = {}
+    no_edges = not flow.cfg.edges  # then no block reaches another
     for event in flow.measurements:
         circuit_id = event.circuit
         if ir.circuits[circuit_id].kind is not CircuitKind.CONSTRUCTOR:
@@ -161,7 +160,8 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
                 other = flow.events[other_id]
                 if other.kind in transforming:
                     first.setdefault(other.block, other.seq)
-            transformed[key] = (first, flow.cfg.reachable_from(first))
+            reached = frozenset() if no_edges else flow.cfg.reachable_from(first)
+            transformed[key] = (first, reached)
         first, reached = transformed[key]
         touched = event.block in reached or first.get(event.block, event.seq) < event.seq
         if not touched:
@@ -239,20 +239,24 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         nq = circuit.num_qubits  # None when a register or its size is unknown
         if not nq or circuit.id in skipped:
             continue
+        # Keys on the circuit's own registers are distinct slots in range, so
+        # some slot is unused exactly when they number fewer than nq.
+        registers = circuit.quantum_registers
+        own = [key for key in used.get(circuit.id, ()) if key[0] in registers]
+        if len(own) == nq:
+            continue
         offsets = register_offsets(ir, circuit)
-        touched = {offsets[r] + i for r, i in used.get(circuit.id, ()) if r in offsets}
-        unused = sorted(set(range(nq)) - touched)
-        if unused:
-            listing = ", ".join(map(str, unused))
-            noun = "position" if len(unused) == 1 else "positions"
-            out.append(
-                Warning(
-                    "oversized-circuit",
-                    circuit.span,
-                    f"Circuit has unused qubits ({noun} {listing})",
-                    circuit=circuit.id,
-                )
+        unused = sorted(set(range(nq)).difference([offsets[r] + i for r, i in own]))
+        listing = ", ".join(map(str, unused))
+        noun = "position" if len(unused) == 1 else "positions"
+        out.append(
+            Warning(
+                "oversized-circuit",
+                circuit.span,
+                f"Circuit has unused qubits ({noun} {listing})",
+                circuit=circuit.id,
             )
+        )
     return out
 
 

@@ -1,7 +1,5 @@
 """Command-line driver: check files, summarize a corpus, list the rules."""
 
-from __future__ import annotations
-
 import argparse
 import sys
 
@@ -114,10 +112,21 @@ def _make_config(args: argparse.Namespace) -> Config:
     )
 
 
+def _analyze_each(files: list[str], config: Config) -> list[FileOutcome]:
+    """Analyze file by file: an exception inside qlint is that file's outcome alone."""
+    outcomes = []
+    for path in files:
+        try:
+            outcomes += analyze_paths([path], config)
+        except Exception as exc:  # the last resort; reported as a tool error, exit 2
+            message = f"{path}: internal error: {type(exc).__name__}: {exc}"
+            outcomes.append(FileOutcome(path, unreadable=message))
+    return outcomes
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _make_config(args)
-    files = expand_paths(args.paths)
-    outcomes = analyze_paths(files, config)
+    outcomes = _analyze_each(expand_paths(args.paths), config)
     for outcome in outcomes:
         if outcome.skipped is not None:
             sys.stderr.write(
@@ -137,8 +146,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     config = _make_config(args)
-    files = expand_paths([args.directory])
-    outcomes = analyze_paths(files, config)
+    outcomes = _analyze_each(expand_paths([args.directory]), config)
     reports = [report_of([o]) for o in outcomes]
     analyzed = [r for r in reports if r.files_analyzed]
     csv_text = corpus_stats(analyzed)
@@ -156,7 +164,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _exit_code(outcomes: list[FileOutcome], warned: bool) -> int:
-    """EXIT_ERROR, naming each unreadable file on stderr, if any; else by warnings."""
+    """EXIT_ERROR, naming on stderr each file not read or not analyzed; else by warnings."""
     unreadable = [o.unreadable for o in outcomes if o.unreadable is not None]
     for message in unreadable:
         sys.stderr.write(f"qlint: error: {message}\n")

@@ -1,9 +1,8 @@
 """Per-file analysis pipeline and multi-file orchestration."""
 
-from __future__ import annotations
-
 import gc
 import re
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,10 +37,21 @@ def propagate_constants(tree: ModuleAst) -> None:
 unroll_loops = build_cfg = propagate_constants
 
 
-_SUPPRESS_RE = re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
-# PEP 263: a coding cookie on line 1, or on line 2 when line 1 is blank or a comment.
-_COOKIE_RE = re.compile(rb"(?:[ \t\f]*(?:#[^\r\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)")
-_LINE_END_RE = re.compile(rb"\r\n?|\n")
+# The three patterns are compiled on first use, behind guards that most files fail.
+@cache
+def _suppress_re() -> re.Pattern[str]:
+    return re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
+
+
+@cache
+def _cookie_re() -> re.Pattern[bytes]:
+    """PEP 263: a coding cookie on line 1, or on line 2 when line 1 is blank or a comment."""
+    return re.compile(rb"(?:[ \t\f]*(?:#[^\r\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)")
+
+
+@cache
+def _line_end_re() -> re.Pattern[bytes]:
+    return re.compile(rb"\r\n?|\n")
 
 
 class Config(NamedTuple):
@@ -67,7 +77,7 @@ class FileOutcome(Record):
         self.warnings = [] if warnings is None else warnings
         self.skipped = skipped
         self.timeline_dump: str | None = None
-        self.unreadable = unreadable  # why the file could not be read; not in reports
+        self.unreadable = unreadable  # why the file was not read (or analyzed); not in reports
 
 
 class PipelineResult(NamedTuple):
@@ -97,7 +107,7 @@ def suppress(warnings: list[Warning], source: str) -> list[Warning]:
     kept = []
     for warning in warnings:
         if 1 <= warning.span.line <= len(lines):
-            match = _SUPPRESS_RE.search(lines[warning.span.line - 1])
+            match = _suppress_re().search(lines[warning.span.line - 1])
             if match is not None:
                 listed = match.group(1)
                 if listed is None:
@@ -144,7 +154,7 @@ def _analyze_path(path: str, config: Config) -> FileOutcome:
         return FileOutcome(path, unreadable=f"cannot read {path}: {exc}")
     cookie = None  # a cookie holds the literal `coding`, which most files lack
     if b"coding" in data and not data.startswith(b"\xef\xbb\xbf"):
-        cookie = _COOKIE_RE.match(data)
+        cookie = _cookie_re().match(data)
     try:
         source = data.decode(cookie.group(1).decode() if cookie else "utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -155,7 +165,7 @@ def _analyze_path(path: str, config: Config) -> FileOutcome:
         # Universal newlines, as reading in text mode gives them.
         return analyze_source(source.replace("\r\n", "\n").replace("\r", "\n"), path, config)
     # Python rejects such bytes with a SyntaxError, so the file is skipped like one.
-    line = len(_LINE_END_RE.findall(before)) + 1
+    line = len(_line_end_re().findall(before)) + 1
     return FileOutcome(path, skipped=SkippedFile(path, line, message))
 
 

@@ -5,8 +5,6 @@ the graphs share one block-id space so every event has a globally unique
 block. Kept loops contribute a back edge; unrolled ones are plain chains.
 """
 
-from __future__ import annotations
-
 from bisect import insort
 from collections.abc import Iterable
 

@@ -7,8 +7,6 @@ subset stay opaque: the extractor takes the names they mention as possibly
 used in any way, instead of silently dropping program behavior.
 """
 
-from __future__ import annotations
-
 import ast
 from typing import Any, NamedTuple, TypeVar
 
@@ -114,17 +112,6 @@ def positional_args(call: ast.Call) -> list[ast.expr]:
     if ast.Starred in map(type, args):
         return [a for a in args if type(a) is not ast.Starred]
     return args
-
-
-def keyword_values(call: ast.Call) -> list[ast.expr]:
-    """The `*` values of `call`, then its keyword and `**` values.
-
-    This is the order of the former `Call.keywords` list, not Python's
-    evaluation order, which `arguments` gives.
-    """
-    values = [a.value for a in call.args if type(a) is ast.Starred]
-    values += [k.value for k in call.keywords]
-    return values
 
 
 def arguments(call: ast.Call) -> list[ast.expr]:

@@ -1,7 +1,5 @@
 """Parsing of Python source: `ast.parse` plus the facts read off the whole file."""
 
-from __future__ import annotations
-
 import ast
 
 from .nodes import CIRCUIT_METHODS, ModuleAst

@@ -6,8 +6,6 @@ in mutually exclusive branches stay unordered; events inside a kept loop body
 are related in both orders because the loop may iterate.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 
 from .qir.model import EventKind, OperatorEvent, QuantumIR

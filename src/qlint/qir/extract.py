@@ -20,8 +20,6 @@ expressions outside the subset are opaque, and any name they mention may be
 rebound. A source span is made only for what the IR keeps.
 """
 
-from __future__ import annotations
-
 import ast
 from typing import NamedTuple
 

@@ -4,8 +4,6 @@ The table ships as a plain text file so the recognized surface can be
 extended or overridden without touching code.
 """
 
-from __future__ import annotations
-
 import os
 from functools import cache
 from pathlib import Path

@@ -1,7 +1,5 @@
 """Quantum IR: registers, circuits, operator events, composition facts."""
 
-from __future__ import annotations
-
 import enum
 from typing import NamedTuple
 
@@ -39,10 +37,6 @@ class QubitRef(NamedTuple):
 
     register: str | None
     index: int | None
-
-    @property
-    def is_resolved(self) -> bool:
-        return self.register is not None and self.index is not None
 
 
 UNRESOLVED_BIT = QubitRef(None, None)

@@ -1,7 +1,5 @@
 """Deterministic serialization of analysis results: text, JSON, and SARIF."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .analyses import RULE_IDS, RULES, Warning

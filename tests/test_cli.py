@@ -276,6 +276,36 @@ class TestUnreadableFile:
         assert f"{tmp_path / 'pkg.py' / 'two_bugs.py'}:10:1 op-after-meas " in out
 
 
+class TestInternalError:
+    """A file on which qlint raises is named on stderr; the others still report."""
+
+    # 1,000 terms: `ast.parse` accepts it, and the extractor's recursion does not.
+    DEEP_SUM = "n = " + "+".join(["1"] * 1000) + "\n"
+
+    def _mixed(self, tmp_path):
+        (tmp_path / "deep.py").write_text(self.DEEP_SUM, "utf-8")
+        (tmp_path / "two_bugs.py").write_text(sample_source("two_bugs"), "utf-8")
+        return tmp_path
+
+    def test_check_reports_the_other_file(self, capsys, tmp_path):
+        mixed = self._mixed(tmp_path)
+        _, alone, _ = _run(capsys, "check", str(mixed / "two_bugs.py"))
+        assert alone.split()[1] == "op-after-meas"
+        code, out, err = _run(capsys, "check", str(mixed))
+        assert code == 2
+        assert out == alone
+        assert err.startswith(f"qlint: error: {mixed / 'deep.py'}: internal error: RecursionError: ")
+        assert err.count("\n") == 1
+
+    def test_corpus_reports_the_other_file(self, capsys, tmp_path):
+        mixed = self._mixed(tmp_path)
+        code, out, err = _run(capsys, "corpus", str(mixed))
+        assert code == 2
+        assert "op-after-meas,1,100.0" in out
+        assert "analyzed 1 files, 1 warnings" in err
+        assert f"{mixed / 'deep.py'}: internal error: RecursionError: " in err
+
+
 class TestRuleSelection:
     def test_select_adds_to_default_profile(self, capsys):
         code, out, _ = _run(

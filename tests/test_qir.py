@@ -13,6 +13,7 @@ import pytest
 from conftest import pipeline, sample_source, warnings_for
 
 from qlint.qir import (
+    UNRESOLVED_BIT,
     CircuitKind,
     EventKind,
     UnknownCause,
@@ -295,9 +296,9 @@ class TestQubitResolution:
         )
         ir = _ir(source)
         (measure,) = _events(ir, EventKind.MEASUREMENT)
-        assert measure.qubits[0].is_resolved
+        assert measure.qubits[0] != UNRESOLVED_BIT
         assert measure.qubits[0].index == 0
-        assert measure.clbits[0].is_resolved
+        assert measure.clbits[0] != UNRESOLVED_BIT
 
     def test_unknown_index_degrades_event(self):
         ir = _ir("qc = QuantumCircuit(2, 2)\nqc.h(idx)\n")
@@ -382,7 +383,7 @@ class TestQubitResolution:
         ir = _ir(source)
         for event in ir.events:
             if event.kind is not EventKind.UNKNOWN:
-                assert all(q.is_resolved for q in event.qubits)
+                assert UNRESOLVED_BIT not in event.qubits
 
     def test_slot_of_unassociated_register_is_a_gate_and_a_diagnostic(self):
         source = (

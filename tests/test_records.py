@@ -44,7 +44,11 @@ def test_importing_qlint_does_not_import_dataclasses():
     assert done.stdout == "False\n"
 
 
-_NOT_AT_IMPORT = ("concurrent.futures", "importlib.resources", "json", "logging", "tempfile")
+# `__future__` too: postponed annotations would make each record field a
+# `ForwardRef` built by `compile()` when its class is made.
+_NOT_AT_IMPORT = (
+    "__future__", "concurrent.futures", "importlib.resources", "json", "logging", "tempfile",
+)
 _REPORTED = "from qiskit import QuantumCircuit\nqc = QuantumCircuit(2, 2)\nqc.h(0)\n"
 
 
@@ -57,16 +61,19 @@ def test_importing_qlint_loads_only_what_analysis_runs():
         "from qlint.qir import load_gate_table\n"
         "load_gate_table()\n"
         f"loaded = [name for name in {_NOT_AT_IMPORT!r} if name in sys.modules]\n"
+        "import re\n"
+        "compiled = [k for k, v in vars(qlint.driver).items() if isinstance(v, re.Pattern)]\n"
         f"report = qlint.report_of([qlint.analyze_source({_REPORTED!r}, 'f.py')])\n"
         "styles = [qlint.format_report(report, style) for style in ('json', 'sarif')]\n"
-        "print(repr([loaded, *styles]))\n"
+        "print(repr([loaded, compiled, *styles]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    loaded, as_json, as_sarif = ast.literal_eval(done.stdout)
+    loaded, compiled, as_json, as_sarif = ast.literal_eval(done.stdout)
     assert loaded == []
+    assert compiled == []  # the driver compiles its patterns on first use
     report = report_of([analyze_source(_REPORTED, "f.py")])
     assert report.warnings
     assert as_json == format_report(report, "json")
