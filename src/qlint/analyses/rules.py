@@ -5,7 +5,7 @@ from typing import NamedTuple
 from ..frontend.nodes import SourceSpan
 from ..qflow import FlowRelation, QubitKey
 from ..qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QuantumIR
-from ..qir.model import UNRESOLVED_BIT, QubitRef, register_offsets
+from ..qir.model import UNRESOLVED_BIT, QubitRef
 
 
 class Warning(NamedTuple):
@@ -81,8 +81,11 @@ def run_meas_all_abuse(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     for event in flow.measure_alls:
         if not event.creates_new_register:
             continue
-        clbits = ir.circuits[event.circuit].num_clbits
-        if clbits is not None and clbits > 0:
+        # The bits its named classical registers are known to hold; a `*` value may add more.
+        clbits = 0
+        for reg_id in ir.circuits[event.circuit].layout.classical:
+            clbits += ir.registers[reg_id].size or 0
+        if clbits > 0:
             out.append(
                 Warning(
                     "meas-all-abuse",
@@ -181,8 +184,8 @@ def _measured_qubit_demand(circuit: CircuitDecl, measures: list[OperatorEvent]) 
     """Distinct qubits the circuit's measurements measure, or None when there are none."""
     measured: set[QubitRef] = set()
     for event in measures:
-        if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.num_qubits:
-            return circuit.num_qubits  # every qubit of a layout it could not resolve
+        if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.layout.num_qubits:
+            return circuit.layout.num_qubits  # every qubit of a layout it could not resolve
         measured.update(event.qubits)
     measured.discard(UNRESOLVED_BIT)
     return len(measured) if measures else None
@@ -196,7 +199,7 @@ def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
-        nq, nc = circuit.num_qubits, circuit.num_clbits
+        nq, nc = circuit.layout.num_qubits, circuit.layout.num_clbits
         if nq is None or nc is None or nq <= nc:
             continue
         if subcircuits is None:
@@ -236,16 +239,16 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
-        nq = circuit.num_qubits  # None when a register or its size is unknown
+        nq = circuit.layout.num_qubits  # None when a register or its size is unknown
         if not nq or circuit.id in skipped:
             continue
         # Keys on the circuit's own registers are distinct slots in range, so
         # some slot is unused exactly when they number fewer than nq.
-        registers = circuit.quantum_registers
+        registers = circuit.layout.quantum
         own = [key for key in used.get(circuit.id, ()) if key[0] in registers]
         if len(own) == nq:
             continue
-        offsets = register_offsets(ir, circuit)
+        offsets = dict(zip(registers, circuit.layout.offsets))
         unused = sorted(set(range(nq)).difference([offsets[r] + i for r, i in own]))
         listing = ", ".join(map(str, unused))
         noun = "position" if len(unused) == 1 else "positions"

@@ -9,6 +9,7 @@ from .model import (
     CompositionEdge,
     Diagnostic,
     EventKind,
+    Layout,
     OperatorEvent,
     QuantumIR,
     QubitRef,
@@ -28,6 +29,7 @@ __all__ = [
     "GateSpec",
     "GateTable",
     "GateTableError",
+    "Layout",
     "OperatorEvent",
     "QuantumIR",
     "QubitRef",

@@ -44,6 +44,7 @@ from .model import (
     CompositionEdge,
     Diagnostic,
     EventKind,
+    Layout,
     OperatorEvent,
     QuantumIR,
     QubitRef,
@@ -69,6 +70,7 @@ MAX_LISTED_OPERANDS = 50_000
 _NO_OPS = (ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue)
 _REGISTER_CONSTRUCTORS = {"QuantumRegister": "quantum", "ClassicalRegister": "classical"}
 _CONSTRUCTORS = {*_REGISTER_CONSTRUCTORS, "QuantumCircuit", "transpile"}
+_CLOSED = Layout(open=False, num_qubits=0, num_clbits=0)  # no register, and nothing unseen
 
 
 class _Binding(NamedTuple):
@@ -169,8 +171,6 @@ class _Extractor:
         self.unrolled = 0  # statements counted against MAX_UNROLLED_STMTS
         self.expanding = 0  # expanded loops the walk is inside
         self.listed = 0  # operands whole registers listed, against MAX_LISTED_OPERANDS
-        # Circuits a `*` value may have given registers the walk cannot name.
-        self.unknown_layouts: set[str] = set()
 
     def run(self, statements: list[ast.stmt]) -> QuantumIR:
         scope = _Scope(MODULE_SCOPE, {}, {}, self._method_receivers(statements))
@@ -619,40 +619,17 @@ class _Extractor:
         self.ir.circuits[decl.id] = decl
         return decl
 
-    def _implicit_register(self, kind: str, size: int | None, span: SourceSpan) -> RegisterDecl:
+    def _implicit_register(self, kind: str, size: int | None, span: SourceSpan) -> str:
         name = "q" if kind == "quantum" else "c"
         decl = RegisterDecl(self._new_id("r"), kind, size, span, name=name)
         self.ir.registers[decl.id] = decl
-        return decl
-
-    def _associate(self, circuit: CircuitDecl, register: RegisterDecl) -> None:
-        """Add `register` to the circuit; the caller then recomputes its counts."""
-        quantum = register.kind == "quantum"
-        target = circuit.quantum_registers if quantum else circuit.classical_registers
-        if register.id not in target:
-            target.append(register.id)
-
-    def _recompute_counts(self, circuit: CircuitDecl) -> None:
-        """Sum the register sizes; unknown for a circuit of unknown layout."""
-        if circuit.id in self.unknown_layouts:
-            circuit.num_qubits = circuit.num_clbits = None
-            return
-        circuit.num_qubits = self._registers_total(circuit.quantum_registers)
-        circuit.num_clbits = self._registers_total(circuit.classical_registers)
-
-    def _registers_total(self, register_ids: list[str]) -> int | None:
-        total, registers = 0, self.ir.registers
-        for reg_id in register_ids:
-            size = registers[reg_id].size
-            if size is None:
-                return None
-            total += size
-        return total
+        return decl.id
 
     def _circuit_constructor(self, call: ast.Call, scope: _Scope) -> _Binding:
         span = self.span(call)
         decl = self._new_circuit(CircuitKind.CONSTRUCTOR, span)
-        implicit_seen = 0
+        reg_ids: list[str] = []
+        implicit_seen, open = 0, False
         # Each size argument's register is made before the next argument is
         # evaluated, so an inline register is numbered after the sizes before it.
         for arg in call.args:
@@ -660,33 +637,24 @@ class _Extractor:
                 self._eval(arg.value, scope)
                 # A `*` value supplies the sizes not given before it, or any registers.
                 if implicit_seen == 0:
-                    self.unknown_layouts.add(decl.id)
+                    open = True
                 elif implicit_seen == 1:
-                    self._associate(decl, self._implicit_register("classical", None, span))
+                    reg_ids.append(self._implicit_register("classical", None, span))
                 implicit_seen = 2
                 continue
             value = self._eval(arg, scope)
             if type(value) is _Binding and value.kind == "register":
-                self._associate(decl, self.ir.registers[value.ids[0]])
+                reg_ids.append(value.ids[0])
                 continue
             # A size, known or not: the first is the quantum register's, the
             # second the classical one's.
             kind = "quantum" if implicit_seen == 0 else "classical"
             implicit_seen += 1
-            size = self._register_size(value, arg)
-            self._associate(decl, self._implicit_register(kind, size, span))
+            reg_ids.append(self._implicit_register(kind, self._register_size(value, arg), span))
         for kw in call.keywords:
             self._eval(kw.value, scope)
-        self._recompute_counts(decl)
+        decl.layout = _CLOSED.adding(self.ir.registers, reg_ids, open)
         return _new(_Binding, ("circuit", (decl.id,), None))
-
-    def _inherit_layout(self, target: CircuitDecl, source: CircuitDecl) -> None:
-        for reg_id in source.quantum_registers + source.classical_registers:
-            self._associate(target, self.ir.registers[reg_id])
-        if source.id in self.unknown_layouts:
-            self.unknown_layouts.add(target.id)
-        target.num_qubits = source.num_qubits
-        target.num_clbits = source.num_clbits
 
     def _transpile(self, call: ast.Call, scope: _Scope) -> _Binding:
         values, keywords = self._eval_args(call, scope)
@@ -695,7 +663,7 @@ class _Extractor:
         level = keywords.get("optimization_level")
         decl.transpile_opt_level = level if type(level) is int else None
         if sources:
-            self._inherit_layout(decl, self.ir.circuits[sources[0]])
+            decl.layout = self.ir.circuits[sources[0]].layout
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _local_function_call(self, info: _FuncInfo, call: ast.Call, scope: _Scope) -> _Binding:
@@ -791,10 +759,10 @@ class _Extractor:
             return self._compose(circuit, call, scope, bare)
         if method == "add_register":
             values, _ = self._eval_args(call, scope)
-            for value in values:
-                if type(value) is _Binding and value.kind == "register":
-                    self._associate(circuit, self.ir.registers[value.ids[0]])
-            self._recompute_counts(circuit)
+            reg_ids = [v.ids[0] for v in values if type(v) is _Binding and v.kind == "register"]
+            # A `*` value, or an argument that is no known register, may add any registers.
+            open = len(reg_ids) != len(call.args)
+            circuit.layout = circuit.layout.adding(self.ir.registers, reg_ids, open)
             return _OTHER
         if method in ("to_gate", "to_instruction"):
             self._eval_args(call, scope)
@@ -803,7 +771,7 @@ class _Extractor:
         if method == "copy":
             self._eval_args(call, scope)
             decl = self._new_circuit(CircuitKind.COPY, self.span(call))
-            self._inherit_layout(decl, circuit)
+            decl.layout = circuit.layout
             return _new(_Binding, ("circuit", (decl.id,), None))
         if method == "assign_parameters":
             self._eval_args(call, scope)
@@ -877,10 +845,10 @@ class _Extractor:
     def _full_layout(self, circuit: CircuitDecl, node: ast.expr) -> list[QubitRef]:
         """Every qubit of the circuit; none when its layout is unknown or the
         listing would pass MAX_LISTED_OPERANDS."""
-        if circuit.num_qubits is None or not self._may_list(circuit.num_qubits, node):
+        if circuit.layout.num_qubits is None or not self._may_list(circuit.layout.num_qubits, node):
             return []
         operands: list[QubitRef] = []
-        for reg_id in circuit.quantum_registers:
+        for reg_id in circuit.layout.quantum:
             operands += [_new(QubitRef, (reg_id, i)) for i in range(self.ir.registers[reg_id].size)]
         return operands
 
@@ -932,10 +900,11 @@ class _Extractor:
     def _bit(self, value: _Eval, expr: ast.expr, circuit: CircuitDecl, classical: bool) -> QubitRef:
         """The one operand `expr`, of value `value`, names: a register slot, or
         a known index into the circuit's only register of its kind."""
-        registers = circuit.classical_registers if classical else circuit.quantum_registers
+        layout = circuit.layout
+        registers = layout.classical if classical else layout.quantum
         if type(value) is QubitRef:
             ref = value
-        elif type(value) is int and len(registers) == 1 and circuit.id not in self.unknown_layouts:
+        elif type(value) is int and len(registers) == 1 and not layout.open:
             ref = _new(QubitRef, (registers[0], value))
         else:
             return UNRESOLVED_BIT
@@ -961,7 +930,7 @@ class _Extractor:
             name, size = reg.display_name(), reg.size
             self._diagnostic(f"index {index} out of range for register {name} of size {size}", node)
             return UNRESOLVED_BIT
-        if reg.id not in circuit.quantum_registers and reg.id not in circuit.classical_registers:
+        if reg.id not in circuit.layout.quantum and reg.id not in circuit.layout.classical:
             message = f"register {reg.display_name()} is not associated with the circuit"
             self._diagnostic(message, node)
         return ref
@@ -977,7 +946,7 @@ class _Extractor:
         span = self.span(call)
         self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, inplace_true))
         decl = self._new_circuit(CircuitKind.COPY, span)
-        self._inherit_layout(decl, circuit)
+        decl.layout = circuit.layout
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _composition_edges(

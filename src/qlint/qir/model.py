@@ -55,19 +55,57 @@ class RegisterDecl(Record):
         return self.name if self.name is not None else self.id
 
 
+class Layout(NamedTuple):
+    """A circuit's registers, in order, and what follows from them. A layout is
+    `open` when a value qlint cannot see may hold more registers: its counts
+    are then None, and a bare index names no known slot."""
+
+    quantum: tuple[str, ...] = ()
+    classical: tuple[str, ...] = ()
+    open: bool = True
+    num_qubits: int | None = None  # None while unknown
+    num_clbits: int | None = None
+    # Where each quantum register's qubits start, while `num_qubits` is known.
+    offsets: tuple[int, ...] = ()
+
+    def adding(
+        self, registers: dict[str, RegisterDecl], reg_ids: list[str], open: bool = False
+    ) -> "Layout":
+        """This layout with the registers `reg_ids` appended, each once, and
+        opened if `open`; its counts and offsets derived anew."""
+        quantum, classical = list(self.quantum), list(self.classical)
+        for reg_id in reg_ids:
+            target = quantum if registers[reg_id].kind == "quantum" else classical
+            if reg_id not in target:
+                target.append(reg_id)
+        if open or self.open:
+            return Layout(tuple(quantum), tuple(classical))
+        offsets, num_qubits, num_clbits = [], 0, 0
+        for reg_id in quantum:
+            offsets.append(num_qubits)
+            size = registers[reg_id].size
+            num_qubits = None if num_qubits is None or size is None else num_qubits + size
+        for reg_id in classical:
+            size = registers[reg_id].size
+            num_clbits = None if num_clbits is None or size is None else num_clbits + size
+        # `tuple.__new__` skips the Python-level `__new__` of a NamedTuple.
+        return tuple.__new__(Layout, (tuple(quantum), tuple(classical), False, num_qubits,
+                                      num_clbits, () if num_qubits is None else tuple(offsets)))
+
+
+_OPEN = Layout()  # the layout of a circuit `QuantumCircuit(...)` did not build
+
+
 class CircuitDecl(Record):
-    __slots__ = ("id", "kind", "span", "scope", "name", "num_qubits", "num_clbits",
-                 "quantum_registers", "classical_registers", "transpile_opt_level",
+    __slots__ = ("id", "kind", "span", "scope", "name", "layout", "transpile_opt_level",
                  "subcircuit_flags")
 
     def __init__(
         self, id: str, kind: CircuitKind, span: SourceSpan, scope: str, name: str | None = None
     ) -> None:
         self.id, self.kind, self.span, self.scope, self.name = id, kind, span, scope, name
-        # Integers, each None while unknown.
-        self.num_qubits = self.num_clbits = self.transpile_opt_level = None
-        self.quantum_registers: list[str] = []
-        self.classical_registers: list[str] = []
+        self.layout = _OPEN  # immutable, so circuits share one
+        self.transpile_opt_level: int | None = None
         self.subcircuit_flags: set[str] = set()
 
 
@@ -127,18 +165,4 @@ class QuantumIR(Record):
         self.compose_calls: list[ComposeCall] = []
         self.diagnostics: list[Diagnostic] = []
         self.cfg = Cfg()
-
-
-def register_offsets(ir: QuantumIR, circuit: CircuitDecl) -> dict[str, int]:
-    """Position in the circuit of each quantum register's first qubit: the sum of the
-    sizes of the registers before it. Registers after one of unknown size have none."""
-    offsets: dict[str, int] = {}
-    offset = 0
-    for reg_id in circuit.quantum_registers:
-        offsets[reg_id] = offset
-        size = ir.registers[reg_id].size
-        if size is None:
-            break
-        offset += size
-    return offsets
 

@@ -23,6 +23,8 @@ class TraceEvent:
 @dataclass
 class OracleTrace:
     events: list[TraceEvent] = field(default_factory=list)
+    # Every circuit the program built, by constructor or `copy()`, in order.
+    circuits: list["StubQuantumCircuit"] = field(default_factory=list)
 
     def timelines(self) -> dict[tuple[str, int], list[TraceEvent]]:
         out: dict[tuple[str, int], list[TraceEvent]] = {}
@@ -49,6 +51,14 @@ class OracleTrace:
         return pairs
 
 
+def _program_line() -> int:
+    """The line the traced program is running: that of the first frame outside this module."""
+    frame = sys._getframe(1)
+    while frame.f_code.co_filename == __file__:
+        frame = frame.f_back
+    return frame.f_lineno
+
+
 class _Bit:
     def __init__(self, register: "_Register", index: int) -> None:
         self.register = register
@@ -64,6 +74,7 @@ class _Register:
     def __init__(self, size: int, name: str | None = None) -> None:
         self.size = size
         self.name = name if name is not None else ("q" if self._kind == "quantum" else "c")
+        self.line = _program_line()  # where the program made it, perhaps implicitly
 
     def __getitem__(self, index: int) -> _Bit:
         if not 0 <= index < self.size:
@@ -121,24 +132,39 @@ class StubQuantumCircuit:
     def __init__(self, *args) -> None:
         self.qregs: list[StubQuantumRegister] = []
         self.cregs: list[StubClassicalRegister] = []
-        ints_seen = 0
-        for arg in args:
-            if isinstance(arg, StubQuantumRegister):
-                self.qregs.append(arg)
-            elif isinstance(arg, StubClassicalRegister):
-                self.cregs.append(arg)
-            elif isinstance(arg, int):
-                if ints_seen == 0:
-                    self.qregs.append(StubQuantumRegister(arg, "q"))
-                else:
-                    self.cregs.append(StubClassicalRegister(arg, "c"))
-                ints_seen += 1
-            else:
-                raise TypeError(f"unsupported circuit argument: {arg!r}")
+        self.line = _program_line()
         self._trace: OracleTrace | None = None
+        self.add_register(*args)
 
     def _attach(self, trace: OracleTrace) -> None:
         self._trace = trace
+        trace.circuits.append(self)
+
+    def add_register(self, *regs) -> None:
+        """Registers, or Qiskit's sizes: one int for a register `q`, two for
+        `q` and `c`; a size 0 adds none. Mixed forms and a register the
+        circuit already holds raise, as in Qiskit."""
+        if any(isinstance(reg, int) for reg in regs):
+            if len(regs) > 2 or not all(isinstance(reg, int) for reg in regs):
+                raise TypeError(f"registers or up to two sizes, not {regs!r}")
+            sizes = regs
+            regs = [StubQuantumRegister(sizes[0], "q")] if sizes[0] else []
+            if len(sizes) == 2 and sizes[1]:
+                regs.append(StubClassicalRegister(sizes[1], "c"))
+        for reg in regs:
+            if not isinstance(reg, _Register):
+                raise TypeError(f"unsupported circuit argument: {reg!r}")
+            if any(reg is held for held in self.qregs + self.cregs):
+                raise ValueError(f"register {reg.name} is already in the circuit")
+            (self.qregs if isinstance(reg, StubQuantumRegister) else self.cregs).append(reg)
+
+    def copy(self) -> "StubQuantumCircuit":
+        twin = object.__new__(type(self))
+        twin.qregs, twin.cregs, twin.line = list(self.qregs), list(self.cregs), _program_line()
+        twin._trace = None
+        if self._trace is not None:
+            twin._attach(self._trace)
+        return twin
 
     # --- qubit normalization ---
 

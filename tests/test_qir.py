@@ -6,21 +6,27 @@ import random
 import subprocess
 import sys
 import time
+import traceback
 import zipfile
 from pathlib import Path
 
 import pytest
 from conftest import pipeline, sample_source, warnings_for
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import trace_program
 
+from qlint.frontend import SourceSpan
 from qlint.qir import (
     UNRESOLVED_BIT,
     CircuitKind,
     EventKind,
+    Layout,
+    RegisterDecl,
     UnknownCause,
     load_gate_table,
     parse_gate_table,
 )
-from qlint.qir.model import register_offsets
 
 
 def _ir(source: str):
@@ -45,10 +51,10 @@ class TestTwoBugDemo:
         assert len(quantum) == 1 and quantum[0].size == 4
         assert len(classical) == 1 and classical[0].size == 3
         constructor = _the_circuit(ir)
-        assert constructor.num_qubits == 4
-        assert constructor.num_clbits == 3
+        assert constructor.layout.num_qubits == 4
+        assert constructor.layout.num_clbits == 3
         transpiled = _the_circuit(ir, CircuitKind.TRANSPILED)
-        assert transpiled.num_qubits == 4
+        assert transpiled.layout.num_qubits == 4
 
     def test_event_counts(self):
         ir = _ir(sample_source("two_bugs"))
@@ -70,8 +76,8 @@ class TestCircuitConstruction:
     def test_implicit_registers(self):
         ir = _ir("qc = QuantumCircuit(2, 2)\n")
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == 2
-        assert circuit.num_clbits == 2
+        assert circuit.layout.num_qubits == 2
+        assert circuit.layout.num_clbits == 2
         assert len(ir.registers) == 2
         kinds = sorted(r.kind for r in ir.registers.values())
         assert kinds == ["classical", "quantum"]
@@ -79,8 +85,8 @@ class TestCircuitConstruction:
     def test_quantum_only_constructor(self):
         ir = _ir("qc = QuantumCircuit(3)\n")
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == 3
-        assert circuit.num_clbits == 0
+        assert circuit.layout.num_qubits == 3
+        assert circuit.layout.num_clbits == 0
 
     @pytest.mark.parametrize(
         "call, sizes",
@@ -185,7 +191,7 @@ class TestCircuitConstruction:
     def test_unknown_size_argument(self):
         ir = _ir("qc = QuantumCircuit(n)\n")
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits is None
+        assert circuit.layout.num_qubits is None
 
     @pytest.mark.parametrize(
         "args, sizes",
@@ -199,7 +205,7 @@ class TestCircuitConstruction:
         # The first size not known is the quantum register's, the second the classical one's.
         ir = _ir(f"qc = QuantumCircuit({args})\n")
         assert [(r.kind, r.size) for r in ir.registers.values()] == sizes
-        assert _the_circuit(ir).num_clbits == sizes[1][1]
+        assert _the_circuit(ir).layout.num_clbits == sizes[1][1]
 
     def test_register_association_order(self):
         source = (
@@ -209,7 +215,7 @@ class TestCircuitConstruction:
         )
         ir = _ir(source)
         circuit = _the_circuit(ir)
-        names = [ir.registers[r].display_name() for r in circuit.quantum_registers]
+        names = [ir.registers[r].display_name() for r in circuit.layout.quantum]
         assert names == ["qb", "qa"]
 
     def test_add_register_appends_in_order(self):
@@ -221,8 +227,8 @@ class TestCircuitConstruction:
         )
         ir = _ir(source)
         circuit = _the_circuit(ir)
-        assert circuit.num_qubits == 5
-        names = [ir.registers[r].display_name() for r in circuit.quantum_registers]
+        assert circuit.layout.num_qubits == 5
+        names = [ir.registers[r].display_name() for r in circuit.layout.quantum]
         assert names == ["qa", "qb"]
 
     def test_register_shared_across_circuits(self):
@@ -233,7 +239,7 @@ class TestCircuitConstruction:
         )
         ir = _ir(source)
         (register,) = ir.registers.values()
-        assert [c.quantum_registers for c in ir.circuits.values()] == [[register.id]] * 2
+        assert [c.layout.quantum for c in ir.circuits.values()] == [(register.id,)] * 2
 
     def test_builtin_parametrized_circuit(self):
         ir = _ir("ansatz = EfficientSU2(4)\nansatz.h(0)\n")
@@ -243,7 +249,7 @@ class TestCircuitConstruction:
     def test_copy_kind(self):
         ir = _ir("qc = QuantumCircuit(2, 2)\nqc2 = qc.copy()\nqc2.h(0)\n")
         copy = _the_circuit(ir, CircuitKind.COPY)
-        assert copy.num_qubits == 2
+        assert copy.layout.num_qubits == 2
         gates = _events(ir, EventKind.GATE)
         assert gates and gates[0].circuit == copy.id
 
@@ -263,7 +269,7 @@ class TestCircuitConstruction:
         ]
         assert len(returned) == 1
         call_site = _the_circuit(ir, CircuitKind.USER_FUNCTION_RETURN)
-        assert call_site.num_qubits is None
+        assert call_site.layout.num_qubits is None
 
     def test_unknown_object_with_circuit_methods(self):
         source = "mystery = build()\ngate = mystery.to_gate()\n"
@@ -424,7 +430,80 @@ class TestQubitResolution:
         assert (diagnostic.span.line, diagnostic.span.column) == (2, 6)
 
 
+SPAN = SourceSpan("f.py", 1, 1, 1, 4)
+
+
+_GATES = st.sampled_from(
+    [("h", (i,)) for i in range(3)]
+    + [(gate, (i, j)) for gate in ("cx", "measure") for i in range(3) for j in range(3)]
+)
+
+
+@st.composite
+def _layout_programs(draw):
+    """A straight-line program of register and circuit constructors,
+    `add_register`, `copy()` and gates on bare indices; each circuit gets a
+    name of its own. Returns the lines and, by line, each gate's indices."""
+    lines: list[str] = []
+    registers: list[str] = []
+    circuits: list[str] = []
+    gates: dict[int, tuple[int, ...]] = {}
+    sizes = st.sampled_from([2, 1, 3, 0])
+
+    def circuit() -> str:  # counted from the latest
+        return circuits[-1 - draw(st.integers(0, len(circuits) - 1))]
+
+    def args() -> str:
+        """Registers, or up to two sizes, as Qiskit takes them; a `*` value
+        may hold some of them, before or after the others."""
+        if registers and draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(registers), min_size=1, max_size=2))
+        else:
+            values = [str(size) for size in draw(st.lists(sizes, max_size=2))]
+        split = draw(st.integers(-1, len(values)))  # -1: no `*` value
+        if split < 0:
+            return ", ".join(values)
+        starred, plain = f"*[{', '.join(values[split:])}]", values[:split]
+        return ", ".join([starred, *plain] if draw(st.booleans()) else [*plain, starred])
+
+    steps = ["gate", "add", "register", "circuit", "gate", "add", "copy", "register", "gate"]
+    for _ in range(draw(st.integers(4, 14))):
+        step = draw(st.sampled_from(steps))
+        if step == "register":
+            kind = draw(st.sampled_from(["Quantum", "Classical"]))
+            name = f"r{len(lines) + 1}"
+            lines.append(f'{name} = {kind}Register({draw(sizes)}, "{name}")')
+            registers.append(name)
+            continue
+        if step == "circuit" or not circuits:
+            receiver = f"c{len(lines) + 1}"
+            lines.append(f"{receiver} = QuantumCircuit({args()})")
+            circuits.append(receiver)
+        else:
+            receiver = circuit()
+        if step == "copy":
+            lines.append(f"c{len(lines) + 1} = {receiver}.copy()")
+            circuits.append(f"c{len(lines)}")
+        elif step == "add":
+            lines.append(f"{receiver}.add_register({args()})")
+        if step == "gate" or step == "add" and draw(st.booleans()):
+            gate, indices = draw(_GATES)
+            lines.append(f"{receiver}.{gate}({', '.join(map(str, indices))})")
+            gates[len(lines)] = indices
+    return lines, gates
+
+
+def _slot(registers, position):
+    """The (register, index) at `position` of the registers' qubits, in order."""
+    for reg in registers:
+        if position < reg.size:
+            return reg, position
+        position -= reg.size
+
+
 class TestAbsoluteIndex:
+    """A closed layout's offsets: where each quantum register's qubits start."""
+
     def test_second_register_shifts(self):
         # Layout enumerated independently of the implementation under test.
         source = (
@@ -433,22 +512,18 @@ class TestAbsoluteIndex:
             "qc = QuantumCircuit(qa, qb)\n"
         )
         ir = _ir(source)
-        circuit = _the_circuit(ir)
-        layout = []
-        for reg_id in circuit.quantum_registers:
+        layout = _the_circuit(ir).layout
+        slots = []
+        for reg_id in layout.quantum:
             size = ir.registers[reg_id].size
-            layout.extend((reg_id, i) for i in range(size))
-        reg_b = circuit.quantum_registers[1]
-        expected = layout.index((reg_b, 0))
-        assert expected == 2
-        assert register_offsets(ir, circuit)[reg_b] == 2
+            slots.extend((reg_id, i) for i in range(size))
+        assert slots.index((layout.quantum[1], 0)) == 2
+        assert layout.offsets[1] == 2
+        assert (layout.open, layout.num_qubits, layout.num_clbits) == (False, 4, 0)
 
     def test_first_register_identity(self):
         source = "qa = QuantumRegister(2)\nqb = QuantumRegister(2)\nqc = QuantumCircuit(qa, qb)\n"
-        ir = _ir(source)
-        circuit = _the_circuit(ir)
-        reg_a = circuit.quantum_registers[0]
-        assert register_offsets(ir, circuit)[reg_a] == 0
+        assert _the_circuit(_ir(source)).layout.offsets[0] == 0
 
     def test_unknown_preceding_size_propagates(self):
         source = (
@@ -456,10 +531,9 @@ class TestAbsoluteIndex:
             "qb = QuantumRegister(2)\n"
             "qc = QuantumCircuit(qa, qb)\n"
         )
-        ir = _ir(source)
-        circuit = _the_circuit(ir)
-        reg_b = circuit.quantum_registers[1]
-        assert reg_b not in register_offsets(ir, circuit)
+        layout = _the_circuit(_ir(source)).layout
+        assert len(layout.quantum) == 2
+        assert (layout.offsets, layout.num_qubits) == ((), None)
 
     def test_injective_over_resolved_refs(self):
         rng = random.Random(7)
@@ -470,16 +544,96 @@ class TestAbsoluteIndex:
             )
             args = ", ".join(f"r{i}" for i in range(len(sizes)))
             ir = _ir(f"{decls}\nqc = QuantumCircuit({args})\n")
-            circuit = _the_circuit(ir)
-            offsets = register_offsets(ir, circuit)
+            layout = _the_circuit(ir).layout
+            offsets = dict(zip(layout.quantum, layout.offsets))
             refs = [
                 (reg_id, index)
-                for reg_id in circuit.quantum_registers
+                for reg_id in layout.quantum
                 for index in range(ir.registers[reg_id].size)
             ]
             positions = [offsets[reg_id] + index for reg_id, index in refs]
             assert len(set(positions)) == len(refs)
             assert sorted(positions) == list(range(sum(sizes)))
+
+
+class TestLayout:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_layout_programs())
+    def test_agrees_with_the_oracle(self, drawn):
+        lines, gates = drawn
+        # Keep the statements the stubs run; one that raises, as in Qiskit, becomes `pass`.
+        while True:
+            program = "\n".join(lines) + "\n"
+            try:
+                trace = trace_program(program)
+                break
+            except (IndexError, TypeError, ValueError, NameError) as error:
+                frames = traceback.extract_tb(error.__traceback__)
+                (line,) = [frame.lineno for frame in frames if frame.filename == "<oracle>"]
+                lines[line - 1] = "pass"
+        stubs = {circuit.line: circuit for circuit in trace.circuits}
+        ir = _ir(program)
+        assert len(ir.circuits) == len(stubs)
+        # A register is matched by the line that made it, and its kind.
+        for circuit in ir.circuits.values():
+            stub, layout = stubs[circuit.span.line], circuit.layout
+            assert layout.num_qubits in (None, sum(reg.size for reg in stub.qregs)), program
+            assert layout.num_clbits in (None, sum(reg.size for reg in stub.cregs)), program
+            if not layout.open:  # then it names every register that holds a qubit
+                held = [ir.registers[r] for r in layout.quantum]
+                named = [(reg.span.line, reg.kind) for reg in held if reg.size != 0]
+                assert named == [(reg.line, "quantum") for reg in stub.qregs if reg.size], program
+        for event in ir.events:
+            if event.span.line not in gates:
+                continue
+            stub = stubs[ir.circuits[event.circuit].span.line]
+            for ref, index in zip(event.qubits, gates[event.span.line]):
+                if ref == UNRESOLVED_BIT:
+                    continue
+                reg, slot = _slot(stub.qregs, index)
+                decl = ir.registers[ref.register]
+                got = (decl.span.line, decl.kind, ref.index)
+                assert got == (reg.line, "quantum", slot), program
+
+    def test_adding_derives_a_new_value(self):
+        registers = {
+            "r1": RegisterDecl("r1", "quantum", 2, SPAN),
+            "r2": RegisterDecl("r2", "classical", 3, SPAN),
+            "r3": RegisterDecl("r3", "quantum", 1, SPAN),
+        }
+        empty = Layout(open=False, num_qubits=0, num_clbits=0)
+        first = empty.adding(registers, ["r1", "r2"])
+        assert first == Layout(("r1",), ("r2",), False, 2, 3, (0,))
+        # Each register is held once; the value added to is unchanged.
+        second = first.adding(registers, ["r2", "r3", "r1"])
+        assert second == Layout(("r1", "r3"), ("r2",), False, 3, 3, (0, 2))
+        assert first == Layout(("r1",), ("r2",), False, 2, 3, (0,))
+        # Once open, a layout stays open and its counts unknown.
+        opened = second.adding(registers, [], open=True)
+        assert opened == Layout(("r1", "r3"), ("r2",))
+        assert (opened.open, opened.num_qubits, opened.num_clbits) == (True, None, None)
+        assert opened.adding(registers, ["r3"]).open
+
+    @pytest.mark.parametrize(
+        "source, kind",
+        [
+            (
+                "def mk():\n    return QuantumCircuit(2)\nc = mk()\n",
+                CircuitKind.USER_FUNCTION_RETURN,
+            ),
+            ("c = EfficientSU2(2)\n", CircuitKind.BUILTIN_PARAMETRIZED),
+            ("c = build()\nc.to_gate()\n", CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS),
+            ("c = transpile(a, b)\n", CircuitKind.TRANSPILED),
+        ],
+    )
+    def test_circuits_not_built_by_the_constructor_are_open(self, source, kind):
+        assert _the_circuit(_ir(source), kind).layout == Layout()  # the open default
+
+    @pytest.mark.parametrize("derive", ["qc.copy()", "qc.compose(sub)", "transpile(qc)"])
+    def test_derived_circuits_share_the_source_value(self, derive):
+        ir = _ir(f"qc = QuantumCircuit(2, 1)\nsub = QuantumCircuit(1)\nqd = {derive}\n")
+        source, derived = (c for c in ir.circuits.values() if c.name in ("qc", "qd"))
+        assert derived.layout is source.layout
 
 
 class TestComposition:
@@ -623,7 +777,7 @@ class TestUnknownOperators:
         )
         ir = _ir(source)
         (gate,) = _events(ir, EventKind.GATE)
-        assert ir.circuits[gate.circuit].num_qubits == 3
+        assert ir.circuits[gate.circuit].layout.num_qubits == 3
 
     def test_circuit_stored_in_container_is_tainted(self):
         ir = _ir("qc = QuantumCircuit(2)\nbatch = [qc, other]\n")
@@ -776,5 +930,5 @@ class TestDeterminism:
         )
         assert sizes == [2, 3]
         main = [c for c in ir.circuits.values() if c.name == "circ"]
-        assert len(main) == 1 and main[0].num_qubits == 4
+        assert len(main) == 1 and main[0].layout.num_qubits == 4
         assert len(ir.edges) == 1

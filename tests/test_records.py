@@ -107,8 +107,8 @@ class TestRepr:
         decl = CircuitDecl("c1", CircuitKind.CONSTRUCTOR, SPAN, "<module>")
         assert repr(decl) == (
             "CircuitDecl(id='c1', kind=<CircuitKind.CONSTRUCTOR: 'constructor'>, "
-            f"span={SPAN_TEXT}, scope='<module>', name=None, num_qubits=None, "
-            "num_clbits=None, quantum_registers=[], classical_registers=[], "
+            f"span={SPAN_TEXT}, scope='<module>', name=None, layout=Layout(quantum=(), "
+            "classical=(), open=True, num_qubits=None, num_clbits=None, offsets=()), "
             "transpile_opt_level=None, subcircuit_flags=set())"
         )
 

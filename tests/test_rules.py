@@ -128,6 +128,26 @@ class TestOpAfterMeas:
         )
         assert _lines_of(source, "op-after-meas") == []
 
+    def test_add_register_on_a_circuit_built_elsewhere_leaves_bare_indices_unresolved(self):
+        # `mk()` returns a circuit qlint did not construct, whose registers it
+        # cannot see: bare index 0 need not be `qr[0]`.
+        source = (
+            "def mk():\n"
+            "    q = QuantumCircuit(2)\n"
+            "    return q\n"
+            "qr = QuantumRegister(2)\n"
+            "cr = ClassicalRegister(2)\n"
+            "c = mk()\n"
+            "c.add_register(qr)\n"
+            "c.add_register(cr)\n"
+            "c.measure(0, 0)\n"
+            "c.h(qr[0])\n"
+        )
+        assert _lines_of(source, "op-after-meas") == []
+        ir = analyze_pipeline(source, "t.py").ir
+        (returned,) = [c for c in ir.circuits.values() if c.name == "c"]
+        assert (returned.layout.num_qubits, returned.layout.num_clbits) == (None, None)
+
 
 class TestMeasAllAbuse:
     @pytest.mark.parametrize(
@@ -145,6 +165,24 @@ class TestMeasAllAbuse:
 
     def test_add_bits_false(self):
         source = "qc = QuantumCircuit(2, 2)\nqc.measure_all(add_bits=False)\n"
+        assert _lines_of(source, "meas-all-abuse") == []
+
+    @pytest.mark.parametrize("circuit", ["EfficientSU2(2)", "QuantumCircuit(*regs)"])
+    def test_open_layout_with_named_classical_bits(self, circuit):
+        # A `*` value or unseen code may have given the circuit more bits,
+        # but the named register's two already make the new register needless.
+        source = (
+            "from qiskit import ClassicalRegister\n"
+            "from qiskit.circuit.library import EfficientSU2\n\n"
+            f"c = {circuit}\n"
+            "c.add_register(ClassicalRegister(2))\n"
+            "c.measure_all()\n"
+        )
+        assert _lines_of(source, "meas-all-abuse") == [6]
+
+    @pytest.mark.parametrize("added", ["", "qc.add_register(ClassicalRegister(n))\n"])
+    def test_open_layout_without_known_classical_bits(self, added):
+        source = f"qc = QuantumCircuit(*regs)\n{added}qc.measure_all()\n"
         assert _lines_of(source, "meas-all-abuse") == []
 
 
@@ -234,12 +272,12 @@ class TestInsuffClasReg:
         )
         assert _lines_of(source, "insuff-clas-reg") == []
         (circuit,) = analyze_pipeline(source, "t.py").ir.circuits.values()
-        assert (circuit.num_qubits, circuit.num_clbits) == (3, None)
+        assert (circuit.layout.num_qubits, circuit.layout.num_clbits) == (3, None)
 
     def test_sizes_of_a_star_only_constructor_are_unknown(self):
         ir = analyze_pipeline("qc = QuantumCircuit(*regs)\nqc.measure_all()\n", "t.py").ir
         (circuit,) = ir.circuits.values()
-        assert (circuit.num_qubits, circuit.num_clbits) == (None, None)
+        assert (circuit.layout.num_qubits, circuit.layout.num_clbits) == (None, None)
         # The `*` value may hold registers, so a bare index names no known slot:
         # `qr[0]` may be qubit 0, and no measurement is taken as repeated.
         source = (
@@ -270,7 +308,7 @@ class TestInsuffClasReg:
         assert _lines_of(source, "insuff-clas-reg") == []
         ir = analyze_pipeline(source, "t.py").ir
         for circuit in ir.circuits.values():
-            assert (circuit.num_qubits, circuit.num_clbits) == (None, None)
+            assert (circuit.layout.num_qubits, circuit.layout.num_clbits) == (None, None)
         (measure_all,) = [e for e in ir.events if e.gate_name == "measure_all"]
         assert measure_all.qubits == []
 
@@ -285,6 +323,34 @@ class TestInsuffClasReg:
         first, second = analyze_pipeline(source, "t.py").ir.events
         assert (first.kind.value, first.qubits) == ("unknown", [])
         assert (second.kind.value, len(second.qubits)) == ("gate", 1)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def build(cr):\n"
+            "    qc = QuantumCircuit(2)\n"
+            "    qc.add_register(cr)\n"
+            "    qc.h(0)\n"
+            "    qc.h(1)\n"
+            "    qc.measure([0, 1], [0, 1])\n",
+            "qc = QuantumCircuit(2)\n"
+            "qc.add_register(*cregs)\n"
+            "qc.h(0)\n"
+            "qc.h(1)\n"
+            "qc.measure([0, 1], [0, 1])\n",
+            # Qiskit adds a register `q` of size 2 here, a form qlint does not model.
+            "qr = QuantumRegister(2)\n"
+            "qc = QuantumCircuit(qr)\n"
+            "qc.add_register(2)\n"
+            "qc.h(0)\n"
+            "qc.h(1)\n"
+            "qc.measure_all()\n",
+        ],
+        ids=["parameter", "star", "int"],
+    )
+    def test_add_register_of_a_value_that_is_no_known_register(self, source):
+        # The value may hold classical bits, so the circuit's count is unknown.
+        assert _lines_of(source, "insuff-clas-reg") == []
 
     def test_subcircuit_excluded(self):
         source = (
