@@ -1,11 +1,21 @@
 """The ten rule implementations, each a pure function of (IR, flow relation)."""
 
+from operator import attrgetter
 from typing import NamedTuple
 
 from ..frontend.nodes import SourceSpan
 from ..qflow import FlowRelation, QubitKey
 from ..qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QuantumIR
-from ..qir.model import UNRESOLVED_BIT, QubitRef
+from ..qir.model import UNRESOLVED_BIT, QubitRef, UnknownCause
+
+# What each circuit-level rule skips: a circuit whose `unseen` reasons meet
+# the set may hold, where qlint cannot see it, what would silence the warning.
+COND_WO_MEAS_SKIP = frozenset({"subcircuit", "has_subcircuit", "returned_from_function",
+                               "to_gate_or_instruction"})
+CONST_CLAS_BIT_SKIP = frozenset({"unknown_operator", "has_subcircuit", "initialize_all"})
+INSUFF_CLAS_REG_SKIP = frozenset({"subcircuit", "returned_from_function", "to_gate_or_instruction"})
+OVERSIZED_CIRCUIT_SKIP = frozenset({"unknown_operator", "has_subcircuit", "initialize",
+                                    "initialize_all", "returned_from_function"})
 
 
 class Warning(NamedTuple):
@@ -22,13 +32,6 @@ class Warning(NamedTuple):
 def _qubit_label(ir: QuantumIR, key: QubitKey) -> str:
     register = ir.registers[key[1]]
     return f"{register.display_name()}[{key[2]}]"
-
-
-def _subcircuits(ir: QuantumIR) -> set[str]:
-    """Children of append/compose edges, and circuits flagged as likely subcircuits."""
-    out = {edge.child for edge in ir.edges}
-    out.update(c.id for c in ir.circuits.values() if c.subcircuit_flags)
-    return out
 
 
 def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
@@ -103,29 +106,33 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     if not flow.conditionals:
         return []
     out = []
-    measure_kinds = (EventKind.MEASUREMENT, EventKind.MEASURE_ALL)
     # Circuits derived from others (copies, transpiled or externally built
     # ones) may already contain measurements we cannot see.
     visible_kinds = (CircuitKind.CONSTRUCTOR, CircuitKind.BUILTIN_PARAMETRIZED)
-    composed = _subcircuits(ir).union(edge.parent for edge in ir.edges)
-    first_measurement: dict[str | None, int] = {}
-    for e in ir.events:
-        if e.kind in measure_kinds:
-            first_measurement.setdefault(e.circuit, e.seq)
+    # Unknown code may measure, and so may a measure with operands qlint
+    # could not resolve; another gate with such operands does not.
+    may_measure = flow.measurements + flow.measure_alls
+    unresolved = UnknownCause.UNRESOLVED_QUBIT
+    for event_ids in flow.unknown_blockers.values():
+        for event_id in event_ids:
+            event = flow.events[event_id]
+            if event.unknown_cause is not unresolved or event.gate_name == "measure":
+                may_measure.append(event)
+    # By descending seq, so each circuit keeps the seq of its first.
+    may_measure.sort(key=attrgetter("seq"), reverse=True)
+    first_measurement = {event.circuit: event.seq for event in may_measure}
     for event in flow.conditionals:
-        circuit_id = event.circuit
-        if circuit_id in composed:
+        circuit = ir.circuits[event.circuit]
+        if circuit.kind not in visible_kinds or circuit.unseen & COND_WO_MEAS_SKIP:
             continue
-        if ir.circuits[circuit_id].kind not in visible_kinds:
-            continue
-        if first_measurement.get(circuit_id, event.seq) >= event.seq:
+        if first_measurement.get(circuit.id, event.seq) >= event.seq:
             out.append(
                 Warning(
                     "cond-wo-meas",
                     event.span,
                     "Conditional gate with no preceding measurement; "
                     "the condition is constant",
-                    circuit=circuit_id,
+                    circuit=circuit.id,
                 )
             )
     return out
@@ -137,26 +144,18 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         return []
     out = []
     transforming = (EventKind.GATE, EventKind.RESET, EventKind.INITIALIZE)
-    # Circuits we cannot fully see: an unknown operator, a composed child or
-    # an initialize with unresolved targets may touch any qubit.
-    opaque = flow.unknown_taint
-    if ir.edges or flow.initializations:
-        opaque = opaque | {edge.parent for edge in ir.edges}
-        opaque |= {e.circuit for e in flow.initializations if not e.qubits}
     # Per qubit key: first transforming seq per block, and the blocks it may reach.
     transformed: dict[QubitKey, tuple[dict[int, int], frozenset[int]]] = {}
     no_edges = not flow.cfg.edges  # then no block reaches another
     for event in flow.measurements:
-        circuit_id = event.circuit
-        if ir.circuits[circuit_id].kind is not CircuitKind.CONSTRUCTOR:
-            # Derived or externally built circuits have content we cannot see.
-            continue
-        if circuit_id in opaque:
+        circuit = ir.circuits[event.circuit]
+        # Derived or externally built circuits have content we cannot see.
+        if circuit.kind is not CircuitKind.CONSTRUCTOR or circuit.unseen & CONST_CLAS_BIT_SKIP:
             continue
         register, index = event.qubits[0] if event.qubits else UNRESOLVED_BIT
         if register is None or index is None:
             continue
-        key = (circuit_id, register, index)
+        key = (circuit.id, register, index)
         if key not in transformed:
             first: dict[int, int] = {}
             for other_id in flow.timelines.get(key, ()):
@@ -174,44 +173,38 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
                     event.span,
                     f"Measurement of untransformed qubit {_qubit_label(ir, key)}; "
                     "the result is always 0",
-                    circuit=circuit_id,
+                    circuit=circuit.id,
                 )
             )
     return out
 
 
-def _measured_qubit_demand(circuit: CircuitDecl, measures: list[OperatorEvent]) -> int | None:
-    """Distinct qubits the circuit's measurements measure, or None when there are none."""
+def _measured_qubit_demand(circuit: CircuitDecl, measures: list[OperatorEvent]) -> int:
+    """Distinct qubits the circuit's measurements measure; all its qubits when there are none."""
     measured: set[QubitRef] = set()
     for event in measures:
         if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.layout.num_qubits:
             return circuit.layout.num_qubits  # every qubit of a layout it could not resolve
         measured.update(event.qubits)
     measured.discard(UNRESOLVED_BIT)
-    return len(measured) if measures else None
+    return len(measured) if measures else circuit.layout.num_qubits
 
 
 def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """The classical register cannot hold results for the qubits measured."""
     out = []
-    subcircuits = None  # built for the first circuit with fewer bits than qubits
-    measures: dict[str, list[OperatorEvent]] = {}  # measurements and measure_alls by circuit
+    measures = None  # measurements and measure_alls by circuit, once a circuit needs them
     for circuit in ir.circuits.values():
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
         nq, nc = circuit.layout.num_qubits, circuit.layout.num_clbits
-        if nq is None or nc is None or nq <= nc:
+        if nq is None or nc is None or nq <= nc or circuit.unseen & INSUFF_CLAS_REG_SKIP:
             continue
-        if subcircuits is None:
-            subcircuits = _subcircuits(ir)
+        if measures is None:
+            measures = {}
             for event in flow.measurements + flow.measure_alls:
                 measures.setdefault(event.circuit, []).append(event)
-        if circuit.id in subcircuits:
-            continue
-        demand = _measured_qubit_demand(circuit, measures.get(circuit.id, []))
-        if demand is None:
-            demand = nq
-        if demand > nc:
+        if _measured_qubit_demand(circuit, measures.get(circuit.id, [])) > nc:
             out.append(
                 Warning(
                     "insuff-clas-reg",
@@ -227,11 +220,6 @@ def run_insuff_clas_reg(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Some qubit slot of the circuit is never used by any operator."""
     out = []
-    # Circuits an unknown operator, an initialize or a composed child may act on anywhere.
-    skipped = flow.unknown_taint
-    if ir.edges or flow.initializations:
-        skipped = skipped | {edge.parent for edge in ir.edges}
-        skipped |= {e.circuit for e in flow.initializations}
     # The qubits each circuit's operators act on are the keys of its timelines.
     used: dict[str, list[tuple[str, int]]] = {}
     for circuit_id, register, index in flow.timelines:
@@ -240,7 +228,7 @@ def run_oversized_circuit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if circuit.kind is not CircuitKind.CONSTRUCTOR:
             continue
         nq = circuit.layout.num_qubits  # None when a register or its size is unknown
-        if not nq or circuit.id in skipped:
+        if not nq or circuit.unseen & OVERSIZED_CIRCUIT_SKIP:
             continue
         # Keys on the circuit's own registers are distinct slots in range, so
         # some slot is unused exactly when they number fewer than nq.

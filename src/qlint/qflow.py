@@ -67,7 +67,6 @@ class FlowRelation:
             for register, index in event.qubits:
                 if register is not None and index is not None:
                     timelines.setdefault((circuit, register, index), []).append(event_id)
-        self.unknown_taint = frozenset(blockers)  # circuits with an unknown operator
 
     # --- ordering primitives ---
 

@@ -204,6 +204,7 @@ class _Extractor:
         gate_name: str | None = None,
     ) -> None:
         for cid in circuit_ids:
+            self.ir.circuits[cid].unseen.add("unknown_operator")
             self._emit(EventKind.UNKNOWN, cid, span, gate_name, False, cause)
 
     def _diagnostic(self, message: str, node: ast.expr) -> None:
@@ -319,7 +320,7 @@ class _Extractor:
         if scope.func_info is not None and binding.kind == "circuit":
             scope.func_info.returns_circuit = True
             for cid in binding.ids:
-                self.ir.circuits[cid].subcircuit_flags.add("returned_from_function")
+                self.ir.circuits[cid].unseen.add("returned_from_function")
 
     def _for(self, node: ast.For, scope: _Scope) -> None:
         range_args = _range_args(node)
@@ -766,7 +767,7 @@ class _Extractor:
             return _OTHER
         if method in ("to_gate", "to_instruction"):
             self._eval_args(call, scope)
-            circuit.subcircuit_flags.add("to_gate_or_instruction")
+            circuit.unseen.add("to_gate_or_instruction")
             return _new(_Binding, ("circuit_gate", (circuit.id,), None))
         if method == "copy":
             self._eval_args(call, scope)
@@ -784,6 +785,7 @@ class _Extractor:
 
     def _unresolved_event(self, circuit: CircuitDecl, span: SourceSpan, gate_name: str) -> _Binding:
         cause = UnknownCause.UNRESOLVED_QUBIT
+        circuit.unseen.add("unknown_operator")
         event = self._emit(EventKind.UNKNOWN, circuit.id, span, gate_name, False, cause)
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
@@ -875,6 +877,7 @@ class _Extractor:
                 operands = group
         else:
             operands = self._full_layout(circuit, call)
+        circuit.unseen.add("initialize" if operands else "initialize_all")
         kind, span = EventKind.INITIALIZE, self.span(call)
         event = self._emit(kind, circuit.id, span, "initialize", False, None, operands)
         return _new(_Binding, ("instruction", (circuit.id,), event))
@@ -959,6 +962,8 @@ class _Extractor:
             for child in first.ids:
                 if child != circuit.id:
                     self.ir.edges.append(CompositionEdge(circuit.id, child, how, self.span(call)))
+                    circuit.unseen.add("has_subcircuit")
+                    self.ir.circuits[child].unseen.add("subcircuit")
 
 
 _STATEMENTS = {

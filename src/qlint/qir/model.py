@@ -95,10 +95,16 @@ class Layout(NamedTuple):
 
 _OPEN = Layout()  # the layout of a circuit `QuantumCircuit(...)` did not build
 
+# Why qlint may not see all of a circuit, as `CircuitDecl.unseen` records them:
+# an unknown event (unknown code, or operands qlint could not resolve); being
+# composed into another circuit, or having one composed in; an `initialize` on
+# resolved qubits, or on ones it could not list; being returned, or made a gate.
+UNSEEN_REASONS = ("unknown_operator", "subcircuit", "has_subcircuit", "initialize",
+                  "initialize_all", "returned_from_function", "to_gate_or_instruction")
+
 
 class CircuitDecl(Record):
-    __slots__ = ("id", "kind", "span", "scope", "name", "layout", "transpile_opt_level",
-                 "subcircuit_flags")
+    __slots__ = ("id", "kind", "span", "scope", "name", "layout", "transpile_opt_level", "unseen")
 
     def __init__(
         self, id: str, kind: CircuitKind, span: SourceSpan, scope: str, name: str | None = None
@@ -106,7 +112,7 @@ class CircuitDecl(Record):
         self.id, self.kind, self.span, self.scope, self.name = id, kind, span, scope, name
         self.layout = _OPEN  # immutable, so circuits share one
         self.transpile_opt_level: int | None = None
-        self.subcircuit_flags: set[str] = set()
+        self.unseen: set[str] = set()  # of UNSEEN_REASONS
 
 
 class CompositionEdge(NamedTuple):

@@ -1,9 +1,16 @@
-"""No module under src/qlint imports a name it never uses, or `__future__`.
+"""No module under src/qlint imports a name it never uses, or `__future__`,
+and nothing it defines in public goes uncalled.
 
 A stdlib `ast` check in the spirit of pyflakes' F401. A name counts as used
 when the module reads it anywhere, names it in a string annotation, or lists
 it in `__all__` (how the package `__init__` files re-export). An import line
 that carries `# noqa: F401` is exempt.
+
+A public module-level function or class, or a public method of a public
+class, counts as called when some `Name` or `Attribute` in src/qlint names
+it. An `__all__` entry, and a use in tests/ or bench/, do not count: such a
+definition is dead code unless README "Library use" documents it, and then
+it goes on `UNCALLED_API`.
 
 qlint's modules evaluate their annotations: under `from __future__ import
 annotations` each `NamedTuple` field would become a `ForwardRef` compiled
@@ -86,3 +93,54 @@ def test_check_finds_an_unused_import(tmp_path):
         "utf-8",
     )
     assert unused_imports(module) == [(1, "os")]
+
+
+# Documented library API (README "Library use") that nothing in src/qlint calls.
+UNCALLED_API = {"FlowRelation.may_follow_pairs"}
+
+
+def uncalled_definitions(paths: list[Path]) -> list[str]:
+    """Each public function, class or method defined in `paths` that no
+    `Name` or `Attribute` there names, as `name` or `Class.method`."""
+    trees = [ast.parse(path.read_text("utf-8")) for path in paths]
+    named: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in named:
+                found.append(node.name)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    if item.name not in named:
+                        found.append(f"{node.name}.{item.name}")
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    assert set(uncalled_definitions(MODULES)) == UNCALLED_API
+
+
+def test_caller_check_finds_an_uncalled_definition(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "__all__ = ['unused']\n"
+        "def unused(): pass\n"
+        "def used(): pass\n"
+        "def _private(): pass\n"
+        "class Box:\n"
+        "    def method(self): return used()\n"
+        "    def _helper(self): pass\n"
+        "    def called(self): pass\n"
+        "Box().called()\n",
+        "utf-8",
+    )
+    assert uncalled_definitions([module]) == ["unused", "Box.method"]

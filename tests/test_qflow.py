@@ -221,12 +221,14 @@ class TestKeptLoops:
 class TestUnknownTaint:
     def test_unknown_operator_taints_circuit(self):
         ir, flow = _flow("qc = QuantumCircuit(1)\nhelper(qc)\n")
-        assert flow.unknown_taint == frozenset(ir.circuits)
+        assert [c.unseen for c in ir.circuits.values()] == [{"unknown_operator"}]
+        assert list(flow.unknown_blockers) == list(ir.circuits)
 
     def test_loop_indexed_by_unknown_taints_via_unknown_event(self):
         source = "qc = QuantumCircuit(2, 2)\nfor i in range(n):\n    qc.h(i)\n"
         ir, flow = _flow(source)
-        assert flow.unknown_taint
+        assert flow.unknown_blockers
+        assert [c.unseen for c in ir.circuits.values()] == [{"unknown_operator"}]
 
     def test_unknown_event_blocks_adjacency(self):
         source = (

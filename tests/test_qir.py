@@ -27,6 +27,7 @@ from qlint.qir import (
     load_gate_table,
     parse_gate_table,
 )
+from qlint.qir.model import UNSEEN_REASONS
 
 
 def _ir(source: str):
@@ -68,8 +69,8 @@ class TestTwoBugDemo:
         assert unknowns[0].circuit == _the_circuit(ir, CircuitKind.TRANSPILED).id
 
     def test_constructor_circuit_has_no_unknown_operator(self):
-        result = pipeline(sample_source("two_bugs"))
-        assert _the_circuit(result.ir).id not in result.flow.unknown_taint
+        ir = _ir(sample_source("two_bugs"))
+        assert "unknown_operator" not in _the_circuit(ir).unseen
 
 
 class TestCircuitConstruction:
@@ -265,7 +266,7 @@ class TestCircuitConstruction:
         returned = [
             c
             for c in ir.circuits.values()
-            if "returned_from_function" in c.subcircuit_flags
+            if "returned_from_function" in c.unseen
         ]
         assert len(returned) == 1
         call_site = _the_circuit(ir, CircuitKind.USER_FUNCTION_RETURN)
@@ -275,7 +276,7 @@ class TestCircuitConstruction:
         source = "mystery = build()\ngate = mystery.to_gate()\n"
         ir = _ir(source)
         circuit = _the_circuit(ir, CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS)
-        assert "to_gate_or_instruction" in circuit.subcircuit_flags
+        assert "to_gate_or_instruction" in circuit.unseen
 
     def test_transpile_records_optimization_level(self):
         source = (
@@ -658,12 +659,12 @@ class TestComposition:
         source = "def f():\n    circ = QuantumCircuit(2)\n    return circ\n"
         ir = _ir(source)
         (circuit,) = [c for c in ir.circuits.values() if c.name == "circ"]
-        assert "returned_from_function" in circuit.subcircuit_flags
+        assert "returned_from_function" in circuit.unseen
 
     def test_to_gate_flag(self):
         ir = _ir("circ = QuantumCircuit(2)\ngate = circ.to_gate()\n")
         (circuit,) = ir.circuits.values()
-        assert "to_gate_or_instruction" in circuit.subcircuit_flags
+        assert "to_gate_or_instruction" in circuit.unseen
 
     def test_append_of_to_gate_result_makes_edge(self):
         source = (
@@ -722,11 +723,9 @@ class TestUnknownOperators:
             "qc = QuantumCircuit(2, 2)\n"
             "backend.run(transpile(qc, backend))\n"
         )
-        result = pipeline(source)
-        constructor = _the_circuit(result.ir)
-        transpiled = _the_circuit(result.ir, CircuitKind.TRANSPILED)
-        assert constructor.id not in result.flow.unknown_taint
-        assert transpiled.id in result.flow.unknown_taint
+        ir = _ir(source)
+        assert "unknown_operator" not in _the_circuit(ir).unseen
+        assert "unknown_operator" in _the_circuit(ir, CircuitKind.TRANSPILED).unseen
 
     def test_global_mutation_through_function_call(self):
         source = (
@@ -795,6 +794,42 @@ class TestUnknownOperators:
         gates = {e.gate_name: e for e in _events(ir, EventKind.GATE)}
         assert gates["h"].is_conditional
         assert not gates["x"].is_conditional
+
+
+# A minimal program recording each reason why qlint may not see all of a
+# circuit, and the name of that circuit.
+_UNSEEN = {
+    "unknown_operator": ("qc = QuantumCircuit(1)\nhelper(qc)\n", "qc"),
+    "subcircuit": ("qc = QuantumCircuit(2)\nsub = QuantumCircuit(2)\nqc.append(sub, [0])\n", "sub"),
+    "has_subcircuit": ("qc = QuantumCircuit(2)\nsub = QuantumCircuit(2)\nqc.compose(sub)\n", "qc"),
+    "initialize": ("qc = QuantumCircuit(2)\nqc.initialize(state)\n", "qc"),
+    "initialize_all": ("qc = QuantumCircuit(n)\nqc.initialize(state)\n", "qc"),
+    "returned_from_function": ("def f():\n    qc = QuantumCircuit(2)\n    return qc\n", "qc"),
+    "to_gate_or_instruction": ("qc = QuantumCircuit(2)\ngate = qc.to_gate()\n", "qc"),
+}
+
+
+class TestUnseen:
+    def test_every_reason_has_a_program(self):
+        assert sorted(_UNSEEN) == sorted(UNSEEN_REASONS)
+
+    @pytest.mark.parametrize("reason", UNSEEN_REASONS)
+    def test_program_records_the_reason(self, reason):
+        source, name = _UNSEEN[reason]
+        (circuit,) = [c for c in _ir(source).circuits.values() if c.name == name]
+        assert reason in circuit.unseen
+
+    def test_unresolved_operand_records_unknown_operator(self):
+        circuit = _the_circuit(_ir("qc = QuantumCircuit(2)\nqc.h(k)\n"))
+        assert circuit.unseen == {"unknown_operator"}
+
+    def test_initialize_on_unresolved_targets_records_initialize_all(self):
+        circuit = _the_circuit(_ir("qc = QuantumCircuit(2)\nqc.initialize(state, targets)\n"))
+        assert circuit.unseen == {"initialize_all"}
+
+    def test_fully_seen_circuit_records_nothing(self):
+        source = "qc = QuantumCircuit(2, 2)\nqc.h(0)\nqc.cx(0, 1)\nqc.measure([0, 1], [0, 1])\n"
+        assert _the_circuit(_ir(source)).unseen == set()
 
 
 class TestGateTable:

@@ -109,7 +109,7 @@ class TestRepr:
             "CircuitDecl(id='c1', kind=<CircuitKind.CONSTRUCTOR: 'constructor'>, "
             f"span={SPAN_TEXT}, scope='<module>', name=None, layout=Layout(quantum=(), "
             "classical=(), open=True, num_qubits=None, num_clbits=None, offsets=()), "
-            "transpile_opt_level=None, subcircuit_flags=set())"
+            "transpile_opt_level=None, unseen=set())"
         )
 
     def test_cfg(self):

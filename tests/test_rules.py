@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import elif_chain, parses_in_this_python, sample_source, warnings_for
 
 from qlint.analyses import ALL_RULES, DEFAULT_PROFILE, RULE_IDS, run_all
+from qlint.analyses import rules
+from qlint.qir.model import UNSEEN_REASONS
 from qlint import analyze_pipeline
 from qlint.qflow import build_flow
 
@@ -214,6 +216,38 @@ class TestCondWoMeas:
         )
         assert _lines_of(source, "cond-wo-meas") == []
 
+    _REGISTERS = (
+        "qr = QuantumRegister(2)\ncr = ClassicalRegister(2)\nqc = QuantumCircuit(qr, cr)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "qc = QuantumCircuit(2, 2)\nhelper(qc)\nqc.x(0).c_if(qc.clbits[0], 1)\n",
+            _REGISTERS + "qc.measure(qr[k], cr[0])\nqc.x(1).c_if(cr, 1)\n",
+            _REGISTERS + "qc.measure(*pairs)\nqc.x(1).c_if(cr, 1)\n",
+            "qr = QuantumRegister(2)\ncr = ClassicalRegister(2)\n"
+            "a = QuantumCircuit(qr, cr)\nb = QuantumCircuit(qr, cr)\n"
+            "if flag:\n    qc = a\nelse:\n    qc = b\n"
+            "qc.measure(0, 0)\na.x(0).c_if(cr, 1)\n",
+        ],
+        ids=["unknown_code", "unresolved_measure", "unpacked_measure", "one_of_two_circuits"],
+    )
+    def test_what_may_measure_before_counts(self, source):
+        # Each earlier event may have measured the condition's bits.
+        assert _lines_of(source, "cond-wo-meas", DEFAULT_PROFILE) == []
+
+    @pytest.mark.parametrize(
+        "source, line",
+        [
+            (_REGISTERS + "qc.h(qr[k])\nqc.x(1).c_if(cr, 1)\n", 5),
+            (_REGISTERS + "qc.x(1).c_if(cr, 1)\nhelper(qc)\n", 4),
+        ],
+        ids=["unresolved_gate_before", "unknown_code_after"],
+    )
+    def test_what_cannot_measure_first_keeps_the_warning(self, source, line):
+        assert _lines_of(source, "cond-wo-meas", DEFAULT_PROFILE) == [line]
+
 
 class TestConstClasBit:
     def test_untouched_qubit(self):
@@ -393,6 +427,11 @@ class TestOversizedCircuit:
 
     def test_initialize_excluded(self):
         source = "qc = QuantumCircuit(4)\nqc.initialize(vec)\nqc.h(0)\n"
+        assert _lines_of(source, "oversized-circuit") == []
+
+    def test_circuit_returned_from_a_function_excluded(self):
+        # The caller's gates act on the call's value, which qlint cannot tie to `q`.
+        source = "def mk():\n    q = QuantumCircuit(2)\n    return q\nc = mk()\nc.h(0)\nc.h(1)\n"
         assert _lines_of(source, "oversized-circuit") == []
 
     @pytest.mark.parametrize(
@@ -633,6 +672,21 @@ class TestOldIdenGate:
 
     def test_unresolved_index_still_flagged(self):
         assert _lines_of("qc = QuantumCircuit(2)\nqc.iden(k)\n", "old-iden-gate") == [2]
+
+
+@pytest.mark.parametrize(
+    "skip",
+    [
+        rules.COND_WO_MEAS_SKIP,
+        rules.CONST_CLAS_BIT_SKIP,
+        rules.INSUFF_CLAS_REG_SKIP,
+        rules.OVERSIZED_CIRCUIT_SKIP,
+    ],
+    ids=["cond-wo-meas", "const-clas-bit", "insuff-clas-reg", "oversized-circuit"],
+)
+def test_skip_policy_names_only_recorded_reasons(skip):
+    # A misspelt reason would never match a circuit's `unseen`.
+    assert skip <= set(UNSEEN_REASONS)
 
 
 class TestRunAll:
