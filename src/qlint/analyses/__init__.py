@@ -2,8 +2,8 @@
 
 from collections.abc import Callable, Iterable
 from operator import attrgetter
-from typing import NamedTuple
 
+from ..frontend.nodes import TupleRecord
 from ..qflow import FlowRelation
 from ..qir.model import QuantumIR
 from .rules import (
@@ -23,74 +23,35 @@ from .rules import (
 RuleFn = Callable[[QuantumIR, FlowRelation], list[Warning]]
 
 
-class Rule(NamedTuple):
-    id: str
-    summary: str
-    run: RuleFn
-    default: bool
+class Rule(TupleRecord):
+    __slots__ = ()
+    _fields = ("id", "summary", "run", "default")
+
+    def __new__(cls, id: str, summary: str, run: RuleFn, default: bool):
+        return tuple.__new__(cls, (id, summary, run, default))
 
 
 RULES: tuple[Rule, ...] = (
-    Rule(
-        "double-meas",
-        "Two measurements read the same qubit one after the other",
-        run_double_meas,
-        default=True,
-    ),
-    Rule(
-        "op-after-meas",
-        "A gate operates on a qubit after it has been measured",
-        run_op_after_meas,
-        default=True,
-    ),
-    Rule(
-        "meas-all-abuse",
-        "measure_all() adds a new register although classical bits exist",
-        run_meas_all_abuse,
-        default=True,
-    ),
-    Rule(
-        "cond-wo-meas",
-        "Conditional gate without a measurement feeding its condition",
-        run_cond_wo_meas,
-        default=True,
-    ),
-    Rule(
-        "const-clas-bit",
-        "A qubit is measured but was never transformed",
-        run_const_clas_bit,
-        default=False,
-    ),
-    Rule(
-        "insuff-clas-reg",
-        "Classical bits do not suffice to measure the qubits used",
-        run_insuff_clas_reg,
-        default=False,
-    ),
-    Rule(
-        "oversized-circuit",
-        "The circuit allocates qubits it never uses",
-        run_oversized_circuit,
-        default=False,
-    ),
-    Rule(
-        "ghost-compose",
-        "compose() result is dropped, so nothing is composed",
-        run_ghost_compose,
-        default=True,
-    ),
-    Rule(
-        "op-after-transp",
-        "An operator is added after transpilation at optimization level 3",
-        run_op_after_transp,
-        default=True,
-    ),
-    Rule(
-        "old-iden-gate",
-        "The removed iden() identity-gate API is used",
-        run_old_iden_gate,
-        default=False,
-    ),
+    Rule("double-meas", "Two measurements read the same qubit one after the other",
+         run_double_meas, default=True),
+    Rule("op-after-meas", "A gate operates on a qubit after it has been measured",
+         run_op_after_meas, default=True),
+    Rule("meas-all-abuse", "measure_all() adds a new register although classical bits exist",
+         run_meas_all_abuse, default=True),
+    Rule("cond-wo-meas", "Conditional gate without a measurement feeding its condition",
+         run_cond_wo_meas, default=True),
+    Rule("const-clas-bit", "A qubit is measured but was never transformed",
+         run_const_clas_bit, default=False),
+    Rule("insuff-clas-reg", "Classical bits do not suffice to measure the qubits used",
+         run_insuff_clas_reg, default=False),
+    Rule("oversized-circuit", "The circuit allocates qubits it never uses",
+         run_oversized_circuit, default=False),
+    Rule("ghost-compose", "compose() result is dropped, so nothing is composed",
+         run_ghost_compose, default=True),
+    Rule("op-after-transp", "An operator is added after transpilation at optimization level 3",
+         run_op_after_transp, default=True),
+    Rule("old-iden-gate", "The removed iden() identity-gate API is used",
+         run_old_iden_gate, default=False),
 )
 
 RULE_IDS: tuple[str, ...] = tuple(rule.id for rule in RULES)

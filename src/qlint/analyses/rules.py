@@ -1,9 +1,8 @@
 """The ten rule implementations, each a pure function of (IR, flow relation)."""
 
 from operator import attrgetter
-from typing import NamedTuple
 
-from ..frontend.nodes import SourceSpan
+from ..frontend.nodes import SourceSpan, TupleRecord
 from ..qflow import FlowRelation, QubitKey
 from ..qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QuantumIR
 from ..qir.model import UNRESOLVED_BIT, QubitRef, UnknownCause
@@ -18,12 +17,15 @@ OVERSIZED_CIRCUIT_SKIP = frozenset({"unknown_operator", "has_subcircuit", "initi
                                     "initialize_all", "returned_from_function"})
 
 
-class Warning(NamedTuple):
-    rule: str
-    span: SourceSpan
-    message: str
-    circuit: str | None = None
-    severity: str = "warning"
+class Warning(TupleRecord):
+    __slots__ = ()
+    _fields = ("rule", "span", "message", "circuit", "severity")
+
+    def __new__(
+        cls, rule: str, span: SourceSpan, message: str, circuit: str | None = None,
+        severity: str = "warning",
+    ):
+        return tuple.__new__(cls, (rule, span, message, circuit, severity))
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.span.file, self.span.line, self.span.column, self.rule)
@@ -180,9 +182,14 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
 
 
 def _measured_qubit_demand(circuit: CircuitDecl, measures: list[OperatorEvent]) -> int:
-    """Distinct qubits the circuit's measurements measure; all its qubits when there are none."""
+    """Distinct qubits the circuit's measurements measure; all its qubits when there are none.
+
+    A `measure_all()` that adds its own classical register needs no bits of the circuit's.
+    """
     measured: set[QubitRef] = set()
     for event in measures:
+        if event.creates_new_register:
+            continue
         if event.kind is EventKind.MEASURE_ALL and not event.qubits and circuit.layout.num_qubits:
             return circuit.layout.num_qubits  # every qubit of a layout it could not resolve
         measured.update(event.qubits)

@@ -4,11 +4,10 @@ import gc
 import re
 from functools import cache
 from pathlib import Path
-from typing import NamedTuple
 
 from .analyses import ALL_RULES, Warning, run_all
 from .frontend import ParseError, parse_file, source_lines
-from .frontend.nodes import ModuleAst, Record
+from .frontend.nodes import ModuleAst, Record, TupleRecord
 from .qflow import FlowRelation, build_flow
 from .qir import DEFAULT_MAX_UNROLL, GateTable, QuantumIR, extract, load_gate_table
 from .report import Report, SkippedFile, build_report
@@ -54,14 +53,20 @@ def _line_end_re() -> re.Pattern[bytes]:
     return re.compile(rb"\r\n?|\n")
 
 
-class Config(NamedTuple):
-    """Per-run analysis settings; read-only once the run starts."""
+class Config(TupleRecord):
+    """Per-run analysis settings; read-only once the run starts.
 
-    rules: frozenset[str] = ALL_RULES
-    max_unroll: int = DEFAULT_MAX_UNROLL
-    gate_table: GateTable | None = None
-    jobs: int = 1  # accepted for compatibility; files are analyzed serially
-    dump_timelines: bool = False
+    `jobs` is accepted for compatibility; files are analyzed serially.
+    """
+
+    __slots__ = ()
+    _fields = ("rules", "max_unroll", "gate_table", "jobs", "dump_timelines")
+
+    def __new__(
+        cls, rules: frozenset[str] = ALL_RULES, max_unroll: int = DEFAULT_MAX_UNROLL,
+        gate_table: GateTable | None = None, jobs: int = 1, dump_timelines: bool = False,
+    ):
+        return tuple.__new__(cls, (rules, max_unroll, gate_table, jobs, dump_timelines))
 
 
 class FileOutcome(Record):
@@ -80,12 +85,14 @@ class FileOutcome(Record):
         self.unreadable = unreadable  # why the file was not read (or analyzed); not in reports
 
 
-class PipelineResult(NamedTuple):
+class PipelineResult(TupleRecord):
     """Intermediate products of the per-file pipeline, for library callers."""
 
-    ir: QuantumIR
-    flow: FlowRelation
-    warnings: list[Warning]
+    __slots__ = ()
+    _fields = ("ir", "flow", "warnings")
+
+    def __new__(cls, ir: QuantumIR, flow: FlowRelation, warnings: list[Warning]):
+        return tuple.__new__(cls, (ir, flow, warnings))
 
 
 def analyze_pipeline(source: str, path: str, config: Config | None = None) -> PipelineResult:

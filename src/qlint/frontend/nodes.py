@@ -1,30 +1,65 @@
 """Restricted AST over the supported Python/Qiskit subset.
 
-Statements and expressions are the `ast` objects that `ast.parse`
-returned; `form` decides which expressions the subset models, and the
-extractor reads them through it. Statements and expressions outside the
+Statements and expressions are the `ast` objects that the parser's
+`compile` returned; `form` decides which expressions the subset models, and
+the extractor reads them through it. Statements and expressions outside the
 subset stay opaque: the extractor takes the names they mention as possibly
-used in any way, instead of silently dropping program behavior.
+used in any way, instead of silently dropping program behavior. The node
+classes are read from `_ast`, where `ast` takes them from, so importing qlint
+does not run the `ast` module's own body.
 """
 
-import ast
-from typing import Any, NamedTuple, TypeVar
+import _ast
+from collections import _tuplegetter
 
-_R = TypeVar("_R", bound="Record")
 MODULE_SCOPE = "<module>"  # the scope of a file's top-level statements
 # Methods that only a circuit has: a call result later used as the receiver
 # of one of them is taken to be a circuit.
 CIRCUIT_METHODS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
 
 
-class SourceSpan(NamedTuple):
+class TupleRecord(tuple):
+    """Base of qlint's immutable records, with the API of a `namedtuple`.
+
+    A subclass names its fields in `_fields` and passes them, in order, from
+    its own `__new__` to `tuple.__new__`. Each field is read by a C-level
+    getter; `repr`, `==`, `hash` and iteration are a tuple's. The records are
+    written out rather than made by `typing.NamedTuple`, so importing qlint
+    generates and compiles no code.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+        cls.__match_args__ = cls._fields
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+    def __getnewargs__(self) -> tuple:  # what `copy` and `pickle` pass to `__new__`
+        return tuple(self)
+
+    def _replace(self, **changes: object) -> "TupleRecord":
+        new = tuple.__new__(type(self), map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return new
+
+    def _asdict(self) -> dict[str, object]:
+        return dict(zip(self._fields, self))
+
+
+class SourceSpan(TupleRecord):
     """Immutable location in a file; 1-based line/column, end column exclusive."""
 
-    file: str
-    line: int
-    column: int
-    end_line: int
-    end_column: int
+    __slots__ = ()
+    _fields = ("file", "line", "column", "end_line", "end_column")
+
+    def __new__(cls, file: str, line: int, column: int, end_line: int, end_column: int):
+        return tuple.__new__(cls, (file, line, column, end_line, end_column))
 
 
 _new_span = tuple.__new__  # `SourceSpan(...)` without its Python-level `__new__`
@@ -57,7 +92,7 @@ class Record:
         names = self._fields
         return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
 
-    def _replace(self: _R, **changes: Any) -> _R:
+    def _replace(self, **changes: object) -> "Record":
         """A shallow copy with `changes` applied, like `dataclasses.replace`."""
         new = object.__new__(type(self))
         for name in self._fields:
@@ -69,104 +104,118 @@ class Record:
 
 # --- expressions ---
 
-_BIN_OPS = frozenset({ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Div, ast.Mod, ast.Pow})
+_BIN_OPS = frozenset({_ast.Add, _ast.Sub, _ast.Mult, _ast.FloorDiv, _ast.Div, _ast.Mod,
+                      _ast.Pow})
 _LITERAL_TYPES = frozenset({int, float, str, bool, type(None)})
 # Classes modelled whatever they hold, and their forms.
 _ALWAYS = {
-    ast.Name: ast.Name,
-    ast.Attribute: ast.Attribute,
-    ast.Call: ast.Call,
-    ast.List: ast.Tuple,
-    ast.Tuple: ast.Tuple,
+    _ast.Name: _ast.Name,
+    _ast.Attribute: _ast.Attribute,
+    _ast.Call: _ast.Call,
+    _ast.List: _ast.Tuple,
+    _ast.Tuple: _ast.Tuple,
 }
 
 
-def form(node: ast.expr) -> type[ast.expr] | None:
+def form(node: _ast.expr) -> type[_ast.expr] | None:
     """The subset form of `node`: its `ast` class, or None when it is opaque.
 
-    A list display answers `ast.Tuple`, like a tuple. Opaque are: a
+    A list display answers `_ast.Tuple`, like a tuple. Opaque are: a
     subscript by a slice; a binary operator other than `+ - * // / % **`; a
     unary operator other than `-`; a constant other than an int, float,
     str, bool or None (complex, bytes, `...`); and every other class. In a
     call, a `*` value is read as an argument of its own (see
-    `arguments`); anywhere else an `ast.Starred` is opaque.
+    `arguments`); anywhere else an `_ast.Starred` is opaque.
     """
     cls = type(node)
     got = _ALWAYS.get(cls)
     if got is not None:
         return got
-    if cls is ast.Constant:
+    if cls is _ast.Constant:
         return cls if type(node.value) in _LITERAL_TYPES else None
-    if cls is ast.Subscript:
-        return None if type(node.slice) is ast.Slice else cls
-    if cls is ast.BinOp:
+    if cls is _ast.Subscript:
+        return None if type(node.slice) is _ast.Slice else cls
+    if cls is _ast.BinOp:
         return cls if type(node.op) in _BIN_OPS else None
-    if cls is ast.UnaryOp:
-        return cls if type(node.op) is ast.USub else None
+    if cls is _ast.UnaryOp:
+        return cls if type(node.op) is _ast.USub else None
     return None
 
 
-def positional_args(call: ast.Call) -> list[ast.expr]:
+def positional_args(call: _ast.Call) -> list[_ast.expr]:
     """The positional arguments of `call`, without its `*` values."""
     args = call.args
-    if ast.Starred in map(type, args):
-        return [a for a in args if type(a) is not ast.Starred]
+    if _ast.Starred in map(type, args):
+        return [a for a in args if type(a) is not _ast.Starred]
     return args
 
 
-def arguments(call: ast.Call) -> list[ast.expr]:
+def arguments(call: _ast.Call) -> list[_ast.expr]:
     """Every argument value of `call`, in Python's evaluation order.
 
     That is `call.args` in source order, each `*` value in its place, then
     the keyword and `**` values.
     """
-    if call.keywords or ast.Starred in map(type, call.args):
-        values = [a.value if type(a) is ast.Starred else a for a in call.args]
+    if call.keywords or _ast.Starred in map(type, call.args):
+        values = [a.value if type(a) is _ast.Starred else a for a in call.args]
         return values + [k.value for k in call.keywords]
     return call.args
 
 
-def has_star_args(call: ast.Call) -> bool:
+def has_star_args(call: _ast.Call) -> bool:
     """True when `call` unpacks a `*` or `**` value."""
-    if ast.Starred in map(type, call.args):
+    if _ast.Starred in map(type, call.args):
         return True
     return bool(call.keywords) and any(k.arg is None for k in call.keywords)
 
 
-def children(node: ast.expr) -> list[ast.expr]:
+def children(node: _ast.expr) -> list[_ast.expr]:
     """The sub-expressions the subset models `node` by; none for a leaf or opaque node."""
     f = form(node)
-    if f is ast.Call:
+    if f is _ast.Call:
         return [node.func, *arguments(node)]
-    if f is ast.Attribute:
+    if f is _ast.Attribute:
         return [node.value]
-    if f is ast.Subscript:
+    if f is _ast.Subscript:
         return [node.value, node.slice]
-    if f is ast.Tuple:
+    if f is _ast.Tuple:
         return node.elts
-    if f is ast.BinOp:
+    if f is _ast.BinOp:
         return [node.left, node.right]
-    if f is ast.UnaryOp:
+    if f is _ast.UnaryOp:
         return [node.operand]
     return []
 
 
-def names(node: ast.AST) -> frozenset[str]:
+def walk(node: _ast.AST) -> list[_ast.AST]:
+    """`node` and every node below it, in the order `ast.walk` yields them."""
+    found = [node]
+    for node in found:  # a list iterator also visits what is appended
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, _ast.AST):
+                found.append(value)
+            elif isinstance(value, list):
+                found.extend(item for item in value if isinstance(item, _ast.AST))
+    return found
+
+
+def names(node: _ast.AST) -> frozenset[str]:
     """Every variable name mentioned anywhere inside `node`."""
-    return frozenset(n.id for n in ast.walk(node) if type(n) is ast.Name)
+    return frozenset(n.id for n in walk(node) if type(n) is _ast.Name)
 
 
 # --- statements ---
 
 
 def tuple_assign_pairs(
-    targets: list[ast.expr], value: ast.expr
-) -> list[tuple[str, ast.expr]] | None:
+    targets: list[_ast.expr], value: _ast.expr
+) -> list[tuple[str, _ast.expr]] | None:
     """(name, value expr) pairs of `a, b = x, y`, or None for other shapes."""
-    if len(targets) != 1 or form(targets[0]) is not ast.Tuple or form(value) is not ast.Tuple:
+    if len(targets) != 1 or form(targets[0]) is not _ast.Tuple or form(value) is not _ast.Tuple:
         return None
     names = targets[0].elts
-    if len(names) != len(value.elts) or any(type(e) is not ast.Name for e in names):
+    if len(names) != len(value.elts) or any(type(e) is not _ast.Name for e in names):
         return None
     return [(t.id, v) for t, v in zip(names, value.elts)]
 
@@ -177,7 +226,7 @@ class ModuleAst(Record):
     __slots__ = ("file", "statements", "rebound_names", "calls_circuit_methods", "wide_lines")
 
     def __init__(
-        self, file: str, statements: list[ast.stmt], rebound_names: frozenset[str] = frozenset(),
+        self, file: str, statements: list[_ast.stmt], rebound_names: frozenset[str] = frozenset(),
         calls_circuit_methods: bool = False, wide_lines: dict[int, bytes] | None = None,
     ) -> None:
         self.file = file
@@ -189,7 +238,7 @@ class ModuleAst(Record):
         # The UTF-8 text of each line that is not ASCII, by line number.
         self.wide_lines = {} if wide_lines is None else wide_lines
 
-    def span(self, node: ast.stmt | ast.expr) -> SourceSpan:
+    def span(self, node: _ast.stmt | _ast.expr) -> SourceSpan:
         """Where `node` is in the file, its columns counted in characters.
 
         `ast` counts columns in UTF-8 bytes, which differ only on lines

@@ -1,8 +1,8 @@
 """Parsing of Python source: `ast.parse` plus the facts read off the whole file."""
 
-import ast
+import _ast
 
-from .nodes import CIRCUIT_METHODS, ModuleAst
+from .nodes import CIRCUIT_METHODS, ModuleAst, walk
 
 
 class ParseError(Exception):
@@ -30,10 +30,12 @@ def source_lines(source: str) -> list[str]:
 def parse_file(source: str, file: str) -> ModuleAst:
     """Parse source text; the statements are the `ast.stmt`s of `ast.parse`.
 
-    A file that is not syntactically valid Python raises ParseError.
+    The tree comes from the `compile` call that `ast.parse` makes, without
+    importing `ast`. A file that is not syntactically valid Python raises
+    ParseError.
     """
     try:
-        tree = ast.parse(source, filename=file)
+        tree = compile(source, file, "exec", _ast.PyCF_ONLY_AST, dont_inherit=True)
     except SyntaxError as exc:
         raise ParseError(file, exc.lineno or 1, exc.msg or "invalid syntax") from exc
     except ValueError as exc:  # Python 3.10 rejects a NUL byte this way
@@ -47,21 +49,18 @@ def parse_file(source: str, file: str) -> ModuleAst:
     return ModuleAst(file, tree.body, rebound_names, calls_circuit_methods, wide_lines)
 
 
-def _rebound_names(tree: ast.Module, source: str) -> frozenset[str]:
+def _rebound_names(tree: _ast.Module, source: str) -> frozenset[str]:
     """Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
 
-    Each search runs only when the source text can hold what it looks for.
-    `global` and `nonlocal` are statements, so their search skips expressions.
+    The tree is walked only when the source text can hold one of them.
     """
+    if ":=" not in source and "global" not in source and "nonlocal" not in source:
+        return frozenset()
     rebound = set()
-    if ":=" in source:
-        rebound.update(n.target.id for n in ast.walk(tree) if type(n) is ast.NamedExpr)
-    if "global" in source or "nonlocal" in source:
-        stack = list(tree.body)
-        while stack:
-            node = stack.pop()
-            if type(node) is ast.Global or type(node) is ast.Nonlocal:
-                rebound.update(node.names)
-            for field in ("body", "orelse", "finalbody", "handlers", "cases"):
-                stack.extend(getattr(node, field, ()))
+    for node in walk(tree):
+        cls = type(node)
+        if cls is _ast.NamedExpr:
+            rebound.add(node.target.id)
+        elif cls is _ast.Global or cls is _ast.Nonlocal:
+            rebound.update(node.names)
     return frozenset(rebound)

@@ -20,14 +20,14 @@ expressions outside the subset are opaque, and any name they mention may be
 rebound. A source span is made only for what the IR keeps.
 """
 
-import ast
-from typing import NamedTuple
+import _ast
 
 from ..frontend.nodes import (
     CIRCUIT_METHODS,
     MODULE_SCOPE,
     ModuleAst,
     SourceSpan,
+    TupleRecord,
     arguments,
     children,
     form,
@@ -67,16 +67,19 @@ MAX_REGISTER_SIZE = 10_000
 # loops cannot multiply register sizes.
 MAX_LISTED_OPERANDS = 50_000
 # Statements with no analysis effect: they are not opaque, and not counted.
-_NO_OPS = (ast.Import, ast.ImportFrom, ast.Pass, ast.Break, ast.Continue)
+_NO_OPS = (_ast.Import, _ast.ImportFrom, _ast.Pass, _ast.Break, _ast.Continue)
 _REGISTER_CONSTRUCTORS = {"QuantumRegister": "quantum", "ClassicalRegister": "classical"}
 _CONSTRUCTORS = {*_REGISTER_CONSTRUCTORS, "QuantumCircuit", "transpile"}
 _CLOSED = Layout(open=False, num_qubits=0, num_clbits=0)  # no register, and nothing unseen
 
 
-class _Binding(NamedTuple):
-    kind: str  # "register" | "circuit" | "circuit_gate" | "instruction" | "other"
-    ids: tuple[str, ...] = ()
-    event: OperatorEvent | None = None
+class _Binding(TupleRecord):
+    __slots__ = ()
+    _fields = ("kind", "ids", "event")
+
+    def __new__(cls, kind: str, ids: tuple[str, ...] = (), event: OperatorEvent | None = None):
+        # kind: "register" | "circuit" | "circuit_gate" | "instruction" | "other"
+        return tuple.__new__(cls, (kind, ids, event))
 
 
 _new = tuple.__new__  # `_Binding(...)` or `QubitRef(...)` without its Python-level `__new__`
@@ -172,7 +175,7 @@ class _Extractor:
         self.expanding = 0  # expanded loops the walk is inside
         self.listed = 0  # operands whole registers listed, against MAX_LISTED_OPERANDS
 
-    def run(self, statements: list[ast.stmt]) -> QuantumIR:
+    def run(self, statements: list[_ast.stmt]) -> QuantumIR:
         scope = _Scope(MODULE_SCOPE, {}, {}, self._method_receivers(statements))
         self._walk(statements, scope)
         return self.ir
@@ -207,27 +210,27 @@ class _Extractor:
             self.ir.circuits[cid].unseen.add("unknown_operator")
             self._emit(EventKind.UNKNOWN, cid, span, gate_name, False, cause)
 
-    def _diagnostic(self, message: str, node: ast.expr) -> None:
+    def _diagnostic(self, message: str, node: _ast.expr) -> None:
         self.ir.diagnostics.append(Diagnostic(message, self.span(node)))
 
     # --- statements ---
 
-    def _walk(self, stmts: list[ast.stmt], scope: _Scope) -> None:
+    def _walk(self, stmts: list[_ast.stmt], scope: _Scope) -> None:
         for node in stmts:
             lower = _STATEMENTS.get(type(node), _Extractor._opaque)
             if lower is not None:  # None: a statement with no analysis effect
                 lower(self, node, scope)
 
-    def _assign(self, node: ast.Assign, scope: _Scope) -> None:
+    def _assign(self, node: _ast.Assign, scope: _Scope) -> None:
         self._bind(node, node.targets, node.value, scope)
 
-    def _ann_assign(self, node: ast.AnnAssign, scope: _Scope) -> None:
+    def _ann_assign(self, node: _ast.AnnAssign, scope: _Scope) -> None:
         if node.value is not None:
             self._bind(node, [node.target], node.value, scope)
         # A module-level annotation runs after the assignment and may hold a walrus.
         self._forget_rebound(scope)
 
-    def _aug_assign(self, node: ast.AugAssign, scope: _Scope) -> None:
+    def _aug_assign(self, node: _ast.AugAssign, scope: _Scope) -> None:
         """`x += e` as `x = x + e`, whose value has no effect but its integer."""
         if not _aug_modelled(node):
             self._opaque(node, scope)
@@ -239,12 +242,12 @@ class _Extractor:
         scope.vars[name] = _OTHER if value is None else value
 
     def _bind(
-        self, node: ast.stmt, targets: list[ast.expr], value: ast.expr, scope: _Scope
+        self, node: _ast.stmt, targets: list[_ast.expr], value: _ast.expr, scope: _Scope
     ) -> None:
         """Assign `value` to `targets`, left to right after `value` is evaluated."""
         self.stmts += 1
         pairs = None
-        if type(targets[0]) is ast.Tuple or type(targets[0]) is ast.List:
+        if type(targets[0]) is _ast.Tuple or type(targets[0]) is _ast.List:
             pairs = tuple_assign_pairs(targets, value)
         if pairs is not None:
             # The whole right side evaluates before any name is rebound; its
@@ -262,19 +265,19 @@ class _Extractor:
         vars = scope.vars
         # Every target's integer is bound before any target is evaluated.
         for target in targets:
-            if type(target) is ast.Name:
+            if type(target) is _ast.Name:
                 if known is not None:
                     vars[target.id] = known
                 elif type(vars.get(target.id)) is int:
                     vars[target.id] = _OTHER
-            elif form(target) is ast.Tuple:
+            elif form(target) is _ast.Tuple:
                 self._forget(names(target), scope)
         for target in targets:
-            if type(target) is ast.Name:
+            if type(target) is _ast.Name:
                 if known is not None:
                     continue
                 bound = binding
-                receiver = type(value) is ast.Call and target.id in scope.method_receivers
+                receiver = type(value) is _ast.Call and target.id in scope.method_receivers
                 if receiver and bound.kind == "other":
                     # An opaque call result later used with circuit-specific
                     # methods is modeled as a circuit of unknown shape.
@@ -285,7 +288,7 @@ class _Extractor:
                 self._name_decls(bound, target.id)
                 continue
             self._eval(target, scope)
-            if binding.kind == "circuit" and form(target) in (ast.Attribute, ast.Subscript):
+            if binding.kind == "circuit" and form(target) in (_ast.Attribute, _ast.Subscript):
                 # Stored into an object or container the analysis does not track.
                 cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
                 self._emit_unknown(binding.ids, cause, self.span(node))
@@ -301,10 +304,10 @@ class _Extractor:
             if entity.name is None:
                 entity.name = name
 
-    def _expr(self, node: ast.Expr, scope: _Scope) -> None:
+    def _expr(self, node: _ast.Expr, scope: _Scope) -> None:
         self.stmts += 1
         value = node.value
-        if type(value) is not ast.Call:
+        if type(value) is not _ast.Call:
             self._eval(value, scope)
             return
         # As `_eval` reads a call, telling `_call` that its value is dropped.
@@ -312,7 +315,7 @@ class _Extractor:
         if self.rebound_names:
             self._forget_rebound(scope)
 
-    def _return(self, node: ast.Return, scope: _Scope) -> None:
+    def _return(self, node: _ast.Return, scope: _Scope) -> None:
         self.stmts += 1
         if node.value is None:
             return
@@ -322,7 +325,7 @@ class _Extractor:
             for cid in binding.ids:
                 self.ir.circuits[cid].unseen.add("returned_from_function")
 
-    def _for(self, node: ast.For, scope: _Scope) -> None:
+    def _for(self, node: _ast.For, scope: _Scope) -> None:
         range_args = _range_args(node)
         if range_args is None:
             self._opaque(node, scope)
@@ -339,7 +342,7 @@ class _Extractor:
             self._walk(body, scope)
         self.expanding -= 1
 
-    def _budget(self, trips: int, body: list[ast.stmt]) -> bool:
+    def _budget(self, trips: int, body: list[_ast.stmt]) -> bool:
         """Count the statements expanding a loop walks; False when that would
         pass MAX_UNROLLED_STMTS. Inside another expansion, the body's first
         walk was counted there."""
@@ -349,7 +352,7 @@ class _Extractor:
         self.unrolled += more
         return True
 
-    def _kept_loop(self, node: ast.For, scope: _Scope) -> None:
+    def _kept_loop(self, node: _ast.For, scope: _Scope) -> None:
         """Walk the body once under a back edge; its bindings stay, its integers do not."""
         self.stmts += 1
         # The body may run any number of times: whatever integer it binds is
@@ -368,7 +371,7 @@ class _Extractor:
         self._block = after
         self._forget(assigned, scope)
 
-    def _if(self, node: ast.If, scope: _Scope) -> None:
+    def _if(self, node: _ast.If, scope: _Scope) -> None:
         if self.if_depth >= MAX_IF_DEPTH:
             self._opaque(node, scope)
             return
@@ -403,7 +406,7 @@ class _Extractor:
         }
         self._block = join
 
-    def _function_def(self, node: ast.FunctionDef | ast.AsyncFunctionDef, scope: _Scope) -> None:
+    def _function_def(self, node: _ast.FunctionDef | _ast.AsyncFunctionDef, scope: _Scope) -> None:
         self.stmts += 1
         name = f"{scope.name}.{node.name}#{self.stmts}"
         self._forget_rebound(scope)  # defaults and decorators may hold a walrus
@@ -417,14 +420,14 @@ class _Extractor:
         self._walk(node.body, inner)
         self._scope_name, self._block = outer
 
-    def _opaque(self, node: ast.stmt, scope: _Scope) -> None:
+    def _opaque(self, node: _ast.stmt, scope: _Scope) -> None:
         """A statement outside the subset: it may rebind or change any name it mentions."""
         self.stmts += 1
         mentioned = names(node)
         self._forget(mentioned, scope)
         self._touch(mentioned, scope, node)
 
-    def _touch(self, names: frozenset[str], scope: _Scope, node: ast.AST) -> None:
+    def _touch(self, names: frozenset[str], scope: _Scope, node: _ast.AST) -> None:
         """Opaque code at `node` that names `names` may change their circuits in any way."""
         touched: set[str] = set()
         for name in names:
@@ -433,7 +436,7 @@ class _Extractor:
             cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
             self._emit_unknown(sorted(touched), cause, self.span(node))
 
-    def _method_receivers(self, stmts: list[ast.stmt]) -> frozenset[str]:
+    def _method_receivers(self, stmts: list[_ast.stmt]) -> frozenset[str]:
         """Names the walk of `stmts` calls a CIRCUIT_METHODS method on, its own scope only.
 
         Such a call may come after the assignment it decides, so the scope's
@@ -445,10 +448,10 @@ class _Extractor:
         stack = _scope_expressions(stmts, self.if_depth)
         while stack:
             expr = stack.pop()
-            if type(expr) is ast.Call:
+            if type(expr) is _ast.Call:
                 f = expr.func
-                if type(f) is ast.Attribute and f.attr in CIRCUIT_METHODS:
-                    if type(f.value) is ast.Name:
+                if type(f) is _ast.Attribute and f.attr in CIRCUIT_METHODS:
+                    if type(f.value) is _ast.Name:
                         found.add(f.value.id)
             stack += children(expr)
         return frozenset(found)
@@ -469,7 +472,7 @@ class _Extractor:
 
     # --- expression evaluation ---
 
-    def _eval(self, expr: ast.expr, scope: _Scope) -> _Eval:
+    def _eval(self, expr: _ast.expr, scope: _Scope) -> _Eval:
         """Evaluate `expr` once, its sub-expressions in Python's order.
 
         The value is a known integer, a binding, the `QubitRef` of
@@ -480,54 +483,54 @@ class _Extractor:
         as an operand of a subscript or of arithmetic, and as a call's receiver.
         """
         cls = type(expr)
-        if cls is ast.Name:
+        if cls is _ast.Name:
             return scope.vars.get(expr.id, _OTHER)
-        if cls is ast.Constant and type(expr.value) is int:
+        if cls is _ast.Constant and type(expr.value) is int:
             return expr.value
-        if cls is ast.Call:
+        if cls is _ast.Call:
             got = self._call(expr, scope)
             if self.rebound_names:
                 self._forget_rebound(scope)
             return got
         f = form(expr)
-        if f is ast.Subscript:
+        if f is _ast.Subscript:
             held, index = expr.value, expr.slice
-            if type(held) is ast.Name:
+            if type(held) is _ast.Name:
                 held = scope.vars.get(held.id, _OTHER)
             else:
                 held = self._eval(held, scope)
-            if type(index) is ast.Name:
+            if type(index) is _ast.Name:
                 index = scope.vars.get(index.id, _OTHER)
-            elif type(index) is not ast.Constant or type(index.value) is not int:
+            elif type(index) is not _ast.Constant or type(index.value) is not int:
                 index = self._eval(index, scope)
             else:
                 index = index.value
             if type(index) is int and type(held) is _Binding and held.kind == "register":
                 return _new(QubitRef, (held.ids[0], index))
             return _OTHER
-        if f is ast.BinOp:
+        if f is _ast.BinOp:
             left, right = expr.left, expr.right
-            if type(left) is ast.Name:
+            if type(left) is _ast.Name:
                 left = scope.vars.get(left.id, _OTHER)
-            elif type(left) is not ast.Constant or type(left.value) is not int:
+            elif type(left) is not _ast.Constant or type(left.value) is not int:
                 left = self._eval(left, scope)
             else:
                 left = left.value
-            if type(right) is ast.Name:
+            if type(right) is _ast.Name:
                 right = scope.vars.get(right.id, _OTHER)
-            elif type(right) is not ast.Constant or type(right.value) is not int:
+            elif type(right) is not _ast.Constant or type(right.value) is not int:
                 right = self._eval(right, scope)
             else:
                 right = right.value
             value = binop_value(type(expr.op), left, right)
             return _OTHER if value is None else value
-        if f is ast.UnaryOp:  # `-x`
+        if f is _ast.UnaryOp:  # `-x`
             value = self._eval(expr.operand, scope)
             return -value if type(value) is int else _OTHER
-        if f is ast.Attribute:
+        if f is _ast.Attribute:
             self._eval(expr.value, scope)
             return _OTHER
-        if f is ast.Tuple:
+        if f is _ast.Tuple:
             values = tuple([self._eval(element, scope) for element in expr.elts])
             escaped = {cid for value in values for cid in _circuits(value)}
             if escaped:
@@ -542,11 +545,11 @@ class _Extractor:
                 self._forget_rebound(scope)  # it may hold a walrus
         return _OTHER
 
-    def _call(self, call: ast.Call, scope: _Scope, bare: bool = False) -> _Binding:
+    def _call(self, call: _ast.Call, scope: _Scope, bare: bool = False) -> _Binding:
         callee = call.func
-        if type(callee) is ast.Attribute:
+        if type(callee) is _ast.Attribute:
             value, method = callee.value, callee.attr
-            if type(value) is ast.Name:
+            if type(value) is _ast.Name:
                 receiver = scope.vars.get(value.id, _OTHER)
             else:
                 receiver = self._eval(value, scope)
@@ -560,12 +563,12 @@ class _Extractor:
                     receiver.event.is_conditional = True
                 return _OTHER
             info = scope.func_info
-            if info is not None and type(value) is ast.Name and value.id not in scope.vars:
+            if info is not None and type(value) is _ast.Name and value.id not in scope.vars:
                 info.global_method_receivers.add(value.id)
             if self._is_constructor_name(method):
                 return self._constructor(method, call, scope)
             return self._unknown_call(call, scope)
-        if type(callee) is ast.Name and type(scope.vars.get(callee.id)) is not int:
+        if type(callee) is _ast.Name and type(scope.vars.get(callee.id)) is not int:
             name = callee.id
             if self._is_constructor_name(name):
                 return self._constructor(name, call, scope)
@@ -578,7 +581,7 @@ class _Extractor:
     def _is_constructor_name(self, name: str) -> bool:
         return name in _CONSTRUCTORS or name in self.table.builtin_circuits
 
-    def _constructor(self, name: str, call: ast.Call, scope: _Scope) -> _Binding:
+    def _constructor(self, name: str, call: _ast.Call, scope: _Scope) -> _Binding:
         if name in _REGISTER_CONSTRUCTORS:
             return self._register_constructor(_REGISTER_CONSTRUCTORS[name], call, scope)
         if name == "QuantumCircuit":
@@ -589,17 +592,17 @@ class _Extractor:
         self._eval_args(call, scope)
         return _new(_Binding, ("circuit", (decl.id,), None))
 
-    def _register_constructor(self, kind: str, call: ast.Call, scope: _Scope) -> _Binding:
+    def _register_constructor(self, kind: str, call: _ast.Call, scope: _Scope) -> _Binding:
         values, _ = self._eval_args(call, scope)
         args = call.args if len(values) == len(call.args) else positional_args(call)
         size = self._register_size(values[0], call) if values else None
         label = args[1] if len(args) >= 2 else None
-        name = label.value if type(label) is ast.Constant and type(label.value) is str else None
+        name = label.value if type(label) is _ast.Constant and type(label.value) is str else None
         decl = RegisterDecl(self._new_id("r"), kind, size, self.span(call), name=name)
         self.ir.registers[decl.id] = decl
         return _new(_Binding, ("register", (decl.id,), None))
 
-    def _register_size(self, size: _Eval, node: ast.expr) -> int | None:
+    def _register_size(self, size: _Eval, node: _ast.expr) -> int | None:
         """A register size, if `size` is a known integer; a negative one, or
         one above MAX_REGISTER_SIZE, is reported at `node` and made unknown."""
         if type(size) is not int:
@@ -626,7 +629,7 @@ class _Extractor:
         self.ir.registers[decl.id] = decl
         return decl.id
 
-    def _circuit_constructor(self, call: ast.Call, scope: _Scope) -> _Binding:
+    def _circuit_constructor(self, call: _ast.Call, scope: _Scope) -> _Binding:
         span = self.span(call)
         decl = self._new_circuit(CircuitKind.CONSTRUCTOR, span)
         reg_ids: list[str] = []
@@ -634,7 +637,7 @@ class _Extractor:
         # Each size argument's register is made before the next argument is
         # evaluated, so an inline register is numbered after the sizes before it.
         for arg in call.args:
-            if type(arg) is ast.Starred:
+            if type(arg) is _ast.Starred:
                 self._eval(arg.value, scope)
                 # A `*` value supplies the sizes not given before it, or any registers.
                 if implicit_seen == 0:
@@ -657,7 +660,7 @@ class _Extractor:
         decl.layout = _CLOSED.adding(self.ir.registers, reg_ids, open)
         return _new(_Binding, ("circuit", (decl.id,), None))
 
-    def _transpile(self, call: ast.Call, scope: _Scope) -> _Binding:
+    def _transpile(self, call: _ast.Call, scope: _Scope) -> _Binding:
         values, keywords = self._eval_args(call, scope)
         sources = [v.ids[0] for v in values if len(_circuits(v)) == 1]
         decl = self._new_circuit(CircuitKind.TRANSPILED, self.span(call))
@@ -667,7 +670,7 @@ class _Extractor:
             decl.layout = self.ir.circuits[sources[0]].layout
         return _new(_Binding, ("circuit", (decl.id,), None))
 
-    def _local_function_call(self, info: _FuncInfo, call: ast.Call, scope: _Scope) -> _Binding:
+    def _local_function_call(self, info: _FuncInfo, call: _ast.Call, scope: _Scope) -> _Binding:
         self._unknown_call(call, scope)
         mutated: set[str] = set()
         for receiver in info.global_method_receivers:
@@ -680,7 +683,7 @@ class _Extractor:
             return _new(_Binding, ("circuit", (decl.id,), None))
         return _OTHER
 
-    def _unknown_call(self, call: ast.Call, scope: _Scope) -> _Binding:
+    def _unknown_call(self, call: _ast.Call, scope: _Scope) -> _Binding:
         circuit_args = self._circuit_args(call, scope)
         if circuit_args:
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
@@ -688,13 +691,13 @@ class _Extractor:
         return _OTHER
 
     def _eval_args(
-        self, call: ast.Call, scope: _Scope
+        self, call: _ast.Call, scope: _Scope
     ) -> tuple[list[_Eval], dict[str | None, _Eval]]:
         """Evaluate each of `arguments(call)` once, in order; return the
         positional values without the `*` ones, and the keyword values by name."""
         values = []
         for arg in call.args:
-            if type(arg) is ast.Starred:
+            if type(arg) is _ast.Starred:
                 self._eval(arg.value, scope)
             else:
                 values.append(self._eval(arg, scope))
@@ -702,15 +705,15 @@ class _Extractor:
             return values, {}
         return values, {kw.arg: self._eval(kw.value, scope) for kw in call.keywords}
 
-    def _circuit_args(self, call: ast.Call, scope: _Scope) -> list[str]:
+    def _circuit_args(self, call: _ast.Call, scope: _Scope) -> list[str]:
         """Circuits a call receives: as args, in one-level containers, or named in an
         opaque argument (a dict, lambda, comprehension, ...) or a `*`/`**` value."""
         found: set[str] = set()
-        unpacked = [a.value for a in call.args if type(a) is ast.Starred]
+        unpacked = [a.value for a in call.args if type(a) is _ast.Starred]
         unpacked += [k.value for k in call.keywords if k.arg is None]
         named = [n for value in unpacked for n in names(value)]
         for arg in arguments(call):
-            elements = arg.elts if form(arg) is ast.Tuple else [arg]
+            elements = arg.elts if form(arg) is _ast.Tuple else [arg]
             for element in elements:
                 if form(element) is None:
                     named += names(element)
@@ -725,7 +728,7 @@ class _Extractor:
     # --- circuit methods ---
 
     def _circuit_method(
-        self, receiver: _Binding, method: str, call: ast.Call, scope: _Scope, bare: bool
+        self, receiver: _Binding, method: str, call: _ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
         if len(receiver.ids) != 1:
             # Receiver may be one of several circuits; taint them all.
@@ -790,7 +793,7 @@ class _Extractor:
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _gate_event(
-        self, circuit: CircuitDecl, spec: GateSpec, call: ast.Call, values: list[_Eval]
+        self, circuit: CircuitDecl, spec: GateSpec, call: _ast.Call, values: list[_Eval]
     ) -> _Binding:
         span, args = self.span(call), call.args
         # `values` leaves out the `*` values of `args`.
@@ -810,7 +813,7 @@ class _Extractor:
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _measure_event(
-        self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
+        self, circuit: CircuitDecl, call: _ast.Call, values: list[_Eval]
     ) -> _Binding:
         span, args = self.span(call), call.args
         star = len(values) != len(args) or call.keywords and has_star_args(call)
@@ -835,16 +838,16 @@ class _Extractor:
                 last = _new(_Binding, ("instruction", (circuit.id,), event))
         return last
 
-    def _measure_all_event(self, circuit: CircuitDecl, call: ast.Call) -> _Binding:
+    def _measure_all_event(self, circuit: CircuitDecl, call: _ast.Call) -> _Binding:
         creates = True
         for kw in call.keywords:
-            if kw.arg == "add_bits" and type(kw.value) is ast.Constant and kw.value.value is False:
+            if kw.arg == "add_bits" and type(kw.value) is _ast.Constant and kw.value.value is False:
                 creates = False
         kind, qubits = EventKind.MEASURE_ALL, self._full_layout(circuit, call)
         event = self._emit(kind, circuit.id, self.span(call), "measure_all", creates, None, qubits)
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
-    def _full_layout(self, circuit: CircuitDecl, node: ast.expr) -> list[QubitRef]:
+    def _full_layout(self, circuit: CircuitDecl, node: _ast.expr) -> list[QubitRef]:
         """Every qubit of the circuit; none when its layout is unknown or the
         listing would pass MAX_LISTED_OPERANDS."""
         if circuit.layout.num_qubits is None or not self._may_list(circuit.layout.num_qubits, node):
@@ -854,7 +857,7 @@ class _Extractor:
             operands += [_new(QubitRef, (reg_id, i)) for i in range(self.ir.registers[reg_id].size)]
         return operands
 
-    def _may_list(self, operands: int, node: ast.expr) -> bool:
+    def _may_list(self, operands: int, node: _ast.expr) -> bool:
         """Count `operands` against MAX_LISTED_OPERANDS; False once the file
         has passed it, which is reported at `node` the first time."""
         listed = self.listed + operands
@@ -868,7 +871,7 @@ class _Extractor:
         return False
 
     def _initialize_event(
-        self, circuit: CircuitDecl, call: ast.Call, values: list[_Eval]
+        self, circuit: CircuitDecl, call: _ast.Call, values: list[_Eval]
     ) -> _Binding:
         operands: list[QubitRef] = []
         if len(values) >= 2:
@@ -885,14 +888,14 @@ class _Extractor:
     # --- operand resolution ---
 
     def _bits(
-        self, value: _Eval, expr: ast.expr, circuit: CircuitDecl, classical: bool
+        self, value: _Eval, expr: _ast.expr, circuit: CircuitDecl, classical: bool
     ) -> list[QubitRef] | None:
         """The operands `expr`, of value `value`, names: one per element of a
         display, one per slot of a register name, else one; None for a
         register of unknown size, or past MAX_LISTED_OPERANDS."""
         if type(value) is tuple:
             return [self._bit(v, e, circuit, classical) for v, e in zip(value, expr.elts)]
-        if type(expr) is ast.Name and type(value) is _Binding and value.kind == "register":
+        if type(expr) is _ast.Name and type(value) is _Binding and value.kind == "register":
             reg = self.ir.registers[value.ids[0]]
             if reg.kind == ("classical" if classical else "quantum"):
                 if reg.size is None or not self._may_list(reg.size, expr):
@@ -900,7 +903,9 @@ class _Extractor:
                 return [_new(QubitRef, (reg.id, i)) for i in range(reg.size)]
         return [self._bit(value, expr, circuit, classical)]
 
-    def _bit(self, value: _Eval, expr: ast.expr, circuit: CircuitDecl, classical: bool) -> QubitRef:
+    def _bit(
+        self, value: _Eval, expr: _ast.expr, circuit: CircuitDecl, classical: bool
+    ) -> QubitRef:
         """The one operand `expr`, of value `value`, names: a register slot, or
         a known index into the circuit's only register of its kind."""
         layout = circuit.layout
@@ -921,7 +926,7 @@ class _Extractor:
         return self._checked_ref(reg, ref, circuit, expr)
 
     def _checked_ref(
-        self, reg: RegisterDecl, ref: QubitRef, circuit: CircuitDecl, node: ast.expr
+        self, reg: RegisterDecl, ref: QubitRef, circuit: CircuitDecl, node: _ast.expr
     ) -> QubitRef:
         """`ref`, a slot of `reg`; unresolved, and reported, when out of range.
         A register the circuit does not hold is reported too."""
@@ -940,11 +945,13 @@ class _Extractor:
 
     # --- composition ---
 
-    def _compose(self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, bare: bool) -> _Binding:
+    def _compose(
+        self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, bare: bool
+    ) -> _Binding:
         self._composition_edges(circuit, call, scope, "compose")
         inplace_true = False
         for kw in call.keywords:
-            if kw.arg == "inplace" and type(kw.value) is ast.Constant and kw.value.value is True:
+            if kw.arg == "inplace" and type(kw.value) is _ast.Constant and kw.value.value is True:
                 inplace_true = True
         span = self.span(call)
         self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, inplace_true))
@@ -953,9 +960,11 @@ class _Extractor:
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _composition_edges(
-        self, circuit: CircuitDecl, call: ast.Call, scope: _Scope, how: str
+        self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, how: str
     ) -> None:
-        """Evaluate the arguments; link the circuits the first one holds as children."""
+        """Evaluate the arguments; link the circuits the first one holds as
+        children. An `append` of anything else adds an instruction qlint does
+        not model, an unknown operator on the circuit."""
         values, _ = self._eval_args(call, scope)
         first = _binding(values[0]) if values else _OTHER
         if first.kind in ("circuit", "circuit_gate"):
@@ -964,18 +973,21 @@ class _Extractor:
                     self.ir.edges.append(CompositionEdge(circuit.id, child, how, self.span(call)))
                     circuit.unseen.add("has_subcircuit")
                     self.ir.circuits[child].unseen.add("subcircuit")
+        elif how == "append":
+            cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+            self._emit_unknown([circuit.id], cause, self.span(call), how)
 
 
 _STATEMENTS = {
-    ast.Assign: _Extractor._assign,
-    ast.AnnAssign: _Extractor._ann_assign,
-    ast.AugAssign: _Extractor._aug_assign,
-    ast.Expr: _Extractor._expr,
-    ast.For: _Extractor._for,
-    ast.If: _Extractor._if,
-    ast.FunctionDef: _Extractor._function_def,
-    ast.AsyncFunctionDef: _Extractor._function_def,
-    ast.Return: _Extractor._return,
+    _ast.Assign: _Extractor._assign,
+    _ast.AnnAssign: _Extractor._ann_assign,
+    _ast.AugAssign: _Extractor._aug_assign,
+    _ast.Expr: _Extractor._expr,
+    _ast.For: _Extractor._for,
+    _ast.If: _Extractor._if,
+    _ast.FunctionDef: _Extractor._function_def,
+    _ast.AsyncFunctionDef: _Extractor._function_def,
+    _ast.Return: _Extractor._return,
     **dict.fromkeys(_NO_OPS),
 }
 
@@ -983,25 +995,25 @@ _STATEMENTS = {
 # --- loops ---
 
 
-def _range_args(node: ast.For) -> list[ast.expr] | None:
+def _range_args(node: _ast.For) -> list[_ast.expr] | None:
     """The arguments of `for name in range(...)` with no `else`; None for another loop."""
     it = node.iter
-    if type(it) is not ast.Call or type(it.func) is not ast.Name or it.func.id != "range":
+    if type(it) is not _ast.Call or type(it.func) is not _ast.Name or it.func.id != "range":
         return None
     if it.keywords or not 1 <= len(it.args) <= 3 or node.orelse:
         return None
-    return it.args if type(node.target) is ast.Name else None
+    return it.args if type(node.target) is _ast.Name else None
 
 
-_INT_OPS = {ast.Add: int.__add__, ast.Sub: int.__sub__, ast.Mult: int.__mul__,
-            ast.FloorDiv: int.__floordiv__}
+_INT_OPS = {_ast.Add: int.__add__, _ast.Sub: int.__sub__, _ast.Mult: int.__mul__,
+            _ast.FloorDiv: int.__floordiv__}
 
 
-def binop_value(op: type[ast.operator], a: object, b: object) -> int | None:
+def binop_value(op: type[_ast.operator], a: object, b: object) -> int | None:
     """`a op b` for +, -, * and //; None for another operator, an operand
     that is not an `int` (such as None, unknown), or `// 0`."""
     fn = _INT_OPS.get(op)
-    if fn is None or type(a) is not int or type(b) is not int or (b == 0 and op is ast.FloorDiv):
+    if fn is None or type(a) is not int or type(b) is not int or (b == 0 and op is _ast.FloorDiv):
         return None
     return fn(a, b)
 
@@ -1018,13 +1030,13 @@ def range_values(args: list[object], limit: int) -> range | None:
         return None
 
 
-def _aug_modelled(node: ast.AugAssign) -> bool:
+def _aug_modelled(node: _ast.AugAssign) -> bool:
     """True when `x op= e` is in the subset: a name target, an operator `form` models."""
-    binop = ast.BinOp(node.target, node.op, node.value)
-    return type(node.target) is ast.Name and form(binop) is not None
+    binop = _ast.BinOp(node.target, node.op, node.value)
+    return type(node.target) is _ast.Name and form(binop) is not None
 
 
-def _stmt_count(stmts: list[ast.stmt]) -> int:
+def _stmt_count(stmts: list[_ast.stmt]) -> int:
     """Statements in `stmts` and in every body nested in them, each counted once."""
     count, stack = 0, list(stmts)
     while stack:
@@ -1035,34 +1047,34 @@ def _stmt_count(stmts: list[ast.stmt]) -> int:
     return count
 
 
-def _scope_expressions(stmts: list[ast.stmt], if_depth: int) -> list[ast.expr]:
+def _scope_expressions(stmts: list[_ast.stmt], if_depth: int) -> list[_ast.expr]:
     """The statement-level expressions the walk of `stmts` at `if` depth
     `if_depth` evaluates, same scope only."""
-    out: list[ast.expr] = []
+    out: list[_ast.expr] = []
     for node in stmts:
         cls = type(node)
-        if cls is ast.Assign:
+        if cls is _ast.Assign:
             out.append(node.value)
-            out += [t for t in node.targets if type(t) is not ast.Name]
-        elif cls is ast.AnnAssign and node.value is not None:
+            out += [t for t in node.targets if type(t) is not _ast.Name]
+        elif cls is _ast.AnnAssign and node.value is not None:
             out.append(node.value)
-            if type(node.target) is not ast.Name:
+            if type(node.target) is not _ast.Name:
                 out.append(node.target)
-        elif cls is ast.AugAssign and _aug_modelled(node):
+        elif cls is _ast.AugAssign and _aug_modelled(node):
             out.append(node.value)
-        elif cls is ast.Expr or cls is ast.Return and node.value is not None:
+        elif cls is _ast.Expr or cls is _ast.Return and node.value is not None:
             out.append(node.value)
-        elif cls is ast.For and _range_args(node) is not None:
+        elif cls is _ast.For and _range_args(node) is not None:
             out += _range_args(node)
             out += _scope_expressions(node.body, if_depth)
-        elif cls is ast.If and if_depth < MAX_IF_DEPTH:
+        elif cls is _ast.If and if_depth < MAX_IF_DEPTH:
             out.append(node.test)
             out += _scope_expressions(node.body, if_depth + 1)
             out += _scope_expressions(node.orelse, if_depth + 1)
     return out
 
 
-def _assigned_names(stmts: list[ast.stmt], if_depth: int) -> set[str]:
+def _assigned_names(stmts: list[_ast.stmt], if_depth: int) -> set[str]:
     """Names the walk of `stmts` at `if` depth `if_depth` may bind, same scope only.
 
     An opaque statement may bind any name it mentions.
@@ -1070,19 +1082,19 @@ def _assigned_names(stmts: list[ast.stmt], if_depth: int) -> set[str]:
     out: set[str] = set()
     for node in stmts:
         cls = type(node)
-        if cls is ast.For and _range_args(node) is not None:
+        if cls is _ast.For and _range_args(node) is not None:
             out.add(node.target.id)
             out |= _assigned_names(node.body, if_depth)
-        elif cls is ast.If and if_depth < MAX_IF_DEPTH:
+        elif cls is _ast.If and if_depth < MAX_IF_DEPTH:
             out |= _assigned_names(node.body, if_depth + 1)
             out |= _assigned_names(node.orelse, if_depth + 1)
-        elif cls is ast.Assign or cls is ast.AnnAssign and node.value is not None:
-            for target in node.targets if cls is ast.Assign else [node.target]:
-                if form(target) in (ast.Name, ast.Tuple):
+        elif cls is _ast.Assign or cls is _ast.AnnAssign and node.value is not None:
+            for target in node.targets if cls is _ast.Assign else [node.target]:
+                if form(target) in (_ast.Name, _ast.Tuple):
                     out |= names(target)
-        elif cls is ast.AugAssign and _aug_modelled(node):
+        elif cls is _ast.AugAssign and _aug_modelled(node):
             out.add(node.target.id)
-        elif cls not in _STATEMENTS or cls in (ast.For, ast.If, ast.AugAssign):
+        elif cls not in _STATEMENTS or cls in (_ast.For, _ast.If, _ast.AugAssign):
             out |= names(node)  # kept opaque
     return out
 
@@ -1092,31 +1104,31 @@ _TRY_FIELDS = ("body", "handlers", "orelse", "finalbody")
 # class. A nested loop's body holds its own, but a `return` or `raise` there
 # leaves the enclosing loop too; a `def` and a `class` hold their own of all four.
 _ESCAPE_FIELDS = {
-    ast.If: ("body", "orelse"),
-    ast.For: ("orelse",),
-    ast.AsyncFor: ("orelse",),
-    ast.While: ("orelse",),
-    ast.With: ("body",),
-    ast.AsyncWith: ("body",),
-    ast.Try: _TRY_FIELDS,
-    getattr(ast, "TryStar", ast.Try): _TRY_FIELDS,  # Python 3.11+
-    ast.ExceptHandler: ("body",),
-    ast.Match: ("cases",),
-    ast.match_case: ("body",),
+    _ast.If: ("body", "orelse"),
+    _ast.For: ("orelse",),
+    _ast.AsyncFor: ("orelse",),
+    _ast.While: ("orelse",),
+    _ast.With: ("body",),
+    _ast.AsyncWith: ("body",),
+    _ast.Try: _TRY_FIELDS,
+    getattr(_ast, "TryStar", _ast.Try): _TRY_FIELDS,  # Python 3.11+
+    _ast.ExceptHandler: ("body",),
+    _ast.Match: ("cases",),
+    _ast.match_case: ("body",),
 }
-_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_LOOPS = (_ast.For, _ast.AsyncFor, _ast.While)
 
 
-def _has_loop_escape(body: list[ast.stmt]) -> bool:
+def _has_loop_escape(body: list[_ast.stmt]) -> bool:
     """True when a loop with this body may stop an iteration early: by a
     `break` or `continue` of its own, or by a `return` or `raise`."""
     stack = [(node, False) for node in body]
     while stack:
         node, nested = stack.pop()  # nested: inside a loop within the body
         cls = type(node)
-        if cls is ast.Return or cls is ast.Raise:
+        if cls is _ast.Return or cls is _ast.Raise:
             return True
-        if not nested and (cls is ast.Break or cls is ast.Continue):
+        if not nested and (cls is _ast.Break or cls is _ast.Continue):
             return True
         for field in _ESCAPE_FIELDS.get(cls, ()):
             stack.extend((child, nested) for child in getattr(node, field))

@@ -7,7 +7,8 @@ extended or overridden without touching code.
 import os
 from functools import cache
 from pathlib import Path
-from typing import NamedTuple
+
+from ..frontend.nodes import TupleRecord
 
 GATE_CATEGORIES = frozenset(
     {
@@ -22,17 +23,23 @@ GATE_CATEGORIES = frozenset(
 )
 
 
-class GateSpec(NamedTuple):
-    method_name: str
-    category: str
-    qubit_args: tuple[int, ...]
-    clbit_args: tuple[int, ...]
-    param_args: tuple[int, ...]
+class GateSpec(TupleRecord):
+    __slots__ = ()
+    _fields = ("method_name", "category", "qubit_args", "clbit_args", "param_args")
+
+    def __new__(
+        cls, method_name: str, category: str, qubit_args: tuple[int, ...],
+        clbit_args: tuple[int, ...], param_args: tuple[int, ...],
+    ):
+        return tuple.__new__(cls, (method_name, category, qubit_args, clbit_args, param_args))
 
 
-class GateTable(NamedTuple):
-    gates: dict[str, GateSpec]  # by method name
-    builtin_circuits: frozenset[str]
+class GateTable(TupleRecord):
+    __slots__ = ()
+    _fields = ("gates", "builtin_circuits")
+
+    def __new__(cls, gates: dict[str, GateSpec], builtin_circuits: frozenset[str]):
+        return tuple.__new__(cls, (gates, builtin_circuits))  # gates by method name
 
 
 class GateTableError(Exception):

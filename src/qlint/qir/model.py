@@ -1,10 +1,9 @@
 """Quantum IR: registers, circuits, operator events, composition facts."""
 
 import enum
-from typing import NamedTuple
 
 from ..frontend.cfg import Cfg
-from ..frontend.nodes import Record, SourceSpan
+from ..frontend.nodes import Record, SourceSpan, TupleRecord
 
 
 class CircuitKind(enum.Enum):
@@ -32,11 +31,14 @@ class UnknownCause(enum.Enum):
     GLOBAL_CIRCUIT_MUTATION = "global_circuit_mutation"
 
 
-class QubitRef(NamedTuple):
+class QubitRef(TupleRecord):
     """A qubit (or classical bit) operand: resolved (register, index) or unknown."""
 
-    register: str | None
-    index: int | None
+    __slots__ = ()
+    _fields = ("register", "index")
+
+    def __new__(cls, register: str | None, index: int | None):
+        return tuple.__new__(cls, (register, index))
 
 
 UNRESOLVED_BIT = QubitRef(None, None)
@@ -55,18 +57,20 @@ class RegisterDecl(Record):
         return self.name if self.name is not None else self.id
 
 
-class Layout(NamedTuple):
+class Layout(TupleRecord):
     """A circuit's registers, in order, and what follows from them. A layout is
     `open` when a value qlint cannot see may hold more registers: its counts
-    are then None, and a bare index names no known slot."""
+    are then None, and a bare index names no known slot. `offsets` says where
+    each quantum register's qubits start, while `num_qubits` is known."""
 
-    quantum: tuple[str, ...] = ()
-    classical: tuple[str, ...] = ()
-    open: bool = True
-    num_qubits: int | None = None  # None while unknown
-    num_clbits: int | None = None
-    # Where each quantum register's qubits start, while `num_qubits` is known.
-    offsets: tuple[int, ...] = ()
+    __slots__ = ()
+    _fields = ("quantum", "classical", "open", "num_qubits", "num_clbits", "offsets")
+
+    def __new__(
+        cls, quantum: tuple[str, ...] = (), classical: tuple[str, ...] = (), open: bool = True,
+        num_qubits: int | None = None, num_clbits: int | None = None, offsets: tuple[int, ...] = (),
+    ):
+        return tuple.__new__(cls, (quantum, classical, open, num_qubits, num_clbits, offsets))
 
     def adding(
         self, registers: dict[str, RegisterDecl], reg_ids: list[str], open: bool = False
@@ -88,7 +92,7 @@ class Layout(NamedTuple):
         for reg_id in classical:
             size = registers[reg_id].size
             num_clbits = None if num_clbits is None or size is None else num_clbits + size
-        # `tuple.__new__` skips the Python-level `__new__` of a NamedTuple.
+        # `tuple.__new__` skips the record's Python-level `__new__`.
         return tuple.__new__(Layout, (tuple(quantum), tuple(classical), False, num_qubits,
                                       num_clbits, () if num_qubits is None else tuple(offsets)))
 
@@ -115,11 +119,14 @@ class CircuitDecl(Record):
         self.unseen: set[str] = set()  # of UNSEEN_REASONS
 
 
-class CompositionEdge(NamedTuple):
-    parent: str
-    child: str
-    mechanism: str  # "append" | "compose"
-    span: SourceSpan
+class CompositionEdge(TupleRecord):
+    """`child` appended or composed into `parent`; `mechanism` is "append" or "compose"."""
+
+    __slots__ = ()
+    _fields = ("parent", "child", "mechanism", "span")
+
+    def __new__(cls, parent: str, child: str, mechanism: str, span: SourceSpan):
+        return tuple.__new__(cls, (parent, child, mechanism, span))
 
 
 class OperatorEvent(Record):
@@ -140,20 +147,24 @@ class OperatorEvent(Record):
         self.clbits = [] if clbits is None else clbits
 
 
-class ComposeCall(NamedTuple):
+class ComposeCall(TupleRecord):
     """One compose() call site, with how its result is consumed."""
 
-    circuit: str
-    span: SourceSpan
-    bare_statement: bool
-    inplace_true: bool
+    __slots__ = ()
+    _fields = ("circuit", "span", "bare_statement", "inplace_true")
+
+    def __new__(cls, circuit: str, span: SourceSpan, bare_statement: bool, inplace_true: bool):
+        return tuple.__new__(cls, (circuit, span, bare_statement, inplace_true))
 
 
-class Diagnostic(NamedTuple):
+class Diagnostic(TupleRecord):
     """Extraction-level oddity (for example an out-of-range register index)."""
 
-    message: str
-    span: SourceSpan
+    __slots__ = ()
+    _fields = ("message", "span")
+
+    def __new__(cls, message: str, span: SourceSpan):
+        return tuple.__new__(cls, (message, span))
 
 
 class QuantumIR(Record):

@@ -1,9 +1,7 @@
 """Deterministic serialization of analysis results: text, JSON, and SARIF."""
 
-from typing import NamedTuple
-
 from .analyses import RULE_IDS, RULES, Warning
-from .frontend.nodes import Record
+from .frontend.nodes import Record, TupleRecord
 
 TOOL_NAME = "qlint"
 TOOL_VERSION = "0.1.0"
@@ -14,10 +12,12 @@ SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 STYLES = ("text", "json", "sarif")
 
 
-class SkippedFile(NamedTuple):
-    file: str
-    line: int
-    message: str
+class SkippedFile(TupleRecord):
+    __slots__ = ()
+    _fields = ("file", "line", "message")
+
+    def __new__(cls, file: str, line: int, message: str):
+        return tuple.__new__(cls, (file, line, message))
 
 
 class Report(Record):

@@ -18,9 +18,10 @@ from oracle import capture_values
 
 from qlint import analyze_source
 from qlint.frontend import MODULE_SCOPE, ParseError, parse_file, source_lines
-from qlint.frontend.nodes import form
+from qlint.frontend.nodes import form, walk
 from qlint.qir import CircuitKind, EventKind, UnknownCause, extract
 from qlint.qir.extract import MAX_IF_DEPTH, MAX_UNROLLED_STMTS
+from test_behaviour import inputs as lock_inputs
 
 # The module, which `qlint.qir.extract` (the function) shadows.
 extract_module = importlib.import_module("qlint.qir.extract")
@@ -194,6 +195,19 @@ class TestParse:
         assert hash(span) == hash(("test.py", 1, 1, 1, 6))
         with pytest.raises(AttributeError):
             span.line = 2
+
+    def test_walk_visits_what_ast_walk_visits_on_every_lock_input(self):
+        walked = 0
+        for name, source in lock_inputs():
+            tree = ast.parse(source)
+            assert walk(tree) == list(ast.walk(tree)), name
+            walked += 1
+        assert walked > 1000
+
+    def test_parse_file_gives_the_statements_ast_parse_gives(self):
+        source = sample_source("two_bugs")
+        got, expected = _parse(source).statements, ast.parse(source).body
+        assert list(map(ast.dump, got)) == list(map(ast.dump, expected))
 
     def test_source_lines_number_lines_like_ast(self):
         # Form feed, vertical tab, \x1c, \x85 and \u2028 end a line for

@@ -12,9 +12,8 @@ it. An `__all__` entry, and a use in tests/ or bench/, do not count: such a
 definition is dead code unless README "Library use" documents it, and then
 it goes on `UNCALLED_API`.
 
-qlint's modules evaluate their annotations: under `from __future__ import
-annotations` each `NamedTuple` field would become a `ForwardRef` compiled
-when its class is made, a cost that every start of the linter pays.
+qlint's modules evaluate their annotations and import nothing from
+`__future__`, a module that every start of the linter would otherwise load.
 """
 
 from __future__ import annotations

@@ -4,16 +4,28 @@ from __future__ import annotations
 
 import ast
 import concurrent.futures
+import copy
+import inspect
+import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from qlint import Config, analyze_source, driver, format_report, report_of
+from qlint.analyses import Rule
+from qlint.analyses.rules import Warning
+from qlint.driver import PipelineResult
 from qlint.frontend.cfg import Block, Cfg
 from qlint.frontend.nodes import ModuleAst, SourceSpan
-from qlint.qir.model import CircuitDecl, CircuitKind, EventKind, OperatorEvent, QubitRef
+from qlint.qir.extract import _Binding
+from qlint.qir.gates import GateSpec, GateTable
+from qlint.qir.model import CircuitDecl, CircuitKind, ComposeCall, CompositionEdge, Diagnostic
+from qlint.qir.model import EventKind, Layout, OperatorEvent, QubitRef
+from qlint.report import SkippedFile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPAN = SourceSpan("f.py", 1, 1, 1, 4)
@@ -44,10 +56,11 @@ def test_importing_qlint_does_not_import_dataclasses():
     assert done.stdout == "False\n"
 
 
-# `__future__` too: postponed annotations would make each record field a
-# `ForwardRef` built by `compile()` when its class is made.
+# `ast` and `typing` too: the parser reads node classes from `_ast`, and the
+# records are written out rather than made by `typing.NamedTuple`.
 _NOT_AT_IMPORT = (
-    "__future__", "concurrent.futures", "importlib.resources", "json", "logging", "tempfile",
+    "__future__", "ast", "concurrent.futures", "importlib.resources", "json", "logging",
+    "tempfile", "typing",
 )
 _REPORTED = "from qiskit import QuantumCircuit\nqc = QuantumCircuit(2, 2)\nqc.h(0)\n"
 
@@ -153,3 +166,64 @@ def test_value_records_are_named_tuples():
     config = Config()._replace(max_unroll=3)
     assert config.max_unroll == 3
     assert config._asdict()["jobs"] == 1
+
+
+VALUE_RECORDS = (
+    SourceSpan, QubitRef, Layout, CompositionEdge, ComposeCall, Diagnostic, GateSpec, GateTable,
+    _Binding, SkippedFile, Config, PipelineResult, Rule, Warning,
+)
+
+
+def _reference(record: type) -> type:
+    """A `typing.NamedTuple` of the record's name, fields and defaults."""
+    parameters = list(inspect.signature(record.__new__).parameters.values())[1:]
+    namespace = {"__module__": __name__, "__annotations__": {p.name: object for p in parameters}}
+    namespace.update({p.name: p.default for p in parameters if p.default is not p.empty})
+    return types.new_class(record.__name__, (NamedTuple,), {}, lambda ns: ns.update(namespace))
+
+
+@pytest.mark.parametrize("record", VALUE_RECORDS, ids=lambda r: r.__name__)
+class TestValueRecordMatchesNamedTuple:
+    def _values(self, record: type) -> tuple[str, ...]:
+        return tuple(f"{name}-value" for name in record._fields)
+
+    def test_fields_and_match_args(self, record):
+        reference = _reference(record)
+        assert record._fields == reference._fields
+        assert record.__match_args__ == reference.__match_args__
+        assert not hasattr(record(*self._values(record)), "__dict__")
+
+    def test_construction_repr_eq_and_hash(self, record):
+        reference, values = _reference(record), self._values(record)
+        by_keyword = dict(zip(record._fields, values))
+        for got, expected in [
+            (record(*values), reference(*values)),
+            (record(**by_keyword), reference(**by_keyword)),
+        ]:
+            assert type(got) is record
+            assert repr(got) == repr(expected)
+            assert got == expected and got == values and tuple(got) == values
+            assert hash(got) == hash(expected)
+            assert [getattr(got, name) for name in record._fields] == list(values)
+        required = len(record._fields) - len(reference._field_defaults)
+        assert repr(record(*values[:required])) == repr(reference(*values[:required]))
+        too_few = [values[: required - 1]] if required else []
+        for wrong in [*too_few, (*values, "extra")]:
+            with pytest.raises(TypeError):
+                record(*wrong)
+
+    def test_replace_and_asdict(self, record):
+        reference, values = _reference(record), self._values(record)
+        got, expected = record(*values), reference(*values)
+        last = record._fields[-1]
+        changed = got._replace(**{last: "changed"})
+        assert type(changed) is record
+        assert repr(changed) == repr(expected._replace(**{last: "changed"}))
+        assert got._asdict() == expected._asdict()
+        with pytest.raises(ValueError, match="no_such_field"):
+            got._replace(no_such_field=1)
+
+    def test_copy_and_pickle(self, record):
+        got = record(*self._values(record))
+        for twin in (copy.copy(got), pickle.loads(pickle.dumps(got))):
+            assert type(twin) is record and twin == got and repr(twin) == repr(got)

@@ -230,8 +230,10 @@ class TestCondWoMeas:
             "a = QuantumCircuit(qr, cr)\nb = QuantumCircuit(qr, cr)\n"
             "if flag:\n    qc = a\nelse:\n    qc = b\n"
             "qc.measure(0, 0)\na.x(0).c_if(cr, 1)\n",
+            _REGISTERS + "qc.h(0)\nqc.append(Measure(), [0], [0])\nqc.x(0).c_if(cr, 1)\n",
         ],
-        ids=["unknown_code", "unresolved_measure", "unpacked_measure", "one_of_two_circuits"],
+        ids=["unknown_code", "unresolved_measure", "unpacked_measure", "one_of_two_circuits",
+             "appended_instruction"],
     )
     def test_what_may_measure_before_counts(self, source):
         # Each earlier event may have measured the condition's bits.
@@ -394,6 +396,13 @@ class TestInsuffClasReg:
         )
         assert _lines_of(source, "insuff-clas-reg") == []
 
+    def test_measure_all_that_adds_its_own_register_needs_no_bits(self):
+        bell = "qc = QuantumCircuit(2)\nqc.h(0)\nqc.cx(0, 1)\nqc.measure_all()\n"
+        assert _lines_of(bell, "insuff-clas-reg") == []
+        # Without its own register, it measures into the circuit's, which has no bits.
+        into_own = bell.replace("measure_all()", "measure_all(add_bits=False)")
+        assert _lines_of(into_own, "insuff-clas-reg") == [1]
+
     def test_measured_demand_that_fits_is_accepted(self):
         # Mirrors the two-bug demo: three of four qubits are measured
         # into three classical bits, so the register suffices in practice.
@@ -428,6 +437,16 @@ class TestOversizedCircuit:
     def test_initialize_excluded(self):
         source = "qc = QuantumCircuit(4)\nqc.initialize(vec)\nqc.h(0)\n"
         assert _lines_of(source, "oversized-circuit") == []
+
+    @pytest.mark.parametrize("instruction", ["CXGate()", "gate"])
+    def test_appended_instruction_excluded(self, instruction):
+        # qlint does not model the instruction, so it may use qubit 1.
+        source = f"qc = QuantumCircuit(2)\nqc.h(0)\nqc.append({instruction}, [0, 1])\n"
+        assert _lines_of(source, "oversized-circuit") == []
+        appended = analyze_pipeline(source, "t.py").ir.events[-1]
+        assert (appended.kind.value, appended.gate_name, appended.unknown_cause.value) == (
+            "unknown", "append", "unknown_callee_with_circuit_arg"
+        )
 
     def test_circuit_returned_from_a_function_excluded(self):
         # The caller's gates act on the call's value, which qlint cannot tie to `q`.
