@@ -4,7 +4,7 @@ import argparse
 import sys
 
 from .analyses import ALL_RULES, DEFAULT_PROFILE, RULES
-from .driver import Config, FileOutcome, analyze_paths, expand_paths, report_of, suppress
+from .driver import Config, FileOutcome, analyze_paths, expand_paths, report_of
 from .qir import DEFAULT_MAX_UNROLL
 from .qir import GateTableError, load_gate_table
 from .report import STYLES, corpus_stats, format_report
@@ -60,13 +60,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--gate-spec", metavar="FILE", help="override the bundled gate signature table"
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted for compatibility; files are analyzed serially",
-    )
 
 
 def _parse_rule_list(raw: str | None) -> set[str]:
@@ -107,7 +100,6 @@ def _make_config(args: argparse.Namespace) -> Config:
         rules=_effective_rules(args),
         max_unroll=args.max_unroll,
         gate_table=gate_table,
-        jobs=max(1, args.jobs),
         dump_timelines=getattr(args, "dump_timelines", False),
     )
 
@@ -208,4 +200,4 @@ if __name__ == "__main__":
     main()
 
 
-__all__ = ["main", "run", "suppress", "EXIT_CLEAN", "EXIT_WARNINGS", "EXIT_ERROR"]
+__all__ = ["main", "run", "EXIT_CLEAN", "EXIT_WARNINGS", "EXIT_ERROR"]

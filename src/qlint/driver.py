@@ -56,7 +56,7 @@ def _line_end_re() -> re.Pattern[bytes]:
 class Config(TupleRecord):
     """Per-run analysis settings; read-only once the run starts.
 
-    `jobs` is accepted for compatibility; files are analyzed serially.
+    Only `bench/run.py` reads `jobs`; qlint analyzes files serially.
     """
 
     __slots__ = ()

@@ -21,13 +21,12 @@ class Block(Record):
 class Cfg:
     """Blocks of every scope and their edges."""
 
-    __slots__ = ("blocks", "edges", "adjacency", "_reach_cache")
+    __slots__ = ("blocks", "edges", "adjacency")
 
     def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.edges: set[tuple[int, int]] = set()
         self.adjacency: dict[int, list[int]] = {}
-        self._reach_cache: dict[int, frozenset[int]] = {}
 
     def __eq__(self, other: object) -> bool:
         """The same blocks and edges; like a record, a graph is unhashable."""
@@ -50,13 +49,6 @@ class Cfg:
         """Successor block ids in ascending order; callers must not mutate it."""
         return self.adjacency.get(block_id, [])
 
-    def reachable(self, block_id: int) -> frozenset[int]:
-        """Blocks reachable from `block_id` through one or more edges."""
-        got = self._reach_cache.get(block_id)
-        if got is None:
-            got = self._reach_cache[block_id] = self.reachable_from((block_id,))
-        return got
-
     def reachable_from(self, block_ids: Iterable[int]) -> frozenset[int]:
         """Blocks reachable from any of `block_ids` through one or more edges."""
         seen: set[int] = set()
@@ -68,6 +60,3 @@ class Cfg:
             seen.add(nxt)
             frontier.extend(self.successors(nxt))
         return frozenset(seen)
-
-    def in_cycle(self, block_id: int) -> bool:
-        return block_id in self.reachable(block_id)

@@ -66,7 +66,7 @@ _new_span = tuple.__new__  # `SourceSpan(...)` without its Python-level `__new__
 
 
 class Record:
-    """Base of qlint's mutable records: field-wise `repr`, `==` and `_replace`.
+    """Base of qlint's mutable records: field-wise `repr` and `==`.
 
     A subclass names its own fields in `__slots__` and sets them in a
     hand-written `__init__`; `_fields` collects them, base classes first.
@@ -91,15 +91,6 @@ class Record:
             return NotImplemented
         names = self._fields
         return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
-
-    def _replace(self, **changes: object) -> "Record":
-        """A shallow copy with `changes` applied, like `dataclasses.replace`."""
-        new = object.__new__(type(self))
-        for name in self._fields:
-            setattr(new, name, changes.pop(name) if name in changes else getattr(self, name))
-        if changes:
-            raise TypeError(f"{type(self).__name__} has no fields {sorted(changes)}")
-        return new
 
 
 # --- expressions ---

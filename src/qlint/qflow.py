@@ -37,10 +37,9 @@ class FlowRelation:
         # The events of circuits, in IR order, that the rules start from.
         measurements: list[OperatorEvent] = []
         measure_alls: list[OperatorEvent] = []
-        initializations: list[OperatorEvent] = []
         conditionals: list[OperatorEvent] = []  # conditional gates
         self.measurements, self.measure_alls = measurements, measure_alls
-        self.initializations, self.conditionals = initializations, conditionals
+        self.conditionals = conditionals
         events, timelines = self.events, self.timelines
         blockers = self.unknown_blockers
         gate, measurement, unknown = EventKind.GATE, EventKind.MEASUREMENT, EventKind.UNKNOWN
@@ -62,22 +61,9 @@ class FlowRelation:
                 continue
             elif kind is measure_all:
                 measure_alls.append(event)
-            elif kind is EventKind.INITIALIZE:
-                initializations.append(event)
             for register, index in event.qubits:
                 if register is not None and index is not None:
                     timelines.setdefault((circuit, register, index), []).append(event_id)
-
-    # --- ordering primitives ---
-
-    def before(self, a: str, b: str) -> bool:
-        """True when some control-flow path executes event a before event b."""
-        ea, eb = self.events[a], self.events[b]
-        if a == b or ea.scope != eb.scope:
-            return False
-        if ea.block == eb.block:
-            return ea.seq < eb.seq or self.cfg.in_cycle(ea.block)
-        return eb.block in self.cfg.reachable(ea.block)
 
     # --- materialized relations ---
 
@@ -91,14 +77,25 @@ class FlowRelation:
     def may_follow_pairs(self) -> tuple[Pair, ...]:
         """Every ordered pair on each timeline; quadratic, built only on demand.
 
-        No rule reads it: the benchmark's oracle check and the tests do."""
+        b may follow a when b is later in a's block, or its block is
+        reachable from a's; no edge joins the blocks of two scopes. No rule
+        reads it: the benchmark's oracle check and the tests do."""
+        events, reachable_from = self.events, self.cfg.reachable_from
+        reach: dict[int, frozenset[int]] = {}  # block -> the blocks it reaches
         pairs: set[Pair] = set()
-        for key, events in self.timelines.items():
-            for i, a in enumerate(events):
-                for b in events[i + 1 :]:
-                    if self.before(a, b):
+        for key, timeline in self.timelines.items():
+            placed = [(event_id, events[event_id].block) for event_id in timeline]
+            for _, block in placed:
+                if block not in reach:
+                    reach[block] = reachable_from((block,))
+            for i, (a, block_a) in enumerate(placed):
+                after_a = reach[block_a]
+                for b, block_b in placed[i + 1 :]:
+                    if a == b:
+                        continue
+                    if block_b == block_a or block_b in after_a:
                         pairs.add((a, b, key))
-                    if self.before(b, a):
+                    if block_a in reach[block_b]:
                         pairs.add((b, a, key))
         return self._in_order(pairs)
 

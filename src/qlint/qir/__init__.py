@@ -6,7 +6,6 @@ from .model import (
     CircuitDecl,
     CircuitKind,
     ComposeCall,
-    CompositionEdge,
     Diagnostic,
     EventKind,
     Layout,
@@ -22,7 +21,6 @@ __all__ = [
     "CircuitDecl",
     "CircuitKind",
     "ComposeCall",
-    "CompositionEdge",
     "DEFAULT_MAX_UNROLL",
     "Diagnostic",
     "EventKind",

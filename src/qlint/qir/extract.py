@@ -41,7 +41,6 @@ from .model import (
     CircuitDecl,
     CircuitKind,
     ComposeCall,
-    CompositionEdge,
     Diagnostic,
     EventKind,
     Layout,
@@ -479,8 +478,6 @@ class _Extractor:
         `name[k]` where the name holds a register and `k` is known, or the
         tuple of a display's element values. A name a walrus or a `global`
         may rebind loses its integer after every call and opaque expression.
-        A name or an int constant, the commonest operands, is read in place
-        as an operand of a subscript or of arithmetic, and as a call's receiver.
         """
         cls = type(expr)
         if cls is _ast.Name:
@@ -494,34 +491,12 @@ class _Extractor:
             return got
         f = form(expr)
         if f is _ast.Subscript:
-            held, index = expr.value, expr.slice
-            if type(held) is _ast.Name:
-                held = scope.vars.get(held.id, _OTHER)
-            else:
-                held = self._eval(held, scope)
-            if type(index) is _ast.Name:
-                index = scope.vars.get(index.id, _OTHER)
-            elif type(index) is not _ast.Constant or type(index.value) is not int:
-                index = self._eval(index, scope)
-            else:
-                index = index.value
+            held, index = self._eval(expr.value, scope), self._eval(expr.slice, scope)
             if type(index) is int and type(held) is _Binding and held.kind == "register":
                 return _new(QubitRef, (held.ids[0], index))
             return _OTHER
         if f is _ast.BinOp:
-            left, right = expr.left, expr.right
-            if type(left) is _ast.Name:
-                left = scope.vars.get(left.id, _OTHER)
-            elif type(left) is not _ast.Constant or type(left.value) is not int:
-                left = self._eval(left, scope)
-            else:
-                left = left.value
-            if type(right) is _ast.Name:
-                right = scope.vars.get(right.id, _OTHER)
-            elif type(right) is not _ast.Constant or type(right.value) is not int:
-                right = self._eval(right, scope)
-            else:
-                right = right.value
+            left, right = self._eval(expr.left, scope), self._eval(expr.right, scope)
             value = binop_value(type(expr.op), left, right)
             return _OTHER if value is None else value
         if f is _ast.UnaryOp:  # `-x`
@@ -757,7 +732,7 @@ class _Extractor:
             self._emit_unknown([circuit.id], cause, self.span(call), method)
             return _OTHER
         if method == "append":
-            self._composition_edges(circuit, call, scope, "append")
+            self._composition(circuit, call, scope, "append")
             return _OTHER
         if method == "compose":
             return self._compose(circuit, call, scope, bare)
@@ -948,34 +923,34 @@ class _Extractor:
     def _compose(
         self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
-        self._composition_edges(circuit, call, scope, "compose")
         inplace_true = False
         for kw in call.keywords:
             if kw.arg == "inplace" and type(kw.value) is _ast.Constant and kw.value.value is True:
                 inplace_true = True
+        self._composition(circuit, call, scope, "compose" if inplace_true else None)
         span = self.span(call)
         self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, inplace_true))
         decl = self._new_circuit(CircuitKind.COPY, span)
         decl.layout = circuit.layout
         return _new(_Binding, ("circuit", (decl.id,), None))
 
-    def _composition_edges(
-        self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, how: str
+    def _composition(
+        self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, in_place: str | None
     ) -> None:
-        """Evaluate the arguments; link the circuits the first one holds as
-        children. An `append` of anything else adds an instruction qlint does
-        not model, an unknown operator on the circuit."""
+        """Evaluate the arguments; mark the circuits the first one holds as
+        composed into `circuit`. Anything else that the method `in_place`
+        adds to `circuit` is what qlint does not model, an unknown operator
+        of that name; a method that changes no circuit in place is None."""
         values, _ = self._eval_args(call, scope)
         first = _binding(values[0]) if values else _OTHER
         if first.kind in ("circuit", "circuit_gate"):
             for child in first.ids:
                 if child != circuit.id:
-                    self.ir.edges.append(CompositionEdge(circuit.id, child, how, self.span(call)))
                     circuit.unseen.add("has_subcircuit")
                     self.ir.circuits[child].unseen.add("subcircuit")
-        elif how == "append":
+        elif in_place is not None:
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
-            self._emit_unknown([circuit.id], cause, self.span(call), how)
+            self._emit_unknown([circuit.id], cause, self.span(call), in_place)
 
 
 _STATEMENTS = {

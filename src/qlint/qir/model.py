@@ -1,4 +1,4 @@
-"""Quantum IR: registers, circuits, operator events, composition facts."""
+"""Quantum IR: registers, circuits, operator events, compose calls."""
 
 import enum
 
@@ -119,16 +119,6 @@ class CircuitDecl(Record):
         self.unseen: set[str] = set()  # of UNSEEN_REASONS
 
 
-class CompositionEdge(TupleRecord):
-    """`child` appended or composed into `parent`; `mechanism` is "append" or "compose"."""
-
-    __slots__ = ()
-    _fields = ("parent", "child", "mechanism", "span")
-
-    def __new__(cls, parent: str, child: str, mechanism: str, span: SourceSpan):
-        return tuple.__new__(cls, (parent, child, mechanism, span))
-
-
 class OperatorEvent(Record):
     __slots__ = ("id", "circuit", "kind", "seq", "block", "scope", "span", "gate_name",
                  "is_conditional", "creates_new_register", "unknown_cause", "qubits", "clbits")
@@ -170,15 +160,13 @@ class Diagnostic(TupleRecord):
 class QuantumIR(Record):
     """Everything extracted from one file; each event's `block` is a block of `cfg`."""
 
-    __slots__ = ("file", "registers", "circuits", "events", "edges", "compose_calls",
-                 "diagnostics", "cfg")
+    __slots__ = ("file", "registers", "circuits", "events", "compose_calls", "diagnostics", "cfg")
 
     def __init__(self, file: str) -> None:
         self.file = file
         self.registers: dict[str, RegisterDecl] = {}
         self.circuits: dict[str, CircuitDecl] = {}
         self.events: list[OperatorEvent] = []
-        self.edges: list[CompositionEdge] = []
         self.compose_calls: list[ComposeCall] = []
         self.diagnostics: list[Diagnostic] = []
         self.cfg = Cfg()

@@ -1,19 +1,51 @@
-"""Brute-force reference for `FlowRelation.directly_pairs`.
+"""Brute-force references for `FlowRelation.may_follow_pairs` and `directly_pairs`.
 
-It takes every ordered pair the flow relation may order on a qubit key and
-searches, pair by pair, for a control-flow path from the first event to the
-second that crosses no blocker: no other event on the key and no unknown
-operator of the key's circuit. The analyzer computes the same relation with
-one forward pass per key; tests compare the two.
+`before` orders two events by their blocks' reachability alone. For
+`directly`, it takes every ordered pair the flow relation may order on a
+qubit key and searches, pair by pair, for a control-flow path from the first
+event to the second that crosses no blocker: no other event on the key and
+no unknown operator of the key's circuit. The analyzer computes the same
+relations with one reachability set per block and one forward pass per key;
+tests compare the two.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from weakref import WeakKeyDictionary
 
 from qlint.qflow import FlowRelation, QubitKey
 
 Pair = tuple[str, str, QubitKey]
+
+# Blocks reachable from each block, per flow: a memo, since `before` is
+# asked about every two events of a timeline.
+_REACHED: WeakKeyDictionary[FlowRelation, dict[int, frozenset[int]]] = WeakKeyDictionary()
+
+
+def before(flow: FlowRelation, a: str, b: str) -> bool:
+    """True when some control-flow path executes event a before event b."""
+    ea, eb = flow.events[a], flow.events[b]
+    if a == b or ea.scope != eb.scope:
+        return False
+    by_block = _REACHED.setdefault(flow, {})
+    if ea.block not in by_block:
+        by_block[ea.block] = flow.cfg.reachable_from((ea.block,))
+    reached = by_block[ea.block]
+    if ea.block == eb.block:
+        return ea.seq < eb.seq or ea.block in reached
+    return eb.block in reached
+
+
+def reference_may_follow_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
+    """`may_follow_pairs` by `before` on every two events of a timeline, in its order."""
+    pairs = set()
+    for key, events in flow.timelines.items():
+        for a in events:
+            for b in events:
+                if before(flow, a, b):
+                    pairs.add((a, b, key))
+    return flow._in_order(pairs)
 
 
 def reference_directly_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
@@ -40,7 +72,7 @@ def _directly(
     The endpoints themselves never block, which the seq arithmetic below
     accounts for without id filtering.
     """
-    if not flow.before(a, b):
+    if not before(flow, a, b):
         return False
     ea, eb = flow.events[a], flow.events[b]
 

@@ -93,6 +93,11 @@ class TestExitCodes:
         code, _, _ = _run(capsys, "check", sample_path("two_bugs"), "--format", "yaml")
         assert code == 2
 
+    def test_removed_jobs_flag_is_a_usage_error(self, capsys):
+        code, _, err = _run(capsys, "check", sample_path("two_bugs"), "--jobs", "2")
+        assert code == 2
+        assert "--jobs" in err
+
     def test_byte_order_mark_is_decoded(self, capsys, tmp_path):
         plain = sample_path("two_bugs")
         bom = tmp_path / "two_bugs.py"
@@ -252,10 +257,7 @@ class TestUnreadableFile:
 
     def test_serial_and_parallel_agree(self, capsys, tmp_path):
         mixed = str(self._mixed(tmp_path))
-        serial = _run(capsys, "check", mixed, "--format", "json")
-        parallel = _run(capsys, "check", mixed, "--format", "json", "--jobs", "2")
-        assert serial == parallel
-        code, out, _ = serial
+        code, out, _ = _run(capsys, "check", mixed, "--format", "json")
         assert code == 2
         doc = json.loads(out)
         assert doc["files_analyzed"] == [str(tmp_path / "two_bugs.py")]
@@ -486,8 +488,9 @@ class TestDeterminismAndOrdering:
                 "qc.measure(0, 0)\nqc.measure(0, 0)\n",
                 "utf-8",
             )
+        files = sorted(str(path) for path in tmp_path.iterdir())
         _, seq, _ = _run(capsys, "check", str(tmp_path), "--format", "json")
-        _, par, _ = _run(capsys, "check", str(tmp_path), "--format", "json", "--jobs", "4")
+        _, par, _ = _run(capsys, "check", *reversed(files), "--format", "json")
         assert seq == par
 
     def test_jobs_starts_no_thread(self, monkeypatch):

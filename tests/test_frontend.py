@@ -87,7 +87,7 @@ def _stream(ir) -> list[tuple]:
 
 def _kept(ir) -> bool:
     """True when some block lies on a cycle: a loop was kept, not expanded."""
-    return any(ir.cfg.in_cycle(b.id) for b in ir.cfg.blocks)
+    return any(b.id in ir.cfg.reachable_from((b.id,)) for b in ir.cfg.blocks)
 
 
 # Leaves of the fold property's programs. Only `w` is bound by a walrus, so

@@ -12,6 +12,11 @@ it. An `__all__` entry, and a use in tests/ or bench/, do not count: such a
 definition is dead code unless README "Library use" documents it, and then
 it goes on `UNCALLED_API`.
 
+A field of a src/qlint class (a `__slots__` or `_fields` entry, or a
+`self.<name> =` attribute) counts as read when some attribute load in
+src/qlint or bench/ names it. State that only tests read goes on
+`UNREAD_FIELDS`, with the reason it stays.
+
 qlint's modules evaluate their annotations and import nothing from
 `__future__`, a module that every start of the linter would otherwise load.
 """
@@ -25,6 +30,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qlint"
 MODULES = sorted(SRC.rglob("*.py"))
+BENCH = sorted((SRC.parent.parent / "bench").glob("*.py"))
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -143,3 +149,66 @@ def test_caller_check_finds_an_uncalled_definition(tmp_path):
         "utf-8",
     )
     assert uncalled_definitions([module]) == ["unused", "Box.method"]
+
+
+# Fields nothing in src/qlint or bench/ reads, each with why it stays.
+UNREAD_FIELDS = {
+    "OperatorEvent.clbits": "the behaviour lock hashes each event's classical operands",
+    "OperatorEvent.scope": "the behaviour lock names each event's scope",
+    "CircuitDecl.scope": "tests check which scope declares a circuit",
+    "Block.scope": "tests check that each event's block is in the event's scope",
+}
+
+
+def unread_fields(paths: list[Path], readers: list[Path]) -> list[str]:
+    """Each field of a class defined in `paths` that no attribute load in
+    `readers` names, as `Class.name`: a `__slots__` or `_fields` entry, or
+    an attribute the class sets on `self`."""
+    loaded = {
+        node.attr
+        for path in readers
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            fields = []
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in ("__slots__", "_fields")
+                    for t in node.targets
+                ):
+                    fields += ast.literal_eval(node.value)
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    fields.append(node.attr)
+            found += [f"{cls.name}.{name}" for name in dict.fromkeys(fields) if name not in loaded]
+    return found
+
+
+def test_every_field_has_a_reader():
+    assert set(unread_fields(MODULES, MODULES + BENCH)) == set(UNREAD_FIELDS)
+
+
+def test_field_check_finds_an_unread_field(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Pair:\n"
+        "    __slots__ = ('left', 'right')\n"
+        "    _fields = ('left', 'right')\n"
+        "    def __init__(self):\n"
+        "        self.left, self.right = 1, 2\n"
+        "        self.extra = self.left\n"
+        "class Empty:\n"
+        "    __slots__ = ()\n",
+        "utf-8",
+    )
+    assert unread_fields([module], [module]) == ["Pair.right", "Pair.extra"]

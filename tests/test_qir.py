@@ -637,7 +637,14 @@ class TestLayout:
         assert derived.layout is source.layout
 
 
+def _unseen(ir) -> dict[str | None, set[str]]:
+    """Each named circuit's `unseen` reasons."""
+    return {c.name: c.unseen for c in ir.circuits.values() if c.name is not None}
+
+
 class TestComposition:
+    # An edge from parent to child shows as the parent's `has_subcircuit`
+    # and the child's `subcircuit`.
     def test_append_edge(self):
         source = (
             "qc = QuantumCircuit(2)\n"
@@ -645,15 +652,13 @@ class TestComposition:
             "qc.append(sub, [0, 1])\n"
         )
         ir = _ir(source)
-        (edge,) = ir.edges
-        assert edge.mechanism == "append"
-        assert ir.circuits[edge.parent].name == "qc"
-        assert ir.circuits[edge.child].name == "sub"
+        assert _unseen(ir) == {"qc": {"has_subcircuit"}, "sub": {"subcircuit"}}
+        assert _events(ir, EventKind.UNKNOWN) == []
 
     def test_compose_edge(self):
         source = "qc = QuantumCircuit(2)\nsub = QuantumCircuit(2)\nout = qc.compose(sub)\n"
         ir = _ir(source)
-        assert any(e.mechanism == "compose" for e in ir.edges)
+        assert _unseen(ir) == {"qc": {"has_subcircuit"}, "sub": {"subcircuit"}, "out": set()}
 
     def test_returned_circuit_flag(self):
         source = "def f():\n    circ = QuantumCircuit(2)\n    return circ\n"
@@ -673,8 +678,9 @@ class TestComposition:
             "qc.append(sub.to_gate(), [0, 1])\n"
         )
         ir = _ir(source)
-        (edge,) = ir.edges
-        assert ir.circuits[edge.child].name == "sub"
+        assert _unseen(ir) == {
+            "qc": {"has_subcircuit"}, "sub": {"subcircuit", "to_gate_or_instruction"}
+        }
 
 
 class TestMeasureAll:
@@ -966,4 +972,5 @@ class TestDeterminism:
         assert sizes == [2, 3]
         main = [c for c in ir.circuits.values() if c.name == "circ"]
         assert len(main) == 1 and main[0].layout.num_qubits == 4
-        assert len(ir.edges) == 1
+        assert main[0].unseen == {"has_subcircuit"}
+        assert [c.name for c in ir.circuits.values() if "subcircuit" in c.unseen] == ["sub"]

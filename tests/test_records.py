@@ -23,7 +23,7 @@ from qlint.frontend.cfg import Block, Cfg
 from qlint.frontend.nodes import ModuleAst, SourceSpan
 from qlint.qir.extract import _Binding
 from qlint.qir.gates import GateSpec, GateTable
-from qlint.qir.model import CircuitDecl, CircuitKind, ComposeCall, CompositionEdge, Diagnostic
+from qlint.qir.model import CircuitDecl, CircuitKind, ComposeCall, Diagnostic
 from qlint.qir.model import EventKind, Layout, OperatorEvent, QubitRef
 from qlint.report import SkippedFile
 
@@ -154,13 +154,6 @@ class TestMutableRecords:
         assert second.qubits == []
         assert ModuleAst("a.py", []).wide_lines is not ModuleAst("b.py", []).wide_lines
 
-    def test_replace_copies_and_changes_fields(self):
-        tree = ModuleAst("a.py", [], rebound_names=frozenset("x"))
-        copy = tree._replace(rebound_names=frozenset("y"))
-        assert (copy.file, copy.rebound_names, tree.rebound_names) == ("a.py", {"y"}, {"x"})
-        with pytest.raises(TypeError):
-            tree._replace(no_such_field=1)
-
 
 def test_value_records_are_named_tuples():
     config = Config()._replace(max_unroll=3)
@@ -169,7 +162,7 @@ def test_value_records_are_named_tuples():
 
 
 VALUE_RECORDS = (
-    SourceSpan, QubitRef, Layout, CompositionEdge, ComposeCall, Diagnostic, GateSpec, GateTable,
+    SourceSpan, QubitRef, Layout, ComposeCall, Diagnostic, GateSpec, GateTable,
     _Binding, SkippedFile, Config, PipelineResult, Rule, Warning,
 )
 

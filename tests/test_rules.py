@@ -231,9 +231,10 @@ class TestCondWoMeas:
             "if flag:\n    qc = a\nelse:\n    qc = b\n"
             "qc.measure(0, 0)\na.x(0).c_if(cr, 1)\n",
             _REGISTERS + "qc.h(0)\nqc.append(Measure(), [0], [0])\nqc.x(0).c_if(cr, 1)\n",
+            _REGISTERS + "qc.compose(meas(), inplace=True)\nqc.x(0).c_if(cr, 1)\n",
         ],
         ids=["unknown_code", "unresolved_measure", "unpacked_measure", "one_of_two_circuits",
-             "appended_instruction"],
+             "appended_instruction", "composed_in_place"],
     )
     def test_what_may_measure_before_counts(self, source):
         # Each earlier event may have measured the condition's bits.
@@ -447,6 +448,20 @@ class TestOversizedCircuit:
         assert (appended.kind.value, appended.gate_name, appended.unknown_cause.value) == (
             "unknown", "append", "unknown_callee_with_circuit_arg"
         )
+
+    def test_composed_in_place_unknown_excluded(self):
+        # `make()` may return a circuit that uses qubit 1.
+        source = "qc = QuantumCircuit(2)\nqc.h(0)\nqc.compose(make(), inplace=True)\n"
+        assert _lines_of(source, "oversized-circuit") == []
+        composed = analyze_pipeline(source, "t.py").ir.events[-1]
+        assert (composed.kind.value, composed.gate_name, composed.unknown_cause.value) == (
+            "unknown", "compose", "unknown_callee_with_circuit_arg"
+        )
+
+    def test_compose_into_a_new_circuit_leaves_the_receiver(self):
+        source = "qc = QuantumCircuit(2)\nqc.h(0)\nout = qc.compose(make())\n"
+        assert _lines_of(source, "oversized-circuit") == [1]
+        assert [e.kind.value for e in analyze_pipeline(source, "t.py").ir.events] == ["gate"]
 
     def test_circuit_returned_from_a_function_excluded(self):
         # The caller's gates act on the call's value, which qlint cannot tie to `q`.
