@@ -262,7 +262,7 @@ def run_ghost_compose(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """compose() result is dropped, so the composition never happens."""
     out = []
     for call in ir.compose_calls:
-        if call.bare_statement and not call.inplace_true:
+        if call.bare_statement and not call.in_place:
             out.append(
                 Warning(
                     "ghost-compose",

@@ -1,9 +1,7 @@
 """Per-file analysis pipeline and multi-file orchestration."""
 
 import gc
-import re
 from functools import cache
-from pathlib import Path
 
 from .analyses import ALL_RULES, Warning, run_all
 from .frontend import ParseError, parse_file, source_lines
@@ -36,20 +34,27 @@ def propagate_constants(tree: ModuleAst) -> None:
 unroll_loops = build_cfg = propagate_constants
 
 
-# The three patterns are compiled on first use, behind guards that most files fail.
+# The three patterns are compiled on first use, behind guards that most files
+# fail; `re` is imported there too, so `import qlint` does not load it.
 @cache
-def _suppress_re() -> re.Pattern[str]:
+def _suppress_re() -> "re.Pattern[str]":
+    import re
+
     return re.compile(r"#\s*qlint:\s*ignore(?:\[([a-z0-9\-, ]*)\])?\s*$")
 
 
 @cache
-def _cookie_re() -> re.Pattern[bytes]:
+def _cookie_re() -> "re.Pattern[bytes]":
     """PEP 263: a coding cookie on line 1, or on line 2 when line 1 is blank or a comment."""
+    import re
+
     return re.compile(rb"(?:[ \t\f]*(?:#[^\r\n]*)?\r?\n)??[ \t\f]*#.*?coding[:=][ \t]*([-\w.]+)")
 
 
 @cache
-def _line_end_re() -> re.Pattern[bytes]:
+def _line_end_re() -> "re.Pattern[bytes]":
+    import re
+
     return re.compile(rb"\r\n?|\n")
 
 
@@ -178,6 +183,8 @@ def _analyze_path(path: str, config: Config) -> FileOutcome:
 
 def expand_paths(paths: list[str]) -> list[str]:
     """Expand files and directories into a sorted list of .py files."""
+    from pathlib import Path  # only the CLI expands paths; `import qlint` does not load it
+
     out: set[str] = set()
     for raw in paths:
         p = Path(raw)

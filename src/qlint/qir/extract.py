@@ -710,6 +710,10 @@ class _Extractor:
             self._eval_args(call, scope)
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
             self._emit_unknown(receiver.ids, cause, self.span(call))
+            if method == "add_register":  # any of them may gain the registers
+                for cid in receiver.ids:
+                    circuit = self.ir.circuits[cid]
+                    circuit.layout = circuit.layout.adding(self.ir.registers, [], True)
             return _OTHER
         circuit = self.ir.circuits[receiver.ids[0]]
         spec = self.table.gates.get(method)
@@ -923,13 +927,16 @@ class _Extractor:
     def _compose(
         self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
-        inplace_true = False
-        for kw in call.keywords:
-            if kw.arg == "inplace" and type(kw.value) is _ast.Constant and kw.value.value is True:
-                inplace_true = True
-        self._composition(circuit, call, scope, "compose" if inplace_true else None)
+        # `inplace` is the fifth positional argument or a keyword, and a `*` or
+        # `**` value may hold it; the call changes no circuit only when each is
+        # absent or a false constant.
+        flags = call.args[4:5] + [kw.value for kw in call.keywords if kw.arg == "inplace"]
+        in_place = has_star_args(call) or not all(
+            type(f) is _ast.Constant and not f.value for f in flags
+        )
+        self._composition(circuit, call, scope, "compose" if in_place else None)
         span = self.span(call)
-        self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, inplace_true))
+        self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, in_place))
         decl = self._new_circuit(CircuitKind.COPY, span)
         decl.layout = circuit.layout
         return _new(_Binding, ("circuit", (decl.id,), None))

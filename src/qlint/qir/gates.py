@@ -6,7 +6,6 @@ extended or overridden without touching code.
 
 import os
 from functools import cache
-from pathlib import Path
 
 from ..frontend.nodes import TupleRecord
 
@@ -59,11 +58,11 @@ def parse_gate_table(text: str, origin: str = "<gate table>") -> GateTable:
     """Parse the tabular gate data; '#' starts a comment, blank lines skipped."""
     gates: dict[str, GateSpec] = {}
     builtins: set[str] = set()
+    columns: dict[str, tuple[int, ...]] = {}  # each distinct position column, parsed once
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 5:
             raise GateTableError(f"{origin}:{lineno}: expected 5 columns, got {len(fields)}")
         name, category, qubits, clbits, params = fields
@@ -72,14 +71,14 @@ def parse_gate_table(text: str, origin: str = "<gate table>") -> GateTable:
             continue
         if category not in GATE_CATEGORIES:
             raise GateTableError(f"{origin}:{lineno}: unknown category {category!r}")
-        spec = GateSpec(
-            name,
-            category,
-            _parse_positions(qubits),
-            _parse_positions(clbits),
-            _parse_positions(params),
+        for column in (qubits, clbits, params):
+            if column not in columns:
+                columns[column] = _parse_positions(column)
+        # `tuple.__new__` skips the record's Python-level `__new__`.
+        spec = tuple.__new__(
+            GateSpec, (name, category, columns[qubits], columns[clbits], columns[params])
         )
-        positions = list(spec.qubit_args) + list(spec.clbit_args) + list(spec.param_args)
+        positions = spec.qubit_args + spec.clbit_args + spec.param_args
         if len(positions) != len(set(positions)):
             raise GateTableError(f"{origin}:{lineno}: overlapping argument positions")
         if name in gates:
@@ -88,10 +87,12 @@ def parse_gate_table(text: str, origin: str = "<gate table>") -> GateTable:
     return GateTable(gates, frozenset(builtins))
 
 
-def load_gate_table(path: str | Path | None = None) -> GateTable:
+def load_gate_table(path: str | os.PathLike[str] | None = None) -> GateTable:
     """Load the bundled table, parsed once per process, or reread an override file."""
     if path is None:
         return _bundled_gate_table()
+    from pathlib import Path  # only an override reads a path; `import qlint` does not load it
+
     p = Path(path)
     return parse_gate_table(p.read_text("utf-8"), str(p))
 

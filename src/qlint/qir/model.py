@@ -1,12 +1,38 @@
 """Quantum IR: registers, circuits, operator events, compose calls."""
 
-import enum
-
 from ..frontend.cfg import Cfg
 from ..frontend.nodes import Record, SourceSpan, TupleRecord
 
 
-class CircuitKind(enum.Enum):
+class Kind:
+    """Base of qlint's kinds: a fixed set of named members, as `enum.Enum` gives.
+
+    A subclass lists its members as upper-case class attributes holding their
+    values; `__init_subclass__` replaces each by an instance of the subclass
+    with that `name` and `value`. Members compare by identity, and a copy or
+    a pickle round trip gives back the member itself. The kinds are written
+    out rather than made by `enum`, so importing qlint does not load it; a
+    kind class cannot be iterated, nor looked up by value.
+    """
+
+    __slots__ = ("name", "value")
+
+    def __init_subclass__(cls) -> None:
+        for name, value in list(vars(cls).items()):
+            if name.isupper() and type(value) is str:
+                member = object.__new__(cls)
+                member.name, member.value = name, value
+                setattr(cls, name, member)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
+
+    def __reduce__(self) -> tuple:  # what `copy` and `pickle` call: the member by name
+        return getattr, (type(self), self.name)
+
+
+class CircuitKind(Kind):
+    __slots__ = ()
     CONSTRUCTOR = "constructor"
     USER_FUNCTION_RETURN = "user_function_return"
     BUILTIN_PARAMETRIZED = "builtin_parametrized"
@@ -15,7 +41,8 @@ class CircuitKind(enum.Enum):
     TRANSPILED = "transpiled"
 
 
-class EventKind(enum.Enum):
+class EventKind(Kind):
+    __slots__ = ()
     GATE = "gate"
     MEASUREMENT = "measurement"
     MEASURE_ALL = "measure_all"
@@ -25,7 +52,8 @@ class EventKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class UnknownCause(enum.Enum):
+class UnknownCause(Kind):
+    __slots__ = ()
     UNRESOLVED_QUBIT = "unresolved_qubit"
     UNKNOWN_CALLEE_WITH_CIRCUIT_ARG = "unknown_callee_with_circuit_arg"
     GLOBAL_CIRCUIT_MUTATION = "global_circuit_mutation"
@@ -138,13 +166,14 @@ class OperatorEvent(Record):
 
 
 class ComposeCall(TupleRecord):
-    """One compose() call site, with how its result is consumed."""
+    """One compose() call site, with how its result is consumed and whether
+    the call may change its receiver in place."""
 
     __slots__ = ()
-    _fields = ("circuit", "span", "bare_statement", "inplace_true")
+    _fields = ("circuit", "span", "bare_statement", "in_place")
 
-    def __new__(cls, circuit: str, span: SourceSpan, bare_statement: bool, inplace_true: bool):
-        return tuple.__new__(cls, (circuit, span, bare_statement, inplace_true))
+    def __new__(cls, circuit: str, span: SourceSpan, bare_statement: bool, in_place: bool):
+        return tuple.__new__(cls, (circuit, span, bare_statement, in_place))
 
 
 class Diagnostic(TupleRecord):

@@ -6,6 +6,7 @@ import ast
 import concurrent.futures
 import copy
 import inspect
+import json
 import pickle
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from typing import NamedTuple
 import pytest
 
 from qlint import Config, analyze_source, driver, format_report, report_of
+from qlint.cli import run
 from qlint.analyses import Rule
 from qlint.analyses.rules import Warning
 from qlint.driver import PipelineResult
@@ -24,7 +26,7 @@ from qlint.frontend.nodes import ModuleAst, SourceSpan
 from qlint.qir.extract import _Binding
 from qlint.qir.gates import GateSpec, GateTable
 from qlint.qir.model import CircuitDecl, CircuitKind, ComposeCall, Diagnostic
-from qlint.qir.model import EventKind, Layout, OperatorEvent, QubitRef
+from qlint.qir.model import EventKind, Layout, OperatorEvent, QubitRef, UnknownCause
 from qlint.report import SkippedFile
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,7 +62,7 @@ def test_importing_qlint_does_not_import_dataclasses():
 # records are written out rather than made by `typing.NamedTuple`.
 _NOT_AT_IMPORT = (
     "__future__", "ast", "concurrent.futures", "importlib.resources", "json", "logging",
-    "tempfile", "typing",
+    "pathlib", "tempfile", "typing",
 )
 _REPORTED = "from qiskit import QuantumCircuit\nqc = QuantumCircuit(2, 2)\nqc.h(0)\n"
 
@@ -91,6 +93,78 @@ def test_importing_qlint_loads_only_what_analysis_runs():
     assert report.warnings
     assert as_json == format_report(report, "json")
     assert as_sarif == format_report(report, "sarif")
+
+
+def test_library_start_loads_no_enum_re_or_pathlib():
+    # The kinds are written out, and the driver and the gate table import
+    # `re` and `pathlib` where they use them; `qlint.cli`'s `argparse` loads
+    # `enum` and `re`, so this start leaves the CLI out.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import qlint\n"
+        "from qlint.qir import load_gate_table\n"
+        "load_gate_table()\n"
+        "print([name for name in ('enum', 're', 'pathlib') if name in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def test_cli_in_a_fresh_interpreter_gives_the_in_process_output(tmp_path, capsys):
+    # A coding cookie, an ignore comment and undecodable bytes run the
+    # driver's three patterns and `expand_paths`, each imported on first use.
+    (tmp_path / "cookie.py").write_bytes(
+        b"# -*- coding: latin-1 -*-\nqc = QuantumCircuit(2, 2)  # caf\xe9\nqc.h(0)\n"
+    )
+    (tmp_path / "ignored.py").write_text(
+        "qc = QuantumCircuit(2, 2)\nqc.measure(0, 0)\nqc.measure(1, 1)\n"
+        "qc.h(0)  # qlint: ignore\nqc.h(1)\n"
+    )
+    (tmp_path / "undecodable.py").write_bytes(b"x = 1\ny = '\xff'\n")
+    argv = ["check", "--format", "json", str(tmp_path)]
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import qlint.cli\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "qlint.cli.main()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert run(argv) == done.returncode == 1
+    captured = capsys.readouterr()
+    assert (done.stdout, done.stderr) == (captured.out, captured.err)
+    report = json.loads(done.stdout)
+    assert report["files_analyzed"] == [str(tmp_path / "cookie.py"), str(tmp_path / "ignored.py")]
+    assert [(s["file"], s["line"]) for s in report["files_skipped"]] == [
+        (str(tmp_path / "undecodable.py"), 2)
+    ]
+    assert [(w["rule"], w["line"]) for w in report["warnings"]] == [("op-after-meas", 5)]
+
+
+@pytest.mark.parametrize("kind", [CircuitKind, EventKind, UnknownCause], ids=lambda k: k.__name__)
+class TestKinds:
+    """The kind classes keep what callers read of their `enum.Enum` forms."""
+
+    def test_members(self, kind):
+        members = {n: v for n, v in vars(kind).items() if n.isupper()}
+        assert members
+        for name, member in members.items():
+            assert type(member) is kind and member.name == name
+            assert member.value == name.lower()
+            assert repr(member) == f"<{kind.__name__}.{name}: {member.value!r}>"
+            assert member == member and member is getattr(kind, name)
+            assert not hasattr(member, "__dict__")
+        assert len({m.value for m in members.values()}) == len(members)
+
+    def test_copies_are_the_member(self, kind):
+        for member in (v for n, v in vars(kind).items() if n.isupper()):
+            for twin in (copy.copy(member), copy.deepcopy(member),
+                         pickle.loads(pickle.dumps(member))):
+                assert twin is member
 
 
 def test_driver_thread_pool_executor_resolves_on_access():

@@ -311,6 +311,25 @@ class TestInsuffClasReg:
         (circuit,) = analyze_pipeline(source, "t.py").ir.circuits.values()
         assert (circuit.layout.num_qubits, circuit.layout.num_clbits) == (3, None)
 
+    def test_register_added_to_one_of_several_circuits(self):
+        # `qc` is `a` or `b`, so either may hold `cr`.
+        source = (
+            "cr = ClassicalRegister(2)\n"
+            "a = QuantumCircuit(2)\n"
+            "b = QuantumCircuit(2)\n"
+            "if flag:\n"
+            "    qc = a\n"
+            "else:\n"
+            "    qc = b\n"
+            "qc.add_register(cr)\n"
+            "a.h(0)\n"
+            "a.h(1)\n"
+            "a.measure([0, 1], [0, 1])\n"
+        )
+        assert _lines_of(source, "insuff-clas-reg") == []
+        circuits = analyze_pipeline(source, "t.py").ir.circuits.values()
+        assert [c.layout.open for c in circuits] == [True, True]
+
     def test_sizes_of_a_star_only_constructor_are_unknown(self):
         ir = analyze_pipeline("qc = QuantumCircuit(*regs)\nqc.measure_all()\n", "t.py").ir
         (circuit,) = ir.circuits.values()
@@ -663,6 +682,32 @@ class TestGhostCompose:
             "qc2.compose(circ, inplace=True)\n"
         )
         assert _lines_of(source, "ghost-compose") == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "qc.compose(make(), inplace=flag)",
+            "qc.compose(make(), inplace=opts.get('inplace'))",
+            "qc.compose(make(), None, None, False, True)",
+            "qc.compose(make(), **opts)",
+        ],
+        ids=["name", "expression", "fifth_positional", "double_star"],
+    )
+    def test_inplace_that_may_be_true(self, call):
+        # The call may change `qc` in place, with a circuit that uses qubit 1.
+        source = f"qc = QuantumCircuit(2)\nqc.h(0)\n{call}\n"
+        assert _lines_of(source, "ghost-compose") == []
+        assert _lines_of(source, "oversized-circuit") == []
+        composed = analyze_pipeline(source, "t.py").ir.events[-1]
+        assert (composed.kind.value, composed.gate_name) == ("unknown", "compose")
+
+    @pytest.mark.parametrize(
+        "call", ["qc.compose(make(), inplace=False)", "qc.compose(make(), None, None, False, 0)"]
+    )
+    def test_false_constant_inplace(self, call):
+        source = f"qc = QuantumCircuit(2)\nqc.h(0)\n{call}\n"
+        assert _lines_of(source, "ghost-compose") == [3]
+        assert _lines_of(source, "oversized-circuit") == [1]
 
 
 class TestOpAfterTransp:
