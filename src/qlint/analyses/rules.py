@@ -40,7 +40,7 @@ def run_double_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """Two measurements read the same qubit with nothing in between."""
     if not flow.measurements:
         return []
-    out, events = [], flow.events
+    out, events = [], ir.events
     for a, b, key in flow.directly_pairs:
         first, second = events[a], events[b]
         if first.kind is EventKind.MEASUREMENT and second.kind is EventKind.MEASUREMENT:
@@ -60,7 +60,7 @@ def run_op_after_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     """A non-conditional gate acts on a qubit right after it was measured."""
     if not flow.measurements:
         return []
-    out, events = [], flow.events
+    out, events = [], ir.events
     for a, b, key in flow.directly_pairs:
         measurement, gate = events[a], events[b]
         if (
@@ -117,17 +117,17 @@ def run_cond_wo_meas(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
     unresolved = UnknownCause.UNRESOLVED_QUBIT
     for event_ids in flow.unknown_blockers.values():
         for event_id in event_ids:
-            event = flow.events[event_id]
+            event = ir.events[event_id]
             if event.unknown_cause is not unresolved or event.gate_name == "measure":
                 may_measure.append(event)
-    # By descending seq, so each circuit keeps the seq of its first.
-    may_measure.sort(key=attrgetter("seq"), reverse=True)
-    first_measurement = {event.circuit: event.seq for event in may_measure}
+    # By descending id, so each circuit keeps the id of its first.
+    may_measure.sort(key=attrgetter("id"), reverse=True)
+    first_measurement = {event.circuit: event.id for event in may_measure}
     for event in flow.conditionals:
         circuit = ir.circuits[event.circuit]
         if circuit.kind not in visible_kinds or circuit.unseen & COND_WO_MEAS_SKIP:
             continue
-        if first_measurement.get(circuit.id, event.seq) >= event.seq:
+        if first_measurement.get(circuit.id, event.id) >= event.id:
             out.append(
                 Warning(
                     "cond-wo-meas",
@@ -146,7 +146,7 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         return []
     out = []
     transforming = (EventKind.GATE, EventKind.RESET, EventKind.INITIALIZE)
-    # Per qubit key: first transforming seq per block, and the blocks it may reach.
+    # Per qubit key: first transforming event id per block, and the blocks it may reach.
     transformed: dict[QubitKey, tuple[dict[int, int], frozenset[int]]] = {}
     no_edges = not flow.cfg.edges  # then no block reaches another
     for event in flow.measurements:
@@ -161,13 +161,13 @@ def run_const_clas_bit(ir: QuantumIR, flow: FlowRelation) -> list[Warning]:
         if key not in transformed:
             first: dict[int, int] = {}
             for other_id in flow.timelines.get(key, ()):
-                other = flow.events[other_id]
+                other = ir.events[other_id]
                 if other.kind in transforming:
-                    first.setdefault(other.block, other.seq)
+                    first.setdefault(other.block, other_id)
             reached = frozenset() if no_edges else flow.cfg.reachable_from(first)
             transformed[key] = (first, reached)
         first, reached = transformed[key]
-        touched = event.block in reached or first.get(event.block, event.seq) < event.seq
+        touched = event.block in reached or first.get(event.block, event.id) < event.id
         if not touched:
             out.append(
                 Warning(

@@ -1,11 +1,10 @@
 """Restricted Python/Qiskit frontend: parsing, the subset's forms, the CFG."""
 
-from .cfg import Block, Cfg
+from .cfg import Cfg
 from .nodes import MODULE_SCOPE, ModuleAst, SourceSpan
 from .parser import ParseError, parse_file, source_lines
 
 __all__ = [
-    "Block",
     "Cfg",
     "MODULE_SCOPE",
     "ModuleAst",

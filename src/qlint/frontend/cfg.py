@@ -2,20 +2,12 @@
 
 Each scope (module top level, every function body) gets its own block graph;
 the graphs share one block-id space so every event has a globally unique
-block. Kept loops contribute a back edge; unrolled ones are plain chains.
+block. A block is its index in `Cfg.blocks`, which holds its scope's name.
+Kept loops contribute a back edge; unrolled ones are plain chains.
 """
 
 from bisect import insort
 from collections.abc import Iterable
-
-from .nodes import Record
-
-
-class Block(Record):
-    __slots__ = ("id", "scope")
-
-    def __init__(self, id: int, scope: str) -> None:
-        self.id, self.scope = id, scope
 
 
 class Cfg:
@@ -24,7 +16,7 @@ class Cfg:
     __slots__ = ("blocks", "edges", "adjacency")
 
     def __init__(self) -> None:
-        self.blocks: list[Block] = []
+        self.blocks: list[str] = []  # each block's scope, by block id
         self.edges: set[tuple[int, int]] = set()
         self.adjacency: dict[int, list[int]] = {}
 
@@ -37,9 +29,8 @@ class Cfg:
 
     def new_block(self, scope: str) -> int:
         """Add an empty block to `scope`; returns its id, the next one up from 0."""
-        block_id = len(self.blocks)
-        self.blocks.append(Block(block_id, scope))
-        return block_id
+        self.blocks.append(scope)
+        return len(self.blocks) - 1
 
     def edge(self, src: int, dst: int) -> None:
         self.edges.add((src, dst))

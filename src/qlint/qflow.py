@@ -11,7 +11,7 @@ from functools import cached_property
 from .qir.model import EventKind, OperatorEvent, QuantumIR
 
 QubitKey = tuple[str, str, int]  # (circuit id, register id, index)
-Pair = tuple[str, str, QubitKey]  # (earlier event id, later event id, key)
+Pair = tuple[int, int, QubitKey]  # (earlier event id, later event id, key)
 
 
 def build_flow(ir: QuantumIR) -> "FlowRelation":
@@ -31,22 +31,21 @@ class FlowRelation:
         whose list is empty does no work.
         """
         self.ir, self.cfg = ir, ir.cfg
-        self.events: dict[str, OperatorEvent] = {}  # by id
-        self.timelines: dict[QubitKey, list[str]] = {}  # in IR order, so by seq
-        self.unknown_blockers: dict[str, list[str]] = {}
+        # Event ids, which are positions in `ir.events`, in ascending order.
+        self.timelines: dict[QubitKey, list[int]] = {}
+        self.unknown_blockers: dict[str, list[int]] = {}
         # The events of circuits, in IR order, that the rules start from.
         measurements: list[OperatorEvent] = []
         measure_alls: list[OperatorEvent] = []
         conditionals: list[OperatorEvent] = []  # conditional gates
         self.measurements, self.measure_alls = measurements, measure_alls
         self.conditionals = conditionals
-        events, timelines = self.events, self.timelines
+        timelines = self.timelines
         blockers = self.unknown_blockers
         gate, measurement, unknown = EventKind.GATE, EventKind.MEASUREMENT, EventKind.UNKNOWN
         barrier, measure_all = EventKind.BARRIER, EventKind.MEASURE_ALL
         for event in ir.events:
             event_id, circuit, kind = event.id, event.circuit, event.kind
-            events[event_id] = event
             if circuit is None:
                 continue
             if kind is gate:
@@ -67,20 +66,15 @@ class FlowRelation:
 
     # --- materialized relations ---
 
-    def _in_order(self, pairs: set[Pair] | list[Pair]) -> tuple[Pair, ...]:
-        """`pairs` by the seq of their earlier event, then of the later one, then key."""
-        events = self.events
-        ordered = sorted([(events[p[0]].seq, events[p[1]].seq, p[2], p) for p in pairs])
-        return tuple([row[3] for row in ordered])
-
     @cached_property
     def may_follow_pairs(self) -> tuple[Pair, ...]:
         """Every ordered pair on each timeline; quadratic, built only on demand.
 
         b may follow a when b is later in a's block, or its block is
         reachable from a's; no edge joins the blocks of two scopes. No rule
-        reads it: the benchmark's oracle check and the tests do."""
-        events, reachable_from = self.events, self.cfg.reachable_from
+        reads it: the benchmark's oracle check and the tests do. Pairs are
+        ordered by earlier id, then later id, then key, as `directly_pairs` are."""
+        events, reachable_from = self.ir.events, self.cfg.reachable_from
         reach: dict[int, frozenset[int]] = {}  # block -> the blocks it reaches
         pairs: set[Pair] = set()
         for key, timeline in self.timelines.items():
@@ -97,7 +91,7 @@ class FlowRelation:
                         pairs.add((a, b, key))
                     if block_a in reach[block_b]:
                         pairs.add((b, a, key))
-        return self._in_order(pairs)
+        return tuple(sorted(pairs))
 
     @cached_property
     def directly_pairs(self) -> tuple[Pair, ...]:
@@ -111,27 +105,27 @@ class FlowRelation:
         entry, and each later blocker follows the one before it. An event
         never pairs with itself.
 
-        A timeline is in seq order already, and names an event once per
+        A timeline is in id order already, and names an event once per
         operand, so a repeat of the id before is skipped. Only a circuit
         with unknown operators has blockers off the timeline; they are
-        merged in by seq.
+        merged in by id.
         """
         pairs: list[Pair] = []
-        all_events, successors, unknown = self.events, self.cfg.successors, self.unknown_blockers
+        events, successors, unknown = self.ir.events, self.cfg.successors, self.unknown_blockers
         branches = bool(self.cfg.edges)  # else no block has a successor
         for key, timeline in self.timelines.items():
             on_key = None  # every blocker is on the key
             blockers = unknown.get(key[0])
             if blockers:
                 on_key = set(timeline)
-                timeline = sorted(on_key.union(blockers), key=lambda i: all_events[i].seq)
-            by_block: dict[int, list[str]] = {}
+                timeline = sorted(on_key.union(blockers))
+            by_block: dict[int, list[int]] = {}
             repeat = None
             for event_id in timeline:
                 if event_id == repeat:
                     continue
                 repeat = event_id
-                block = all_events[event_id].block
+                block = events[event_id].block
                 in_block = by_block.get(block)
                 if in_block is None:
                     by_block[block] = [event_id]
@@ -142,13 +136,13 @@ class FlowRelation:
                 in_block.append(event_id)
             if not branches:
                 continue
-            work: list[tuple[int, str]] = []
+            work: list[tuple[int, int]] = []
             for block, in_block in by_block.items():
                 last = in_block[-1]
                 if on_key is None or last in on_key:
                     for succ in successors(block):
                         work.append((succ, last))
-            reached: set[tuple[int, str]] = set()
+            reached: set[tuple[int, int]] = set()
             while work:
                 block, a = item = work.pop()
                 if item in reached:
@@ -162,21 +156,20 @@ class FlowRelation:
                 first = in_block[0]
                 if first != a and (on_key is None or first in on_key):
                     pairs.append((a, first, key))
-        return self._in_order(pairs)
+        return tuple(sorted(pairs))
 
     # --- debug dump ---
 
     def dump_timelines(self) -> str:
         """One line per qubit key: ordered event names with their lines."""
-        lines = []
+        lines, events = [], self.ir.events
         for key in sorted(self.timelines):
             circuit_id, register_id, index = key
             register = self.ir.registers[register_id]
             circuit = self.ir.circuits[circuit_id]
             label = f"{circuit.name or circuit.id}:{register.display_name()}[{index}]"
             steps = " -> ".join(
-                f"{self.events[i].gate_name or self.events[i].kind.value}"
-                f"@{self.events[i].span.line}"
+                f"{events[i].gate_name or events[i].kind.value}@{events[i].span.line}"
                 for i in self.timelines[key]
             )
             lines.append(f"{label}: {steps}")

@@ -81,7 +81,7 @@ class _Binding(TupleRecord):
         return tuple.__new__(cls, (kind, ids, event))
 
 
-_new = tuple.__new__  # `_Binding(...)` or `QubitRef(...)` without its Python-level `__new__`
+_new = tuple.__new__  # a value record, built without its Python-level `__new__`
 _OTHER = _Binding("other")
 # What a name holds: a known integer or a binding. A missing name holds
 # `_OTHER`, and so does an integer for every question but its value.
@@ -119,11 +119,12 @@ def _circuits(value: _Eval | None) -> tuple[str, ...]:
 
 
 class _FuncInfo:
-    __slots__ = ("returns_circuit", "global_method_receivers")
+    __slots__ = ("params", "returns_circuit", "global_method_receivers", "adds_registers")
 
-    def __init__(self) -> None:
-        self.returns_circuit = False
+    def __init__(self, params: list[str]) -> None:
+        self.params, self.returns_circuit = frozenset(params), False
         self.global_method_receivers: set[str] = set()
+        self.adds_registers = False  # the body calls `add_register` on a parameter
 
 
 class _Scope:
@@ -164,7 +165,6 @@ class _Extractor:
         self.rebound_names = tree.rebound_names
         self.calls_circuit_methods = tree.calls_circuit_methods
         self.max_unroll = max_unroll
-        self._seq = 0
         self._ids = {"r": 0, "c": 0}
         self._scope_name = MODULE_SCOPE
         self._block = self.cfg.new_block(MODULE_SCOPE)
@@ -188,17 +188,15 @@ class _Extractor:
     def _emit(
         self, kind: EventKind, circuit: str | None, span: SourceSpan,
         gate_name: str | None = None, creates_new_register: bool = False,
-        unknown_cause: UnknownCause | None = None, qubits: list[QubitRef] | None = None,
-        clbits: list[QubitRef] | None = None,
+        unknown_cause: UnknownCause | None = None, qubits: list[QubitRef] | tuple = (),
+        clbits: list[QubitRef] | tuple = (),
     ) -> OperatorEvent:
-        """Append an event; the n-th of the file has `seq` n - 1 and id `e<n>`."""
-        seq = self._seq
-        self._seq = seq + 1
-        event = OperatorEvent(
-            f"e{seq + 1}", circuit, kind, seq, self._block, self._scope_name, span,
-            gate_name, creates_new_register, unknown_cause, qubits, clbits,
-        )
-        self.ir.events.append(event)
+        """Append an event; its id is its position in `ir.events`."""
+        events = self.ir.events
+        event = _new(OperatorEvent, (len(events), circuit, kind, self._block, self._scope_name,
+                                     span, gate_name, False, creates_new_register, unknown_cause,
+                                     qubits, clbits))
+        events.append(event)
         return event
 
     def _emit_unknown(
@@ -409,9 +407,9 @@ class _Extractor:
         self.stmts += 1
         name = f"{scope.name}.{node.name}#{self.stmts}"
         self._forget_rebound(scope)  # defaults and decorators may hold a walrus
-        info = scope.funcs[node.name] = _FuncInfo()
         a = node.args
         params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+        info = scope.funcs[node.name] = _FuncInfo(params)
         receivers = self._method_receivers(node.body)
         inner = _Scope(name, dict.fromkeys(params, _OTHER), dict(scope.funcs), receivers, info)
         outer = self._scope_name, self._block
@@ -534,12 +532,16 @@ class _Extractor:
                 return self._circuit_method(receiver, method, call, scope, bare)
             if receiver.kind == "instruction" and method == "c_if":
                 self._eval_args(call, scope)
-                if receiver.event is not None:
-                    receiver.event.is_conditional = True
+                event = receiver.event
+                if event is not None:  # events are values: the IR's copy is replaced
+                    self.ir.events[event.id] = event._replace(is_conditional=True)
                 return _OTHER
             info = scope.func_info
-            if info is not None and type(value) is _ast.Name and value.id not in scope.vars:
-                info.global_method_receivers.add(value.id)
+            if info is not None and type(value) is _ast.Name:
+                if value.id not in scope.vars:
+                    info.global_method_receivers.add(value.id)
+                elif method == "add_register" and value.id in info.params:
+                    info.adds_registers = True
             if self._is_constructor_name(method):
                 return self._constructor(method, call, scope)
             return self._unknown_call(call, scope)
@@ -646,7 +648,14 @@ class _Extractor:
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _local_function_call(self, info: _FuncInfo, call: _ast.Call, scope: _Scope) -> _Binding:
-        self._unknown_call(call, scope)
+        circuit_args = self._circuit_args(call, scope)
+        if circuit_args:
+            cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
+            self._emit_unknown(circuit_args, cause, self.span(call))
+        if info.adds_registers:  # any circuit passed may gain registers
+            for cid in circuit_args:
+                circuit = self.ir.circuits[cid]
+                circuit.layout = circuit.layout.adding(self.ir.registers, [], True)
         mutated: set[str] = set()
         for receiver in info.global_method_receivers:
             mutated.update(_circuits(scope.vars.get(receiver)))
@@ -706,15 +715,22 @@ class _Extractor:
         self, receiver: _Binding, method: str, call: _ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
         if len(receiver.ids) != 1:
-            # Receiver may be one of several circuits; taint them all.
-            self._eval_args(call, scope)
+            # Receiver may be one of several circuits; a composition marks
+            # each of them, and every method taints them all.
+            circuits = [self.ir.circuits[cid] for cid in receiver.ids]
+            got = _OTHER
+            if method == "compose":
+                got = self._compose(circuits, call, scope, bare)
+            elif method == "append":
+                self._composition(circuits, call, scope, "append")
+            else:
+                self._eval_args(call, scope)
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
             self._emit_unknown(receiver.ids, cause, self.span(call))
             if method == "add_register":  # any of them may gain the registers
-                for cid in receiver.ids:
-                    circuit = self.ir.circuits[cid]
+                for circuit in circuits:
                     circuit.layout = circuit.layout.adding(self.ir.registers, [], True)
-            return _OTHER
+            return got
         circuit = self.ir.circuits[receiver.ids[0]]
         spec = self.table.gates.get(method)
         if spec is not None:
@@ -736,10 +752,10 @@ class _Extractor:
             self._emit_unknown([circuit.id], cause, self.span(call), method)
             return _OTHER
         if method == "append":
-            self._composition(circuit, call, scope, "append")
+            self._composition([circuit], call, scope, "append")
             return _OTHER
         if method == "compose":
-            return self._compose(circuit, call, scope, bare)
+            return self._compose([circuit], call, scope, bare)
         if method == "add_register":
             values, _ = self._eval_args(call, scope)
             reg_ids = [v.ids[0] for v in values if type(v) is _Binding and v.kind == "register"]
@@ -925,7 +941,7 @@ class _Extractor:
     # --- composition ---
 
     def _compose(
-        self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, bare: bool
+        self, circuits: list[CircuitDecl], call: _ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
         # `inplace` is the fifth positional argument or a keyword, and a `*` or
         # `**` value may hold it; the call changes no circuit only when each is
@@ -934,30 +950,32 @@ class _Extractor:
         in_place = has_star_args(call) or not all(
             type(f) is _ast.Constant and not f.value for f in flags
         )
-        self._composition(circuit, call, scope, "compose" if in_place else None)
+        self._composition(circuits, call, scope, "compose" if in_place else None)
         span = self.span(call)
-        self.ir.compose_calls.append(ComposeCall(circuit.id, span, bare, in_place))
+        self.ir.compose_calls.append(ComposeCall(circuits[0].id, span, bare, in_place))
         decl = self._new_circuit(CircuitKind.COPY, span)
-        decl.layout = circuit.layout
+        if len(circuits) == 1:  # else its layout is open
+            decl.layout = circuits[0].layout
         return _new(_Binding, ("circuit", (decl.id,), None))
 
     def _composition(
-        self, circuit: CircuitDecl, call: _ast.Call, scope: _Scope, in_place: str | None
+        self, circuits: list[CircuitDecl], call: _ast.Call, scope: _Scope, in_place: str | None
     ) -> None:
         """Evaluate the arguments; mark the circuits the first one holds as
-        composed into `circuit`. Anything else that the method `in_place`
-        adds to `circuit` is what qlint does not model, an unknown operator
-        of that name; a method that changes no circuit in place is None."""
+        composed into each of `circuits`. Anything else that the method
+        `in_place` adds to them is what qlint does not model, an unknown
+        operator of that name; a method that changes no circuit in place is None."""
         values, _ = self._eval_args(call, scope)
         first = _binding(values[0]) if values else _OTHER
         if first.kind in ("circuit", "circuit_gate"):
-            for child in first.ids:
-                if child != circuit.id:
-                    circuit.unseen.add("has_subcircuit")
-                    self.ir.circuits[child].unseen.add("subcircuit")
+            for circuit in circuits:
+                for child in first.ids:
+                    if child != circuit.id:
+                        circuit.unseen.add("has_subcircuit")
+                        self.ir.circuits[child].unseen.add("subcircuit")
         elif in_place is not None:
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
-            self._emit_unknown([circuit.id], cause, self.span(call), in_place)
+            self._emit_unknown([c.id for c in circuits], cause, self.span(call), in_place)
 
 
 _STATEMENTS = {

@@ -1,5 +1,7 @@
 """Quantum IR: registers, circuits, operator events, compose calls."""
 
+from collections.abc import Sequence
+
 from ..frontend.cfg import Cfg
 from ..frontend.nodes import Record, SourceSpan, TupleRecord
 
@@ -147,22 +149,23 @@ class CircuitDecl(Record):
         self.unseen: set[str] = set()  # of UNSEEN_REASONS
 
 
-class OperatorEvent(Record):
-    __slots__ = ("id", "circuit", "kind", "seq", "block", "scope", "span", "gate_name",
-                 "is_conditional", "creates_new_register", "unknown_cause", "qubits", "clbits")
+class OperatorEvent(TupleRecord):
+    """One operator on a circuit. Its `id` is its position in `ir.events`,
+    and its `block` a block of `ir.cfg`."""
 
-    def __init__(
-        self, id: str, circuit: str | None, kind: EventKind, seq: int, block: int, scope: str,
-        span: SourceSpan, gate_name: str | None = None, creates_new_register: bool = False,
-        unknown_cause: UnknownCause | None = None, qubits: list[QubitRef] | None = None,
-        clbits: list[QubitRef] | None = None,
-    ) -> None:
-        self.id, self.circuit, self.kind, self.seq, self.block = id, circuit, kind, seq, block
-        self.scope, self.span, self.gate_name = scope, span, gate_name
-        self.is_conditional = False  # set when a `.c_if(...)` follows
-        self.creates_new_register, self.unknown_cause = creates_new_register, unknown_cause
-        self.qubits = [] if qubits is None else qubits
-        self.clbits = [] if clbits is None else clbits
+    __slots__ = ()
+    _fields = ("id", "circuit", "kind", "block", "scope", "span", "gate_name", "is_conditional",
+               "creates_new_register", "unknown_cause", "qubits", "clbits")
+
+    def __new__(
+        cls, id: int, circuit: str | None, kind: EventKind, block: int, scope: str,
+        span: SourceSpan, gate_name: str | None = None, is_conditional: bool = False,
+        creates_new_register: bool = False, unknown_cause: UnknownCause | None = None,
+        qubits: Sequence[QubitRef] = (), clbits: Sequence[QubitRef] = (),
+    ):
+        return tuple.__new__(cls, (id, circuit, kind, block, scope, span, gate_name,
+                                   is_conditional, creates_new_register, unknown_cause, qubits,
+                                   clbits))
 
 
 class ComposeCall(TupleRecord):

@@ -16,16 +16,16 @@ from weakref import WeakKeyDictionary
 
 from qlint.qflow import FlowRelation, QubitKey
 
-Pair = tuple[str, str, QubitKey]
+Pair = tuple[int, int, QubitKey]
 
 # Blocks reachable from each block, per flow: a memo, since `before` is
 # asked about every two events of a timeline.
 _REACHED: WeakKeyDictionary[FlowRelation, dict[int, frozenset[int]]] = WeakKeyDictionary()
 
 
-def before(flow: FlowRelation, a: str, b: str) -> bool:
+def before(flow: FlowRelation, a: int, b: int) -> bool:
     """True when some control-flow path executes event a before event b."""
-    ea, eb = flow.events[a], flow.events[b]
+    ea, eb = flow.ir.events[a], flow.ir.events[b]
     if a == b or ea.scope != eb.scope:
         return False
     by_block = _REACHED.setdefault(flow, {})
@@ -33,7 +33,7 @@ def before(flow: FlowRelation, a: str, b: str) -> bool:
         by_block[ea.block] = flow.cfg.reachable_from((ea.block,))
     reached = by_block[ea.block]
     if ea.block == eb.block:
-        return ea.seq < eb.seq or ea.block in reached
+        return a < b or ea.block in reached
     return eb.block in reached
 
 
@@ -45,7 +45,7 @@ def reference_may_follow_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
             for b in events:
                 if before(flow, a, b):
                     pairs.add((a, b, key))
-    return flow._in_order(pairs)
+    return tuple(sorted(pairs))
 
 
 def reference_directly_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
@@ -54,10 +54,10 @@ def reference_directly_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
     for key, events in flow.timelines.items():
         by_block: dict[int, list[int]] = {}
         for event_id in set(events) | set(flow.unknown_blockers.get(key[0], ())):
-            event = flow.events[event_id]
-            by_block.setdefault(event.block, []).append(event.seq)
-        for seqs in by_block.values():
-            seqs.sort()
+            event = flow.ir.events[event_id]
+            by_block.setdefault(event.block, []).append(event_id)
+        for ids in by_block.values():
+            ids.sort()
         blockers[key] = by_block
     return tuple(
         pair for pair in flow.may_follow_pairs if _directly(flow, blockers[pair[2]], *pair)
@@ -65,37 +65,37 @@ def reference_directly_pairs(flow: FlowRelation) -> tuple[Pair, ...]:
 
 
 def _directly(
-    flow: FlowRelation, index: dict[int, list[int]], a: str, b: str, key: QubitKey
+    flow: FlowRelation, index: dict[int, list[int]], a: int, b: int, key: QubitKey
 ) -> bool:
     """True when some path runs a then b with no blocker in between.
 
-    The endpoints themselves never block, which the seq arithmetic below
-    accounts for without id filtering.
+    The endpoints themselves never block, which the arithmetic on ids below
+    accounts for without filtering them out.
     """
     if not before(flow, a, b):
         return False
-    ea, eb = flow.events[a], flow.events[b]
+    ea, eb = flow.ir.events[a], flow.ir.events[b]
 
-    def seqs_of(block_id: int) -> list[int]:
+    def ids_of(block_id: int) -> list[int]:
         return index.get(block_id, [])
 
-    if ea.block == eb.block and ea.seq < eb.seq:
-        inner = seqs_of(ea.block)
-        between = bisect_left(inner, eb.seq) - bisect_right(inner, ea.seq)
+    if ea.block == eb.block and a < b:
+        inner = ids_of(ea.block)
+        between = bisect_left(inner, b) - bisect_right(inner, a)
         if between == 0:
             return True
 
     # Otherwise search for a block path that leaves a cleanly, avoids
     # blocker-carrying blocks, and enters b's block before any blocker.
-    here = seqs_of(ea.block)
-    after_a = len(here) - bisect_right(here, ea.seq)
-    if eb.block == ea.block and eb.seq > ea.seq:
+    here = ids_of(ea.block)
+    after_a = len(here) - bisect_right(here, a)
+    if eb.block == ea.block and b > a:
         after_a -= 1
     if after_a > 0:
         return False
-    there = seqs_of(eb.block)
-    before_b = bisect_left(there, eb.seq)
-    if ea.block == eb.block and ea.seq < eb.seq:
+    there = ids_of(eb.block)
+    before_b = bisect_left(there, b)
+    if ea.block == eb.block and a < b:
         before_b -= 1
     if before_b > 0:
         return False
@@ -108,7 +108,7 @@ def _directly(
         seen.add(block)
         if block == eb.block:
             return True
-        occupied = len(seqs_of(block)) - (1 if block == ea.block else 0)
+        occupied = len(ids_of(block)) - (1 if block == ea.block else 0)
         if occupied > 0:
             continue
         frontier.extend(flow.cfg.successors(block))

@@ -87,7 +87,7 @@ def _stream(ir) -> list[tuple]:
 
 def _kept(ir) -> bool:
     """True when some block lies on a cycle: a loop was kept, not expanded."""
-    return any(b.id in ir.cfg.reachable_from((b.id,)) for b in ir.cfg.blocks)
+    return any(b in ir.cfg.reachable_from((b,)) for b in range(len(ir.cfg.blocks)))
 
 
 # Leaves of the fold property's programs. Only `w` is bound by a walrus, so
@@ -604,7 +604,7 @@ class TestUnrollSharing:
     def test_every_uid_is_unique(self):
         """Function scopes are numbered by statement, loop copies included."""
         ir = _ir("for i in range(3):\n    def f():\n        pass\n    use(i)\ndef g():\n    pass\n")
-        scopes = [b.scope for b in ir.cfg.blocks[1:]]
+        scopes = ir.cfg.blocks[1:]
         uids = [int(scope.split("#")[1]) for scope in scopes]
         assert len(scopes) == 4 and sorted(uids) == uids and len(set(uids)) == 4
 
@@ -750,13 +750,13 @@ class TestCfg:
             "for i in range(n):\n    qc.h(1)\ndef f():\n    helper(qc)\nqc.z(0)\n"
         )
         ir = _ir(source)
-        scopes = {b.id: b.scope for b in ir.cfg.blocks}
+        scopes = ir.cfg.blocks
         assert len({e.id for e in ir.events}) == len(ir.events) == 4
         assert [scopes[e.block] for e in ir.events] == [e.scope for e in ir.events]
         assert [e.block for e in ir.events] == [0, 1, 3, 4]
 
     def test_function_bodies_get_their_own_scope(self):
-        scopes = {b.scope for b in _ir("def f():\n    a = 1\nb = 2\n").cfg.blocks}
+        scopes = set(_ir("def f():\n    a = 1\nb = 2\n").cfg.blocks)
         assert MODULE_SCOPE in scopes
         assert len(scopes) == 2
 

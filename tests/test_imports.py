@@ -156,7 +156,6 @@ UNREAD_FIELDS = {
     "OperatorEvent.clbits": "the behaviour lock hashes each event's classical operands",
     "OperatorEvent.scope": "the behaviour lock names each event's scope",
     "CircuitDecl.scope": "tests check which scope declares a circuit",
-    "Block.scope": "tests check that each event's block is in the event's scope",
 }
 
 

@@ -169,7 +169,7 @@ class TestBranches:
             b for a, b, _ in flow.directly_pairs if a == measure.id
         }
         assert len(successors) == 2
-        blocks = {flow.events[e].block for e in successors}
+        blocks = {ir.events[e].block for e in successors}
         assert len(blocks) == 2
 
     def test_empty_else_keeps_skip_path_adjacency(self):
@@ -370,13 +370,36 @@ class TestTimelineEdges:
 
 class TestMayFollowReference:
     def test_pairs_match_pairwise_before_on_every_lock_input(self):
-        # Compared as tuples, so in `_in_order`'s order too.
+        # Compared as tuples, so in the analyzer's order too.
         for name, source in lock_inputs():
             try:
                 flow = pipeline(source, name).flow
             except ParseError:
                 continue
             assert flow.may_follow_pairs == reference_may_follow_pairs(flow), name
+
+
+class TestEventIdentity:
+    def test_ids_are_positions_and_blocks_name_their_scope(self):
+        # On the inputs tests/test_behaviour.py locks.
+        for name, source in lock_inputs():
+            try:
+                ir = pipeline(source, name).ir
+            except ParseError:
+                continue
+            assert [e.id for e in ir.events] == list(range(len(ir.events))), name
+            assert all(ir.cfg.blocks[e.block] == e.scope for e in ir.events), name
+
+    @pytest.mark.parametrize(
+        "condition", ["qc.x(0).c_if(cr, 1)\n", "g = qc.x(0)\ng.c_if(cr, 1)\n"]
+    )
+    def test_c_if_marks_the_event_in_the_ir(self, condition):
+        declared = "cr = ClassicalRegister(1)\nqc = QuantumCircuit(QuantumRegister(1), cr)\n"
+        source = declared + condition
+        result = pipeline(source)
+        (event,) = result.ir.events
+        assert event.is_conditional and result.ir.events[event.id] is event
+        assert result.flow.conditionals == [event]
 
 
 class TestCandidateLists:
@@ -438,11 +461,12 @@ def corpus_calls_per_file() -> float:
 
 
 class TestHotPathGuard:
-    # 27.2 on CPython 3.11 (23.3 while `_eval` inlined reads of names and
-    # int constants), and 51.2 before the per-event path was flattened; the
-    # bound is about 18% above. Python 3.12 and later inline
+    # 26.0 on CPython 3.11 (27.2 while events were mutable records with a
+    # string id, 23.3 while `_eval` inlined reads of names and int
+    # constants), and 51.2 before the per-event path was flattened; the
+    # bound is about 15% above. Python 3.12 and later inline
     # comprehensions and count fewer calls; 3.10 counts as 3.11 does.
-    CALLS_PER_EVENT_BOUND = 32
+    CALLS_PER_EVENT_BOUND = 30
 
     def test_calls_per_event_stay_bounded(self):
         per_event, bound = loops_calls_per_event(), self.CALLS_PER_EVENT_BOUND
@@ -450,10 +474,11 @@ class TestHotPathGuard:
 
 
 class TestPerFileGuard:
-    # 156.2 on CPython 3.11, and 208.5 before each rule started from its
-    # candidate events; the bound is about 15% above. Python 3.12 and later
-    # inline comprehensions and count fewer calls; 3.10 counts as 3.11 does.
-    CALLS_PER_FILE_BOUND = 180
+    # 148.0 on CPython 3.11 (156.2 while events were mutable records with a
+    # string id), and 208.5 before each rule started from its candidate
+    # events; the bound is about 16% above. Python 3.12 and later inline
+    # comprehensions and count fewer calls; 3.10 counts as 3.11 does.
+    CALLS_PER_FILE_BOUND = 172
 
     def test_calls_per_file_stay_bounded(self):
         per_file, bound = corpus_calls_per_file(), self.CALLS_PER_FILE_BOUND

@@ -949,7 +949,7 @@ class TestGateTable:
 
 
 class TestDeterminism:
-    def test_ids_and_seq_are_stable(self):
+    def test_ids_are_stable(self):
         source = sample_source("multi_register")
 
         def snapshot():
@@ -957,7 +957,7 @@ class TestDeterminism:
             return (
                 sorted(ir.registers),
                 sorted(ir.circuits),
-                [(e.id, e.seq, e.kind.value, e.span.line) for e in ir.events],
+                [(e.id, e.kind.value, e.span.line) for e in ir.events],
             )
 
         assert snapshot() == snapshot()

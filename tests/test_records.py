@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import pytest
 
-from qlint import Config, analyze_source, driver, format_report, report_of
+from qlint import Config, analyze_pipeline, analyze_source, driver, format_report, report_of
 from qlint.cli import run
 from qlint.analyses import Rule
 from qlint.analyses.rules import Warning
 from qlint.driver import PipelineResult
-from qlint.frontend.cfg import Block, Cfg
+from qlint.frontend.cfg import Cfg
 from qlint.frontend.nodes import ModuleAst, SourceSpan
 from qlint.qir.extract import _Binding
 from qlint.qir.gates import GateSpec, GateTable
@@ -41,7 +41,7 @@ def _graph() -> Cfg:
 
 
 def _event(**fields) -> OperatorEvent:
-    return OperatorEvent("e1", "c1", EventKind.GATE, 0, 0, "<module>", SPAN, **fields)
+    return OperatorEvent(0, "c1", EventKind.GATE, 0, "<module>", SPAN, **fields)
 
 
 def test_importing_qlint_does_not_import_dataclasses():
@@ -178,16 +178,13 @@ def test_driver_thread_pool_executor_resolves_on_access():
 class TestRepr:
     """The text `@dataclass` printed, which callers of analyze_pipeline see."""
 
-    def test_node(self):
-        assert repr(Block(2, "<module>")) == "Block(id=2, scope='<module>')"
-
     def test_operator_event(self):
         event = _event(gate_name="h", qubits=[QubitRef("r1", 0)])
         assert repr(event) == (
-            "OperatorEvent(id='e1', circuit='c1', kind=<EventKind.GATE: 'gate'>, seq=0, "
+            "OperatorEvent(id=0, circuit='c1', kind=<EventKind.GATE: 'gate'>, "
             f"block=0, scope='<module>', span={SPAN_TEXT}, gate_name='h', "
             "is_conditional=False, creates_new_register=False, unknown_cause=None, "
-            "qubits=[QubitRef(register='r1', index=0)], clbits=[])"
+            "qubits=[QubitRef(register='r1', index=0)], clbits=())"
         )
 
     def test_circuit_decl(self):
@@ -201,8 +198,7 @@ class TestRepr:
 
     def test_cfg(self):
         assert repr(_graph()) == (
-            "Cfg(blocks=[Block(id=0, scope='<module>'), Block(id=1, scope='<module>')], "
-            "edges=[(0, 1)])"
+            "Cfg(blocks=['<module>', '<module>'], edges=[(0, 1)])"
         )
 
     def test_qubit_ref(self):
@@ -211,22 +207,49 @@ class TestRepr:
 
 class TestMutableRecords:
     def test_equality_is_field_wise_and_per_class(self):
-        assert Block(1, "<module>") == Block(1, "<module>")
-        assert Block(1, "<module>") != Block(2, "<module>")
-        assert ModuleAst("a.py", []) != Block(1, "<module>")
+        assert _circuit("c1") == _circuit("c1")
+        assert _circuit("c1") != _circuit("c2")
+        assert ModuleAst("a.py", []) != _circuit("c1")
         assert _graph() == _graph() and _graph() != Cfg()
 
     def test_records_are_unhashable(self):
         with pytest.raises(TypeError):
-            hash(Block(1, "<module>"))
+            hash(_circuit("c1"))
         with pytest.raises(TypeError):
             hash(Cfg())
 
     def test_each_instance_gets_its_own_containers(self):
-        first, second = _event(), _event()
-        first.qubits.append(QubitRef("r1", 0))
-        assert second.qubits == []
+        first, second = _circuit("c1"), _circuit("c1")
+        first.unseen.add("subcircuit")
+        assert second.unseen == set()
         assert ModuleAst("a.py", []).wide_lines is not ModuleAst("b.py", []).wide_lines
+
+
+def _circuit(circuit_id: str) -> CircuitDecl:
+    return CircuitDecl(circuit_id, CircuitKind.CONSTRUCTOR, SPAN, "<module>")
+
+
+class TestOperatorEvent:
+    """Events are value records: an event's id is its position in `ir.events`."""
+
+    SOURCE = (
+        "cr = ClassicalRegister(1)\nqc = QuantumCircuit(QuantumRegister(2), cr)\n"
+        "qc.h(0)\nqc.measure(0, cr[0])\nqc.x(1).c_if(cr, 1)\nqc.barrier()\n"
+    )
+
+    def test_copies_and_pickles_are_equal(self):
+        events = analyze_pipeline(self.SOURCE, "t.py").ir.events
+        assert len(events) == 4 and events[1].clbits and events[2].is_conditional
+        for event in events:
+            for twin in (copy.copy(event), copy.deepcopy(event),
+                         pickle.loads(pickle.dumps(event))):
+                assert type(twin) is OperatorEvent and twin == event
+                assert twin._asdict() == event._asdict()
+
+    def test_defaults_share_no_mutable_container(self):
+        assert _event().qubits == () and _event().clbits == ()
+        assert not _event().is_conditional
+        assert not hasattr(_event(), "__dict__")
 
 
 def test_value_records_are_named_tuples():
@@ -236,7 +259,7 @@ def test_value_records_are_named_tuples():
 
 
 VALUE_RECORDS = (
-    SourceSpan, QubitRef, Layout, ComposeCall, Diagnostic, GateSpec, GateTable,
+    SourceSpan, QubitRef, Layout, OperatorEvent, ComposeCall, Diagnostic, GateSpec, GateTable,
     _Binding, SkippedFile, Config, PipelineResult, Rule, Warning,
 )
 

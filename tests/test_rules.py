@@ -330,6 +330,23 @@ class TestInsuffClasReg:
         circuits = analyze_pipeline(source, "t.py").ir.circuits.values()
         assert [c.layout.open for c in circuits] == [True, True]
 
+    def test_register_added_to_a_local_function_parameter(self):
+        # `grow(a)` adds `cr` to `a`, as `a.add_register(cr)` would.
+        grown = (
+            "cr = ClassicalRegister(2)\n"
+            "def grow(c):\n"
+            "    c.add_register(cr)\n"
+            "a = QuantumCircuit(2)\n"
+            "grow(a)\n"
+            "a.h(0)\n"
+            "a.h(1)\n"
+            "a.measure([0, 1], [0, 1])\n"
+        )
+        assert _lines_of(grown, "insuff-clas-reg") == []
+        # A function that adds no register leaves the layout closed.
+        untouched = grown.replace("c.add_register(cr)", "c.h(0)")
+        assert _lines_of(untouched, "insuff-clas-reg") == [4]
+
     def test_sizes_of_a_star_only_constructor_are_unknown(self):
         ir = analyze_pipeline("qc = QuantumCircuit(*regs)\nqc.measure_all()\n", "t.py").ir
         (circuit,) = ir.circuits.values()
@@ -377,7 +394,7 @@ class TestInsuffClasReg:
             "qc.h(qr[0])\n"
         )
         first, second = analyze_pipeline(source, "t.py").ir.events
-        assert (first.kind.value, first.qubits) == ("unknown", [])
+        assert (first.kind.value, first.qubits) == ("unknown", ())
         assert (second.kind.value, len(second.qubits)) == ("gate", 1)
 
     @pytest.mark.parametrize(
@@ -663,9 +680,33 @@ class TestOversizedCircuit:
         assert _lines_of(source, "oversized-circuit") == []
 
 
+_A_AND_B = [("insuff-clas-reg", 1), ("insuff-clas-reg", 2)]
+
+
 class TestGhostCompose:
     def test_sample_program(self):
         assert _lines_of(sample_source("dropped_compose"), "ghost-compose") == [10]
+
+    # `qc` is `a` or `b`; `c` is composed into whichever it is.
+    ONE_OF_TWO = (
+        "a = QuantumCircuit(2)\nb = QuantumCircuit(2)\nc = QuantumCircuit(2)\n"
+        "c.h(0)\nc.h(1)\nif flag:\n    qc = a\nelse:\n    qc = b\n"
+    )
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            ("qc.compose(c)", [*_A_AND_B, ("ghost-compose", 10)]),
+            ("qc.compose(c, inplace=True)", _A_AND_B),
+            ("qc.append(c, [0, 1])", _A_AND_B),
+        ],
+        ids=["compose", "compose_in_place", "append"],
+    )
+    def test_receiver_that_may_be_one_of_several_circuits(self, call, expected):
+        # As on a one-circuit receiver, `c` is a subcircuit and escapes
+        # `insuff-clas-reg`, and a dropped result is a ghost compose.
+        warnings = warnings_for(self.ONE_OF_TWO + call + "\n")
+        assert [(w.rule, w.span.line) for w in warnings] == expected
 
     def test_assigned_result(self):
         source = (
