@@ -13,9 +13,6 @@ import _ast
 from collections import _tuplegetter
 
 MODULE_SCOPE = "<module>"  # the scope of a file's top-level statements
-# Methods that only a circuit has: a call result later used as the receiver
-# of one of them is taken to be a circuit.
-CIRCUIT_METHODS = frozenset({"to_gate", "to_instruction", "assign_parameters"})
 
 
 class TupleRecord(tuple):
@@ -160,24 +157,6 @@ def has_star_args(call: _ast.Call) -> bool:
     return bool(call.keywords) and any(k.arg is None for k in call.keywords)
 
 
-def children(node: _ast.expr) -> list[_ast.expr]:
-    """The sub-expressions the subset models `node` by; none for a leaf or opaque node."""
-    f = form(node)
-    if f is _ast.Call:
-        return [node.func, *arguments(node)]
-    if f is _ast.Attribute:
-        return [node.value]
-    if f is _ast.Subscript:
-        return [node.value, node.slice]
-    if f is _ast.Tuple:
-        return node.elts
-    if f is _ast.BinOp:
-        return [node.left, node.right]
-    if f is _ast.UnaryOp:
-        return [node.operand]
-    return []
-
-
 def walk(node: _ast.AST) -> list[_ast.AST]:
     """`node` and every node below it, in the order `ast.walk` yields them."""
     found = [node]
@@ -214,18 +193,16 @@ def tuple_assign_pairs(
 class ModuleAst(Record):
     """A file: its top-level `ast.stmt`s plus facts read off the whole file."""
 
-    __slots__ = ("file", "statements", "rebound_names", "calls_circuit_methods", "wide_lines")
+    __slots__ = ("file", "statements", "rebound_names", "wide_lines")
 
     def __init__(
         self, file: str, statements: list[_ast.stmt], rebound_names: frozenset[str] = frozenset(),
-        calls_circuit_methods: bool = False, wide_lines: dict[int, bytes] | None = None,
+        wide_lines: dict[int, bytes] | None = None,
     ) -> None:
         self.file = file
         self.statements = statements
         # Names bound by `:=` or declared `global`/`nonlocal` anywhere in the file.
         self.rebound_names = rebound_names
-        # False when no CIRCUIT_METHODS name occurs in the source text.
-        self.calls_circuit_methods = calls_circuit_methods
         # The UTF-8 text of each line that is not ASCII, by line number.
         self.wide_lines = {} if wide_lines is None else wide_lines
 

@@ -2,7 +2,7 @@
 
 import _ast
 
-from .nodes import CIRCUIT_METHODS, ModuleAst, walk
+from .nodes import ModuleAst, walk
 
 
 class ParseError(Exception):
@@ -44,9 +44,7 @@ def parse_file(source: str, file: str) -> ModuleAst:
     if not source.isascii():
         lines = enumerate(source_lines(source), 1)
         wide_lines = {n: line.encode() for n, line in lines if not line.isascii()}
-    rebound_names = _rebound_names(tree, source)
-    calls_circuit_methods = any(map(source.__contains__, CIRCUIT_METHODS))
-    return ModuleAst(file, tree.body, rebound_names, calls_circuit_methods, wide_lines)
+    return ModuleAst(file, tree.body, _rebound_names(tree, source), wide_lines)
 
 
 def _rebound_names(tree: _ast.Module, source: str) -> frozenset[str]:

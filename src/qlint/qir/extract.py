@@ -23,13 +23,11 @@ rebound. A source span is made only for what the IR keeps.
 import _ast
 
 from ..frontend.nodes import (
-    CIRCUIT_METHODS,
     MODULE_SCOPE,
     ModuleAst,
     SourceSpan,
     TupleRecord,
     arguments,
-    children,
     form,
     has_star_args,
     names,
@@ -119,24 +117,22 @@ def _circuits(value: _Eval | None) -> tuple[str, ...]:
 
 
 class _FuncInfo:
-    __slots__ = ("params", "returns_circuit", "global_method_receivers", "adds_registers")
+    __slots__ = ("params", "returns_circuit", "free_names", "adds_registers")
 
     def __init__(self, params: list[str]) -> None:
         self.params, self.returns_circuit = frozenset(params), False
-        self.global_method_receivers: set[str] = set()
+        self.free_names: set[str] = set()  # names the body reads but does not bind
         self.adds_registers = False  # the body calls `add_register` on a parameter
 
 
 class _Scope:
-    __slots__ = ("name", "vars", "funcs", "method_receivers", "func_info")
+    __slots__ = ("name", "vars", "funcs", "func_info")
 
     def __init__(
         self, name: str, vars: dict[str, _Value], funcs: dict[str, _FuncInfo],
-        method_receivers: frozenset[str], func_info: _FuncInfo | None = None,
+        func_info: _FuncInfo | None = None,
     ) -> None:
-        self.name, self.vars, self.funcs = name, vars, funcs
-        # Names the scope calls a CIRCUIT_METHODS method on.
-        self.method_receivers, self.func_info = method_receivers, func_info
+        self.name, self.vars, self.funcs, self.func_info = name, vars, funcs, func_info
 
 
 def extract(
@@ -163,7 +159,6 @@ class _Extractor:
         self.cfg = self.ir.cfg
         self.span = tree.span
         self.rebound_names = tree.rebound_names
-        self.calls_circuit_methods = tree.calls_circuit_methods
         self.max_unroll = max_unroll
         self._ids = {"r": 0, "c": 0}
         self._scope_name = MODULE_SCOPE
@@ -175,8 +170,7 @@ class _Extractor:
         self.listed = 0  # operands whole registers listed, against MAX_LISTED_OPERANDS
 
     def run(self, statements: list[_ast.stmt]) -> QuantumIR:
-        scope = _Scope(MODULE_SCOPE, {}, {}, self._method_receivers(statements))
-        self._walk(statements, scope)
+        self._walk(statements, _Scope(MODULE_SCOPE, {}, {}))
         return self.ir
 
     # --- id and event plumbing ---
@@ -271,18 +265,9 @@ class _Extractor:
                 self._forget(names(target), scope)
         for target in targets:
             if type(target) is _ast.Name:
-                if known is not None:
-                    continue
-                bound = binding
-                receiver = type(value) is _ast.Call and target.id in scope.method_receivers
-                if receiver and bound.kind == "other":
-                    # An opaque call result later used with circuit-specific
-                    # methods is modeled as a circuit of unknown shape.
-                    kind = CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS
-                    decl = self._new_circuit(kind, self.span(value))
-                    bound = _new(_Binding, ("circuit", (decl.id,), None))
-                vars[target.id] = bound
-                self._name_decls(bound, target.id)
+                if known is None:
+                    vars[target.id] = binding
+                    self._name_decls(binding, target.id)
                 continue
             self._eval(target, scope)
             if binding.kind == "circuit" and form(target) in (_ast.Attribute, _ast.Subscript):
@@ -410,8 +395,7 @@ class _Extractor:
         a = node.args
         params = [p.arg for p in [*a.args, *a.posonlyargs, *a.kwonlyargs, a.vararg, a.kwarg] if p]
         info = scope.funcs[node.name] = _FuncInfo(params)
-        receivers = self._method_receivers(node.body)
-        inner = _Scope(name, dict.fromkeys(params, _OTHER), dict(scope.funcs), receivers, info)
+        inner = _Scope(name, dict.fromkeys(params, _OTHER), dict(scope.funcs), info)
         outer = self._scope_name, self._block
         self._scope_name, self._block = name, self.cfg.new_block(name)
         self._walk(node.body, inner)
@@ -427,31 +411,10 @@ class _Extractor:
     def _touch(self, names: frozenset[str], scope: _Scope, node: _ast.AST) -> None:
         """Opaque code at `node` that names `names` may change their circuits in any way."""
         touched: set[str] = set()
-        for name in names:
-            touched.update(_circuits(scope.vars.get(name)))
+        self._read(names, scope, touched)
         if touched:
             cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
             self._emit_unknown(sorted(touched), cause, self.span(node))
-
-    def _method_receivers(self, stmts: list[_ast.stmt]) -> frozenset[str]:
-        """Names the walk of `stmts` calls a CIRCUIT_METHODS method on, its own scope only.
-
-        Such a call may come after the assignment it decides, so the scope's
-        statements are read ahead, as the walk would evaluate them.
-        """
-        if not self.calls_circuit_methods:
-            return frozenset()
-        found = set()
-        stack = _scope_expressions(stmts, self.if_depth)
-        while stack:
-            expr = stack.pop()
-            if type(expr) is _ast.Call:
-                f = expr.func
-                if type(f) is _ast.Attribute and f.attr in CIRCUIT_METHODS:
-                    if type(f.value) is _ast.Name:
-                        found.add(f.value.id)
-            stack += children(expr)
-        return frozenset(found)
 
     # --- integers ---
 
@@ -479,7 +442,12 @@ class _Extractor:
         """
         cls = type(expr)
         if cls is _ast.Name:
-            return scope.vars.get(expr.id, _OTHER)
+            name, vars = expr.id, scope.vars
+            if name in vars:
+                return vars[name]
+            if scope.func_info is not None:
+                scope.func_info.free_names.add(name)
+            return _OTHER
         if cls is _ast.Constant and type(expr.value) is int:
             return expr.value
         if cls is _ast.Call:
@@ -539,7 +507,7 @@ class _Extractor:
             info = scope.func_info
             if info is not None and type(value) is _ast.Name:
                 if value.id not in scope.vars:
-                    info.global_method_receivers.add(value.id)
+                    info.free_names.add(value.id)
                 elif method == "add_register" and value.id in info.params:
                     info.adds_registers = True
             if self._is_constructor_name(method):
@@ -657,8 +625,7 @@ class _Extractor:
                 circuit = self.ir.circuits[cid]
                 circuit.layout = circuit.layout.adding(self.ir.registers, [], True)
         mutated: set[str] = set()
-        for receiver in info.global_method_receivers:
-            mutated.update(_circuits(scope.vars.get(receiver)))
+        self._read(info.free_names, scope, mutated)  # a caller's body reads them too
         if mutated:
             cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
             self._emit_unknown(sorted(mutated), cause, self.span(call))
@@ -667,11 +634,18 @@ class _Extractor:
             return _new(_Binding, ("circuit", (decl.id,), None))
         return _OTHER
 
-    def _unknown_call(self, call: _ast.Call, scope: _Scope) -> _Binding:
-        circuit_args = self._circuit_args(call, scope)
-        if circuit_args:
+    def _unknown_call(
+        self, call: _ast.Call, scope: _Scope, receivers: tuple[str, ...] = (),
+        gate_name: str | None = None,
+    ) -> _Binding:
+        """A call qlint does not model, a method `gate_name` of the circuits
+        `receivers` if any: they and the circuits it receives may change in any way."""
+        escaped = self._circuit_args(call, scope)
+        if receivers:
+            escaped = [*receivers, *[c for c in escaped if c not in receivers]]
+        if escaped:
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
-            self._emit_unknown(circuit_args, cause, self.span(call))
+            self._emit_unknown(escaped, cause, self.span(call), gate_name)
         return _OTHER
 
     def _eval_args(
@@ -705,45 +679,46 @@ class _Extractor:
                         self._forget_rebound(scope)  # it may hold a walrus
                     continue
                 found.update(_circuits(self._eval(element, scope)))
-        for name in named:
-            found.update(_circuits(scope.vars.get(name)))
+        self._read(named, scope, found)
         return sorted(found)
+
+    def _read(
+        self, names: list[str] | set[str] | frozenset[str], scope: _Scope, found: set[str]
+    ) -> None:
+        """Add to `found` the circuits `names` hold; a function body records
+        the names it does not bind as free."""
+        vars, info = scope.vars, scope.func_info
+        for name in names:
+            if name in vars:
+                found.update(_circuits(vars[name]))
+            elif info is not None:
+                info.free_names.add(name)
 
     # --- circuit methods ---
 
     def _circuit_method(
         self, receiver: _Binding, method: str, call: _ast.Call, scope: _Scope, bare: bool
     ) -> _Binding:
-        if len(receiver.ids) != 1:
-            # Receiver may be one of several circuits; a composition marks
-            # each of them, and every method taints them all.
-            circuits = [self.ir.circuits[cid] for cid in receiver.ids]
-            got = _OTHER
-            if method == "compose":
-                got = self._compose(circuits, call, scope, bare)
-            elif method == "append":
-                self._composition(circuits, call, scope, "append")
-            else:
-                self._eval_args(call, scope)
-            cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
-            self._emit_unknown(receiver.ids, cause, self.span(call))
-            if method == "add_register":  # any of them may gain the registers
-                for circuit in circuits:
-                    circuit.layout = circuit.layout.adding(self.ir.registers, [], True)
-            return got
-        circuit = self.ir.circuits[receiver.ids[0]]
-        spec = self.table.gates.get(method)
+        """`method` called on a receiver that may be any of the circuits
+        `receiver.ids`: it does to each what it does to one circuit."""
+        ids = receiver.ids
+        circuits = list(map(self.ir.circuits.__getitem__, ids))
+        circuit = circuits[0]
+        # With several candidates, an event on the receiver is an unknown
+        # operator on each, and a layout that may gain registers is open.
+        several = len(circuits) != 1
+        spec = None if several else self.table.gates.get(method)
         if spec is not None:
             values, _ = self._eval_args(call, scope)
             category = spec.category
             if category == "reversible_gate" or category == "reset":
                 return self._gate_event(circuit, spec, call, values)
             if category == "measurement":
-                return self._measure_event(circuit, call, values)
+                return self._measure_event(circuit, spec, call, values)
             if category == "measure_all":
                 return self._measure_all_event(circuit, call)
             if category == "initialize":
-                return self._initialize_event(circuit, call, values)
+                return self._initialize_event(circuit, spec, call, values)
             if category == "barrier":
                 event = self._emit(EventKind.BARRIER, circuit.id, self.span(call), "barrier")
                 return _new(_Binding, ("instruction", (circuit.id,), event))
@@ -752,34 +727,31 @@ class _Extractor:
             self._emit_unknown([circuit.id], cause, self.span(call), method)
             return _OTHER
         if method == "append":
-            self._composition([circuit], call, scope, "append")
+            self._composition(circuits, call, scope, "append")
             return _OTHER
         if method == "compose":
-            return self._compose([circuit], call, scope, bare)
+            return self._compose(circuits, call, scope, bare)
         if method == "add_register":
             values, _ = self._eval_args(call, scope)
             reg_ids = [v.ids[0] for v in values if type(v) is _Binding and v.kind == "register"]
             # A `*` value, or an argument that is no known register, may add any registers.
-            open = len(reg_ids) != len(call.args)
-            circuit.layout = circuit.layout.adding(self.ir.registers, reg_ids, open)
+            open = several or len(reg_ids) != len(call.args)
+            for circuit in circuits:
+                circuit.layout = circuit.layout.adding(self.ir.registers, reg_ids, open)
             return _OTHER
         if method in ("to_gate", "to_instruction"):
             self._eval_args(call, scope)
-            circuit.unseen.add("to_gate_or_instruction")
-            return _new(_Binding, ("circuit_gate", (circuit.id,), None))
+            for circuit in circuits:
+                circuit.unseen.add("to_gate_or_instruction")
+            return _new(_Binding, ("circuit_gate", ids, None))
         if method == "copy":
             self._eval_args(call, scope)
-            decl = self._new_circuit(CircuitKind.COPY, self.span(call))
-            decl.layout = circuit.layout
-            return _new(_Binding, ("circuit", (decl.id,), None))
+            return self._derived(circuits, self.span(call))
         if method == "assign_parameters":
             self._eval_args(call, scope)
-            return _new(_Binding, ("circuit", (circuit.id,), None))
-        # Unrecognized circuit method: the circuit may change in any way.
-        others = [c for c in self._circuit_args(call, scope) if c != circuit.id]
-        cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
-        self._emit_unknown([circuit.id] + others, cause, self.span(call), method)
-        return _OTHER
+            return receiver
+        # Unrecognized circuit method: the circuits may change in any way.
+        return self._unknown_call(call, scope, ids, method)
 
     def _unresolved_event(self, circuit: CircuitDecl, span: SourceSpan, gate_name: str) -> _Binding:
         cause = UnknownCause.UNRESOLVED_QUBIT
@@ -808,16 +780,19 @@ class _Extractor:
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _measure_event(
-        self, circuit: CircuitDecl, call: _ast.Call, values: list[_Eval]
+        self, circuit: CircuitDecl, spec: GateSpec, call: _ast.Call, values: list[_Eval]
     ) -> _Binding:
-        span, args = self.span(call), call.args
+        """Measure the row's first qubit column into its first clbit column."""
+        span, args, positions = self.span(call), call.args, spec.qubit_args
         star = len(values) != len(args) or call.keywords and has_star_args(call)
-        if star or len(args) < 1:
+        if star or not positions or positions[0] >= len(args):
             return self._unresolved_event(circuit, span, "measure")
-        qubits = self._bits(values[0], args[0], circuit, False)
-        clbits = None
-        if len(args) >= 2:
-            clbits = self._bits(values[1], args[1], circuit, True)
+        pos = positions[0]
+        qubits = self._bits(values[pos], args[pos], circuit, False)
+        clbits, positions = None, spec.clbit_args
+        if positions and positions[0] < len(args):
+            pos = positions[0]
+            clbits = self._bits(values[pos], args[pos], circuit, True)
         if qubits is None:
             return self._unresolved_event(circuit, span, "measure")
         if clbits is not None and len(clbits) != len(qubits):
@@ -866,11 +841,14 @@ class _Extractor:
         return False
 
     def _initialize_event(
-        self, circuit: CircuitDecl, call: _ast.Call, values: list[_Eval]
+        self, circuit: CircuitDecl, spec: GateSpec, call: _ast.Call, values: list[_Eval]
     ) -> _Binding:
-        operands: list[QubitRef] = []
-        if len(values) >= 2:
-            group = self._bits(values[1], positional_args(call)[1], circuit, False)
+        """Initialize the row's first qubit column, or every qubit when the call has none."""
+        if not spec.qubit_args:
+            return self._unresolved_event(circuit, self.span(call), "initialize")
+        pos, operands = spec.qubit_args[0], []
+        if len(values) > pos:
+            group = self._bits(values[pos], positional_args(call)[pos], circuit, False)
             if group is not None and UNRESOLVED_BIT not in group:
                 operands = group
         else:
@@ -953,8 +931,13 @@ class _Extractor:
         self._composition(circuits, call, scope, "compose" if in_place else None)
         span = self.span(call)
         self.ir.compose_calls.append(ComposeCall(circuits[0].id, span, bare, in_place))
+        return self._derived(circuits, span)
+
+    def _derived(self, circuits: list[CircuitDecl], span: SourceSpan) -> _Binding:
+        """A new circuit made from the receiver, one of `circuits`: it shares
+        the receiver's layout when that is one circuit, else its layout is open."""
         decl = self._new_circuit(CircuitKind.COPY, span)
-        if len(circuits) == 1:  # else its layout is open
+        if len(circuits) == 1:
             decl.layout = circuits[0].layout
         return _new(_Binding, ("circuit", (decl.id,), None))
 
@@ -962,9 +945,9 @@ class _Extractor:
         self, circuits: list[CircuitDecl], call: _ast.Call, scope: _Scope, in_place: str | None
     ) -> None:
         """Evaluate the arguments; mark the circuits the first one holds as
-        composed into each of `circuits`. Anything else that the method
-        `in_place` adds to them is what qlint does not model, an unknown
-        operator of that name; a method that changes no circuit in place is None."""
+        composed into each of `circuits`. What the method `in_place` adds to
+        them is an unknown operator of that name, a circuit's operators
+        included; a method that changes no circuit in place is None."""
         values, _ = self._eval_args(call, scope)
         first = _binding(values[0]) if values else _OTHER
         if first.kind in ("circuit", "circuit_gate"):
@@ -973,7 +956,7 @@ class _Extractor:
                     if child != circuit.id:
                         circuit.unseen.add("has_subcircuit")
                         self.ir.circuits[child].unseen.add("subcircuit")
-        elif in_place is not None:
+        if in_place is not None:
             cause = UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG
             self._emit_unknown([c.id for c in circuits], cause, self.span(call), in_place)
 
@@ -1045,33 +1028,6 @@ def _stmt_count(stmts: list[_ast.stmt]) -> int:
         stack += getattr(node, "body", ())
         stack += getattr(node, "orelse", ())
     return count
-
-
-def _scope_expressions(stmts: list[_ast.stmt], if_depth: int) -> list[_ast.expr]:
-    """The statement-level expressions the walk of `stmts` at `if` depth
-    `if_depth` evaluates, same scope only."""
-    out: list[_ast.expr] = []
-    for node in stmts:
-        cls = type(node)
-        if cls is _ast.Assign:
-            out.append(node.value)
-            out += [t for t in node.targets if type(t) is not _ast.Name]
-        elif cls is _ast.AnnAssign and node.value is not None:
-            out.append(node.value)
-            if type(node.target) is not _ast.Name:
-                out.append(node.target)
-        elif cls is _ast.AugAssign and _aug_modelled(node):
-            out.append(node.value)
-        elif cls is _ast.Expr or cls is _ast.Return and node.value is not None:
-            out.append(node.value)
-        elif cls is _ast.For and _range_args(node) is not None:
-            out += _range_args(node)
-            out += _scope_expressions(node.body, if_depth)
-        elif cls is _ast.If and if_depth < MAX_IF_DEPTH:
-            out.append(node.test)
-            out += _scope_expressions(node.body, if_depth + 1)
-            out += _scope_expressions(node.orelse, if_depth + 1)
-    return out
 
 
 def _assigned_names(stmts: list[_ast.stmt], if_depth: int) -> set[str]:

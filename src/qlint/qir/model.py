@@ -38,7 +38,6 @@ class CircuitKind(Kind):
     CONSTRUCTOR = "constructor"
     USER_FUNCTION_RETURN = "user_function_return"
     BUILTIN_PARAMETRIZED = "builtin_parametrized"
-    UNKNOWN_WITH_CIRCUIT_METHODS = "unknown_with_circuit_methods"
     COPY = "copy"
     TRANSPILED = "transpiled"
 

@@ -116,19 +116,39 @@ def render(table: dict[str, dict]) -> str:
     return "{\n" + ",\n".join(rows) + "\n}\n"
 
 
+_KEYS = ("warnings", "diagnostics", "events", "directly")  # of an input's entry
+
+
+def _changed_keys(locked: dict | None, now: dict | None) -> list[str]:
+    """The keys of an input's entry whose values differ; `input` when it is new or gone."""
+    if locked is None or now is None:
+        return ["input"]
+    return [key for key in {**locked, **now} if locked.get(key) != now.get(key)]
+
+
 def lock_diff() -> str | None:
-    """What changed against the golden file (up to 10 inputs), or None."""
+    """What changed against the golden file, or None.
+
+    Every changed input is named with the keys of its entry that changed,
+    the first 10 in full; a count of changed inputs per key ends it.
+    """
     expected = json.loads(GOLDEN.read_text("utf-8"))
     got = compute()
     changed = [name for name in sorted(expected.keys() | got.keys())
                if expected.get(name) != got.get(name)]
     if not changed:
         return None
+    keys = {name: _changed_keys(expected.get(name), got.get(name)) for name in changed}
+    counts = Counter(key for name in changed for key in keys[name])
+    listed = "\n".join(f"  {name}: {', '.join(keys[name])}" for name in changed)
     detail = "\n".join(
         f"{name}:\n  locked: {expected.get(name)}\n  now:    {got.get(name)}"
         for name in changed[:10]
     )
-    return f"{len(changed)} of {len(expected)} inputs changed:\n{detail}"
+    order = [*_KEYS, *sorted(counts.keys() - set(_KEYS))]
+    totals = ", ".join(f"{key} {counts[key]}" for key in order)
+    head = f"{len(changed)} of {len(expected)} inputs changed:"
+    return f"{head}\n{listed}\n{detail}\nby key: {totals}"
 
 
 def test_behaviour_matches_lock():

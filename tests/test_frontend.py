@@ -278,43 +278,6 @@ class TestParse:
         assert len(ir.cfg.blocks) == 1 + 3 * MAX_IF_DEPTH
         assert _used(source) == [(2 * branches + 2, None)]  # the opaque `if` may rebind x
 
-    def test_method_receivers_are_recorded_per_scope(self):
-        # A call result used as a receiver of `to_gate` and the like, in the
-        # same scope, is a circuit of unknown shape.
-        source = (
-            "sub = make()\n"
-            "other = make()\n"
-            "def f():\n"
-            "    sub = make()\n"
-            "    inner = make()\n"
-            "    sub.to_gate()\n"
-            "    def g():\n"
-            "        inner = make()\n"
-            "        inner.to_instruction()\n"
-            "other.assign_parameters(p)\n"
-            "deep.attr.to_gate()\n"
-        )
-        circuits = _ir(source).circuits.values()
-        assert all(c.kind is CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS for c in circuits)
-        found = {(c.scope.rsplit(".", 1)[-1].split("#")[0], c.name) for c in circuits}
-        assert found == {(MODULE_SCOPE, "other"), ("f", "sub"), ("g", "inner")}
-
-    def test_method_receivers_cover_every_lowered_expression(self):
-        # `if` tests, range arguments, assignment targets and operands.
-        source = "".join(f"{name} = make()\n" for name in "abcdefgh") + (
-            "if a.to_gate():\n"
-            "    pass\n"
-            "for i in range(b.to_instruction()):\n"
-            "    pass\n"
-            "x[c.to_gate()] = -d.to_gate() + e.assign_parameters(p)\n"
-            "y += f.to_gate()\n"
-            "while g.to_gate():\n"
-            "    pass\n"
-            "z[h.to_gate()] += 1\n"
-        )
-        # Statements outside the subset (the last two) decide nothing.
-        assert {c.name for c in _ir(source).circuits.values()} == set("abcdef")
-
     def test_every_statement_carries_a_span(self):
         ir = _ir("qc = QuantumCircuit(2)\nif a:\n    qc.h(0)\nelse:\n    qc.x(b)\n")
         assert [(e.span.line, e.span.end_line) for e in ir.events] == [(3, 3), (5, 5)]
@@ -614,16 +577,6 @@ class TestUnrollSharing:
         function = [e for e in ir.events if e.scope != MODULE_SCOPE]
         for events in (branch, function):
             assert [e.qubits[0].index for e in events] == [0, 1, 2]
-
-    def test_unrolled_function_copies_keep_method_receivers(self):
-        source = (
-            "mod = make()\nmod.to_gate()\n"
-            "for i in range(2):\n    def f():\n        sub = make()\n        sub.to_gate()\n"
-        )
-        circuits = list(_ir(source).circuits.values())
-        assert [c.name for c in circuits] == ["mod", "sub", "sub"]
-        assert all(c.kind is CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS for c in circuits)
-        assert len({c.scope for c in circuits}) == 3
 
     def test_loop_free_file_shares_parsed_expressions(self):
         """Complexity guard: a 3,200-op file without loops walks each statement once."""

@@ -272,12 +272,6 @@ class TestCircuitConstruction:
         call_site = _the_circuit(ir, CircuitKind.USER_FUNCTION_RETURN)
         assert call_site.layout.num_qubits is None
 
-    def test_unknown_object_with_circuit_methods(self):
-        source = "mystery = build()\ngate = mystery.to_gate()\n"
-        ir = _ir(source)
-        circuit = _the_circuit(ir, CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS)
-        assert "to_gate_or_instruction" in circuit.unseen
-
     def test_transpile_records_optimization_level(self):
         source = (
             "qc = QuantumCircuit(2, 2)\n"
@@ -623,7 +617,6 @@ class TestLayout:
                 CircuitKind.USER_FUNCTION_RETURN,
             ),
             ("c = EfficientSU2(2)\n", CircuitKind.BUILTIN_PARAMETRIZED),
-            ("c = build()\nc.to_gate()\n", CircuitKind.UNKNOWN_WITH_CIRCUIT_METHODS),
             ("c = transpile(a, b)\n", CircuitKind.TRANSPILED),
         ],
     )
@@ -652,8 +645,12 @@ class TestComposition:
             "qc.append(sub, [0, 1])\n"
         )
         ir = _ir(source)
-        assert _unseen(ir) == {"qc": {"has_subcircuit"}, "sub": {"subcircuit"}}
-        assert _events(ir, EventKind.UNKNOWN) == []
+        assert _unseen(ir) == {
+            "qc": {"has_subcircuit", "unknown_operator"}, "sub": {"subcircuit"}
+        }
+        # The appended operators are one unknown operator on the receiver.
+        (event,) = _events(ir, EventKind.UNKNOWN)
+        assert (event.circuit, event.gate_name) == ("c1", "append")
 
     def test_compose_edge(self):
         source = "qc = QuantumCircuit(2)\nsub = QuantumCircuit(2)\nout = qc.compose(sub)\n"
@@ -679,7 +676,8 @@ class TestComposition:
         )
         ir = _ir(source)
         assert _unseen(ir) == {
-            "qc": {"has_subcircuit"}, "sub": {"subcircuit", "to_gate_or_instruction"}
+            "qc": {"has_subcircuit", "unknown_operator"},
+            "sub": {"subcircuit", "to_gate_or_instruction"},
         }
 
 
@@ -902,6 +900,34 @@ class TestGateTable:
         assert event.gate_name == "wipe"
         assert [q.index for q in event.qubits] == [1]
 
+    @pytest.mark.parametrize(
+        "row, call, qubits, clbits",
+        [
+            ("measure measurement 1 0 -", "qc.measure(0, 2)", [2], [0]),
+            ("initialize initialize 0 - 1", "qc.initialize(2, state)", [2], []),
+        ],
+        ids=["measure", "initialize"],
+    )
+    def test_override_measure_and_initialize_rows_follow_their_columns(
+        self, row, call, qubits, clbits
+    ):
+        # Each reads its operands at its row's first qubit and clbit column.
+        custom = parse_gate_table(row + "\n")
+        result = pipeline(f"qc = QuantumCircuit(3, 3)\n{call}\n", gate_table=custom)
+        (event,) = result.ir.events
+        assert [q.index for q in event.qubits] == qubits
+        assert [c.index for c in event.clbits] == clbits
+
+    @pytest.mark.parametrize("row", ["measure measurement - 0 -", "initialize initialize - - 0"])
+    def test_override_row_without_a_qubit_column_is_unresolved(self, row):
+        # As a gate row with no qubit column gives.
+        custom = parse_gate_table(row + "\n")
+        call = f"qc.{row.split()[0]}(0, 0)"
+        result = pipeline(f"qc = QuantumCircuit(3, 3)\n{call}\n", gate_table=custom)
+        (event,) = result.ir.events
+        assert event.kind is EventKind.UNKNOWN
+        assert event.unknown_cause is UnknownCause.UNRESOLVED_QUBIT
+
     def test_bundled_table_parsed_once_per_process(self):
         assert load_gate_table() is load_gate_table()
 
@@ -972,5 +998,5 @@ class TestDeterminism:
         assert sizes == [2, 3]
         main = [c for c in ir.circuits.values() if c.name == "circ"]
         assert len(main) == 1 and main[0].layout.num_qubits == 4
-        assert main[0].unseen == {"has_subcircuit"}
+        assert main[0].unseen == {"has_subcircuit", "unknown_operator"}
         assert [c.name for c in ir.circuits.values() if "subcircuit" in c.unseen] == ["sub"]

@@ -66,6 +66,25 @@ class TestDoubleMeas:
         assert _lines_of(source, "double-meas") == []
 
     @pytest.mark.parametrize(
+        "setup, appended",
+        [
+            ("sub = make()\ng = sub.to_gate()\n", "g"),
+            ("sub = QuantumCircuit(1)\nsub.x(0)\n", "sub"),
+        ],
+        ids=["gate_of_a_call_result", "known_circuit"],
+    )
+    def test_appended_operators_stand_between(self, setup, appended):
+        # What `append` adds may act on qubit 0 between the two measurements.
+        source = setup + (
+            "qc = QuantumCircuit(1, 1)\n"
+            "qc.h(0)\n"
+            "qc.measure(0, 0)\n"
+            f"qc.append({appended}, [0])\n"
+            "qc.measure(0, 0)\n"
+        )
+        assert _lines_of(source, "double-meas") == []
+
+    @pytest.mark.parametrize(
         "exit_first_pass",
         [
             "    with lock:\n        break\n",
@@ -129,6 +148,19 @@ class TestOpAfterMeas:
             "qc.x(0).c_if(ca, 1)\n"
         )
         assert _lines_of(source, "op-after-meas") == []
+
+    def test_circuit_composed_in_place_stands_between(self):
+        # The composed operators follow the measurement before `qc.x(0)` does.
+        source = (
+            "sub = QuantumCircuit(1)\n"
+            "sub.x(0)\n"
+            "qc = QuantumCircuit(1, 1)\n"
+            "qc.h(0)\n"
+            "qc.measure(0, 0)\n"
+            "qc.compose(sub, inplace=True)\n"
+            "qc.x(0)\n"
+        )
+        assert _lines_of(source, "op-after-meas", DEFAULT_PROFILE) == []
 
     def test_add_register_on_a_circuit_built_elsewhere_leaves_bare_indices_unresolved(self):
         # `mk()` returns a circuit qlint did not construct, whose registers it
@@ -245,8 +277,14 @@ class TestCondWoMeas:
         [
             (_REGISTERS + "qc.h(qr[k])\nqc.x(1).c_if(cr, 1)\n", 5),
             (_REGISTERS + "qc.x(1).c_if(cr, 1)\nhelper(qc)\n", 4),
+            # `to_gate` on a call result makes it no circuit: its `append`
+            # comes after the condition, as `qc.append(make(), [0])` would.
+            ("sub = make()\nsub.to_gate()\n" + _REGISTERS + "qc.x(1).c_if(cr, 1)\n"
+             "qc.append(sub, [0])\n", 6),
+            (_REGISTERS + "qc.x(1).c_if(cr, 1)\nqc.append(make(), [0])\n", 4),
         ],
-        ids=["unresolved_gate_before", "unknown_code_after"],
+        ids=["unresolved_gate_before", "unknown_code_after", "call_result_appended_after",
+             "call_appended_after"],
     )
     def test_what_cannot_measure_first_keeps_the_warning(self, source, line):
         assert _lines_of(source, "cond-wo-meas", DEFAULT_PROFILE) == [line]
@@ -592,26 +630,37 @@ class TestOversizedCircuit:
             "x = qc if f else None",
             "await run(qc)",
             "yield qc",
+            "def g():\n    return qc\ng()",
+            "def g():\n    run(qc)\ng()",
+            "async def g():\n    await run(qc)\ng()",
+            "def g():\n    def h():\n        run(qc)\n    h()\ng()",
         ],
     )
     def test_circuit_stored_or_named_outside_a_call_escapes(self, statement):
-        # Stored into an object or container, or named by an expression
-        # outside the subset, qc reaches code that may use its other qubits.
+        # Stored into an object or container, named by an expression outside
+        # the subset, or read by a function body that is then called, qc
+        # reaches code that may use its other qubits.
         source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{statement}\n"
         assert _rules_fired(source) == ["insuff-clas-reg"]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(st.lists(st.sampled_from(sorted(_ESCAPES)), min_size=1, max_size=3))
-    def test_circuit_wrapped_in_escapes_at_module_level(self, wraps):
+    @given(
+        st.lists(st.sampled_from(sorted(_ESCAPES)), min_size=1, max_size=3),
+        st.sampled_from(["", "def", "async def"]),
+    )
+    def test_circuit_wrapped_in_escapes_at_module_level(self, wraps, function):
         # However it is wrapped, qc escapes before its qubits are used, so no
-        # rule may claim them unused or still |0>; bare, both rules fire.
+        # rule may claim them unused or still |0>; bare at module level, both
+        # rules fire. In a function body, it escapes when the function is called.
         expr, quotes = "qc", iter(['"', "'", "'''"])  # f-strings nest (3.10, 3.11)
         for wrap in wraps:
             expr = _ESCAPES[wrap].format(e=expr, q=next(quotes) if wrap == "fstring" else "")
-        program = "qc = QuantumCircuit(3, 3)\nx = {}\nqc.measure(0, 0)\n"
         quiet = {"oversized-circuit", "const-clas-bit"}
-        assert quiet <= set(_rules_fired(program.format("qc")))
-        assert not quiet & set(_rules_fired(program.format(expr))), expr
+        bare = "qc = QuantumCircuit(3, 3)\nx = qc\nqc.measure(0, 0)\n"
+        assert quiet <= set(_rules_fired(bare))
+        use = f"{function} g():\n    x = {expr}\ng()\n" if function else f"x = {expr}\n"
+        program = "qc = QuantumCircuit(3, 3)\n" + use + "qc.measure(0, 0)\n"
+        assert not quiet & set(_rules_fired(program)), program
 
     @pytest.mark.parametrize("params",["qc", "*qc", "**qc", "*, qc"])
     def test_parameter_shadows_module_circuit(self, params):
@@ -627,10 +676,20 @@ class TestOversizedCircuit:
         )
         assert _lines_of(source, "oversized-circuit") == [3]
 
+    def test_to_gate_on_a_call_result_changes_no_warning(self):
+        # `sub.to_gate()` touches no circuit qlint sees, so the program gives
+        # what it gives without that line: qubit 1 of qc stays unused.
+        body = "qc = QuantumCircuit(2)\nqc.h(0)\nout = qc.compose(sub)\n"
+        without = warnings_for("sub = make()\n" + body)
+        with_line = warnings_for("sub = make()\nsub.to_gate()\n" + body)
+        assert ("oversized-circuit", 2) in [(w.rule, w.span.line) for w in without]
+        shifted = [(w.rule, w.span.line + 1, w.message) for w in without]
+        assert [(w.rule, w.span.line, w.message) for w in with_line] == shifted
+
     @pytest.mark.parametrize("use", ["if sub.to_gate():\n    pass\n", "gate = sub.to_gate()\n"])
     def test_call_result_used_as_a_circuit_is_a_subcircuit(self, use):
-        # `sub` receives `to_gate`, so it is a circuit of unknown shape that
-        # may use both of qc's qubits once appended.
+        # `sub` is a value qlint does not see, so appending it is an unknown
+        # operator that may use both of qc's qubits.
         source = "sub = make_block()\n" + use + "qc = QuantumCircuit(2)\nqc.append(sub, [0, 1])\n"
         assert _lines_of(source, "oversized-circuit") == []
 
@@ -751,6 +810,53 @@ class TestGhostCompose:
         assert _lines_of(source, "oversized-circuit") == [1]
 
 
+class TestReceiverOfSeveralCircuits:
+    # `qc` is `a` or `b`, each `QuantumCircuit(2)`; c uses one of its two qubits.
+    SOURCE = (
+        "a = QuantumCircuit(2)\nb = QuantumCircuit(2)\nc = QuantumCircuit(2)\n"
+        "c.h(0)\nif flag:\n    qc = a\nelse:\n    qc = b\n"
+    )
+    _UNUSED = [("oversized-circuit", 1), ("oversized-circuit", 2), ("oversized-circuit", 3)]
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            # As `a.foo(c)`: a, b and c may change in any way.
+            ("qc.foo(c)", [*_A_AND_B, ("insuff-clas-reg", 3)]),
+            # As `a.to_gate()`: a and b become gates, and nothing uses their qubits.
+            ("g = qc.to_gate()", [("insuff-clas-reg", 3), *_UNUSED]),
+            ("d = qc.copy()", [*_A_AND_B, ("insuff-clas-reg", 3), *_UNUSED]),
+            ("d = qc.assign_parameters(p)", [*_A_AND_B, ("insuff-clas-reg", 3), *_UNUSED]),
+        ],
+        ids=["unknown_method", "to_gate", "copy", "assign_parameters"],
+    )
+    def test_method_does_to_each_circuit_what_it_does_to_one(self, call, expected):
+        warnings = warnings_for(self.SOURCE + call + "\n")
+        assert sorted((w.rule, w.span.line) for w in warnings) == expected
+
+
+    @pytest.mark.parametrize(
+        "after", ["a.measure(0, 0)\na.measure(0, 0)\n", "a.x(0).c_if(cr, 0)\n"],
+        ids=["measured_twice", "conditioned"],
+    )
+    @pytest.mark.parametrize(
+        "call", ["g = qc.to_gate()", "d = qc.copy()", "d = qc.assign_parameters(p)"]
+    )
+    def test_method_that_adds_no_operator_hides_no_later_warning(self, call, after):
+        # The call adds no operator to `a` or `b`, so what follows on `a` is
+        # reported as after the same call on `a` alone.
+        source = (
+            "cr = ClassicalRegister(2)\na = QuantumCircuit(2, 2)\nb = QuantumCircuit(2, 2)\n"
+            "if flag:\n    qc = a\nelse:\n    qc = b\n"
+        )
+
+        def later(line):  # the warnings after the call on line 8
+            warnings = warnings_for(source + line + "\n" + after)
+            return sorted((w.rule, w.span.line) for w in warnings if w.span.line > 8)
+
+        assert later(call) == later(call.replace("qc.", "a."))
+
+
 class TestOpAfterTransp:
     def test_level_three(self):
         source = (
@@ -792,6 +898,11 @@ class TestOldIdenGate:
 
     def test_unresolved_index_still_flagged(self):
         assert _lines_of("qc = QuantumCircuit(2)\nqc.iden(k)\n", "old-iden-gate") == [2]
+
+    def test_call_on_one_of_several_circuits_flagged_once(self):
+        # The unknown operator on each circuit keeps the method's name.
+        source = TestReceiverOfSeveralCircuits.SOURCE + "qc.iden(0)\n"
+        assert _lines_of(source, "old-iden-gate") == [9]
 
 
 @pytest.mark.parametrize(
