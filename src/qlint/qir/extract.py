@@ -155,7 +155,7 @@ def extract(
 class _Extractor:
     def __init__(self, tree: ModuleAst, table: GateTable, max_unroll: int) -> None:
         self.table = table
-        self.ir = QuantumIR(tree.file)
+        self.ir = QuantumIR()
         self.cfg = self.ir.cfg
         self.span = tree.span
         self.rebound_names = tree.rebound_names
@@ -187,19 +187,21 @@ class _Extractor:
     ) -> OperatorEvent:
         """Append an event; its id is its position in `ir.events`."""
         events = self.ir.events
-        event = _new(OperatorEvent, (len(events), circuit, kind, self._block, self._scope_name,
-                                     span, gate_name, False, creates_new_register, unknown_cause,
-                                     qubits, clbits))
+        event = _new(OperatorEvent, (len(events), circuit, kind, self._block, span, gate_name,
+                                     False, creates_new_register, unknown_cause, qubits, clbits))
         events.append(event)
         return event
 
     def _emit_unknown(
         self, circuit_ids: list[str] | tuple[str, ...], cause: UnknownCause, span: SourceSpan,
         gate_name: str | None = None,
-    ) -> None:
+    ) -> OperatorEvent | None:
+        """Append an unknown operator on each of `circuit_ids`; return the last."""
+        event = None
         for cid in circuit_ids:
             self.ir.circuits[cid].unseen.add("unknown_operator")
-            self._emit(EventKind.UNKNOWN, cid, span, gate_name, False, cause)
+            event = self._emit(EventKind.UNKNOWN, cid, span, gate_name, False, cause)
+        return event
 
     def _diagnostic(self, message: str, node: _ast.expr) -> None:
         self.ir.diagnostics.append(Diagnostic(message, self.span(node)))
@@ -564,7 +566,7 @@ class _Extractor:
     def _new_circuit(
         self, kind: CircuitKind, span: SourceSpan, name: str | None = None
     ) -> CircuitDecl:
-        decl = CircuitDecl(self._new_id("c"), kind, span, self._scope_name, name=name)
+        decl = CircuitDecl(self._new_id("c"), kind, span, name=name)
         self.ir.circuits[decl.id] = decl
         return decl
 
@@ -664,22 +666,14 @@ class _Extractor:
         return values, {kw.arg: self._eval(kw.value, scope) for kw in call.keywords}
 
     def _circuit_args(self, call: _ast.Call, scope: _Scope) -> list[str]:
-        """Circuits a call receives: as args, in one-level containers, or named in an
-        opaque argument (a dict, lambda, comprehension, ...) or a `*`/`**` value."""
+        """Evaluate each of `arguments(call)` once, in order; return the circuits
+        a value, or an element of a display, may be. What an opaque argument
+        names `_eval` has already made escape."""
         found: set[str] = set()
-        unpacked = [a.value for a in call.args if type(a) is _ast.Starred]
-        unpacked += [k.value for k in call.keywords if k.arg is None]
-        named = [n for value in unpacked for n in names(value)]
         for arg in arguments(call):
-            elements = arg.elts if form(arg) is _ast.Tuple else [arg]
-            for element in elements:
-                if form(element) is None:
-                    named += names(element)
-                    if self.rebound_names:
-                        self._forget_rebound(scope)  # it may hold a walrus
-                    continue
-                found.update(_circuits(self._eval(element, scope)))
-        self._read(named, scope, found)
+            value = self._eval(arg, scope)
+            for element in value if type(value) is tuple else (value,):
+                found.update(_circuits(element))
         return sorted(found)
 
     def _read(
@@ -754,9 +748,7 @@ class _Extractor:
         return self._unknown_call(call, scope, ids, method)
 
     def _unresolved_event(self, circuit: CircuitDecl, span: SourceSpan, gate_name: str) -> _Binding:
-        cause = UnknownCause.UNRESOLVED_QUBIT
-        circuit.unseen.add("unknown_operator")
-        event = self._emit(EventKind.UNKNOWN, circuit.id, span, gate_name, False, cause)
+        event = self._emit_unknown((circuit.id,), UnknownCause.UNRESOLVED_QUBIT, span, gate_name)
         return _new(_Binding, ("instruction", (circuit.id,), event))
 
     def _gate_event(

@@ -137,12 +137,12 @@ UNSEEN_REASONS = ("unknown_operator", "subcircuit", "has_subcircuit", "initializ
 
 
 class CircuitDecl(Record):
-    __slots__ = ("id", "kind", "span", "scope", "name", "layout", "transpile_opt_level", "unseen")
+    __slots__ = ("id", "kind", "span", "name", "layout", "transpile_opt_level", "unseen")
 
     def __init__(
-        self, id: str, kind: CircuitKind, span: SourceSpan, scope: str, name: str | None = None
+        self, id: str, kind: CircuitKind, span: SourceSpan, name: str | None = None
     ) -> None:
-        self.id, self.kind, self.span, self.scope, self.name = id, kind, span, scope, name
+        self.id, self.kind, self.span, self.name = id, kind, span, name
         self.layout = _OPEN  # immutable, so circuits share one
         self.transpile_opt_level: int | None = None
         self.unseen: set[str] = set()  # of UNSEEN_REASONS
@@ -150,21 +150,20 @@ class CircuitDecl(Record):
 
 class OperatorEvent(TupleRecord):
     """One operator on a circuit. Its `id` is its position in `ir.events`,
-    and its `block` a block of `ir.cfg`."""
+    and its `block` a block of `ir.cfg`, which names its scope."""
 
     __slots__ = ()
-    _fields = ("id", "circuit", "kind", "block", "scope", "span", "gate_name", "is_conditional",
+    _fields = ("id", "circuit", "kind", "block", "span", "gate_name", "is_conditional",
                "creates_new_register", "unknown_cause", "qubits", "clbits")
 
     def __new__(
-        cls, id: int, circuit: str | None, kind: EventKind, block: int, scope: str,
-        span: SourceSpan, gate_name: str | None = None, is_conditional: bool = False,
+        cls, id: int, circuit: str | None, kind: EventKind, block: int, span: SourceSpan,
+        gate_name: str | None = None, is_conditional: bool = False,
         creates_new_register: bool = False, unknown_cause: UnknownCause | None = None,
         qubits: Sequence[QubitRef] = (), clbits: Sequence[QubitRef] = (),
     ):
-        return tuple.__new__(cls, (id, circuit, kind, block, scope, span, gate_name,
-                                   is_conditional, creates_new_register, unknown_cause, qubits,
-                                   clbits))
+        return tuple.__new__(cls, (id, circuit, kind, block, span, gate_name, is_conditional,
+                                   creates_new_register, unknown_cause, qubits, clbits))
 
 
 class ComposeCall(TupleRecord):
@@ -191,10 +190,9 @@ class Diagnostic(TupleRecord):
 class QuantumIR(Record):
     """Everything extracted from one file; each event's `block` is a block of `cfg`."""
 
-    __slots__ = ("file", "registers", "circuits", "events", "compose_calls", "diagnostics", "cfg")
+    __slots__ = ("registers", "circuits", "events", "compose_calls", "diagnostics", "cfg")
 
-    def __init__(self, file: str) -> None:
-        self.file = file
+    def __init__(self) -> None:
         self.registers: dict[str, RegisterDecl] = {}
         self.circuits: dict[str, CircuitDecl] = {}
         self.events: list[OperatorEvent] = []

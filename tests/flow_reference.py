@@ -26,7 +26,7 @@ _REACHED: WeakKeyDictionary[FlowRelation, dict[int, frozenset[int]]] = WeakKeyDi
 def before(flow: FlowRelation, a: int, b: int) -> bool:
     """True when some control-flow path executes event a before event b."""
     ea, eb = flow.ir.events[a], flow.ir.events[b]
-    if a == b or ea.scope != eb.scope:
+    if a == b or flow.cfg.blocks[ea.block] != flow.cfg.blocks[eb.block]:
         return False
     by_block = _REACHED.setdefault(flow, {})
     if ea.block not in by_block:

@@ -81,12 +81,13 @@ def behaviour(name: str, source: str) -> dict:
     circuits = _names(ir.circuits.values(), lambda c: "circuit")
     registers = _names(ir.registers.values(), lambda r: f"{r.kind}:{r.display_name()}")
     events = _names(ir.events, lambda e: e.kind.value)
+    scopes = [_SCOPE_UID.sub("", scope) for scope in ir.cfg.blocks]
 
     def bits(refs) -> str:
         return ",".join(f"{registers.get(r.register)}[{r.index}]" for r in refs)
 
     event_lines = [
-        f"{events[e.id]} {circuits.get(e.circuit)} {_SCOPE_UID.sub('', e.scope)} {e.gate_name}"
+        f"{events[e.id]} {circuits.get(e.circuit)} {scopes[e.block]} {e.gate_name}"
         f" q={bits(e.qubits)} c={bits(e.clbits)} cond={e.is_conditional}"
         f" new={e.creates_new_register} cause={e.unknown_cause and e.unknown_cause.value}"
         for e in ir.events

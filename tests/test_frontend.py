@@ -573,8 +573,9 @@ class TestUnrollSharing:
 
     def test_unrolled_index_resolves_inside_if_and_def(self):
         ir = _ir(self.NESTED)
-        branch = [e for e in ir.events if e.scope == MODULE_SCOPE][:3]
-        function = [e for e in ir.events if e.scope != MODULE_SCOPE]
+        scopes = ir.cfg.blocks
+        branch = [e for e in ir.events if scopes[e.block] == MODULE_SCOPE][:3]
+        function = [e for e in ir.events if scopes[e.block] != MODULE_SCOPE]
         for events in (branch, function):
             assert [e.qubits[0].index for e in events] == [0, 1, 2]
 
@@ -705,7 +706,7 @@ class TestCfg:
         ir = _ir(source)
         scopes = ir.cfg.blocks
         assert len({e.id for e in ir.events}) == len(ir.events) == 4
-        assert [scopes[e.block] for e in ir.events] == [e.scope for e in ir.events]
+        assert [scopes[e.block] for e in ir.events] == [MODULE_SCOPE] * 4
         assert [e.block for e in ir.events] == [0, 1, 3, 4]
 
     def test_function_bodies_get_their_own_scope(self):

@@ -154,8 +154,6 @@ def test_caller_check_finds_an_uncalled_definition(tmp_path):
 # Fields nothing in src/qlint or bench/ reads, each with why it stays.
 UNREAD_FIELDS = {
     "OperatorEvent.clbits": "the behaviour lock hashes each event's classical operands",
-    "OperatorEvent.scope": "the behaviour lock names each event's scope",
-    "CircuitDecl.scope": "tests check which scope declares a circuit",
 }
 
 

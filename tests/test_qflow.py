@@ -388,7 +388,7 @@ class TestEventIdentity:
             except ParseError:
                 continue
             assert [e.id for e in ir.events] == list(range(len(ir.events))), name
-            assert all(ir.cfg.blocks[e.block] == e.scope for e in ir.events), name
+            assert all(0 <= e.block < len(ir.cfg.blocks) for e in ir.events), name
 
     @pytest.mark.parametrize(
         "condition", ["qc.x(0).c_if(cr, 1)\n", "g = qc.x(0)\ng.c_if(cr, 1)\n"]

@@ -41,7 +41,7 @@ def _graph() -> Cfg:
 
 
 def _event(**fields) -> OperatorEvent:
-    return OperatorEvent(0, "c1", EventKind.GATE, 0, "<module>", SPAN, **fields)
+    return OperatorEvent(0, "c1", EventKind.GATE, 0, SPAN, **fields)
 
 
 def test_importing_qlint_does_not_import_dataclasses():
@@ -182,16 +182,16 @@ class TestRepr:
         event = _event(gate_name="h", qubits=[QubitRef("r1", 0)])
         assert repr(event) == (
             "OperatorEvent(id=0, circuit='c1', kind=<EventKind.GATE: 'gate'>, "
-            f"block=0, scope='<module>', span={SPAN_TEXT}, gate_name='h', "
+            f"block=0, span={SPAN_TEXT}, gate_name='h', "
             "is_conditional=False, creates_new_register=False, unknown_cause=None, "
             "qubits=[QubitRef(register='r1', index=0)], clbits=())"
         )
 
     def test_circuit_decl(self):
-        decl = CircuitDecl("c1", CircuitKind.CONSTRUCTOR, SPAN, "<module>")
+        decl = CircuitDecl("c1", CircuitKind.CONSTRUCTOR, SPAN)
         assert repr(decl) == (
             "CircuitDecl(id='c1', kind=<CircuitKind.CONSTRUCTOR: 'constructor'>, "
-            f"span={SPAN_TEXT}, scope='<module>', name=None, layout=Layout(quantum=(), "
+            f"span={SPAN_TEXT}, name=None, layout=Layout(quantum=(), "
             "classical=(), open=True, num_qubits=None, num_clbits=None, offsets=()), "
             "transpile_opt_level=None, unseen=set())"
         )
@@ -226,7 +226,7 @@ class TestMutableRecords:
 
 
 def _circuit(circuit_id: str) -> CircuitDecl:
-    return CircuitDecl(circuit_id, CircuitKind.CONSTRUCTOR, SPAN, "<module>")
+    return CircuitDecl(circuit_id, CircuitKind.CONSTRUCTOR, SPAN)
 
 
 class TestOperatorEvent:
