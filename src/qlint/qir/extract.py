@@ -8,11 +8,11 @@ loop variable bound; every other loop is kept, its body walked once under a
 back edge, and whatever integer it binds is unknown. The walk also builds
 each scope's control-flow graph, so every event is emitted with its block.
 One evaluator, `_Extractor._eval`, reads every expression once, in Python's
-order: a callee and its receiver, then each argument, the operands of
-arithmetic, each element of a display. It yields the expression's integer,
-binding, register slot or tuple of element values, so a call nested
-anywhere (in arithmetic, a `range` bound, an `if` test, a gate parameter, a
-keyword argument) has its effect. Recognized constructors and circuit
+order: a callee and its receiver, then each argument (an unknown callee's
+too), the operands of arithmetic, each element of a display. It yields the
+expression's integer, binding, register slot or tuple of element values, so
+a call nested anywhere (in arithmetic, a `range` bound, an `if` test, a gate
+parameter, a keyword argument) has its effect. Recognized constructors and circuit
 methods produce IR entities; everything it cannot resolve becomes an
 explicit unknown operator so later analyses can stay on the safe side.
 Expressions are `ast` nodes, read through `nodes.form`; statements and
@@ -410,10 +410,16 @@ class _Extractor:
         self._forget(mentioned, scope)
         self._touch(mentioned, scope, node)
 
-    def _touch(self, names: frozenset[str], scope: _Scope, node: _ast.AST) -> None:
-        """Opaque code at `node` that names `names` may change their circuits in any way."""
-        touched: set[str] = set()
-        self._read(names, scope, touched)
+    def _touch(self, names: set[str] | frozenset[str], scope: _Scope, node: _ast.AST) -> None:
+        """Code at `node` that names `names` (opaque code, or a local function's
+        body) may change their circuits in any way. A function body records
+        the names it does not bind as free."""
+        vars, info, touched = scope.vars, scope.func_info, set()
+        for name in names:
+            if name in vars:
+                touched.update(_circuits(vars[name]))
+            elif info is not None:
+                info.free_names.add(name)
         if touched:
             cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
             self._emit_unknown(sorted(touched), cause, self.span(node))
@@ -447,6 +453,8 @@ class _Extractor:
             name, vars = expr.id, scope.vars
             if name in vars:
                 return vars[name]
+            if name in scope.funcs:  # a local function, which may run from here on
+                self._touch(scope.funcs[name].free_names, scope, expr)
             if scope.func_info is not None:
                 scope.func_info.free_names.add(name)
             return _OTHER
@@ -626,11 +634,7 @@ class _Extractor:
             for cid in circuit_args:
                 circuit = self.ir.circuits[cid]
                 circuit.layout = circuit.layout.adding(self.ir.registers, [], True)
-        mutated: set[str] = set()
-        self._read(info.free_names, scope, mutated)  # a caller's body reads them too
-        if mutated:
-            cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
-            self._emit_unknown(sorted(mutated), cause, self.span(call))
+        self._touch(info.free_names, scope, call)  # a caller's body reads them too
         if info.returns_circuit:
             decl = self._new_circuit(CircuitKind.USER_FUNCTION_RETURN, self.span(call))
             return _new(_Binding, ("circuit", (decl.id,), None))
@@ -667,26 +671,14 @@ class _Extractor:
 
     def _circuit_args(self, call: _ast.Call, scope: _Scope) -> list[str]:
         """Evaluate each of `arguments(call)` once, in order; return the circuits
-        a value, or an element of a display, may be. What an opaque argument
-        names `_eval` has already made escape."""
+        a value, or an element of a display, may be. `_eval` itself makes the
+        circuits a display holds, or an opaque argument names, escape."""
         found: set[str] = set()
         for arg in arguments(call):
             value = self._eval(arg, scope)
             for element in value if type(value) is tuple else (value,):
                 found.update(_circuits(element))
         return sorted(found)
-
-    def _read(
-        self, names: list[str] | set[str] | frozenset[str], scope: _Scope, found: set[str]
-    ) -> None:
-        """Add to `found` the circuits `names` hold; a function body records
-        the names it does not bind as free."""
-        vars, info = scope.vars, scope.func_info
-        for name in names:
-            if name in vars:
-                found.update(_circuits(vars[name]))
-            elif info is not None:
-                info.free_names.add(name)
 
     # --- circuit methods ---
 

@@ -1,6 +1,6 @@
 """Byte-identical output: the `--profile all` JSON report of a fixed input set.
 
-The golden file is the report of the 13 samples and the 120 labeled cases,
+The golden file is the report of the 15 samples and the 120 labeled cases,
 written under fixed relative names. A change that alters any warning,
 message, span or the report layout shows up here as a byte diff.
 

@@ -131,6 +131,15 @@ class TestDoubleMeas:
             pytest.skip("ast.parse itself runs out of stack on this chain")
         assert _lines_of(source, "double-meas") == [2 * branches + 4]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="missed (ROADMAP item 20): measure_all() is not counted as a measurement",
+    )
+    def test_missed_measure_all_twice(self):
+        source = "qc = QuantumCircuit(2)\nqc.h(0)\nqc.h(1)\nqc.measure_all()\nqc.measure_all()\n"
+        assert 5 in _lines_of(source, "double-meas")
+
+
 
 class TestOpAfterMeas:
     def test_sample_program(self):
@@ -181,6 +190,16 @@ class TestOpAfterMeas:
         ir = analyze_pipeline(source, "t.py").ir
         (returned,) = [c for c in ir.circuits.values() if c.name == "c"]
         assert (returned.layout.num_qubits, returned.layout.num_clbits) == (None, None)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="missed (ROADMAP item 20): measure_all() is not counted as a measurement",
+    )
+    def test_missed_gate_after_measure_all(self):
+        # `qc.measure([0, 1], [0, 1])` in place of `measure_all()` gives line 5.
+        source = "qc = QuantumCircuit(2)\nqc.h(0)\nqc.h(1)\nqc.measure_all()\nqc.x(1)\n"
+        assert 5 in _lines_of(source, "op-after-meas")
+
 
 
 class TestMeasAllAbuse:
@@ -641,6 +660,12 @@ class TestOversizedCircuit:
         # the subset, or read by a function body that is then called, qc
         # reaches code that may use its other qubits.
         source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{statement}\n"
+        assert _rules_fired(source) == ["insuff-clas-reg"]
+
+    @pytest.mark.parametrize("use", ["x = g\nx()", "run(g)", "callbacks = [g]"])
+    def test_local_function_read_as_a_value_escapes_what_it_reads(self, use):
+        # Read as a value, g may run at any later point, as a call to it does.
+        source = f"qc = QuantumCircuit(3)\nqc.h(0)\ndef g():\n    return qc\n{use}\n"
         assert _rules_fired(source) == ["insuff-clas-reg"]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
