@@ -140,7 +140,6 @@ class TestDoubleMeas:
         assert 5 in _lines_of(source, "double-meas")
 
 
-
 class TestOpAfterMeas:
     def test_sample_program(self):
         assert _lines_of(sample_source("gate_after_measure"), "op-after-meas") == [6]
@@ -199,7 +198,6 @@ class TestOpAfterMeas:
         # `qc.measure([0, 1], [0, 1])` in place of `measure_all()` gives line 5.
         source = "qc = QuantumCircuit(2)\nqc.h(0)\nqc.h(1)\nqc.measure_all()\nqc.x(1)\n"
         assert 5 in _lines_of(source, "op-after-meas")
-
 
 
 class TestMeasAllAbuse:
@@ -653,19 +651,17 @@ class TestOversizedCircuit:
             "def g():\n    run(qc)\ng()",
             "async def g():\n    await run(qc)\ng()",
             "def g():\n    def h():\n        run(qc)\n    h()\ng()",
+            "def g():\n    return qc\nx = g\nx()",
+            "def g():\n    return qc\nrun(g)",
+            "def g():\n    return qc\ncallbacks = [g]",
         ],
     )
     def test_circuit_stored_or_named_outside_a_call_escapes(self, statement):
         # Stored into an object or container, named by an expression outside
-        # the subset, or read by a function body that is then called, qc
-        # reaches code that may use its other qubits.
+        # the subset, or read by a function body that is then called or read
+        # as a value (it may run from there on), qc reaches code that may use
+        # its other qubits.
         source = f"qc = QuantumCircuit(3)\nqc.h(0)\n{statement}\n"
-        assert _rules_fired(source) == ["insuff-clas-reg"]
-
-    @pytest.mark.parametrize("use", ["x = g\nx()", "run(g)", "callbacks = [g]"])
-    def test_local_function_read_as_a_value_escapes_what_it_reads(self, use):
-        # Read as a value, g may run at any later point, as a call to it does.
-        source = f"qc = QuantumCircuit(3)\nqc.h(0)\ndef g():\n    return qc\n{use}\n"
         assert _rules_fired(source) == ["insuff-clas-reg"]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
