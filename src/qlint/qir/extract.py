@@ -168,6 +168,7 @@ class _Extractor:
         self.unrolled = 0  # statements counted against MAX_UNROLLED_STMTS
         self.expanding = 0  # expanded loops the walk is inside
         self.listed = 0  # operands whole registers listed, against MAX_LISTED_OPERANDS
+        self.passed: set[str] | None = None  # circuits an opaque argument of a call names
 
     def run(self, statements: list[_ast.stmt]) -> QuantumIR:
         self._walk(statements, _Scope(MODULE_SCOPE, {}, {}))
@@ -410,10 +411,10 @@ class _Extractor:
         self._forget(mentioned, scope)
         self._touch(mentioned, scope, node)
 
-    def _touch(self, names: set[str] | frozenset[str], scope: _Scope, node: _ast.AST) -> None:
+    def _touch(self, names: set[str] | frozenset[str], scope: _Scope, node: _ast.AST) -> set[str]:
         """Code at `node` that names `names` (opaque code, or a local function's
-        body) may change their circuits in any way. A function body records
-        the names it does not bind as free."""
+        body) may change their circuits in any way; return those circuits. A
+        function body records the names it does not bind as free."""
         vars, info, touched = scope.vars, scope.func_info, set()
         for name in names:
             if name in vars:
@@ -423,6 +424,7 @@ class _Extractor:
         if touched:
             cause = UnknownCause.GLOBAL_CIRCUIT_MUTATION
             self._emit_unknown(sorted(touched), cause, self.span(node))
+        return touched
 
     # --- integers ---
 
@@ -491,7 +493,9 @@ class _Extractor:
                 self._emit_unknown(sorted(escaped), cause, self.span(expr))
             return values
         if f is None:
-            self._touch(names(expr), scope, expr)
+            touched = self._touch(names(expr), scope, expr)
+            if touched and self.passed is not None:  # a call's argument may hold them
+                self.passed.update(touched)
             if self.rebound_names:
                 self._forget_rebound(scope)  # it may hold a walrus
         return _OTHER
@@ -671,13 +675,16 @@ class _Extractor:
 
     def _circuit_args(self, call: _ast.Call, scope: _Scope) -> list[str]:
         """Evaluate each of `arguments(call)` once, in order; return the circuits
-        a value, or an element of a display, may be. `_eval` itself makes the
-        circuits a display holds, or an opaque argument names, escape."""
+        a value, an element of a display, or an opaque expression in them may
+        be. `_eval` itself makes the circuits a display holds, or an opaque
+        expression names, escape."""
         found: set[str] = set()
+        outer, self.passed = self.passed, found
         for arg in arguments(call):
             value = self._eval(arg, scope)
             for element in value if type(value) is tuple else (value,):
                 found.update(_circuits(element))
+        self.passed = outer
         return sorted(found)
 
     # --- circuit methods ---

@@ -738,14 +738,27 @@ class TestUnknownOperators:
     )
     def test_circuit_in_unpacked_argument_is_passed(self, prefix, shape):
         """However a call's argument holds `qc`, unknown code or a local
-        function's callers may change it: it gets an unknown operator, and
-        no `double-meas` spans the call."""
+        function's callers may change it: the call puts an unknown operator
+        on it, and no `double-meas` spans the call."""
         measure = "qc.measure(0, 0)\n"
         source = f"{prefix}qc = QuantumCircuit(2, 2)\n{measure}{shape}\n{measure}"
         result = pipeline(source, rules=frozenset({"double-meas"}))
         (qc,) = [c.id for c in result.ir.circuits.values() if c.name == "qc"]
-        assert qc in {e.circuit for e in _events(result.ir, EventKind.UNKNOWN)}
+        causes = {e.unknown_cause for e in _events(result.ir, EventKind.UNKNOWN) if e.circuit == qc}
+        assert UnknownCause.UNKNOWN_CALLEE_WITH_CIRCUIT_ARG in causes
         assert result.warnings == []
+
+    def test_unpacked_value_passes_what_it_holds(self):
+        # A `*` value is read like a plain argument: the attribute `qc.data`
+        # is not the circuit, unpacked or not.
+        def outcome(call):
+            source = f"qc = QuantumCircuit(2, 2)\nqc.measure(0, 0)\n{call}\nqc.measure(0, 0)\n"
+            result = pipeline(source)
+            return _events(result.ir, EventKind.UNKNOWN), result.warnings
+
+        unpacked, plain = outcome("helper(*qc.data)"), outcome("helper(qc.data)")
+        assert unpacked == plain
+        assert unpacked[0] == []
 
     def test_gate_with_unpacked_operands_stays_unresolved(self):
         ir = _ir("qc = QuantumCircuit(2)\nqc.h(*[0])\n")

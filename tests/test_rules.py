@@ -402,6 +402,22 @@ class TestInsuffClasReg:
         untouched = grown.replace("c.add_register(cr)", "c.h(0)")
         assert _lines_of(untouched, "insuff-clas-reg") == [4]
 
+    @pytest.mark.parametrize("arg", ['**{"c": a}', "lambda: a", "[c for c in [a]]", "*[a]"])
+    def test_register_added_through_an_opaque_or_unpacked_argument(self, arg):
+        # The circuit an opaque or `*`/`**` argument names may be the parameter
+        # that gains `cr`.
+        source = (
+            "cr = ClassicalRegister(2)\n"
+            "def grow(c):\n"
+            "    c.add_register(cr)\n"
+            "a = QuantumCircuit(2)\n"
+            f"grow({arg})\n"
+            "a.h(0)\n"
+            "a.h(1)\n"
+            "a.measure([0, 1], [0, 1])\n"
+        )
+        assert _rules_fired(source) == []
+
     def test_sizes_of_a_star_only_constructor_are_unknown(self):
         ir = analyze_pipeline("qc = QuantumCircuit(*regs)\nqc.measure_all()\n", "t.py").ir
         (circuit,) = ir.circuits.values()
